@@ -1,64 +1,13 @@
 import pytest
 
+from fixture_graphs import FIXTURE_GRAPHS
 from leavitt.graphs import Graph
 
 
-@pytest.fixture
-def single_vertex():
-    return Graph(["w"], [])
+def _graph_fixture(name):
+    vertices, edges = FIXTURE_GRAPHS[name]
+    return pytest.fixture(name=name)(lambda: Graph(vertices, edges))
 
 
-@pytest.fixture
-def a2():
-    return Graph(["u", "v"], [("f", "u", "v")])
-
-
-@pytest.fixture
-def r1():
-    return Graph(["v"], [("e", "v", "v")])
-
-
-@pytest.fixture
-def toeplitz():
-    return Graph(["u", "v"], [("e", "u", "u"), ("f", "u", "v")])
-
-
-@pytest.fixture
-def rose2():
-    return Graph(["v"], [("e", "v", "v"), ("g", "v", "v")])
-
-
-@pytest.fixture
-def cycle2():
-    return Graph(["v1", "v2"], [("a", "v1", "v2"), ("b", "v2", "v1")])
-
-
-@pytest.fixture
-def cycle3():
-    return Graph(
-        ["v1", "v2", "v3"],
-        [("a", "v1", "v2"), ("b", "v2", "v3"), ("c", "v3", "v1")],
-    )
-
-
-@pytest.fixture
-def cycle3_exit():
-    return Graph(
-        ["v1", "v2", "v3", "w"],
-        [("a", "v1", "v2"), ("b", "v2", "v3"), ("c", "v3", "v1"), ("d", "v1", "w")],
-    )
-
-
-@pytest.fixture
-def chain3():
-    return Graph(["u", "w", "v"], [("f", "u", "w"), ("g", "w", "v")])
-
-
-@pytest.fixture
-def two_loops():
-    return Graph(["u", "v"], [("e", "u", "u"), ("g", "v", "v")])
-
-
-@pytest.fixture
-def lasso_graph():
-    return Graph(["u", "v"], [("f", "u", "v"), ("e", "v", "v")])
+for _name in FIXTURE_GRAPHS:
+    globals()[_name] = _graph_fixture(_name)

@@ -1,0 +1,25 @@
+"""The small graphs shared by the tests: name -> (vertices, edges).
+
+``conftest.py`` makes each one a fixture of the same name, and the golden
+CLI corpus (``golden_corpus.py``) writes them out as graph files.
+"""
+
+FIXTURE_GRAPHS = {
+    "single_vertex": (["w"], []),
+    "a2": (["u", "v"], [("f", "u", "v")]),
+    "r1": (["v"], [("e", "v", "v")]),
+    "toeplitz": (["u", "v"], [("e", "u", "u"), ("f", "u", "v")]),
+    "rose2": (["v"], [("e", "v", "v"), ("g", "v", "v")]),
+    "cycle2": (["v1", "v2"], [("a", "v1", "v2"), ("b", "v2", "v1")]),
+    "cycle3": (
+        ["v1", "v2", "v3"],
+        [("a", "v1", "v2"), ("b", "v2", "v3"), ("c", "v3", "v1")],
+    ),
+    "cycle3_exit": (
+        ["v1", "v2", "v3", "w"],
+        [("a", "v1", "v2"), ("b", "v2", "v3"), ("c", "v3", "v1"), ("d", "v1", "w")],
+    ),
+    "chain3": (["u", "w", "v"], [("f", "u", "w"), ("g", "w", "v")]),
+    "two_loops": (["u", "v"], [("e", "u", "u"), ("g", "v", "v")]),
+    "lasso_graph": (["u", "v"], [("f", "u", "v"), ("e", "v", "v")]),
+}
