@@ -83,6 +83,10 @@ class TwistVector:
             out = self.field.mul(out, self.value(name))
         return out
 
+    def ratio(self, mu: FinitePath, nu: FinitePath):
+        """a_mu a_nu^(-1): the factor by which the twist scales mu.nu*."""
+        return self.field.mul(self.of_path(mu), self.field.inv(self.of_path(nu)))
+
     def inverse(self) -> "TwistVector":
         F = self.field
         return TwistVector(F, tuple((n, F.inv(c)) for n, c in self.entries))
@@ -227,8 +231,7 @@ class LeavittAlgebra:
         F = self.field
         out = {}
         for m, c in x.terms.items():
-            s = F.mul(a.of_path(m.mu), F.inv(a.of_path(m.nu)))
-            out[m] = F.mul(s, c)
+            out[m] = F.mul(a.ratio(m.mu, m.nu), c)
         return AlgebraElement(self, out)
 
     def ghost_transpose(self, x: "AlgebraElement") -> "AlgebraElement":

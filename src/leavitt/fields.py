@@ -28,6 +28,7 @@ class Field:
     """Common interface: exact operations on raw scalar values."""
 
     name: str
+    degree = 1  # dimension over the base field
 
     def zero(self):
         raise NotImplementedError
@@ -69,6 +70,10 @@ class Field:
         for _ in range(n):
             out = self.mul(out, a)
         return out
+
+    def expand(self, a, j: int) -> tuple:
+        """Base-field coordinates of a*t^j (a base field has only j = 0)."""
+        return (a,)
 
     def characteristic(self) -> int:
         raise NotImplementedError
@@ -519,8 +524,10 @@ class ExtensionField(Field):
             raise FieldError("modulus is not irreducible")  # unreachable if validated
         return self._wrap(u.scale(self.base.inv(g.coeff(0))))
 
-    def tbar_pow(self, n: int):
-        return self.pow(self.tbar(), n)
+    def expand(self, a, j: int) -> tuple:
+        unit = [self.base.zero()] * self.degree
+        unit[j] = self.base.one()
+        return self.mul(a, tuple(unit))
 
     def characteristic(self):
         return self.base.characteristic()

@@ -263,12 +263,30 @@ class Module:
     def vector(self, terms: dict) -> ModuleVector:
         return ModuleVector(self.field, terms)
 
+    _algebra: LeavittAlgebra | None = None
+
     def algebra(self) -> LeavittAlgebra:
-        return LeavittAlgebra(self.graph, self.field)
+        """The path algebra acting on this module, built on first use."""
+        if self._algebra is None:
+            self._algebra = LeavittAlgebra(self.graph, self.field)
+        return self._algebra
 
 
-def _twist_scale(field: Field, twist: TwistVector, m: Monomial):
-    return field.mul(twist.of_path(m.mu), field.inv(twist.of_path(m.nu)))
+def _act_on_boundary_path(module: ChenModule | ChenExtModule, mono: Monomial, b: ChenBasis):
+    """mu.nu* sends nu.p (x) t^j to a_mu a_nu^(-1) t^j mu.p, in ground-field
+    coordinates; an untwisted module does no scalar work."""
+    rem = strip_prefix(module.graph, mono.nu, b.path)
+    if rem is None:
+        return []
+    target = prepend(module.graph, mono.mu, rem)
+    if module.twist is None:
+        return [(ChenBasis(target), module.field.one())]
+    value = module.scalars.expand(module.twist.ratio(mono.mu, mono.nu), b.power)
+    return [
+        (ChenBasis(target, j), c)
+        for j, c in enumerate(value)
+        if not module.field.is_zero(c)
+    ]
 
 
 class ChenModule(Module):
@@ -280,6 +298,8 @@ class ChenModule(Module):
         self.spec = spec
         if spec.twist is not None and spec.twist.field != field:
             raise ModuleSpecError("twist is over a different field")
+        self.scalars = field
+        self.twist = spec.twist
         self.rational = isinstance(spec.base, Lasso)
         self.gradable = not self.rational
 
@@ -289,14 +309,7 @@ class ChenModule(Module):
         return BasisEnumeration(elems, res.exact, len(elems) if res.exact else None)
 
     def act_monomial_basis(self, mono: Monomial, b: ChenBasis):
-        rem = strip_prefix(self.graph, mono.nu, b.path)
-        if rem is None:
-            return []
-        target = prepend(self.graph, mono.mu, rem)
-        scale = self.field.one()
-        if self.spec.twist is not None:
-            scale = _twist_scale(self.field, self.spec.twist, mono)
-        return [(ChenBasis(target), scale)]
+        return _act_on_boundary_path(self, mono, b)
 
     def grade(self, b: ChenBasis) -> int:
         if self.rational:
@@ -335,31 +348,15 @@ class ChenExtModule(Module):
         )
         self.gradable = False
 
-    @property
-    def tensor_dim(self) -> int:
-        return self.scalars.degree
-
     def enumerate_basis(self, bound: int | None = None) -> BasisEnumeration:
         res = orbit(self.graph, self.base, bound)
         elems = tuple(
-            ChenBasis(p, j) for p in res.elements for j in range(self.tensor_dim)
+            ChenBasis(p, j) for p in res.elements for j in range(self.scalars.degree)
         )
         return BasisEnumeration(elems, res.exact, len(elems) if res.exact else None)
 
     def act_monomial_basis(self, mono: Monomial, b: ChenBasis):
-        rem = strip_prefix(self.graph, mono.nu, b.path)
-        if rem is None:
-            return []
-        target = prepend(self.graph, mono.mu, rem)
-        Kp = self.scalars
-        unit = [Kp.base.zero()] * self.tensor_dim
-        unit[b.power] = Kp.base.one()
-        value = Kp.mul(_twist_scale(Kp, self.twist, mono), tuple(unit))
-        return [
-            (ChenBasis(target, j), c)
-            for j, c in enumerate(value)
-            if not self.field.is_zero(c)
-        ]
+        return _act_on_boundary_path(self, mono, b)
 
     def grade(self, b: ChenBasis) -> int:
         raise NotGradableError("scalar-extension modules at cycle tails are not graded")
@@ -388,7 +385,6 @@ class NvcModule(Module):
                     f"cycle {star} has an exit at {w}: {sorted(extra)}"
                 )
         self.base_vertex = star.src
-        self._algebra = LeavittAlgebra(graph, field)
         self.gradable = True
 
     def _cycle_segment(self, length: int) -> FinitePath:
@@ -407,17 +403,18 @@ class NvcModule(Module):
             mus = enumerate_paths_ending_at(self.graph, nu.rng, bound=bound).paths
             for mu in mus:
                 m = monomial(mu, nu)
-                if self._algebra.is_normal(m):
+                if self.algebra().is_normal(m):
                     elems.append(NvcBasis(m))
         elems.sort(key=lambda b: b.sort_key())
         return BasisEnumeration(tuple(elems), False, None)
 
     def act_monomial_basis(self, mono: Monomial, b: NvcBasis):
-        prod = self._algebra.mono_mul(mono, b.mono)
+        algebra = self.algebra()
+        prod = algebra.mono_mul(mono, b.mono)
         if prod is None:
             return []
         out = []
-        for m, c in self._algebra._normalize_terms([(prod, self.field.one())]).items():
+        for m, c in algebra._normalize_terms([(prod, self.field.one())]).items():
             assert m.nu.src == self.base_vertex
             out.append((NvcBasis(m), c))
         return out
@@ -435,7 +432,8 @@ class InducedModule(Module):
     Bases are cosets (y, k, x) x tensor coordinate.  Over a rational base
     the lag of a coset representative is canonicalized via the aligned
     lasso decomposition; the discarded isotropy power is absorbed into the
-    coefficient coordinate.
+    coefficient coordinate, where the isotropy generator acts by
+    ``generator``: the scalar a in K, or the class of t in K[t]/(f).
     """
 
     def __init__(self, graph: Graph, field: Field, spec: InducedSpec):
@@ -460,19 +458,15 @@ class InducedModule(Module):
                     "a non-rational base has trivial isotropy; use a trivial coefficient"
                 )
             self.period = 0
-        self.scalars: ExtensionField | None = None
+        self.scalars = field
         if isinstance(coeff, QuotientCoeff):
             self.scalars = ExtensionField(field, coeff.modulus)
+            self.generator = self.scalars.tbar()
         elif isinstance(coeff, ScalarAction):
-            value = field.coerce(coeff.value)
-            if field.is_zero(value):
+            self.generator = field.coerce(coeff.value)
+            if field.is_zero(self.generator):
                 raise ModuleSpecError("the scalar action value must be nonzero")
-            self.action_value = value
         self.gradable = isinstance(coeff, (TrivialCoeff, LaurentCoeff))
-
-    @property
-    def tensor_dim(self) -> int:
-        return self.scalars.degree if self.scalars is not None else 1
 
     # -- canonical coset representatives ---------------------------------
 
@@ -519,7 +513,7 @@ class InducedModule(Module):
         elems = []
         for y in res.elements:
             k = self.canonical_lag(y)
-            for j in range(self.tensor_dim):
+            for j in range(self.scalars.degree):
                 elems.append(CosetBasis(y, k, j))
         elems.sort(key=lambda b: b.sort_key())
         dim = len(elems) if res.exact else None
@@ -533,20 +527,12 @@ class InducedModule(Module):
             return []
         target = prepend(self.graph, mono.mu, rem)
         lag = mono.degree + b.lag
-        coeff = self.spec.coeff
-        if isinstance(coeff, LaurentCoeff):
-            return [(CosetBasis(target, lag), self.field.one())]
-        if isinstance(coeff, TrivialCoeff):
+        if self.gradable:
             return [(CosetBasis(target, lag), self.field.one())]
         k_can = self.canonical_lag(target)
         j_diff, remainder = divmod(lag - k_can, self.period)
         assert remainder == 0
-        if isinstance(coeff, ScalarAction):
-            return [(CosetBasis(target, k_can), self.field.pow(self.action_value, j_diff))]
-        Kp = self.scalars
-        unit = [Kp.base.zero()] * self.tensor_dim
-        unit[b.power] = Kp.base.one()
-        value = Kp.mul(Kp.tbar_pow(j_diff), tuple(unit))
+        value = self.scalars.expand(self.scalars.pow(self.generator, j_diff), b.power)
         return [
             (CosetBasis(target, k_can, j), c)
             for j, c in enumerate(value)
@@ -554,12 +540,9 @@ class InducedModule(Module):
         ]
 
     def grade(self, b: CosetBasis) -> int:
-        coeff = self.spec.coeff
-        if isinstance(coeff, TrivialCoeff):
-            return b.lag - coeff.shift - self.spec.shift
-        if isinstance(coeff, LaurentCoeff):
-            return b.lag - coeff.shift - self.spec.shift
-        raise NotGradableError("scalar-action and quotient coefficients are not graded")
+        if not self.gradable:
+            raise NotGradableError("scalar-action and quotient coefficients are not graded")
+        return b.lag - self.spec.coeff.shift - self.spec.shift
 
     def finite_dimensional(self) -> bool:
         if isinstance(self.spec.coeff, LaurentCoeff):

@@ -6,6 +6,15 @@ instead of truncating.  The certificate builders realize the structural
 isomorphisms between induced modules and the boundary-path families as
 executable mutual inverses, checked exactly on windows together with
 degree preservation and equivariance over all short monomials.
+
+Induced at a non-rational base with trivial coefficients, or at a cycle
+tail with a scalar action or with K[t]/(f), the induced module is the
+(twisted or scalar-extended) boundary-path module under one map,
+(y, k, x) (x) t^j -> a_mu a_nu^(-1) t^j y with y = mu.p and x = nu.p
+(``boundary_iso_maps``).  The induced side computes with lags and cosets
+and the boundary side with twist products, so the certificate compares
+two independent formulas.  Its negative control drops the a_nu^(-1)
+factor and must fail.
 """
 
 from __future__ import annotations
@@ -34,10 +43,9 @@ from .graphs import (
     tail_lags,
     unroll,
 )
-from .linalg import coordinates, identity, mat_mul, mat_vec, nullspace, rref
+from .linalg import column_space, coordinates, identity, mat_mul, mat_vec, nullspace, rref
 from .groupoid import pi_consistency
 from .reps import (
-    BasisElement,
     ChenBasis,
     ChenExtModule,
     ChenExtSpec,
@@ -190,9 +198,7 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
     for m in range(horizon + 1):
         mu = _initial_subpath(module, x, m)
         idem = A.monomial_element(monomial(mu, mu))
-        mat = window.matrix_of(idem)
-        image, _ = rref(F, [list(col) for col in zip(*mat)]) if window.dim else ([], [])
-        images.append(image)
+        images.append(column_space(F, window.matrix_of(idem)))
     final = images[-1]
     first_stable = next(m for m in range(len(images)) if images[m] == final)
     reported_steps = first_stable + 1
@@ -327,22 +333,9 @@ def check_module_iso(
 ) -> Certificate:
     """phi: A-basis -> B-vector, psi: B-basis -> A-vector; checks run on windows."""
     F = modA.field
-
-    def phi_vec(v: ModuleVector) -> ModuleVector:
-        out = ModuleVector(F)
-        for b, c in v.terms.items():
-            out = out + phi(b).scale(c)
-        return out
-
-    def psi_vec(v: ModuleVector) -> ModuleVector:
-        out = ModuleVector(F)
-        for b, c in v.terms.items():
-            out = out + psi(b).scale(c)
-        return out
-
-    ok = all(psi_vec(phi(b)) == ModuleVector(F, {b: F.one()}) for b in elemsA)
+    ok = all(linear_extend(psi, phi(b)) == ModuleVector(F, {b: F.one()}) for b in elemsA)
     cert.record("psi-after-phi-is-identity", ok)
-    ok = all(phi_vec(psi(b)) == ModuleVector(F, {b: F.one()}) for b in elemsB)
+    ok = all(linear_extend(phi, psi(b)) == ModuleVector(F, {b: F.one()}) for b in elemsB)
     cert.record("phi-after-psi-is-identity", ok)
     if graded:
         ok = True
@@ -353,47 +346,64 @@ def check_module_iso(
             d = modB.grade(b)
             ok = ok and all(modA.grade(b2) == d for b2 in psi(b).terms)
         cert.record("degree-preservation", ok)
-    bad = None
-    algebra = modA.algebra()
-    for m in all_monomials(modA.graph, mono_len):
-        eta = algebra.monomial_element(m)
-        for b in elemsA:
-            lhs = phi_vec(modA.act(eta, ModuleVector(F, {b: F.one()})))
-            rhs = modB.act(eta, phi(b))
-            if lhs != rhs:
-                bad = {"monomial": str(m), "basis": str(b), "lhs": str(lhs), "rhs": str(rhs)}
-                break
-        if bad:
-            break
+    bad = _equivariance_counterexample(modA, modB, phi, elemsA, mono_len)
     cert.record(
         "equivariance",
         bad is None,
-        "" if bad is None else f"eta={bad['monomial']} on {bad['basis']}: {bad['lhs']} != {bad['rhs']}",
+        "" if bad is None else "eta={} on {}: {} != {}".format(*bad),
     )
     return cert
 
 
-def _twist_ratio(field: Field, twist: TwistVector, mu: FinitePath, nu: FinitePath):
-    return field.mul(twist.of_path(mu), field.inv(twist.of_path(nu)))
+def linear_extend(f, v: ModuleVector) -> ModuleVector:
+    """The linear map sending each basis element b to f(b), applied to v."""
+    out = ModuleVector(v.field)
+    for b, c in v.terms.items():
+        out = out + f(b).scale(c)
+    return out
 
 
-def triv_iso_maps(modA: InducedModule, modB: ChenModule, drop_nu_inverse: bool = False):
-    """phi (y,k,x) -> a_mu a_nu^{-1} y and its inverse, for a non-rational base.
+def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len: int):
+    """First (eta, b, f(eta.b), eta.f(b)) with the two sides different, over the
+    monomials eta with both path lengths at most ``mono_len``; None if none."""
+    F = modA.field
+    algebra = modA.algebra()
+    for m in all_monomials(modA.graph, mono_len):
+        eta = algebra.monomial_element(m)
+        for b in elems:
+            lhs = linear_extend(f, modA.act(eta, ModuleVector(F, {b: F.one()})))
+            rhs = modB.act(eta, f(b))
+            if lhs != rhs:
+                return m, b, lhs, rhs
+    return None
 
-    ``drop_nu_inverse`` deliberately corrupts phi (negative control).
+
+def boundary_iso_maps(
+    modA: InducedModule, modB: ChenModule | ChenExtModule, drop_nu_inverse: bool = False
+):
+    """phi: (y,k,x) (x) t^j -> a_mu a_nu^(-1) t^j y, with y = mu.p and x = nu.p
+    along the canonical decomposition, and its inverse psi.
+
+    One formula covers trivial coefficients at a non-rational base (the
+    twisted module), a scalar action at a cycle tail (the module twisted by
+    that scalar on the cycle's first edge) and K[t]/(f) at a cycle tail
+    (the scalar extension, twisted by the class of t).  ``drop_nu_inverse``
+    deliberately corrupts phi to a_mu alone (negative control).
     """
-    F = modB.field
-    twist = modB.spec.twist or TwistVector.make(modB.graph, F, {})
+    K = modB.scalars
+    twist = modB.twist or TwistVector.make(modB.graph, K, {})
 
     def phi(b: CosetBasis) -> ModuleVector:
         mu, nu = modA.canonical_decomposition(b.path)
-        scale = twist.of_path(mu) if drop_nu_inverse else _twist_ratio(F, twist, mu, nu)
-        return ModuleVector(F, {ChenBasis(b.path): scale})
+        scale = twist.of_path(mu) if drop_nu_inverse else twist.ratio(mu, nu)
+        value = K.expand(scale, b.power)
+        return ModuleVector(modB.field, {ChenBasis(b.path, j): c for j, c in enumerate(value)})
 
     def psi(b: ChenBasis) -> ModuleVector:
         mu, nu = modA.canonical_decomposition(b.path)
-        scale = _twist_ratio(F, twist, nu, mu)
-        return ModuleVector(F, {CosetBasis(b.path, len(mu) - len(nu)): scale})
+        value = K.expand(twist.ratio(nu, mu), b.power)
+        k = len(mu) - len(nu)
+        return ModuleVector(modA.field, {CosetBasis(b.path, k, j): c for j, c in enumerate(value)})
 
     return phi, psi
 
@@ -416,7 +426,7 @@ def verify_triv_iso(
     enumA = modA.enumerate_basis(bound)
     elemsA = enumA.elements
     elemsB = modB.enumerate_basis(bound).elements
-    phi, psi = triv_iso_maps(modA, modB, drop_nu_inverse=corrupt)
+    phi, psi = boundary_iso_maps(modA, modB, drop_nu_inverse=corrupt)
     cert = Certificate(
         claim=f"induced trivial coefficients at {x} match the twisted boundary-path module",
         window={"basis": len(elemsA), "mono_len": mono_len, "exact": enumA.exact},
@@ -426,49 +436,6 @@ def verify_triv_iso(
 
 def _cycle_twist(graph, field: Field, star: FinitePath, value) -> TwistVector:
     return TwistVector.make(graph, field, {star.edges[0]: value})
-
-
-def twist_iso_maps(modA: InducedModule, modB: Module):
-    """Maps for a rational base: (y,k,x) (x) lambda -> a_mu a_nu^{-1} lambda y."""
-    if isinstance(modB, ChenExtModule):
-        Kp = modB.scalars
-        twist = modB.twist
-
-        def phi(b: CosetBasis) -> ModuleVector:
-            mu, nu = modA.canonical_decomposition(b.path)
-            unit = [Kp.base.zero()] * Kp.degree
-            unit[b.power] = Kp.base.one()
-            value = Kp.mul(_twist_ratio(Kp, twist, mu, nu), tuple(unit))
-            return ModuleVector(
-                modB.field,
-                {ChenBasis(b.path, j): c for j, c in enumerate(value)},
-            )
-
-        def psi(b: ChenBasis) -> ModuleVector:
-            mu, nu = modA.canonical_decomposition(b.path)
-            unit = [Kp.base.zero()] * Kp.degree
-            unit[b.power] = Kp.base.one()
-            value = Kp.mul(_twist_ratio(Kp, twist, nu, mu), tuple(unit))
-            k = len(mu) - len(nu)
-            return ModuleVector(
-                modA.field,
-                {CosetBasis(b.path, k, j): c for j, c in enumerate(value)},
-            )
-
-        return phi, psi
-    F = modB.field
-    twist = modB.spec.twist
-
-    def phi(b: CosetBasis) -> ModuleVector:
-        mu, nu = modA.canonical_decomposition(b.path)
-        return ModuleVector(F, {ChenBasis(b.path): _twist_ratio(F, twist, mu, nu)})
-
-    def psi(b: ChenBasis) -> ModuleVector:
-        mu, nu = modA.canonical_decomposition(b.path)
-        k = len(mu) - len(nu)
-        return ModuleVector(F, {CosetBasis(b.path, k): _twist_ratio(F, twist, nu, mu)})
-
-    return phi, psi
 
 
 def verify_twist_iso(
@@ -495,7 +462,7 @@ def verify_twist_iso(
     exact = enumA.exact
     elemsA = enumA.elements
     elemsB = modB.enumerate_basis(bound).elements
-    phi, psi = twist_iso_maps(modA, modB)
+    phi, psi = boundary_iso_maps(modA, modB)
     cert = Certificate(claim=claim, window={"basis": len(elemsA), "mono_len": mono_len, "exact": exact})
     return check_module_iso(cert, modA, modB, phi, psi, elemsA, elemsB, mono_len, graded=False)
 
@@ -506,7 +473,7 @@ def nvc_iso_maps(modA: InducedModule, modB: NvcModule):
     F = modA.field
     star = modB.spec.cycle
     n = len(star.edges)
-    algebra = modB._algebra
+    algebra = modB.algebra()
 
     def phi(b: CosetBasis) -> ModuleVector:
         mu, nu = modA.canonical_decomposition(b.path)
@@ -819,28 +786,11 @@ def _laurent_probe(module: InducedModule, bound: int, mono_len: int) -> ProbeRes
     def project(b: CosetBasis) -> ModuleVector:
         return ModuleVector(F, {ChenBasis(b.path): F.one()})
 
-    def project_vec(v: ModuleVector) -> ModuleVector:
-        out = ModuleVector(F)
-        for b, c in v.terms.items():
-            out = out + project(b).scale(c)
-        return out
-
     elems = module.enumerate_basis(bound).elements
-    algebra = module.algebra()
-    equivariant = True
-    for m in all_monomials(graph, mono_len):
-        eta = algebra.monomial_element(m)
-        for b in elems:
-            lhs = project_vec(module.act(eta, ModuleVector(F, {b: F.one()})))
-            rhs = target.act(eta, project(b))
-            if lhs != rhs:
-                equivariant = False
-                break
-        if not equivariant:
-            break
+    equivariant = _equivariance_counterexample(module, target, project, elems, mono_len) is None
     k0 = module.canonical_lag(x)
     kernel_vec = ModuleVector(F, {CosetBasis(x, k0 + n): F.one(), CosetBasis(x, k0): F.neg(F.one())})
-    kernel_ok = (not kernel_vec.is_zero) and project_vec(kernel_vec).is_zero
+    kernel_ok = (not kernel_vec.is_zero) and linear_extend(project, kernel_vec).is_zero
     target_window = target.enumerate_basis(bound).elements
     surjective = all(
         any(tb in project(b).terms for b in elems) for tb in target_window

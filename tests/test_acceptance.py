@@ -27,7 +27,7 @@ from leavitt.verify import (
     graded_iso_check,
     intertwiner_space,
     simplicity_probe,
-    triv_iso_maps,
+    boundary_iso_maps,
     verify_nvc_iso,
     verify_pi_consistency,
     verify_relations,
@@ -132,7 +132,7 @@ def test_criterion_5_triv_certificate():
     x = sink_path(a2, a2.path(["f"]))
     modA = build_module(a2, QQ, InducedSpec(x, TrivialCoeff(0)))
     modB = build_module(a2, QQ, ChenSpec(x, a))
-    phi, psi = triv_iso_maps(modA, modB)
+    phi, psi = boundary_iso_maps(modA, modB)
 
     def invert_scale(mapping):
         def bad_map(b):

@@ -27,7 +27,7 @@ from leavitt.verify import (
     nvc_iso_maps,
     restrict,
     simplicity_probe,
-    triv_iso_maps,
+    boundary_iso_maps,
     verify_nvc_iso,
     verify_res_ind,
     verify_triv_iso,
@@ -163,7 +163,7 @@ class TestTrivIso:
         x = sink_path(a2, a2.path(["f"]))
         modA = build_module(a2, QQ, InducedSpec(x, TrivialCoeff(0)))
         modB = build_module(a2, QQ, ChenSpec(x, a))
-        phi, psi = triv_iso_maps(modA, modB)
+        phi, psi = boundary_iso_maps(modA, modB)
         from leavitt.reps import ChenBasis, CosetBasis, ModuleVector
 
         def phi_bad(b: CosetBasis):
@@ -190,7 +190,7 @@ class TestTrivIso:
         a = TwistVector.make(a2, QQ, {"f": 3})
         modA = build_module(a2, QQ, InducedSpec(sink_path(a2, a2.vertex_path("v")), TrivialCoeff(0)))
         modB = build_module(a2, QQ, ChenSpec(sink_path(a2, a2.vertex_path("v")), a))
-        phi, _ = triv_iso_maps(modA, modB)
+        phi, _ = boundary_iso_maps(modA, modB)
         from leavitt.reps import CosetBasis
 
         image = phi(CosetBasis(sink_path(a2, a2.path(["f"])), 1))
