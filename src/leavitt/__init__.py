@@ -14,7 +14,6 @@ from .fields import (
     QQ,
     ExtensionField,
     Field,
-    LaurentElement,
     Poly,
     PrimeField,
     enumerate_monic_irreducibles,

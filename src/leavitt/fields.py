@@ -7,9 +7,8 @@ Three kinds of fields are supported, all with raw hashable values:
 * quotient fields K[t]/(f) for f monic irreducible with f(0) != 0
   (values are coefficient tuples over the base field).
 
-Polynomials over any of these, irreducibility testing, and the graded
-Laurent subring K[t^n, t^(-n)] round out the module.  No floating point
-anywhere.
+Polynomials over any of these and irreducibility testing round out the
+module.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -429,13 +428,6 @@ def is_irreducible(f: Poly, assume_irreducible: bool = False) -> bool:
     raise FieldError(f"irreducibility test not supported over {F.name}")
 
 
-def irreducible_over_prime_field(f: Poly, p: int) -> bool:
-    field = PrimeField(p)
-    if f.field != field:
-        f = Poly.make(field, [field.coerce(c) for c in f.coeffs])
-    return is_irreducible(f)
-
-
 def enumerate_monic_irreducibles(p: int, d_max: int) -> list[Poly]:
     """All monic irreducibles of degree <= d_max over GF(p), except t, sorted."""
     if d_max < 1:
@@ -636,75 +628,3 @@ def parse_field(spec: str) -> Field:
     if m.group("mod") is None:
         return base
     return ExtensionField(base, parse_poly(m.group("mod"), base))
-
-
-# ---------------------------------------------------------------------------
-# Laurent elements with support in nZ
-
-
-@dataclass(frozen=True)
-class LaurentElement:
-    """Finite sum of c*t^k with every exponent divisible by ``step``."""
-
-    field: Field
-    step: int
-    terms: tuple[tuple[int, object], ...]  # sorted (exponent, nonzero scalar)
-
-    @classmethod
-    def make(cls, field: Field, step: int, terms: dict) -> "LaurentElement":
-        if step < 1:
-            raise FieldError("step must be positive")
-        out = {}
-        for k, c in terms.items():
-            if k % step != 0:
-                raise FieldError(f"exponent {k} is not divisible by step {step}")
-            if not field.is_zero(c):
-                out[k] = c
-        return cls(field, step, tuple(sorted(out.items())))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "LaurentElement") -> "LaurentElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms:
-            out[k] = self.field.add(out.get(k, self.field.zero()), c)
-        return LaurentElement.make(self.field, self.step, out)
-
-    def mul(self, other: "LaurentElement") -> "LaurentElement":
-        self._check(other)
-        F = self.field
-        out: dict[int, object] = {}
-        for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
-                k = k1 + k2
-                out[k] = F.add(out.get(k, F.zero()), F.mul(c1, c2))
-        return LaurentElement.make(F, self.step, out)
-
-    def homogeneous_component(self, degree: int, shift: int = 0) -> "LaurentElement":
-        """Degree-``degree`` part, viewed in the module shifted by ``shift``."""
-        k = degree + shift
-        for kk, c in self.terms:
-            if kk == k:
-                return LaurentElement.make(self.field, self.step, {k: c})
-        return LaurentElement.make(self.field, self.step, {})
-
-    def _check(self, other: "LaurentElement"):
-        if self.step != other.step:
-            raise FieldError(f"step mismatch: {self.step} vs {other.step}")
-        if self.field != other.field:
-            raise FieldError("field mismatch")
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in self.terms:
-            if k == 0:
-                parts.append(self.field.format(c))
-            else:
-                tp = "t" if k == 1 else f"t^{k}"
-                parts.append(tp if c == self.field.one() else f"{self.field.format(c)}*{tp}")
-        return "+".join(parts).replace("+-", "-")

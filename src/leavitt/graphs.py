@@ -280,18 +280,6 @@ class ClosedPath:
         return cls(path=path, is_simple=simple, is_cycle=cyc, has_exit=exit_)
 
 
-def _rotate_path(graph: Graph, edge_names: tuple[str, ...], i: int) -> FinitePath:
-    names = edge_names[i:] + edge_names[:i]
-    return graph.path(names)
-
-
-def canonical_cycle(graph: Graph, path: FinitePath) -> FinitePath:
-    """Rotation representative (lex-least edge-name sequence) of a closed path."""
-    if path.src != path.rng or not path.edges:
-        raise GraphError(f"{path} is not closed")
-    return graph.path(canonical_rotation(path.edges))
-
-
 # ---------------------------------------------------------------------------
 # Boundary paths
 
@@ -382,10 +370,6 @@ def lasso(graph: Graph, prefix: FinitePath, cycle_seq: Iterable[str]) -> Lasso:
     return Lasso(pref, star, rot)
 
 
-def boundary_source(x: BoundaryPath) -> str:
-    return x.source
-
-
 def unroll(x: BoundaryPath, length: int) -> tuple[str, ...]:
     """First `length` edge names of x (shorter for a sink path that ends)."""
     if isinstance(x, SinkPath):
@@ -469,13 +453,6 @@ class LagSet:
         if self.kind == "single":
             return k == self.k0
         return (k - self.k0) % self.n == 0
-
-    def negate(self) -> "LagSet":
-        if self.kind == "empty":
-            return self
-        if self.kind == "single":
-            return LagSet.single(-self.k0)
-        return LagSet.coset(-self.k0, self.n)
 
     def __str__(self) -> str:
         if self.kind == "empty":

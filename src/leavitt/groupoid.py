@@ -66,14 +66,6 @@ def inverse(g: GroupoidElement) -> GroupoidElement:
     return GroupoidElement(g.y, -g.k, g.x)
 
 
-def domain(g: GroupoidElement) -> GroupoidElement:
-    return GroupoidElement(g.y, 0, g.y)
-
-
-def codomain(g: GroupoidElement) -> GroupoidElement:
-    return GroupoidElement(g.x, 0, g.x)
-
-
 def degree(g: GroupoidElement) -> int:
     return g.k
 

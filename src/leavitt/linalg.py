@@ -44,10 +44,6 @@ def mat_vec(field: Field, a: list[list], v: list) -> list:
     return out
 
 
-def mat_eq(a: list[list], b: list[list]) -> bool:
-    return a == b
-
-
 def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; zero rows dropped.  Returns (rows, pivot columns)."""
     mat = [list(r) for r in rows]
@@ -72,16 +68,9 @@ def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     return mat[:r], pivots
 
 
-def rank(field: Field, rows: list[list]) -> int:
-    return len(rref(field, rows)[0])
-
-
-def row_space(field: Field, rows: list[list]) -> list[list]:
-    return rref(field, rows)[0]
-
-
 def column_space(field: Field, mat: list[list]) -> list[list]:
-    return row_space(field, [list(col) for col in zip(*mat)]) if mat and mat[0] else []
+    """Reduced row echelon basis of the span of the columns of ``mat``."""
+    return rref(field, [list(col) for col in zip(*mat)])[0] if mat and mat[0] else []
 
 
 def nullspace(field: Field, rows: list[list], ncols: int) -> list[list]:

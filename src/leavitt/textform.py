@@ -93,10 +93,6 @@ def parse_boundary_path(graph: Graph, text: str) -> BoundaryPath:
         ) from exc
 
 
-def format_boundary_path(x: BoundaryPath) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # Term splitting helpers
 
@@ -207,10 +203,6 @@ def parse_element(algebra: LeavittAlgebra, text: str) -> AlgebraElement:
     return algebra.element(terms)
 
 
-def format_element(x: AlgebraElement) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # Module vectors
 
@@ -259,10 +251,6 @@ def parse_vector(module: Module, text: str) -> ModuleVector:
         acc = field.add(out.get(b, field.zero()), coef)
         out[b] = acc
     return ModuleVector(field, out)
-
-
-def format_vector(v: ModuleVector) -> str:
-    return str(v)
 
 
 # ---------------------------------------------------------------------------

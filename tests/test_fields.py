@@ -7,13 +7,11 @@ from leavitt.fields import (
     QQ,
     ExtensionField,
     FieldError,
-    LaurentElement,
     Poly,
     PrimeField,
     enumerate_monic,
     enumerate_monic_irreducibles,
     format_poly,
-    irreducible_over_prime_field,
     is_irreducible,
     parse_field,
     parse_poly,
@@ -68,14 +66,14 @@ class TestFieldOps:
 
 class TestIrreducibility:
     def test_t2t1_over_f2(self):
-        assert irreducible_over_prime_field(parse_poly("t^2+t+1", F2), 2)
+        assert is_irreducible(parse_poly("t^2+t+1", F2))
 
     def test_t2_plus_1_over_f2_reducible(self):
-        assert not irreducible_over_prime_field(parse_poly("t^2+1", F2), 2)
+        assert not is_irreducible(parse_poly("t^2+1", F2))
 
     def test_t_is_irreducible_but_excluded_downstream(self):
         t = Poly.t(F2)
-        assert irreducible_over_prime_field(t, 2)
+        assert is_irreducible(t)
         assert t not in enumerate_monic_irreducibles(2, 3)
         with pytest.raises(FieldError, match="constant term"):
             ExtensionField(F2, t)
@@ -137,35 +135,3 @@ class TestPolyText:
         q, r = f.divmod(g)
         assert q * g + r == f
         assert r.degree < g.degree
-
-
-class TestLaurent:
-    def test_mul_inverse_powers(self):
-        x = LaurentElement.make(QQ, 2, {2: Fraction(1)})
-        y = LaurentElement.make(QQ, 2, {-2: Fraction(1)})
-        assert x.mul(y) == LaurentElement.make(QQ, 2, {0: Fraction(1)})
-
-    def test_homogeneous_component(self):
-        z = LaurentElement.make(QQ, 2, {2: Fraction(1), 4: Fraction(3)})
-        assert z.homogeneous_component(4) == LaurentElement.make(QQ, 2, {4: Fraction(3)})
-        assert z.homogeneous_component(3).is_zero
-
-    def test_shifted_component_lookup(self):
-        # degree-d component of the m-shifted module is the (d+m) component
-        z = LaurentElement.make(QQ, 2, {2: Fraction(1), 4: Fraction(3)})
-        for m in (0, 1, 2, -2):
-            for d in range(-4, 5):
-                assert z.homogeneous_component(d, shift=m) == z.homogeneous_component(d + m)
-
-    def test_step_enforced(self):
-        with pytest.raises(FieldError):
-            LaurentElement.make(QQ, 2, {3: Fraction(1)})
-        with pytest.raises(FieldError):
-            LaurentElement.make(QQ, 2, {2: Fraction(1)}).mul(
-                LaurentElement.make(QQ, 3, {3: Fraction(1)})
-            )
-
-    def test_degrees_add(self):
-        x = LaurentElement.make(F2, 1, {1: 1})
-        y = LaurentElement.make(F2, 1, {2: 1})
-        assert x.mul(y).terms == ((3, 1),)
