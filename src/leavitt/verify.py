@@ -434,10 +434,6 @@ def verify_triv_iso(
     return check_module_iso(cert, modA, modB, phi, psi, elemsA, elemsB, mono_len, graded=True)
 
 
-def _cycle_twist(graph, field: Field, star: FinitePath, value) -> TwistVector:
-    return TwistVector.make(graph, field, {star.edges[0]: value})
-
-
 def verify_twist_iso(
     graph,
     field: Field,
@@ -452,7 +448,7 @@ def verify_twist_iso(
     x = lasso(graph, graph.vertex_path(star.src), star.edges)
     modA = build_module(graph, field, InducedSpec(x, coeff))
     if isinstance(coeff, ScalarAction):
-        twist = _cycle_twist(graph, field, star, coeff.value)
+        twist = TwistVector.make(graph, field, {star.edges[0]: coeff.value})
         modB = build_module(graph, field, ChenSpec(x, twist))
         claim = f"induced scalar action {field.format(field.coerce(coeff.value))} at ({star})^inf matches the twisted boundary-path module"
     else:
