@@ -13,10 +13,11 @@ import argparse
 import json
 import sys
 
-from .algebra import LeavittAlgebra
-from .classify import classify_graded, classify_simple, dimension_oracle
+from .algebra import AlgebraError
+from .classify import ClassificationError, classify_graded, classify_simple, dimension_oracle
 from .fields import FieldError, parse_field, parse_poly
 from .graphs import Graph, GraphError, validate
+from .groupoid import GroupoidError
 from .reps import InducedSpec, ModuleSpecError, NotGradableError, QuotientCoeff, ScalarAction, build_module
 from .textform import (
     ParseError,
@@ -188,24 +189,29 @@ def _render_dims(result: dict):
 # Command implementations
 
 
-def _load(args) -> tuple[Graph, object]:
+def _read_graph(path: str) -> Graph:
     try:
-        graph = Graph.from_file(args.graph)
+        return Graph.from_file(path)
     except FileNotFoundError:
-        raise InputError(f"no such file: {args.graph}")
+        raise InputError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {args.graph}: line {exc.lineno}, column {exc.colno}")
-    field = parse_field(args.field)
-    return graph, field
+        raise InputError(f"bad JSON in {path}: line {exc.lineno}, column {exc.colno}")
+
+
+def _load(args) -> tuple[Graph, object]:
+    return _read_graph(args.graph), parse_field(args.field)
+
+
+def _rational_samples(args) -> tuple[int, ...]:
+    try:
+        return tuple(int(a) for a in args.rational_samples.split(",") if a.strip())
+    except ValueError:
+        raise InputError(f"bad --rational-samples {args.rational_samples!r}: integers expected") from None
 
 
 def _cmd_validate(args) -> int:
     try:
-        graph = Graph.from_file(args.graph)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {args.graph}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {args.graph}: line {exc.lineno}, column {exc.colno}")
+        graph = _read_graph(args.graph)
     except GraphError as exc:
         result = {"ok": False, "errors": [str(exc)], "sinks": [], "regular": []}
         _emit(result, args.json, _render_validate)
@@ -220,8 +226,7 @@ def _cmd_classify(args) -> int:
     if args.graded:
         result = classify_graded(graph, args.cycles_up_to).to_json_dict()
     else:
-        samples = tuple(int(a) for a in args.rational_samples.split(",") if a.strip())
-        result = classify_simple(graph, field, args.poly_deg, samples).to_json_dict()
+        result = classify_simple(graph, field, args.poly_deg, _rational_samples(args)).to_json_dict()
     _emit(result, args.json, _render_classify)
     return 0
 
@@ -231,8 +236,7 @@ def _cmd_act(args) -> int:
     twist = parse_twist(graph, field, args.twist) if args.twist else None
     spec = parse_module_spec(graph, field, args.module, twist, args.shift)
     module = build_module(graph, field, spec)
-    algebra = LeavittAlgebra(graph, field)
-    elt = parse_element(algebra, args.elt)
+    elt = parse_element(module.algebra(), args.elt)
     vec = parse_vector(module, args.vec)
     out = module.act(elt, vec)
     result = {
@@ -291,8 +295,7 @@ def parse_module_cycle(graph: Graph, text: str):
 
 def _cmd_dims(args) -> int:
     graph, field = _load(args)
-    samples = tuple(int(a) for a in args.rational_samples.split(",") if a.strip())
-    res = classify_simple(graph, field, args.poly_deg, samples)
+    res = classify_simple(graph, field, args.poly_deg, _rational_samples(args))
     entries = []
     all_match = True
     for e in res.entries:
@@ -323,7 +326,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InputError, ParseError, GraphError, FieldError, ModuleSpecError, NotGradableError, OutOfWindowError) as exc:
+    except (
+        InputError, ParseError, GraphError, FieldError, ModuleSpecError, NotGradableError,
+        OutOfWindowError, ClassificationError, AlgebraError, GroupoidError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,6 +50,13 @@ class ParseError(ValueError):
     """Malformed textual input."""
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Paths
 
@@ -221,12 +228,12 @@ def _parse_basis_token(module: Module, token: str, rest: list[str]):
     power = 0
     if "#" in token:
         token, ptext = token.rsplit("#", 1)
-        power = int(ptext)
+        power = _parse_int(ptext, "tensor index")
     if isinstance(module, InducedModule):
         if "@" not in token:
             raise ParseError(f"induced-module basis literals look like 'path@lag', got {token!r}")
         ptext, ltext = token.rsplit("@", 1)
-        return CosetBasis(parse_boundary_path(graph, ptext), int(ltext), power)
+        return CosetBasis(parse_boundary_path(graph, ptext), _parse_int(ltext, "lag"), power)
     return ChenBasis(parse_boundary_path(graph, token), power)
 
 
@@ -279,14 +286,14 @@ def parse_nspec(field: Field, text: str):
         raise ParseError(f"bad coefficient spec {text!r}")
     head, arg = m.group("head"), m.group("arg")
     if head == "K":
-        return TrivialCoeff(int(arg) if arg else 0)
+        return TrivialCoeff(_parse_int(arg, "shift") if arg else 0)
     if arg is None:
         raise ParseError(f"coefficient spec {text!r} needs an argument")
     if head == "Ka":
         return ScalarAction(field.parse(arg))
     if head == "quot":
         return QuotientCoeff(validate_chen_ext_modulus(field, parse_poly(arg, field)))
-    return LaurentCoeff(int(arg))
+    return LaurentCoeff(_parse_int(arg, "shift"))
 
 
 def parse_module_spec(graph: Graph, field: Field, text: str, twist: TwistVector | None = None, shift: int = 0) -> ModuleSpec:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from leavitt import cli
 from leavitt.cli import main
+from leavitt.verify import Certificate
 
 
 @pytest.fixture
@@ -129,10 +131,21 @@ class TestVerify:
         )
         assert code == 0
 
-    def test_failing_suite_exits_1(self, rose2, graph_file, capsys):
+    def test_precondition_violation_exits_2(self, rose2, graph_file, capsys):
         # nvc-iso on a cycle with exits is an input error (precondition)
         code, _, err = run(capsys, ["verify", "nvc-iso", "--cycle", "e", graph_file(rose2)])
         assert code == 2 and "exit" in err
+
+    def test_failed_certificate_exits_1(self, a2, graph_file, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            cert = Certificate(claim="forced failure", window={})
+            cert.record("equivariance", False, "forced")
+            return cert
+
+        monkeypatch.setattr(cli, "verify_triv_iso", failing)
+        code, out, _ = run(capsys, ["verify", "triv-iso", "--at", "v", "--json", graph_file(a2)])
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {"check": "equivariance", "detail": "forced"}
 
     def test_missing_flag(self, a2, graph_file, capsys):
         code, _, err = run(capsys, ["verify", "triv-iso", graph_file(a2)])
@@ -162,3 +175,28 @@ class TestDeterminism:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+class TestInputErrors:
+    """Every input error exits 2 with a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "graph,argv",
+        [
+            ("toeplitz", ["classify", "--simple", "--rational-samples", "0"]),
+            ("toeplitz", ["classify", "--simple", "--rational-samples", "x"]),
+            ("toeplitz", ["dims", "--rational-samples", "x"]),
+            ("toeplitz", ["dims", "--field", "F2[t]/(t^2+t+1)"]),
+            ("toeplitz", ["act", "--module", "chen:v", "--elt", "f", "--vec", "v#x"]),
+            ("r1", ["act", "--module", "ind:(e)^inf:laurent(0)", "--elt", "e", "--vec", "(e)^inf@x"]),
+            ("r1", ["act", "--module", "ind:(e)^inf:laurent(x)", "--elt", "e", "--vec", "(e)^inf@0"]),
+            ("toeplitz", ["verify", "res-ind", "--at", "v", "--coeff", "K(x)"]),
+            ("toeplitz", ["act", "--module", "chen:v", "--twist", "e=0", "--elt", "f", "--vec", "v"]),
+        ],
+    )
+    def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):
+        code, out, err = run(capsys, argv + [graph_file(request.getfixturevalue(graph))])
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
