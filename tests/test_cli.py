@@ -188,6 +188,8 @@ class TestInputErrors:
             ("toeplitz", ["dims", "--rational-samples", "x"]),
             ("toeplitz", ["dims", "--field", "F2[t]/(t^2+t+1)"]),
             ("toeplitz", ["act", "--module", "chen:v", "--elt", "f", "--vec", "v#x"]),
+            ("toeplitz", ["act", "--module", "chen:v", "--elt", "e", "--vec", "f#3"]),
+            ("r1", ["act", "--module", "chenext:e:t^2+1", "--field", "F3", "--elt", "e", "--vec", "(e)^inf#2"]),
             ("r1", ["act", "--module", "ind:(e)^inf:laurent(0)", "--elt", "e", "--vec", "(e)^inf@x"]),
             ("r1", ["act", "--module", "ind:(e)^inf:laurent(x)", "--elt", "e", "--vec", "(e)^inf@0"]),
             ("toeplitz", ["verify", "res-ind", "--at", "v", "--coeff", "K(x)"]),
