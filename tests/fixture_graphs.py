@@ -22,4 +22,15 @@ FIXTURE_GRAPHS = {
     "chain3": (["u", "w", "v"], [("f", "u", "w"), ("g", "w", "v")]),
     "two_loops": (["u", "v"], [("e", "u", "u"), ("g", "v", "v")]),
     "lasso_graph": (["u", "v"], [("f", "u", "v"), ("e", "v", "v")]),
+    "loop_feeds_loop": (
+        ["s", "t", "u", "v", "w"],
+        [("e", "u", "u"), ("f", "u", "v"), ("g", "v", "v"), ("h", "v", "w"), ("k", "s", "t")],
+    ),
+    "theta": (
+        ["v1", "v2", "v3", "z"],
+        [
+            ("a", "v1", "v2"), ("b", "v2", "v1"), ("c", "v2", "v3"),
+            ("d", "v3", "v1"), ("x", "v3", "z"),
+        ],
+    ),
 }
