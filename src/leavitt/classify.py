@@ -20,8 +20,8 @@ from .graphs import (
     FinitePath,
     Graph,
     sink_path,
+    closed_path_set_is_finite,
     count_paths_ending_at,
-    cycle_reaches_vertex,
     elementary_cycles,
     lasso,
     maximal_cycles,
@@ -29,7 +29,7 @@ from .graphs import (
     simple_closed_paths,
     strongly_connected_components,
 )
-from .groupoid import canonical_lassos
+from .groupoid import orbit_size
 from .reps import ChenExtSpec, ChenSpec, validate_chen_ext_modulus
 
 
@@ -105,25 +105,24 @@ class GradedClassification:
 
 
 def irrational_classes_flag(graph: Graph) -> IrrationalFamilyFlag:
-    """Irrational tail classes exist iff some SCC contains two cycles."""
+    """Irrational tail classes exist iff some SCC contains two cycles.
+
+    The cycles are enumerated only to name two of them as the witness.
+    """
+    if closed_path_set_is_finite(graph):
+        return IrrationalFamilyFlag(False, None)
     scc = {v: comp for comp in strongly_connected_components(graph) for v in comp}
     per_comp: dict[frozenset, list[FinitePath]] = {}
     for c in elementary_cycles(graph):
         per_comp.setdefault(scc[c.src], []).append(c)
-    for cycles in per_comp.values():
-        if len(cycles) >= 2:
-            return IrrationalFamilyFlag(True, (str(cycles[0]), str(cycles[1])))
-    return IrrationalFamilyFlag(False, None)
+    cycles = next(cs for cs in per_comp.values() if len(cs) >= 2)
+    return IrrationalFamilyFlag(True, (str(cycles[0]), str(cycles[1])))
 
 
 def classify_graded(graph: Graph, cycle_length_bound: int = 6) -> GradedClassification:
     """All spectral graded simple families, up to the cycle length bound."""
-    sinks = []
-    for v in graph.sinks:
-        if cycle_reaches_vertex(graph, v):
-            sinks.append(SinkFamily(v, None))
-        else:
-            sinks.append(SinkFamily(v, count_paths_ending_at(graph, v)))
+    finite = dict(maximal_sinks(graph))
+    sinks = [SinkFamily(v, finite.get(v)) for v in graph.sinks]
     closed = simple_closed_paths(graph, cycle_length_bound)
     laurent = [LaurentFamily(c, len(c)) for c in closed.paths]
     return GradedClassification(
@@ -203,12 +202,6 @@ class SimpleClassification:
         }
 
 
-def rational_class_size(graph: Graph, cycle: FinitePath) -> int:
-    """|[c^inf]| for a maximal cycle, by canonical lasso enumeration."""
-    x = lasso(graph, graph.vertex_path(cycle.src), cycle.edges)
-    return len(canonical_lassos(graph, x.cycle, None))
-
-
 def moduli_for_field(
     field: Field,
     poly_degree_bound: int,
@@ -244,11 +237,11 @@ def classify_simple(
     """Finite-dimensional spectral simples, plus flags for the infinite families."""
     entries: list = []
     flagged: list[InfiniteDimFlagged] = []
-    maximal_sink_set = {v for v, _ in maximal_sinks(graph)}
-    for v, count in maximal_sinks(graph):
+    finite = dict(maximal_sinks(graph))
+    for v, count in finite.items():
         entries.append(SinkSimple(v, count))
     for v in graph.sinks:
-        if v not in maximal_sink_set:
+        if v not in finite:
             flagged.append(
                 InfiniteDimFlagged("sink", v, "a cycle reaches this sink, so its class is infinite")
             )
@@ -256,10 +249,12 @@ def classify_simple(
     moduli, moduli_complete = moduli_for_field(
         field, poly_degree_bound, rational_values, extra_moduli
     )
+    sizes = [
+        orbit_size(graph, lasso(graph, graph.vertex_path(c.src), c.edges)) for c in max_cycles
+    ]
     cycle_entries = []
     for f in moduli:
-        for c in max_cycles:
-            size = rational_class_size(graph, c)
+        for c, size in zip(max_cycles, sizes):
             cycle_entries.append(CycleSimple(c, f, size, size * f.degree))
     entries.extend(cycle_entries)
     max_cycle_names = {c.edges for c in max_cycles}

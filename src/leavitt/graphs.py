@@ -487,41 +487,8 @@ class PathEnumeration:
     exact: bool
 
 
-def _predecessor_vertices(graph: Graph, v: str) -> set[str]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        for e in graph.in_edges(w):
-            if e.src not in seen:
-                seen.add(e.src)
-                stack.append(e.src)
-    return seen
-
-
-def _is_acyclic_on(graph: Graph, vertices: set[str]) -> bool:
-    # Kahn's algorithm on the induced subgraph.
-    indeg = {v: 0 for v in vertices}
-    for v in vertices:
-        for e in graph.out_edges(v):
-            if e.rng in indeg:
-                indeg[e.rng] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for e in graph.out_edges(v):
-            if e.rng in indeg:
-                indeg[e.rng] -= 1
-                if indeg[e.rng] == 0:
-                    queue.append(e.rng)
-    return seen == len(vertices)
-
-
 def cycle_reaches_vertex(graph: Graph, v: str) -> bool:
-    preds = _predecessor_vertices(graph, v)
-    return not _is_acyclic_on(graph, preds)
+    return v in _cycle_structure(graph)[2]
 
 
 def enumerate_paths_ending_at(graph: Graph, v: str, bound: int | None = None) -> PathEnumeration:
@@ -553,18 +520,20 @@ def enumerate_paths_ending_at(graph: Graph, v: str, bound: int | None = None) ->
 
 
 def count_paths_ending_at(graph: Graph, v: str) -> int:
-    """Exact path count into v by dynamic programming on the acyclic predecessor subgraph."""
-    preds = _predecessor_vertices(graph, v)
-    if not _is_acyclic_on(graph, preds):
+    """Exact path count into v by dynamic programming in topological order.
+
+    A vertex no cycle reaches is alone in its component, and so are its
+    predecessors, which come before it in the reverse of Tarjan's order.
+    """
+    comps, _, below = _cycle_structure(graph)
+    if v in below:
         raise GraphError(f"a cycle reaches {v!r}; the path count is infinite")
-    memo: dict[str, int] = {}
-
-    def count(w: str) -> int:
-        if w not in memo:
-            memo[w] = 1 + sum(count(e.src) for e in graph.in_edges(w))
-        return memo[w]
-
-    return count(v)
+    count: dict[str, int] = {}
+    for comp in reversed(comps):
+        if not comp & below:
+            (w,) = comp
+            count[w] = 1 + sum(count[e.src] for e in graph.in_edges(w))
+    return count[v]
 
 
 def elementary_cycles(graph: Graph) -> tuple[FinitePath, ...]:
@@ -637,8 +606,30 @@ def strongly_connected_components(graph: Graph) -> tuple[frozenset[str], ...]:
     return tuple(result)
 
 
-def _scc_of(graph: Graph) -> dict[str, frozenset[str]]:
-    return {v: comp for comp in strongly_connected_components(graph) for v in comp}
+def _cycle_structure(
+    graph: Graph,
+) -> tuple[tuple[frozenset[str], ...], tuple[int, ...], frozenset[str]]:
+    """Components, their cycle counts capped at 2, and the vertices below a cycle.
+
+    The components come in Tarjan order: each after every component it
+    reaches.  A component with n vertices and m internal edges carries no
+    cycle iff m = 0 and exactly one iff m = n (strong connectivity forces
+    m >= n once n >= 2).  A vertex is below a cycle when some cycle reaches
+    it; the vertices of a cycle are below it.
+    """
+    comps = strongly_connected_components(graph)
+    counts = []
+    for comp in comps:
+        m = sum(e.rng in comp for v in comp for e in graph.out_edges(v))
+        counts.append(0 if m == 0 else 1 if m == len(comp) else 2)
+    below = {v for comp, k in zip(comps, counts) if k for v in comp}
+    stack = list(below)
+    while stack:
+        for e in graph.out_edges(stack.pop()):
+            if e.rng not in below:
+                below.add(e.rng)
+                stack.append(e.rng)
+    return comps, tuple(counts), frozenset(below)
 
 
 def closed_path_set_is_finite(graph: Graph) -> bool:
@@ -647,14 +638,7 @@ def closed_path_set_is_finite(graph: Graph) -> bool:
     Holds exactly when every strongly connected component contains at most
     one elementary cycle; the simple closed paths are then the cycles.
     """
-    scc = _scc_of(graph)
-    per_comp: dict[frozenset[str], int] = {}
-    for c in elementary_cycles(graph):
-        comp = scc[c.src]
-        per_comp[comp] = per_comp.get(comp, 0) + 1
-        if per_comp[comp] > 1:
-            return False
-    return True
+    return 2 not in _cycle_structure(graph)[1]
 
 
 @dataclass(frozen=True)
@@ -683,49 +667,40 @@ def simple_closed_paths(graph: Graph, bound: int) -> ClosedPathEnumeration:
                 if len(seq) < bound:
                     stack.append((seq, e.rng))
     paths = sorted((graph.path(n) for n in found), key=FinitePath.sort_key)
-    complete = closed_path_set_is_finite(graph) and all(
-        len(c) <= bound for c in elementary_cycles(graph)
-    )
+    # A component with one cycle has a cycle as long as its vertex count.
+    comps, counts, _ = _cycle_structure(graph)
+    complete = all(k == 0 or (k == 1 and len(comp) <= bound) for comp, k in zip(comps, counts))
     return ClosedPathEnumeration(tuple(paths), complete)
 
 
 def maximal_sinks(graph: Graph) -> tuple[tuple[str, int], ...]:
     """Sinks not reached by any cycle, with their exact path counts."""
-    out = []
-    for v in graph.sinks:
-        if not cycle_reaches_vertex(graph, v):
-            out.append((v, count_paths_ending_at(graph, v)))
-    return tuple(out)
-
-
-def _reaches(graph: Graph, sources: set[str], targets: set[str]) -> bool:
-    seen = set(sources)
-    stack = list(sources)
-    while stack:
-        v = stack.pop()
-        if v in targets:
-            return True
-        for e in graph.out_edges(v):
-            if e.rng not in seen:
-                seen.add(e.rng)
-                stack.append(e.rng)
-    return False
+    below = _cycle_structure(graph)[2]
+    return tuple((v, count_paths_ending_at(graph, v)) for v in graph.sinks if v not in below)
 
 
 def maximal_cycles(graph: Graph) -> tuple[FinitePath, ...]:
-    """Cycles with no path from any other cycle or simple closed path into them."""
-    cycles = elementary_cycles(graph)
-    scc = _scc_of(graph)
+    """Cycles with no path from any other cycle or simple closed path into them.
+
+    Such a cycle is alone in its component, and no edge enters the component
+    from a vertex below another cycle.  Each vertex of a one-cycle component
+    has a single edge inside it, so the cycle is walked off those edges.
+    """
+    comps, counts, below = _cycle_structure(graph)
     out = []
-    for c in cycles:
-        comp = scc[c.src]
-        others = [d for d in cycles if d is not c]
-        if any(scc[d.src] == comp for d in others):
+    for comp, k in zip(comps, counts):
+        if k != 1 or any(
+            e.src in below and e.src not in comp for v in comp for e in graph.in_edges(v)
+        ):
             continue
-        verts = set(graph.vertex_sequence(c))
-        if any(_reaches(graph, set(graph.vertex_sequence(d)), verts) for d in others):
-            continue
-        out.append(c)
+        start = v = min(comp)
+        names: list[str] = []
+        while not names or v != start:
+            e = next(e for e in graph.out_edges(v) if e.rng in comp)
+            names.append(e.name)
+            v = e.rng
+        out.append(graph.path(canonical_rotation(tuple(names))))
+    out.sort(key=FinitePath.sort_key)
     return tuple(out)
 
 

@@ -8,7 +8,6 @@ from leavitt.classify import (
     classify_simple,
     dimension_oracle,
     irrational_classes_flag,
-    rational_class_size,
 )
 from leavitt.fields import QQ, PrimeField, parse_poly
 from leavitt.reps import build_module
@@ -145,7 +144,8 @@ class TestDimensionOracle:
                 assert dimension_oracle(toeplitz, e) == e.dimension
 
     def test_lasso_graph_orbit_size_two(self, lasso_graph):
-        assert rational_class_size(lasso_graph, lasso_graph.path(["e"])) == 2
+        res = classify_simple(lasso_graph, F2, 1)
+        assert [e.orbit_size for e in res.entries if isinstance(e, CycleSimple)] == [2]
 
     def test_oracle_matches_basis_length(self, a2, toeplitz, lasso_graph):
         for graph, field in ((a2, QQ), (toeplitz, F2), (lasso_graph, QQ)):

@@ -4,6 +4,7 @@ import pytest
 
 from leavitt import cli
 from leavitt.cli import main
+from leavitt.graphs import Graph
 from leavitt.verify import Certificate
 
 
@@ -58,6 +59,14 @@ class TestClassify:
         dims = sorted(f["dimension"] for f in data["families"] if f["kind"] == "cycle-simple")
         assert dims == [1, 2, 3, 3]
         assert any(f["family"] == "sink" for f in data["flagged"])
+
+    def test_long_chain_graded(self, graph_file, capsys):
+        n = 600
+        edges = [(f"f{i}", f"c{i}", f"c{i + 1}") for i in range(n - 1)]
+        chain = Graph([f"c{i}" for i in range(n)], edges)
+        code, out, _ = run(capsys, ["classify", "--graded", "--json", graph_file(chain)])
+        assert code == 0
+        assert json.loads(out)["families"][0]["dimension"] == n
 
 
 class TestAct:

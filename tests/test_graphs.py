@@ -11,7 +11,9 @@ from leavitt.graphs import (
     ClosedPath,
     canonical_rotation,
     concat,
+    closed_path_set_is_finite,
     count_paths_ending_at,
+    cycle_reaches_vertex,
     elementary_cycles,
     enumerate_paths_ending_at,
     initial_remainder,
@@ -177,6 +179,12 @@ class TestEnumeratePaths:
         res = enumerate_paths_ending_at(chain3, "v")
         assert count_paths_ending_at(chain3, "v") == len(res.paths) == 3
 
+    def test_count_on_long_chain(self):
+        n = 600
+        edges = [(f"f{i}", f"c{i}", f"c{i + 1}") for i in range(n - 1)]
+        g = Graph([f"c{i}" for i in range(n)], edges)
+        assert count_paths_ending_at(g, f"c{n - 1}") == n
+
 
 class TestCycles:
     def test_acyclic(self, a2):
@@ -247,6 +255,50 @@ class TestMaximality:
         comps = set(strongly_connected_components(cycle3_exit))
         assert frozenset({"v1", "v2", "v3"}) in comps
         assert frozenset({"w"}) in comps
+
+
+@st.composite
+def small_graphs(draw):
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    edges = [(f"e{i}", s, r) for i, (s, r) in enumerate(draw(st.lists(ends, max_size=6)))]
+    return Graph(vertices, edges)
+
+
+def _reach(g, v):
+    seen, stack = {v}, [v]
+    while stack:
+        for e in g.out_edges(stack.pop()):
+            if e.rng not in seen:
+                seen.add(e.rng)
+                stack.append(e.rng)
+    return seen
+
+
+class TestCycleStructureOracles:
+    """The cycle questions against brute force from elementary_cycles and BFS."""
+
+    @given(g=small_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_against_brute_force(self, g):
+        cycles = elementary_cycles(g)
+        reach = {v: _reach(g, v) for v in g.vertices}
+        # Another cycle reaches c; when c reaches it back they share a component.
+        reached = {c: [d for d in cycles if d != c and c.src in reach[d.src]] for c in cycles}
+        finite = not any(d.src in reach[c.src] for c in cycles for d in reached[c])
+        assert closed_path_set_is_finite(g) == finite
+        assert maximal_cycles(g) == tuple(c for c in cycles if not reached[c])
+        for b in range(1, 5):
+            complete = finite and all(len(c) <= b for c in cycles)
+            assert simple_closed_paths(g, b).complete == complete
+        for v in g.vertices:
+            infinite = any(v in reach[c.src] for c in cycles)
+            assert cycle_reaches_vertex(g, v) == infinite
+            if infinite:
+                with pytest.raises(GraphError):
+                    count_paths_ending_at(g, v)
+            else:
+                assert count_paths_ending_at(g, v) == len(enumerate_paths_ending_at(g, v).paths)
 
 
 class TestTailLags:
