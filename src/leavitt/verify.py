@@ -563,10 +563,13 @@ def verify_res_ind(graph, field: Field, spec: InducedSpec, cap: int = 6) -> Cert
         )
     elif isinstance(coeff, ScalarAction):
         a = field.coerce(coeff.value)
+        rows = ", ".join(
+            "[" + ", ".join(map(field.format, row)) + "]" for row in res.generator_matrix
+        )
         cert.record(
             "generator-is-scalar",
             res.generator_matrix == [[a]],
-            f"matrix {res.generator_matrix} vs [[{field.format(a)}]]",
+            f"matrix [{rows}] vs [[{field.format(a)}]]",
         )
     else:
         f = coeff.modulus
