@@ -63,12 +63,17 @@ class Field:
         return a == b
 
     def pow(self, a, n: int):
+        """a^n by square-and-multiply: never more multiplications than |n|."""
         if n < 0:
             return self.pow(self.inv(a), -n)
-        out = self.one()
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
+        out = None
+        while n:
+            if n & 1:
+                out = a if out is None else self.mul(out, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
+        return self.one() if out is None else out
 
     def expand(self, a, j: int) -> tuple:
         """Base-field coordinates of a*t^j (a base field has only j = 0)."""

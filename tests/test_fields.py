@@ -59,6 +59,29 @@ class TestFieldOps:
             if not K.is_zero(a):
                 assert K.mul(a, K.inv(a)) == K.one()
 
+    def test_pow_matches_builtin_pow(self):
+        F101 = PrimeField(101)
+        for n in (-5, -1, 0, 1, 2, 3, 7, 64, 1000, 10**9):
+            assert F101.pow(5, n) == pow(5, n, 101)
+
+    def test_pow_matches_repeated_products(self):
+        for K in (GF4, QSQRT2):
+            a, acc = K.add(K.tbar(), K.one()), K.one()
+            for n in range(20):
+                assert K.pow(a, n) == acc
+                assert K.pow(a, -n) == K.inv(acc)
+                acc = K.mul(acc, a)
+
+    def test_pow_uses_at_most_n_products(self):
+        calls = []
+        K = PrimeField(101)
+        mul = K.mul
+        K.mul = lambda a, b: calls.append(1) or mul(a, b)
+        for n in range(1, 200):
+            calls.clear()
+            K.pow(3, n)
+            assert len(calls) <= n
+
     def test_prime_field_requires_prime(self):
         with pytest.raises(FieldError):
             PrimeField(4)
