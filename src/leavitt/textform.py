@@ -24,7 +24,7 @@ import re
 
 from .algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector, monomial
 from .fields import Field, parse_poly
-from .graphs import BoundaryPath, FinitePath, Graph, GraphError, lasso, sink_path
+from .graphs import BoundaryPath, FinitePath, Graph, GraphError, lasso, sink_path, tail_lags
 from .reps import (
     ChenBasis,
     ChenExtSpec,
@@ -235,7 +235,10 @@ def _parse_basis_token(module: Module, token: str, rest: list[str]):
         if "@" not in token:
             raise ParseError(f"induced-module basis literals look like 'path@lag', got {token!r}")
         ptext, ltext = token.rsplit("@", 1)
-        return CosetBasis(parse_boundary_path(graph, ptext), _parse_int(ltext, "lag"), power)
+        y, lag = parse_boundary_path(graph, ptext), _parse_int(ltext, "lag")
+        if not tail_lags(y, module.spec.base).contains(lag):
+            raise ParseError(f"{y} is not tail-equivalent to {module.spec.base} with lag {lag}")
+        return CosetBasis(y, lag, power)
     return ChenBasis(parse_boundary_path(graph, token), power)
 
 

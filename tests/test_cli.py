@@ -203,6 +203,7 @@ class TestInputErrors:
             ("r1", ["act", "--module", "ind:(e)^inf:laurent(x)", "--elt", "e", "--vec", "(e)^inf@0"]),
             ("toeplitz", ["verify", "res-ind", "--at", "v", "--coeff", "K(x)"]),
             ("toeplitz", ["act", "--module", "chen:v", "--twist", "e=0", "--elt", "f", "--vec", "v"]),
+            ("cycle2", ["act", "--module", "ind:(a.b)^inf:Ka(2)", "--elt", "v1", "--vec", "(a.b)^inf@1"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):
