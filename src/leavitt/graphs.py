@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -520,18 +521,24 @@ def enumerate_paths_ending_at(graph: Graph, v: str, bound: int | None = None) ->
 
 
 def count_paths_ending_at(graph: Graph, v: str) -> int:
-    """Exact path count into v by dynamic programming in topological order.
+    """Exact path count into v by dynamic programming on its predecessors.
 
-    A vertex no cycle reaches is alone in its component, and so are its
-    predecessors, which come before it in the reverse of Tarjan's order.
+    No cycle reaches v, so its predecessors form an acyclic graph; each is
+    counted after all of its own predecessors, without recursion.
     """
-    comps, _, below = _cycle_structure(graph)
-    if v in below:
+    if cycle_reaches_vertex(graph, v):
         raise GraphError(f"a cycle reaches {v!r}; the path count is infinite")
     count: dict[str, int] = {}
-    for comp in reversed(comps):
-        if not comp & below:
-            (w,) = comp
+    stack = [v]
+    while stack:
+        w = stack.pop()
+        if w in count:
+            continue
+        todo = [e.src for e in graph.in_edges(w) if e.src not in count]
+        if todo:
+            stack.append(w)
+            stack.extend(todo)
+        else:
             count[w] = 1 + sum(count[e.src] for e in graph.in_edges(w))
     return count[v]
 
@@ -606,17 +613,23 @@ def strongly_connected_components(graph: Graph) -> tuple[frozenset[str], ...]:
     return tuple(result)
 
 
+_CYCLE_STRUCTURES: weakref.WeakKeyDictionary[Graph, tuple] = weakref.WeakKeyDictionary()
+
+
 def _cycle_structure(
     graph: Graph,
 ) -> tuple[tuple[frozenset[str], ...], tuple[int, ...], frozenset[str]]:
     """Components, their cycle counts capped at 2, and the vertices below a cycle.
 
-    The components come in Tarjan order: each after every component it
-    reaches.  A component with n vertices and m internal edges carries no
-    cycle iff m = 0 and exactly one iff m = n (strong connectivity forces
-    m >= n once n >= 2).  A vertex is below a cycle when some cycle reaches
-    it; the vertices of a cycle are below it.
+    A component with n vertices and m internal edges carries no cycle iff
+    m = 0 and exactly one iff m = n (strong connectivity forces m >= n once
+    n >= 2).  A vertex is below a cycle when some cycle reaches it; the
+    vertices of a cycle are below it.  A graph is immutable, so this is
+    computed once per graph: callers ask per vertex, per sink and per orbit.
     """
+    known = _CYCLE_STRUCTURES.get(graph)
+    if known is not None:
+        return known
     comps = strongly_connected_components(graph)
     counts = []
     for comp in comps:
@@ -629,7 +642,8 @@ def _cycle_structure(
             if e.rng not in below:
                 below.add(e.rng)
                 stack.append(e.rng)
-    return comps, tuple(counts), frozenset(below)
+    known = _CYCLE_STRUCTURES[graph] = (comps, tuple(counts), frozenset(below))
+    return known
 
 
 def closed_path_set_is_finite(graph: Graph) -> bool:
