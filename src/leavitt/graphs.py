@@ -489,6 +489,8 @@ class PathEnumeration:
 
 
 def cycle_reaches_vertex(graph: Graph, v: str) -> bool:
+    if not graph.is_vertex(v):
+        raise GraphError(f"unknown vertex {v!r}")
     return v in _cycle_structure(graph)[2]
 
 
@@ -499,8 +501,6 @@ def enumerate_paths_ending_at(graph: Graph, v: str, bound: int | None = None) ->
     (the bound is ignored and the enumeration is exact); otherwise a bound
     is required and the result is flagged inexact.
     """
-    if not graph.is_vertex(v):
-        raise GraphError(f"unknown vertex {v!r}")
     exact = not cycle_reaches_vertex(graph, v)
     if not exact and bound is None:
         raise GraphError(f"infinitely many paths end at {v!r}; a bound is required")

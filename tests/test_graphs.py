@@ -179,6 +179,11 @@ class TestEnumeratePaths:
         res = enumerate_paths_ending_at(chain3, "v")
         assert count_paths_ending_at(chain3, "v") == len(res.paths) == 3
 
+    def test_unknown_vertex(self, a2):
+        for query in (cycle_reaches_vertex, count_paths_ending_at, enumerate_paths_ending_at):
+            with pytest.raises(GraphError, match="unknown vertex"):
+                query(a2, "nope")
+
     def test_count_on_long_chain(self):
         n = 600
         edges = [(f"f{i}", f"c{i}", f"c{i + 1}") for i in range(n - 1)]
