@@ -20,6 +20,68 @@ class AlgebraError(ValueError):
     """Invalid algebra element construction or mixed-context operation."""
 
 
+def add_term(field: Field, terms: dict, key, c) -> None:
+    """Add c to the coefficient of key in terms, dropping key if the sum is zero."""
+    if key in terms:
+        c = field.add(terms[key], c)
+    if field.is_zero(c):
+        terms.pop(key, None)
+    else:
+        terms[key] = c
+
+
+class LinearCombination:
+    """A finite linear combination of keys with a ``sort_key`` method.
+
+    ``terms`` maps each key to its coefficient, a raw nonzero value of
+    ``field``; constructors trust their terms, so values from outside go
+    through a checked entry point first.  Subclasses give ``field`` and
+    ``_like``, the combination of the same kind and context with other terms.
+    """
+
+    __slots__ = ("terms",)
+
+    field: Field
+
+    def _like(self, terms: dict):
+        raise NotImplementedError
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        F = self.field
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(F, out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        F = self.field
+        return self._like({k: F.neg(c) for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        F = self.field
+        c = F.coerce(c)
+        if F.is_zero(c):
+            return self._like({})
+        return self._like({k: F.mul(c, x) for k, x in self.terms.items()})
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        F = self.field
+        parts = []
+        for k in sorted(self.terms, key=lambda k: k.sort_key()):
+            cs = F.format(self.terms[k])
+            parts.append(str(k) if cs == "1" else f"{cs} {k}")
+        return " + ".join(parts)
+
+
 @dataclass(frozen=True)
 class Monomial:
     """mu.nu* with r(mu) = r(nu); degree |mu| - |nu|."""
@@ -109,12 +171,11 @@ class LeavittAlgebra:
     # -- element construction ----------------------------------------------
 
     def element(self, terms: dict) -> "AlgebraElement":
+        """The checked entry point: coerces the coefficients and drops zeros."""
         F = self.field
-        out = {}
+        out: dict[Monomial, object] = {}
         for m, c in terms.items():
-            c = F.coerce(c)
-            if not F.is_zero(c):
-                out[m] = c
+            add_term(F, out, m, F.coerce(c))
         return AlgebraElement(self, out)
 
     def zero(self) -> "AlgebraElement":
@@ -177,14 +238,8 @@ class LeavittAlgebra:
         work = list(work)
         while work:
             m, coef = work.pop()
-            if F.is_zero(coef):
-                continue
             if self.is_normal(m):
-                acc = F.add(out.get(m, F.zero()), coef)
-                if F.is_zero(acc):
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
+                add_term(F, out, m, coef)
                 continue
             # rewrite mu0.e e*.nu0* -> mu0.nu0* - sum over f != e of mu0.f f*.nu0*
             e = self.graph.edge(m.mu.edges[-1])
@@ -207,14 +262,8 @@ class LeavittAlgebra:
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
                 m = self.mono_mul(m1, m2)
-                if m is None:
-                    continue
-                c = F.mul(c1, c2)
-                acc = F.add(raw.get(m, F.zero()), c)
-                if F.is_zero(acc):
-                    raw.pop(m, None)
-                else:
-                    raw[m] = acc
+                if m is not None:
+                    add_term(F, raw, m, F.mul(c1, c2))
         return AlgebraElement(self, self._normalize_terms(list(raw.items())))
 
     def _check(self, x: "AlgebraElement"):
@@ -238,46 +287,24 @@ class LeavittAlgebra:
         return AlgebraElement(self, {m.transpose(): c for m, c in x.terms.items()})
 
 
-class AlgebraElement:
+class AlgebraElement(LinearCombination):
     """A finite K-linear combination of monomials (no zero coefficients stored)."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: LeavittAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = dict(terms)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def field(self) -> Field:
+        return self.algebra.field
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        F = self.algebra.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = F.add(out.get(m, F.zero()), c)
-            if F.is_zero(acc):
-                out.pop(m, None)
-            else:
-                out[m] = acc
-        return AlgebraElement(self.algebra, out)
-
-    def __neg__(self) -> "AlgebraElement":
-        F = self.algebra.field
-        return AlgebraElement(self.algebra, {m: F.neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+    def _like(self, terms: dict) -> "AlgebraElement":
+        return AlgebraElement(self.algebra, terms)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self.algebra.mul(self, other)
-
-    def scale(self, c) -> "AlgebraElement":
-        F = self.algebra.field
-        c = F.coerce(c)
-        if F.is_zero(c):
-            return self.algebra.zero()
-        return AlgebraElement(self.algebra, {m: F.mul(c, x) for m, x in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
@@ -298,17 +325,6 @@ class AlgebraElement:
     @property
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        F = self.algebra.field
-        parts = []
-        for m in sorted(self.terms, key=Monomial.sort_key):
-            c = self.terms[m]
-            cs = F.format(c)
-            parts.append(str(m) if cs == "1" else f"{cs} {m}")
-        return " + ".join(parts)
 
 
 def all_monomials(graph: Graph, max_len: int) -> list[Monomial]:
@@ -341,7 +357,5 @@ def random_element(algebra: LeavittAlgebra, rng, max_len: int = 2, max_terms: in
     F = algebra.field
     for _ in range(rng.randint(1, max_terms)):
         m = monos[rng.randrange(len(monos))]
-        c = F.random(rng)
-        if not F.is_zero(c):
-            terms[m] = F.add(terms.get(m, F.zero()), c)
-    return algebra.element(terms)
+        add_term(F, terms, m, F.random(rng))
+    return AlgebraElement(algebra, terms)

@@ -229,7 +229,12 @@ class Poly:
 
     @classmethod
     def make(cls, field: Field, coeffs: Iterable) -> "Poly":
-        cs = [field.coerce(c) if not _is_raw(field, c) else c for c in coeffs]
+        """The checked entry point: coerces each coefficient into the field."""
+        return cls._trimmed(field, [field.coerce(c) for c in coeffs])
+
+    @classmethod
+    def _trimmed(cls, field: Field, cs: list) -> "Poly":
+        """Coefficients already in the field: only trailing zeros are removed."""
         while cs and field.is_zero(cs[-1]):
             cs.pop()
         return cls(field, tuple(cs))
@@ -268,10 +273,10 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         F = self.field
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(F, [F.add(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return Poly._trimmed(F, [F.add(self.coeff(i), other.coeff(i)) for i in range(n)])
 
     def __neg__(self) -> "Poly":
-        return Poly.make(self.field, [self.field.neg(c) for c in self.coeffs])
+        return Poly._trimmed(self.field, [self.field.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -284,11 +289,11 @@ class Poly:
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly.make(F, out)
+        return Poly._trimmed(F, out)
 
     def scale(self, c) -> "Poly":
         F = self.field
-        return Poly.make(F, [F.mul(c, a) for a in self.coeffs])
+        return Poly._trimmed(F, [F.mul(c, a) for a in self.coeffs])
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
@@ -303,7 +308,7 @@ class Poly:
             if not F.is_zero(c):
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
-        return Poly.make(F, quo), Poly.make(F, rem)
+        return Poly._trimmed(F, quo), Poly._trimmed(F, rem)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -325,16 +330,6 @@ class Poly:
 
     def sort_key(self):
         return (self.degree, self.coeffs)
-
-
-def _is_raw(field: Field, c) -> bool:
-    if isinstance(field, RationalField):
-        return isinstance(c, Fraction)
-    if isinstance(field, PrimeField):
-        return isinstance(c, int) and 0 <= c < field.p
-    if isinstance(field, ExtensionField):
-        return isinstance(c, tuple) and len(c) == field.degree
-    return False
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -482,7 +477,7 @@ class ExtensionField(Field):
         return tuple(r.coeff(i) for i in range(self.degree))
 
     def _unwrap(self, value: tuple) -> Poly:
-        return Poly.make(self.base, list(value))
+        return Poly._trimmed(self.base, list(value))
 
     def zero(self):
         return (self.base.zero(),) * self.degree
@@ -498,7 +493,7 @@ class ExtensionField(Field):
 
     def coerce(self, value):
         if isinstance(value, tuple) and len(value) == self.degree:
-            return tuple(self.base.coerce(c) if not _is_raw(self.base, c) else c for c in value)
+            return tuple(self.base.coerce(c) for c in value)
         if isinstance(value, Poly) and value.field == self.base:
             return self._wrap(value)
         return self.embed(self.base.coerce(value))

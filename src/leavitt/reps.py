@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector, monomial
+from .algebra import (
+    AlgebraElement,
+    LeavittAlgebra,
+    LinearCombination,
+    Monomial,
+    TwistVector,
+    add_term,
+    monomial,
+)
 from .fields import ExtensionField, Field, FieldError, Poly, is_irreducible
 from .graphs import (
     BoundaryPath,
@@ -160,41 +168,18 @@ class CosetBasis:
 BasisElement = Union[ChenBasis, NvcBasis, CosetBasis]
 
 
-class ModuleVector:
-    """A finite scalar-weighted combination of basis elements."""
+class ModuleVector(LinearCombination):
+    """A finite scalar-weighted combination of basis elements (no zero
+    coefficients stored; ``Module.vector`` checks values from outside)."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field",)
 
     def __init__(self, field: Field, terms: dict | None = None):
         self.field = field
-        self.terms = {}
-        for b, c in (terms or {}).items():
-            c = field.coerce(c)
-            if not field.is_zero(c):
-                self.terms[b] = c
+        self.terms = dict(terms or {})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        F = self.field
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            acc = F.add(out.get(b, F.zero()), c)
-            if F.is_zero(acc):
-                out.pop(b, None)
-            else:
-                out[b] = acc
-        return ModuleVector(F, out)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scale(self.field.neg(self.field.one()))
-
-    def scale(self, c) -> "ModuleVector":
-        F = self.field
-        c = F.coerce(c)
-        return ModuleVector(F, {b: F.mul(c, x) for b, x in self.terms.items()})
+    def _like(self, terms: dict) -> "ModuleVector":
+        return ModuleVector(self.field, terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleVector):
@@ -203,16 +188,6 @@ class ModuleVector:
 
     def __hash__(self):
         raise TypeError("module vectors are unhashable")
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        F = self.field
-        parts = []
-        for b in sorted(self.terms, key=lambda b: b.sort_key()):
-            cs = F.format(self.terms[b])
-            parts.append(str(b) if cs == "1" else f"{cs} {b}")
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -253,15 +228,16 @@ class Module:
         for m, c in elt.terms.items():
             for b, s in vec.terms.items():
                 for b2, s2 in self.act_monomial_basis(m, b):
-                    acc = F.add(out.get(b2, F.zero()), F.mul(c, F.mul(s, s2)))
-                    if F.is_zero(acc):
-                        out.pop(b2, None)
-                    else:
-                        out[b2] = acc
+                    add_term(F, out, b2, F.mul(c, F.mul(s, s2)))
         return ModuleVector(F, out)
 
     def vector(self, terms: dict) -> ModuleVector:
-        return ModuleVector(self.field, terms)
+        """The checked entry point: coerces the coefficients and drops zeros."""
+        F = self.field
+        out: dict[BasisElement, object] = {}
+        for b, c in terms.items():
+            add_term(F, out, b, F.coerce(c))
+        return ModuleVector(F, out)
 
     _algebra: LeavittAlgebra | None = None
 
@@ -414,7 +390,7 @@ class NvcModule(Module):
         if prod is None:
             return []
         out = []
-        for m, c in algebra._normalize_terms([(prod, self.field.one())]).items():
+        for m, c in algebra.normalize(algebra.monomial_element(prod)).terms.items():
             assert m.nu.src == self.base_vertex
             out.append((NvcBasis(m), c))
         return out

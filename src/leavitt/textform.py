@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector, monomial
+from .algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector, add_term, monomial
 from .fields import Field, parse_poly
 from .graphs import BoundaryPath, FinitePath, Graph, GraphError, lasso, sink_path, tail_lags
 from .reps import (
@@ -204,9 +204,7 @@ def parse_element(algebra: LeavittAlgebra, text: str) -> AlgebraElement:
             raise ParseError(f"ranges differ in term {raw!r}: {mu.rng} vs {nu.rng}")
         if sign < 0:
             coef = field.neg(coef)
-        m = monomial(mu, nu)
-        acc = field.add(terms.get(m, field.zero()), coef)
-        terms[m] = acc
+        add_term(field, terms, monomial(mu, nu), coef)
     return algebra.element(terms)
 
 
@@ -260,9 +258,8 @@ def parse_vector(module: Module, text: str) -> ModuleVector:
             raise ParseError(f"unexpected tokens in term {raw!r}")
         if sign < 0:
             coef = field.neg(coef)
-        acc = field.add(out.get(b, field.zero()), coef)
-        out[b] = acc
-    return ModuleVector(field, out)
+        add_term(field, out, b, coef)
+    return module.vector(out)
 
 
 # ---------------------------------------------------------------------------

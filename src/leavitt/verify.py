@@ -27,6 +27,7 @@ from .algebra import (
     LeavittAlgebra,
     Monomial,
     TwistVector,
+    add_term,
     all_monomials,
     monomial,
     random_element,
@@ -357,10 +358,12 @@ def check_module_iso(
 
 def linear_extend(f, v: ModuleVector) -> ModuleVector:
     """The linear map sending each basis element b to f(b), applied to v."""
-    out = ModuleVector(v.field)
+    F = v.field
+    out: dict = {}
     for b, c in v.terms.items():
-        out = out + f(b).scale(c)
-    return out
+        for b2, c2 in f(b).terms.items():
+            add_term(F, out, b2, F.mul(c, c2))
+    return ModuleVector(F, out)
 
 
 def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len: int):
@@ -397,13 +400,17 @@ def boundary_iso_maps(
         mu, nu = modA.canonical_decomposition(b.path)
         scale = twist.of_path(mu) if drop_nu_inverse else twist.ratio(mu, nu)
         value = K.expand(scale, b.power)
-        return ModuleVector(modB.field, {ChenBasis(b.path, j): c for j, c in enumerate(value)})
+        return ModuleVector(modB.field, {
+            ChenBasis(b.path, j): c for j, c in enumerate(value) if not modB.field.is_zero(c)
+        })
 
     def psi(b: ChenBasis) -> ModuleVector:
         mu, nu = modA.canonical_decomposition(b.path)
         value = K.expand(twist.ratio(nu, mu), b.power)
         k = len(mu) - len(nu)
-        return ModuleVector(modA.field, {CosetBasis(b.path, k, j): c for j, c in enumerate(value)})
+        return ModuleVector(modA.field, {
+            CosetBasis(b.path, k, j): c for j, c in enumerate(value) if not modA.field.is_zero(c)
+        })
 
     return phi, psi
 
@@ -482,7 +489,7 @@ def nvc_iso_maps(modA: InducedModule, modB: NvcModule):
         elif steps < 0:
             ext = (star.edges[rot_y:] + star.edges[:rot_y]) * (-steps)
             nu = FinitePath(nu.edges + ext, nu.src, nu.rng)
-        terms = algebra._normalize_terms([(monomial(mu, nu), F.one())])
+        terms = algebra.normalize(algebra.monomial_element(monomial(mu, nu))).terms
         assert len(terms) == 1
         (m, c), = terms.items()
         return ModuleVector(F, {NvcBasis(m): c})
