@@ -138,7 +138,10 @@ class RationalField(Field):
         return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
 
     def format(self, a) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # past the interpreter's integer-to-string digit limit
+            raise FieldError("a rational is too long to print") from None
 
     def parse(self, text: str):
         try:

@@ -204,6 +204,9 @@ class TestInputErrors:
             ("toeplitz", ["verify", "res-ind", "--at", "v", "--coeff", "K(x)"]),
             ("toeplitz", ["act", "--module", "chen:v", "--twist", "e=0", "--elt", "f", "--vec", "v"]),
             ("cycle2", ["act", "--module", "ind:(a.b)^inf:Ka(2)", "--elt", "v1", "--vec", "(a.b)^inf@1"]),
+            # coefficients too long to print over Q
+            ("r1", ["act", "--module", "ind:(e)^inf:Ka(2)", "--elt", "e", "--vec", "(e)^inf@200000"]),
+            ("r1", ["act", "--module", "ind:(e)^inf:quot(t-3)", "--elt", "e", "--vec", "(e)^inf@20000"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):
@@ -212,3 +215,9 @@ class TestInputErrors:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_large_lag_over_a_prime_field_exits_0(self, r1, graph_file, capsys):
+        argv = ["act", "--module", "ind:(e)^inf:Ka(2)", "--field", "F3", "--elt", "e",
+                "--vec", "(e)^inf@100000000", graph_file(r1)]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (0, "2 (e)^inf@0\n", "")
