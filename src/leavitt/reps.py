@@ -30,7 +30,7 @@ from .algebra import (
     add_term,
     monomial,
 )
-from .fields import ExtensionField, Field, FieldError, Poly, is_irreducible
+from .fields import ExtensionField, Field, FieldError, Poly
 from .graphs import (
     BoundaryPath,
     FinitePath,
@@ -539,14 +539,10 @@ def build_module(graph: Graph, field: Field, spec: ModuleSpec) -> Module:
 
 
 def validate_chen_ext_modulus(field: Field, modulus: Poly) -> Poly:
-    """Monic irreducible with nonzero constant term (so distinct from t)."""
-    if not modulus.is_monic or modulus.degree < 1:
-        raise ModuleSpecError("modulus must be monic of degree >= 1")
-    if field.is_zero(modulus.coeff(0)):
-        raise ModuleSpecError("modulus t is excluded (its constant term vanishes)")
+    """Monic irreducible with nonzero constant term (so distinct from t):
+    the conditions ``ExtensionField`` checks."""
     try:
-        if not is_irreducible(modulus):
-            raise ModuleSpecError(f"{modulus} is reducible")
+        ExtensionField(field, modulus)
     except FieldError as exc:
         raise ModuleSpecError(str(exc)) from exc
     return modulus
