@@ -13,6 +13,7 @@ module.  No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,14 +54,8 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == self.zero()
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def pow(self, a, n: int):
         """a^n by square-and-multiply: never more multiplications than |n|."""
@@ -78,9 +73,6 @@ class Field:
     def expand(self, a, j: int) -> tuple:
         """Base-field coordinates of a*t^j (a base field has only j = 0)."""
         return (a,)
-
-    def characteristic(self) -> int:
-        raise NotImplementedError
 
     def random(self, rng):
         raise NotImplementedError
@@ -130,9 +122,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def characteristic(self):
-        return 0
 
     def random(self, rng):
         return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
@@ -199,12 +188,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def characteristic(self):
-        return self.p
-
-    def elements(self) -> range:
-        return range(self.p)
 
     def random(self, rng):
         return rng.randrange(self.p)
@@ -376,7 +359,7 @@ def _rational_roots_exist(f: Poly) -> bool:
     denoms = [c.denominator for c in f.coeffs]
     lcm = 1
     for d in denoms:
-        g = _gcd(lcm, d)
+        g = math.gcd(lcm, d)
         lcm = lcm // g * d
     ints = [int(c * lcm) for c in f.coeffs]
     while ints and ints[0] == 0:
@@ -388,12 +371,6 @@ def _rational_roots_exist(f: Poly) -> bool:
                 if f.evaluate(Fraction(sign * p, q)) == 0:
                     return True
     return False
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:
@@ -523,9 +500,6 @@ class ExtensionField(Field):
         unit = [self.base.zero()] * self.degree
         unit[j] = self.base.one()
         return self.mul(a, tuple(unit))
-
-    def characteristic(self):
-        return self.base.characteristic()
 
     def random(self, rng):
         return tuple(self.base.random(rng) for _ in range(self.degree))

@@ -96,16 +96,6 @@ class Window:
     def dim(self) -> int:
         return len(self.elements)
 
-    def coords(self, vec: ModuleVector) -> list:
-        F = self.module.field
-        out = [F.zero()] * self.dim
-        for b, c in vec.terms.items():
-            i = self.index.get(b)
-            if i is None:
-                raise OutOfWindowError(f"{b} is outside the window")
-            out[i] = c
-        return out
-
     def matrix_of(self, elt: AlgebraElement) -> list[list]:
         """Column j is the image of basis element j."""
         F = self.module.field
