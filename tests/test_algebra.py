@@ -148,6 +148,18 @@ def defining_relations_hold(graph, field):
     return True
 
 
+class TestLinearCombination:
+    @pytest.mark.parametrize("field", [QQ, F2], ids=lambda F: F.name)
+    def test_add_then_subtract_and_scale_by_zero(self, any_graph, field):
+        rng = random.Random(11)
+        A = LeavittAlgebra(any_graph, field)
+        for _ in range(25):
+            u, v = random_element(A, rng), random_element(A, rng)
+            assert ((u + v) - v).terms == u.terms
+            assert (u + v) - v == u
+            assert u.scale(0).is_zero
+
+
 class TestRelationsAndProducts:
     @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "F2"])
     def test_defining_relations(self, any_graph, field):

@@ -87,6 +87,32 @@ class TestFieldOps:
             PrimeField(4)
 
 
+class TestPolyArithmetic:
+    def test_make_coerces_and_trims(self):
+        F5 = PrimeField(5)
+        assert Poly.make(F5, [7, 5, 0]) == Poly.make(F5, [2])
+        assert Poly.make(F5, [7, 5, 0]).coeffs == (2,)
+
+    @pytest.mark.parametrize("K", ALL_FIELDS, ids=lambda K: K.name)
+    def test_difference_with_itself_is_zero(self, K):
+        rng = random.Random(3)
+        for d in range(4):
+            f = Poly.make(K, [K.random(rng) for _ in range(d)] + [K.one()])
+            assert (f - f).coeffs == ()
+
+    @pytest.mark.parametrize("K", ALL_FIELDS, ids=lambda K: K.name)
+    def test_product_of_monic_polynomials(self, K):
+        rng = random.Random(5)
+        for _ in range(20):
+            f, g = (
+                Poly.make(K, [K.random(rng) for _ in range(rng.randint(0, 3))] + [K.one()])
+                for _ in range(2)
+            )
+            h = f * g
+            assert h.degree == f.degree + g.degree
+            assert h.is_monic and not K.is_zero(h.coeffs[-1])
+
+
 class TestIrreducibility:
     def test_t2t1_over_f2(self):
         assert is_irreducible(parse_poly("t^2+t+1", F2))

@@ -288,6 +288,30 @@ class TestWellDefinedLag:
                 assert lags == {tail_lags(y, x).k0}
 
 
+class TestVectorArithmetic:
+    def test_checked_entry_point_coerces_and_drops_zeros(self, a2):
+        M = chen(a2, F2, sink_path(a2, a2.vertex_path("v")))
+        b = ChenBasis(sink_path(a2, a2.path(["f"])))
+        assert M.vector({b: 0}).terms == {}
+        assert M.vector({b: 2}).terms == {}
+        assert M.vector({b: 3}).terms == {b: 1}
+        assert (M.vector({b: 1}) - M.vector({b: 1})).terms == {}
+
+    @pytest.mark.parametrize("field", [QQ, F2], ids=lambda F: F.name)
+    def test_add_then_subtract_and_scale_by_zero(self, toeplitz, field):
+        M = chen(toeplitz, field, sink_path(toeplitz, toeplitz.vertex_path("v")))
+        basis = M.enumerate_basis(bound=3).elements
+        rng = random.Random(13)
+        for _ in range(25):
+            u, v = (
+                M.vector({b: field.random(rng) for b in rng.sample(basis, 3)})
+                for _ in range(2)
+            )
+            assert ((u + v) - v).terms == u.terms
+            assert (u + v) - v == u
+            assert u.scale(0).is_zero
+
+
 class TestModulusValidation:
     def test_rejects_t(self):
         with pytest.raises(ModuleSpecError):
