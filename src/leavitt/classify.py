@@ -22,6 +22,7 @@ from .graphs import (
     sink_path,
     closed_path_set_is_finite,
     count_paths_ending_at,
+    cycle_tail,
     elementary_cycles,
     lasso,
     maximal_cycles,
@@ -249,9 +250,7 @@ def classify_simple(
     moduli, moduli_complete = moduli_for_field(
         field, poly_degree_bound, rational_values, extra_moduli
     )
-    sizes = [
-        orbit_size(graph, lasso(graph, graph.vertex_path(c.src), c.edges)) for c in max_cycles
-    ]
+    sizes = [orbit_size(graph, cycle_tail(graph, c)) for c in max_cycles]
     cycle_entries = []
     for f in moduli:
         for c, size in zip(max_cycles, sizes):

@@ -28,7 +28,6 @@ class Field:
     """Common interface: exact operations on raw scalar values."""
 
     name: str
-    degree = 1  # dimension over the base field
 
     def zero(self):
         raise NotImplementedError
@@ -69,10 +68,6 @@ class Field:
             if n:
                 a = self.mul(a, a)
         return self.one() if out is None else out
-
-    def expand(self, a, j: int) -> tuple:
-        """Base-field coordinates of a*t^j (a base field has only j = 0)."""
-        return (a,)
 
     def random(self, rng):
         raise NotImplementedError
@@ -497,6 +492,7 @@ class ExtensionField(Field):
         return self._wrap(u.scale(self.base.inv(g.coeff(0))))
 
     def expand(self, a, j: int) -> tuple:
+        """Base-field coordinates of a*t^j."""
         unit = [self.base.zero()] * self.degree
         unit[j] = self.base.one()
         return self.mul(a, tuple(unit))

@@ -371,6 +371,15 @@ def lasso(graph: Graph, prefix: FinitePath, cycle_seq: Iterable[str]) -> Lasso:
     return Lasso(pref, star, rot)
 
 
+def cycle_tail(graph: Graph, cycle: FinitePath) -> Lasso:
+    """The base point representing a cycle: (c)^inf at the source of c's
+    canonical rotation (a power of c gives the tail of its primitive root)."""
+    if not cycle.edges:
+        raise GraphError(f"{cycle} is not a closed path of positive length")
+    star = graph.path(canonical_rotation(cycle.edges))
+    return lasso(graph, graph.vertex_path(star.src), star.edges)
+
+
 def unroll(x: BoundaryPath, length: int) -> tuple[str, ...]:
     """First `length` edge names of x (shorter for a sink path that ends)."""
     if isinstance(x, SinkPath):

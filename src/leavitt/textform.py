@@ -227,8 +227,8 @@ def _parse_basis_token(module: Module, token: str, rest: list[str]):
     if "#" in token:
         token, ptext = token.rsplit("#", 1)
         power = _parse_int(ptext, "tensor index")
-    if not 0 <= power < module.scalars.degree:
-        raise ParseError(f"tensor index {power} is outside 0..{module.scalars.degree - 1}")
+    if not 0 <= power < module.tensor_degree:
+        raise ParseError(f"tensor index {power} is outside 0..{module.tensor_degree - 1}")
     if isinstance(module, InducedModule):
         if "@" not in token:
             raise ParseError(f"induced-module basis literals look like 'path@lag', got {token!r}")

@@ -38,8 +38,8 @@ from .graphs import (
     FinitePath,
     Lasso,
     SinkPath,
-    canonical_rotation,
     concat,
+    cycle_tail,
     lasso,
     tail_lags,
     unroll,
@@ -383,20 +383,19 @@ def boundary_iso_maps(
     (the scalar extension, twisted by the class of t).  ``drop_nu_inverse``
     deliberately corrupts phi to a_mu alone (negative control).
     """
-    K = modB.scalars
-    twist = modB.twist or TwistVector.make(modB.graph, K, {})
+    twist = modB.twist or TwistVector.make(modB.graph, modB.scalars, {})
 
     def phi(b: CosetBasis) -> ModuleVector:
         mu, nu = modA.canonical_decomposition(b.path)
         scale = twist.of_path(mu) if drop_nu_inverse else twist.ratio(mu, nu)
-        value = K.expand(scale, b.power)
+        value = modB.expand(scale, b.power)
         return ModuleVector(modB.field, {
             ChenBasis(b.path, j): c for j, c in enumerate(value) if not modB.field.is_zero(c)
         })
 
     def psi(b: ChenBasis) -> ModuleVector:
         mu, nu = modA.canonical_decomposition(b.path)
-        value = K.expand(twist.ratio(nu, mu), b.power)
+        value = modB.expand(twist.ratio(nu, mu), b.power)
         k = len(mu) - len(nu)
         return ModuleVector(modA.field, {
             CosetBasis(b.path, k, j): c for j, c in enumerate(value) if not modA.field.is_zero(c)
@@ -441,16 +440,15 @@ def verify_twist_iso(
 ) -> Certificate:
     """Certificate: inducing a scalar action (resp. quotient field) at a cycle
     tail matches the twisted (resp. scalar-extended) boundary-path module."""
-    star = graph.path(canonical_rotation(cycle.edges))
-    x = lasso(graph, graph.vertex_path(star.src), star.edges)
+    x = cycle_tail(graph, cycle)
     modA = build_module(graph, field, InducedSpec(x, coeff))
     if isinstance(coeff, ScalarAction):
-        twist = TwistVector.make(graph, field, {star.edges[0]: coeff.value})
+        twist = TwistVector.make(graph, field, {x.cycle[0]: coeff.value})
         modB = build_module(graph, field, ChenSpec(x, twist))
-        claim = f"induced scalar action {field.format(field.coerce(coeff.value))} at ({star})^inf matches the twisted boundary-path module"
+        claim = f"induced scalar action {field.format(field.coerce(coeff.value))} at {x} matches the twisted boundary-path module"
     else:
-        modB = build_module(graph, field, ChenExtSpec(star, coeff.modulus))
-        claim = f"induced quotient field K[t]/({coeff.modulus}) at ({star})^inf matches the scalar-extended boundary-path module"
+        modB = build_module(graph, field, ChenExtSpec(cycle, coeff.modulus))
+        claim = f"induced quotient field K[t]/({coeff.modulus}) at {x} matches the scalar-extended boundary-path module"
     enumA = modA.enumerate_basis(bound)
     exact = enumA.exact
     elemsA = enumA.elements
@@ -497,15 +495,14 @@ def nvc_iso_maps(modA: InducedModule, modB: NvcModule):
 def verify_nvc_iso(graph, field: Field, cycle: FinitePath, bound: int = 3, mono_len: int = 2) -> Certificate:
     """Certificate: inducing the full isotropy group algebra at the tail of a
     no-exit cycle matches the graded monomial module based at the cycle."""
-    star = graph.path(canonical_rotation(cycle.edges))
-    modB = build_module(graph, field, NvcSpec(star))  # validates no exits
-    x = lasso(graph, graph.vertex_path(star.src), star.edges)
+    modB = build_module(graph, field, NvcSpec(cycle))  # validates no exits
+    x = cycle_tail(graph, cycle)
     modA = build_module(graph, field, InducedSpec(x, LaurentCoeff(0)))
     elemsA = modA.enumerate_basis(bound).elements
     elemsB = modB.enumerate_basis(bound).elements
     phi, psi = nvc_iso_maps(modA, modB)
     cert = Certificate(
-        claim=f"inducing the isotropy group algebra at ({star})^inf matches the no-exit-cycle monomial module",
+        claim=f"inducing the isotropy group algebra at {x} matches the no-exit-cycle monomial module",
         window={"basis": len(elemsA), "mono_len": mono_len, "exact": False},
     )
     return check_module_iso(cert, modA, modB, phi, psi, elemsA, elemsB, mono_len, graded=True)
@@ -681,8 +678,7 @@ def _as_induced(graph, field, spec: ModuleSpec) -> InducedSpec:
             raise ModuleSpecError("a rational boundary-path module is not graded")
         return InducedSpec(spec.base, TrivialCoeff(spec.shift))
     if isinstance(spec, NvcSpec):
-        x = lasso(graph, graph.vertex_path(spec.cycle.src), spec.cycle.edges)
-        return InducedSpec(x, LaurentCoeff(0), spec.shift)
+        return InducedSpec(cycle_tail(graph, spec.cycle), LaurentCoeff(0), spec.shift)
     raise ModuleSpecError(f"{spec!r} is not in a supported graded family")
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from leavitt.algebra import LeavittAlgebra, random_element
-from leavitt.fields import QQ, ExtensionField, PrimeField, parse_poly
+from leavitt.fields import QQ, ExtensionField, PrimeField, parse_field, parse_poly
 from leavitt.graphs import lasso, sink_path
 from leavitt.reps import (
     ChenExtSpec,
@@ -120,6 +120,13 @@ class TestVectors:
         v = parse_vector(M, "(e)^inf + (e)^inf#1")
         assert len(v.terms) == 2
         assert str(v) == "(e)^inf + (e)^inf#1"
+
+    @pytest.mark.parametrize("field_text", ["Q[t]/(t^2-2)", "F2[t]/(t^2+t+1)"])
+    def test_extension_ground_field_has_no_tensor_index(self, r1, field_text):
+        K = parse_field(field_text)
+        M = build_module(r1, K, parse_module_spec(r1, K, "chen:(e)^inf"))
+        with pytest.raises(ParseError):
+            parse_vector(M, "(e)^inf#1")
 
     def test_nvc_vector(self, r1):
         M = build_module(r1, QQ, NvcSpec(r1.path(["e"])))

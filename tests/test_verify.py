@@ -1,7 +1,7 @@
 import pytest
 
 from leavitt.algebra import TwistVector
-from leavitt.fields import QQ, PrimeField, parse_poly
+from leavitt.fields import QQ, PrimeField, parse_field, parse_poly
 from leavitt.graphs import lasso, sink_path
 from leavitt.linalg import identity
 from leavitt.reps import (
@@ -35,6 +35,7 @@ from leavitt.verify import (
 )
 
 F2 = PrimeField(2)
+EXTENSION_FIELDS = ["Q[t]/(t^2-2)", "F2[t]/(t^2+t+1)"]
 
 
 class TestRestrict:
@@ -329,6 +330,11 @@ class TestGradedIsoCheck:
         d = graded_iso_check(a2, QQ, ChenSpec(v, shift=1), ChenSpec(f, shift=0))
         assert d.isomorphic
 
+    def test_rotated_nvc_cycles_are_one_module(self, cycle2):
+        # a.b and b.a build the same module, so they are isomorphic with no shift
+        d = graded_iso_check(cycle2, QQ, NvcSpec(cycle2.path(["a", "b"])), NvcSpec(cycle2.path(["b", "a"])))
+        assert d.isomorphic and d.witness["alpha"] == 0
+
     def test_nongraded_coeffs_rejected(self, r1):
         x = lasso(r1, r1.vertex_path("v"), ["e"])
         with pytest.raises(ModuleSpecError):
@@ -363,3 +369,30 @@ class TestCertificateShape:
         data = cert.to_json_dict()
         assert set(data) == {"claim", "window", "checks", "pass", "counterexample"}
         assert all(set(c) == {"name", "passed", "detail"} for c in data["checks"])
+
+
+@pytest.mark.parametrize("field_text", EXTENSION_FIELDS)
+class TestExtensionFieldAsGroundField:
+    """K[t]/(f) given as the ground field is a field like any other: no module
+    extends its scalars unless its own spec asks for it."""
+
+    def test_trivial_induced_module_is_schur_simple(self, a2, field_text):
+        K = parse_field(field_text)
+        M = build_module(a2, K, InducedSpec(sink_path(a2, a2.vertex_path("v")), TrivialCoeff(0)))
+        assert len(M.enumerate_basis().elements) == 2  # the orbit {v, f}
+        assert len(intertwiner_space(M, M)) == 1
+
+    def test_triv_iso_with_twist(self, a2, field_text):
+        K = parse_field(field_text)
+        twist = TwistVector.make(a2, K, {"f": K.parse("(t)")})
+        assert verify_triv_iso(a2, K, sink_path(a2, a2.vertex_path("v")), twist=twist).passed
+
+    def test_twist_iso_with_scalar(self, r1, field_text):
+        K = parse_field(field_text)
+        cert = verify_twist_iso(r1, K, r1.path(["e"]), ScalarAction(K.parse("(t)")))
+        assert cert.passed and cert.window["basis"] == 1
+
+    def test_res_ind_with_scalar_action(self, r1, field_text):
+        K = parse_field(field_text)
+        x = lasso(r1, r1.vertex_path("v"), ["e"])
+        assert verify_res_ind(r1, K, InducedSpec(x, ScalarAction(K.parse("(t)")))).passed
