@@ -423,10 +423,6 @@ def prepend(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath:
     return lasso(graph, concat(mu, x.prefix), x.rotated_cycle())
 
 
-def boundary_sort_key(x: BoundaryPath):
-    return x.sort_key()
-
-
 # ---------------------------------------------------------------------------
 # Lag sets
 

@@ -19,7 +19,6 @@ from .graphs import (
     GraphError,
     Lasso,
     SinkPath,
-    boundary_sort_key,
     concat,
     count_paths_ending_at,
     cycle_reaches_vertex,
@@ -236,7 +235,7 @@ def canonical_lassos(graph: Graph, cycle_star: tuple[str, ...], max_prefix: int 
         for w in sorted(entry):
             for p in enumerate_paths_ending_at(graph, w, bound=max_prefix).paths:
                 keep(p)
-    out.sort(key=boundary_sort_key)
+    out.sort(key=Lasso.sort_key)
     return out
 
 

@@ -134,14 +134,6 @@ class Restriction:
     steps: int
     degrees: list | None
 
-    def to_json_dict(self, field: Field) -> dict:
-        return {
-            "dimension": self.dimension,
-            "generator_matrix": [[field.format(c) for c in row] for row in self.generator_matrix],
-            "steps": self.steps,
-            "degrees": self.degrees,
-        }
-
 
 def _initial_subpath(module: Module, x: BoundaryPath, m: int) -> FinitePath:
     names = unroll(x, m)
@@ -666,9 +658,6 @@ class IsoDecision:
     isomorphic: bool
     witness: dict
 
-    def to_json_dict(self) -> dict:
-        return {"isomorphic": self.isomorphic, "witness": dict(self.witness)}
-
 
 def _as_induced(graph, field, spec: ModuleSpec) -> InducedSpec:
     if isinstance(spec, InducedSpec):
@@ -716,9 +705,6 @@ def graded_iso_check(graph, field: Field, specA: ModuleSpec, specB: ModuleSpec) 
 class ProbeResult:
     verdict: str  # "simple" | "graded-simple-not-simple" | "not-simple" | "inconclusive"
     witness: dict
-
-    def to_json_dict(self) -> dict:
-        return {"verdict": self.verdict, "witness": dict(self.witness)}
 
 
 def _cyclic_span_is_full(window: Window, mats: list[list[list]], seed: int) -> int:
