@@ -112,12 +112,18 @@ def irrational_classes_flag(graph: Graph) -> IrrationalFamilyFlag:
     """
     if closed_path_set_is_finite(graph):
         return IrrationalFamilyFlag(False, None)
+    return IrrationalFamilyFlag(True, _entwined_pair(graph, elementary_cycles(graph)))
+
+
+def _entwined_pair(graph: Graph, cycles: tuple[FinitePath, ...]) -> tuple[str, str]:
+    """The first two of all elementary cycles that share a component, taking the
+    first component that has two; there is one when the closed-path set is infinite."""
     scc = {v: comp for comp in strongly_connected_components(graph) for v in comp}
     per_comp: dict[frozenset, list[FinitePath]] = {}
-    for c in elementary_cycles(graph):
+    for c in cycles:
         per_comp.setdefault(scc[c.src], []).append(c)
-    cycles = next(cs for cs in per_comp.values() if len(cs) >= 2)
-    return IrrationalFamilyFlag(True, (str(cycles[0]), str(cycles[1])))
+    pair = next(cs for cs in per_comp.values() if len(cs) >= 2)
+    return str(pair[0]), str(pair[1])
 
 
 def classify_graded(graph: Graph, cycle_length_bound: int = 6) -> GradedClassification:
@@ -257,19 +263,19 @@ def classify_simple(
             cycle_entries.append(CycleSimple(c, f, size, size * f.degree))
     entries.extend(cycle_entries)
     max_cycle_names = {c.edges for c in max_cycles}
-    for c in elementary_cycles(graph):
+    cycles = elementary_cycles(graph)
+    for c in cycles:
         if c.edges not in max_cycle_names:
             flagged.append(
                 InfiniteDimFlagged(
                     "cycle", str(c), "another cycle reaches this one, so its class is infinite"
                 )
             )
-    irr = irrational_classes_flag(graph)
-    if irr.present:
+    if not closed_path_set_is_finite(graph):
         flagged.append(
             InfiniteDimFlagged(
                 "irrational-classes",
-                " and ".join(irr.witness),
+                " and ".join(_entwined_pair(graph, cycles)),
                 "entwined cycles give irrational tail classes; infinite-dimensional by truncation",
             )
         )
