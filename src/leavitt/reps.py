@@ -333,6 +333,8 @@ class NvcModule(Module):
     def __init__(self, graph: Graph, field: Field, spec: NvcSpec):
         self.graph = graph
         self.field = field
+        if spec.cycle.src != spec.cycle.rng or not spec.cycle.edges:
+            raise ModuleSpecError(f"{spec.cycle} is not a closed path")
         star = graph.path(canonical_rotation(spec.cycle.edges))
         if star.edges != spec.cycle.edges:
             spec = NvcSpec(star, spec.shift)

@@ -222,6 +222,8 @@ def _parse_basis_token(module: Module, token: str, rest: list[str]):
             if not ghost.endswith("^"):
                 raise ParseError(f"expected a ghost path, got {ghost!r}")
             nu = parse_finite_path(graph, ghost[:-1])
+        if nu.src != module.base_vertex:
+            raise ParseError(f"{nu}^ does not start at the cycle's base vertex {module.base_vertex}")
         return NvcBasis(monomial(mu, nu))
     power = 0
     if "#" in token:

@@ -207,6 +207,10 @@ class TestInputErrors:
             # coefficients too long to print over Q
             ("r1", ["act", "--module", "ind:(e)^inf:Ka(2)", "--elt", "e", "--vec", "(e)^inf@200000"]),
             ("r1", ["act", "--module", "ind:(e)^inf:quot(t-3)", "--elt", "e", "--vec", "(e)^inf@20000"]),
+            # an nvc cycle that is not closed, and a basis literal off the cycle's base vertex
+            ("loop_feeds_loop", ["act", "--module", "nvc:t", "--elt", "e", "--vec", "t"]),
+            ("a2", ["act", "--module", "nvc:f", "--elt", "f", "--vec", "u"]),
+            ("cycle2", ["act", "--module", "nvc:b.a", "--elt", "a", "--vec", "v2"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):
