@@ -10,7 +10,7 @@ lexicographically least edge name, so normal forms are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .fields import Field
 from .graphs import FinitePath, Graph, concat, initial_remainder
@@ -117,6 +117,13 @@ class TwistVector:
 
     field: Field
     entries: tuple[tuple[str, object], ...]  # sorted by edge name, all edges present
+    _values: dict = dataclass_field(init=False, repr=False, compare=False)
+    _inverses: dict = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Each edge value is inverted once here, so ratio() only multiplies.
+        object.__setattr__(self, "_values", dict(self.entries))
+        object.__setattr__(self, "_inverses", {n: self.field.inv(c) for n, c in self.entries})
 
     @classmethod
     def make(cls, graph: Graph, field: Field, values: dict | None = None) -> "TwistVector":
@@ -133,25 +140,31 @@ class TwistVector:
         return cls(field, tuple(sorted(table.items())))
 
     def value(self, edge_name: str):
-        for name, c in self.entries:
-            if name == edge_name:
-                return c
-        raise AlgebraError(f"no twist value for edge {edge_name!r}")
+        return self._product(self._values, (edge_name,), self.field.one())
+
+    def _product(self, table: dict, names, out):
+        """out times the table's scalars at the named edges; factors equal to 1
+        are skipped."""
+        F = self.field
+        one = F.one()
+        for name in names:
+            c = table.get(name)
+            if c is None:
+                raise AlgebraError(f"no twist value for edge {name!r}")
+            if c != one:
+                out = c if out == one else F.mul(out, c)
+        return out
 
     def of_path(self, path: FinitePath):
         """a_mu: the product of the edge scalars along mu (1 for vertices)."""
-        out = self.field.one()
-        for name in path.edges:
-            out = self.field.mul(out, self.value(name))
-        return out
+        return self._product(self._values, path.edges, self.field.one())
 
     def ratio(self, mu: FinitePath, nu: FinitePath):
         """a_mu a_nu^(-1): the factor by which the twist scales mu.nu*."""
-        return self.field.mul(self.of_path(mu), self.field.inv(self.of_path(nu)))
+        return self._product(self._inverses, nu.edges, self.of_path(mu))
 
     def inverse(self) -> "TwistVector":
-        F = self.field
-        return TwistVector(F, tuple((n, F.inv(c)) for n, c in self.entries))
+        return TwistVector(self.field, tuple(self._inverses.items()))
 
     def is_stable(self, path: FinitePath) -> bool:
         """mu-stability: a_mu = 1."""

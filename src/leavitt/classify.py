@@ -31,7 +31,7 @@ from .graphs import (
     strongly_connected_components,
 )
 from .groupoid import orbit_size
-from .reps import ChenExtSpec, ChenSpec, validate_chen_ext_modulus
+from .reps import ChenExtSpec, ChenSpec, quotient_field
 
 
 class ClassificationError(ValueError):
@@ -226,7 +226,7 @@ def moduli_for_field(
             text = f"t-{a}" if a > 0 else f"t+{-a}"
             out.append(parse_poly(text, field))
         for f in extra_moduli:
-            out.append(validate_chen_ext_modulus(field, f))
+            out.append(quotient_field(field, f).modulus)
         out.sort(key=Poly.sort_key)
         return out, False
     raise ClassificationError(

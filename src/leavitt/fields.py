@@ -201,6 +201,12 @@ class PrimeField(Field):
 # Polynomials over a field
 
 
+def _trim(field: Field, cs: list) -> list:
+    while cs and field.is_zero(cs[-1]):
+        cs.pop()
+    return cs
+
+
 @dataclass(frozen=True)
 class Poly:
     """Polynomial in t with coefficients in ``field`` (ascending tuple, trimmed)."""
@@ -216,9 +222,7 @@ class Poly:
     @classmethod
     def _trimmed(cls, field: Field, cs: list) -> "Poly":
         """Coefficients already in the field: only trailing zeros are removed."""
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
-        return cls(field, tuple(cs))
+        return cls(field, tuple(_trim(field, cs)))
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
@@ -421,6 +425,14 @@ def enumerate_monic_irreducibles(p: int, d_max: int) -> list[Poly]:
 # Quotient fields K[t]/(f)
 
 
+def _sub_scaled(field: Field, x: list, c, y: list, shift: int) -> list:
+    """x - c*t^shift*y on trimmed ascending coefficient lists."""
+    out = list(x) + [field.zero()] * max(0, len(y) + shift - len(x))
+    for i, b in enumerate(y):
+        out[i + shift] = field.sub(out[i + shift], field.mul(c, b))
+    return _trim(field, out)
+
+
 class ExtensionField(Field):
     """K[t]/(f) for f monic irreducible with nonzero constant term.
 
@@ -441,11 +453,23 @@ class ExtensionField(Field):
             raise FieldError(f"{modulus} is reducible over {base.name}")
         self.base = base
         self.modulus = modulus
-        self.degree = modulus.degree
+        self.degree = d = modulus.degree
         self.irreducibility_asserted = assume_irreducible and not (
             isinstance(base, PrimeField) or modulus.degree <= 3
         )
         self.name = f"{base.name}[t]/({format_poly(modulus)})"
+        self._zero = (base.zero(),) * d
+        self._one = (base.one(),) + self._zero[1:]
+        # Row k - d holds t^k mod f for d <= k <= 2d-2, the degrees a product
+        # of two values reaches past d-1.  t^d = -(f_0 + ... + f_(d-1) t^(d-1));
+        # t^(k+1) is t^k shifted up, its top coefficient folded back by row 0.
+        row = [base.neg(c) for c in modulus.coeffs[:d]]
+        fold = []
+        for _ in range(d - 1):
+            fold.append(tuple(row))
+            top, row = row[-1], [base.zero()] + row[:-1]
+            row = [base.add(r, base.mul(top, c)) for r, c in zip(row, fold[0])]
+        self._fold = tuple(fold)
 
     def _wrap(self, poly: Poly) -> tuple:
         r = poly % self.modulus
@@ -455,10 +479,10 @@ class ExtensionField(Field):
         return Poly._trimmed(self.base, list(value))
 
     def zero(self):
-        return (self.base.zero(),) * self.degree
+        return self._zero
 
     def one(self):
-        return self._wrap(Poly.one(self.base))
+        return self._one
 
     def tbar(self):
         return self._wrap(Poly.t(self.base))
@@ -480,16 +504,42 @@ class ExtensionField(Field):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        return self._wrap(self._unwrap(a) * self._unwrap(b))
+        """Schoolbook product, then each t^k with k >= d folded back by its
+        table row.  Base values are ints (GF(p)) or Fractions (Q), so the
+        sums run in Z or Q and ``base.coerce`` maps each coordinate once."""
+        d = self.degree
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        out = prod[:d]
+        for c, row in zip(prod[d:], self._fold):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        coerce = self.base.coerce
+        return tuple(coerce(c) for c in out)
 
     def inv(self, a):
-        pa = self._unwrap(a)
-        if pa.is_zero:
+        """Extended Euclid on coefficient lists: keeps u0*a = r0 and u1*a = r1
+        modulo f while r0, r1 run through the remainders of f and a."""
+        F = self.base
+        r0, r1 = list(self.modulus.coeffs), _trim(F, list(a))
+        if not r1:
             raise ZeroDivisionError("inverse of zero")
-        g, u, _ = poly_xgcd(pa, self.modulus)
-        if g.degree != 0:
-            raise FieldError("modulus is not irreducible")  # unreachable if validated
-        return self._wrap(u.scale(self.base.inv(g.coeff(0))))
+        u0, u1 = [], [F.one()]
+        while len(r1) > 1:
+            lead = F.inv(r1[-1])
+            while len(r0) >= len(r1):
+                shift, c = len(r0) - len(r1), F.mul(r0[-1], lead)
+                r0 = _sub_scaled(F, r0, c, r1, shift)
+                u0 = _sub_scaled(F, u0, c, u1, shift)
+            if not r0:
+                raise FieldError("modulus is not irreducible")  # unreachable if validated
+            r0, r1, u0, u1 = r1, r0, u1, u0
+        c = F.inv(r1[0])
+        return tuple(F.mul(c, x) for x in u1) + self._zero[len(u1):]
 
     def expand(self, a, j: int) -> tuple:
         """Base-field coordinates of a*t^j."""

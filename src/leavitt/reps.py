@@ -18,7 +18,7 @@ is a finite combination of canonical basis elements, never a truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Union
 
 from .algebra import (
@@ -75,9 +75,16 @@ class ScalarAction:
 
 @dataclass(frozen=True)
 class QuotientCoeff:
-    """K[t,1/t]/(f) with the generator acting by the class of t; not graded."""
+    """K[t,1/t]/(f) with the generator acting by the class of t; not graded.
+
+    ``extension`` is K[t]/(f): built, and f tested, when the spec is made,
+    unless a field over f is passed in."""
 
     modulus: Poly
+    extension: ExtensionField | None = dataclass_field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        _attach_extension(self)
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,32 @@ class LaurentCoeff:
 
 
 NSpec = Union[TrivialCoeff, ScalarAction, QuotientCoeff, LaurentCoeff]
+
+
+def quotient_field(field: Field, modulus: Poly) -> ExtensionField:
+    """K[t]/(f), for f monic irreducible over ``field`` with nonzero constant
+    term (so distinct from t); any other f is a ModuleSpecError."""
+    try:
+        return ExtensionField(field, modulus)
+    except FieldError as exc:
+        raise ModuleSpecError(str(exc)) from exc
+
+
+def _attach_extension(spec: QuotientCoeff | ChenExtSpec) -> None:
+    """Give a spec its K[t]/(modulus), so the modulus is tested for
+    irreducibility once, where the spec is made; a module built from the
+    spec uses that field.  A field passed in must be over that modulus."""
+    if spec.extension is None:
+        object.__setattr__(spec, "extension", quotient_field(spec.modulus.field, spec.modulus))
+    elif spec.extension.modulus != spec.modulus:
+        raise ModuleSpecError(f"{spec.extension.name} is not a quotient by {spec.modulus}")
+
+
+def _extension_over(field: Field, spec: QuotientCoeff | ChenExtSpec) -> ExtensionField:
+    """The spec's K[t]/(f), for a module over ``field``."""
+    if spec.extension.base != field:
+        raise ModuleSpecError("modulus is not over the base field")
+    return spec.extension
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +139,10 @@ class ChenExtSpec:
     cycle: FinitePath
     modulus: Poly
     shift: int = 0
+    extension: ExtensionField | None = dataclass_field(default=None, repr=False, compare=False)  # as in QuotientCoeff
+
+    def __post_init__(self):
+        _attach_extension(self)
 
 
 @dataclass(frozen=True)
@@ -315,7 +352,7 @@ class ChenExtModule(ChenModule):
     def __init__(self, graph: Graph, field: Field, spec: ChenExtSpec):
         if spec.cycle.src != spec.cycle.rng or not spec.cycle.edges:
             raise ModuleSpecError(f"{spec.cycle} is not a closed path")
-        self.extension = ExtensionField(field, spec.modulus)
+        self.extension = _extension_over(field, spec)
         x = cycle_tail(graph, spec.cycle)
         tbar = TwistVector.make(graph, self.extension, {x.cycle[0]: self.extension.tbar()})
         super().__init__(graph, field, ChenSpec(x, tbar, spec.shift))
@@ -423,7 +460,7 @@ class InducedModule(Module):
                 )
             self.period = 0
         if isinstance(coeff, QuotientCoeff):
-            self.extension = ExtensionField(field, coeff.modulus)
+            self.extension = _extension_over(field, coeff)
             self.generator = self.extension.tbar()
         elif isinstance(coeff, ScalarAction):
             self.generator = field.coerce(coeff.value)
@@ -523,13 +560,3 @@ def build_module(graph: Graph, field: Field, spec: ModuleSpec) -> Module:
     if isinstance(spec, InducedSpec):
         return InducedModule(graph, field, spec)
     raise ModuleSpecError(f"unknown module spec {spec!r}")
-
-
-def validate_chen_ext_modulus(field: Field, modulus: Poly) -> Poly:
-    """Monic irreducible with nonzero constant term (so distinct from t):
-    the conditions ``ExtensionField`` checks."""
-    try:
-        ExtensionField(field, modulus)
-    except FieldError as exc:
-        raise ModuleSpecError(str(exc)) from exc
-    return modulus

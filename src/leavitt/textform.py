@@ -42,7 +42,6 @@ from .reps import (
     QuotientCoeff,
     ScalarAction,
     TrivialCoeff,
-    validate_chen_ext_modulus,
 )
 
 
@@ -224,7 +223,10 @@ def _parse_basis_token(module: Module, token: str, rest: list[str]):
             nu = parse_finite_path(graph, ghost[:-1])
         if nu.src != module.base_vertex:
             raise ParseError(f"{nu}^ does not start at the cycle's base vertex {module.base_vertex}")
-        return NvcBasis(monomial(mu, nu))
+        m = monomial(mu, nu)
+        if not module.algebra().is_normal(m):
+            raise ParseError(f"{m} is not in normal form, so it is not a basis monomial")
+        return NvcBasis(m)
     power = 0
     if "#" in token:
         token, ptext = token.rsplit("#", 1)
@@ -296,7 +298,7 @@ def parse_nspec(field: Field, text: str):
     if head == "Ka":
         return ScalarAction(field.parse(arg))
     if head == "quot":
-        return QuotientCoeff(validate_chen_ext_modulus(field, parse_poly(arg, field)))
+        return QuotientCoeff(parse_poly(arg, field))
     return LaurentCoeff(_parse_int(arg, "shift"))
 
 
@@ -311,8 +313,7 @@ def parse_module_spec(graph: Graph, field: Field, text: str, twist: TwistVector 
         if len(parts) != 3:
             raise ParseError("scalar-extension specs look like 'chenext:CYCLE:POLY'")
         cycle = parse_finite_path(graph, parts[1])
-        modulus = validate_chen_ext_modulus(field, parse_poly(parts[2], field))
-        return ChenExtSpec(cycle, modulus, shift)
+        return ChenExtSpec(cycle, parse_poly(parts[2], field), shift)
     if kind == "nvc":
         if len(parts) != 2:
             raise ParseError("no-exit-cycle specs look like 'nvc:CYCLE'")

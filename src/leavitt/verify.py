@@ -19,6 +19,7 @@ factor and must fail.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dataclass_field
 
@@ -314,8 +315,13 @@ def check_module_iso(
     mono_len: int,
     graded: bool,
 ) -> Certificate:
-    """phi: A-basis -> B-vector, psi: B-basis -> A-vector; checks run on windows."""
+    """phi: A-basis -> B-vector, psi: B-basis -> A-vector; checks run on windows.
+
+    phi and psi are pure, so each is evaluated once per basis element; the
+    memo lives for this call.  Both sides of each check are still computed
+    independently."""
     F = modA.field
+    phi, psi = functools.cache(phi), functools.cache(psi)
     ok = all(linear_extend(psi, phi(b)) == ModuleVector(F, {b: F.one()}) for b in elemsA)
     cert.record("psi-after-phi-is-identity", ok)
     ok = all(linear_extend(phi, psi(b)) == ModuleVector(F, {b: F.one()}) for b in elemsB)
@@ -439,7 +445,7 @@ def verify_twist_iso(
         modB = build_module(graph, field, ChenSpec(x, twist))
         claim = f"induced scalar action {field.format(field.coerce(coeff.value))} at {x} matches the twisted boundary-path module"
     else:
-        modB = build_module(graph, field, ChenExtSpec(cycle, coeff.modulus))
+        modB = build_module(graph, field, ChenExtSpec(cycle, coeff.modulus, extension=coeff.extension))
         claim = f"induced quotient field K[t]/({coeff.modulus}) at {x} matches the scalar-extended boundary-path module"
     enumA = modA.enumerate_basis(bound)
     exact = enumA.exact

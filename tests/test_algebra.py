@@ -13,10 +13,16 @@ from leavitt.algebra import (
     monomial,
     random_element,
 )
-from leavitt.fields import QQ, PrimeField
-from leavitt.graphs import Graph
+from leavitt.fields import QQ, ExtensionField, PrimeField, parse_poly
+from leavitt.graphs import FinitePath, Graph
 
 F2 = PrimeField(2)
+TWIST_FIELDS = [
+    QQ,
+    PrimeField(5),
+    ExtensionField(F2, parse_poly("t^2+t+1", F2)),
+    ExtensionField(QQ, parse_poly("t^2-2", QQ)),
+]
 
 GRAPHS = {
     "single": Graph(["w"], []),
@@ -278,6 +284,51 @@ class TestTwist:
     def test_zero_twist_rejected(self):
         with pytest.raises(AlgebraError):
             TwistVector.make(GRAPHS["r1"], QQ, {"e": 0})
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_ratio_against_written_out_products(self, seed):
+        # a_mu * (a_nu)^(-1), with both products written out from the edge values
+        rng = random.Random(seed)
+        F = rng.choice(TWIST_FIELDS)
+        g = GRAPHS[rng.choice(["toeplitz", "rose2", "cycle3_exit"])]
+        values = {}
+        for e in g.edges:
+            c = F.zero()
+            while F.is_zero(c):
+                c = F.random(rng)
+            values[e.name] = c
+        a = TwistVector.make(g, F, values)
+
+        def walk():
+            v, names = rng.choice(g.vertices), []
+            for _ in range(rng.randint(0, 4)):
+                if not g.out_edges(v):
+                    break
+                e = rng.choice(g.out_edges(v))
+                names.append(e.name)
+                v = e.rng
+            return g.path(names) if names else g.vertex_path(v)
+
+        def product(path):
+            out = F.one()
+            for name in path.edges:
+                out = F.mul(out, values[name])
+            return out
+
+        mu, nu = walk(), walk()
+        assert a.ratio(mu, nu) == F.mul(product(mu), F.inv(product(nu)))
+        assert a.of_path(mu) == product(mu)
+
+    def test_unknown_edge_raises(self):
+        g = GRAPHS["r1"]
+        a = TwistVector.make(g, QQ, {"e": 2})
+        stray = FinitePath(("zz",), "v", "v")
+        for mu, nu in ((stray, g.vertex_path("v")), (g.path(["e"]), stray)):
+            with pytest.raises(AlgebraError, match="zz"):
+                a.ratio(mu, nu)
+        with pytest.raises(AlgebraError):
+            a.value("zz")
 
 
 class TestGhostTranspose:

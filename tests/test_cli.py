@@ -211,6 +211,8 @@ class TestInputErrors:
             ("loop_feeds_loop", ["act", "--module", "nvc:t", "--elt", "e", "--vec", "t"]),
             ("a2", ["act", "--module", "nvc:f", "--elt", "f", "--vec", "u"]),
             ("cycle2", ["act", "--module", "nvc:b.a", "--elt", "a", "--vec", "v2"]),
+            # an nvc basis literal that is not in normal form (e e* = v in L(r1))
+            ("r1", ["act", "--module", "nvc:e", "--elt", "v", "--vec", "v + e e^"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):
@@ -225,3 +227,31 @@ class TestInputErrors:
                 "--vec", "(e)^inf@100000000", graph_file(r1)]
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (0, "2 (e)^inf@0\n", "")
+
+
+class TestModulusTestedOnce:
+    """A quotient-field modulus is tested for irreducibility once per spec:
+    the module uses the field its parsed spec validated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["act", "--field", "F3", "--module", "ind:(e)^inf:quot(t^2+1)", "--elt", "e", "--vec", "(e)^inf@0#0"],
+            ["act", "--field", "F3", "--module", "chenext:e:t^2+1", "--elt", "e", "--vec", "(e)^inf#1"],
+            ["verify", "twist-iso", "--field", "F2", "--cycle", "e", "--modulus", "t^2+t+1"],
+        ],
+    )
+    def test_one_irreducibility_test(self, r1, graph_file, capsys, monkeypatch, argv):
+        from leavitt import fields
+
+        calls = []
+        original = fields.is_irreducible
+        monkeypatch.setattr(fields, "is_irreducible", lambda *a, **k: calls.append(a) or original(*a, **k))
+        code, _, err = run(capsys, argv + [graph_file(r1)])
+        assert (code, err) == (0, "")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("module", ["ind:(e)^inf:quot(t^2+2)", "chenext:e:t^2+2"])
+    def test_reducible_modulus_exits_2(self, r1, graph_file, capsys, module):
+        argv = ["act", "--field", "F3", "--module", module, "--elt", "e", "--vec", "(e)^inf", graph_file(r1)]
+        assert run(capsys, argv) == (2, "", "error: t^2+2 is reducible over F3\n")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leavitt.fields import (
     QQ,
@@ -15,10 +17,12 @@ from leavitt.fields import (
     is_irreducible,
     parse_field,
     parse_poly,
+    poly_xgcd,
 )
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 GF4 = ExtensionField(F2, parse_poly("t^2+t+1", F2))
 QSQRT2 = ExtensionField(QQ, parse_poly("t^2-2", QQ))
 
@@ -184,3 +188,52 @@ class TestPolyText:
         q, r = f.divmod(g)
         assert q * g + r == f
         assert r.degree < g.degree
+
+
+# Moduli of degree 1-3 over F2, F3, F5 and Q (Q[t]/(t^2-2) among them).
+DIFFERENTIAL_FIELDS = [
+    ExtensionField(F, parse_poly(f, F))
+    for F, f in [
+        (F2, "t+1"), (F2, "t^2+t+1"), (F2, "t^3+t+1"),
+        (F3, "t+1"), (F3, "t^2+1"), (F3, "t^3+2*t+1"),
+        (F5, "t+2"), (F5, "t^2+2"), (F5, "t^3+t+1"),
+        (QQ, "t-3"), (QQ, "t^2-2"), (QQ, "t^3-2"),
+    ]
+]
+
+
+def _poly(K, a):
+    return Poly.make(K.base, a)
+
+
+def _value(K, p):
+    return tuple(p.coeff(i) for i in range(K.degree))
+
+
+class TestExtensionArithmeticAgainstPoly:
+    """The coefficient-tuple arithmetic of K[t]/(f) against Poly, the oracle."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_mul_inv_expand(self, seed):
+        rng = random.Random(seed)
+        K = rng.choice(DIFFERENTIAL_FIELDS)
+        a, b = (K.random(rng) for _ in range(2))
+        j = rng.randrange(K.degree)
+        pa, f = _poly(K, a), K.modulus
+        assert K.mul(a, b) == _value(K, (pa * _poly(K, b)) % f)
+        assert K.expand(a, j) == _value(K, (pa * Poly.make(K.base, [0] * j + [1])) % f)
+        if K.is_zero(a):
+            with pytest.raises(ZeroDivisionError):
+                K.inv(a)
+            return
+        g, u, _ = poly_xgcd(pa, f)
+        assert g == Poly.one(K.base)
+        assert K.inv(a) == _value(K, u % f)
+        assert K.mul(a, K.inv(a)) == K.one()
+
+    @pytest.mark.parametrize("K", DIFFERENTIAL_FIELDS, ids=lambda K: K.name)
+    def test_inverse_of_zero_and_of_one(self, K):
+        with pytest.raises(ZeroDivisionError):
+            K.inv(K.zero())
+        assert K.inv(K.one()) == K.one()

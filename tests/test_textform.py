@@ -130,8 +130,11 @@ class TestVectors:
 
     def test_nvc_vector(self, r1):
         M = build_module(r1, QQ, NvcSpec(r1.path(["e"])))
-        v = parse_vector(M, "e.e e^ + 3 v")
-        assert str(v) == "3 v + e.e e^"
+        v = parse_vector(M, "e.e + v e.e^ + 3 v")
+        assert str(v) == "3 v + v e.e^ + e.e"
+        # e.e e^ = e in L(r1): not a normal monomial, so not a basis literal
+        with pytest.raises(ParseError, match=r"e\.e e\^ is not in normal form"):
+            parse_vector(M, "e.e e^ + 3 v")
 
     def test_induced_vector(self, r1):
         x = lasso(r1, r1.vertex_path("v"), ["e"])

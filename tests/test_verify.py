@@ -2,7 +2,7 @@ import pytest
 
 from leavitt.algebra import TwistVector
 from leavitt.fields import QQ, PrimeField, parse_field, parse_poly
-from leavitt.graphs import lasso, sink_path
+from leavitt.graphs import cycle_tail, lasso, sink_path
 from leavitt.linalg import identity
 from leavitt.reps import (
     ChenExtSpec,
@@ -227,6 +227,68 @@ class TestTwistIso:
         f = parse_poly("t^2-2", QQ)
         cert = verify_twist_iso(cycle3, QQ, cycle3.path(["a", "b", "c"]), QuotientCoeff(f))
         assert cert.passed
+
+
+class TestCertificateMemo:
+    """check_module_iso evaluates phi and psi once per basis element, and a
+    map that is wrong anywhere still fails."""
+
+    @staticmethod
+    def _quotient_modules(cycle3):
+        # K[t]/(f) induced at the tail of a.b.c, and the scalar extension
+        f = parse_poly("t^2+t+1", F2)
+        c = cycle3.path(["a", "b", "c"])
+        modA = build_module(cycle3, F2, InducedSpec(cycle_tail(cycle3, c), QuotientCoeff(f)))
+        modB = build_module(cycle3, F2, ChenExtSpec(c, f))
+        return modA, modB
+
+    @staticmethod
+    def _check(modA, modB, phi, psi, graded=False):
+        cert = Certificate(claim="control", window={})
+        elemsA, elemsB = modA.enumerate_basis(3).elements, modB.enumerate_basis(3).elements
+        return check_module_iso(cert, modA, modB, phi, psi, elemsA, elemsB, 2, graded=graded)
+
+    @pytest.mark.parametrize("case", ["triv", "twist", "nvc"])
+    def test_maps_evaluated_once_per_basis_element(self, a2, cycle3, r1, case):
+        if case == "triv":
+            x = sink_path(a2, a2.path(["f"]))
+            modA = build_module(a2, QQ, InducedSpec(x, TrivialCoeff(0)))
+            modB = build_module(a2, QQ, ChenSpec(x, TwistVector.make(a2, QQ, {"f": 3})))
+            phi, psi = boundary_iso_maps(modA, modB)
+        elif case == "twist":
+            modA, modB = self._quotient_modules(cycle3)
+            phi, psi = boundary_iso_maps(modA, modB)
+        else:
+            x = lasso(r1, r1.vertex_path("v"), ["e"])
+            modA = build_module(r1, QQ, InducedSpec(x, LaurentCoeff(0)))
+            modB = build_module(r1, QQ, NvcSpec(r1.path(["e"])))
+            phi, psi = nvc_iso_maps(modA, modB)
+        calls = {"phi": [], "psi": []}
+
+        def counted(name, f):
+            return lambda b: calls[name].append(b) or f(b)
+
+        cert = self._check(modA, modB, counted("phi", phi), counted("psi", psi), modA.gradable)
+        assert cert.passed
+        for name, args in calls.items():
+            assert args and len(args) == len(set(args)), name
+
+    def test_phi_wrong_on_one_basis_element_fails(self, cycle3):
+        modA, modB = self._quotient_modules(cycle3)
+        phi, psi = boundary_iso_maps(modA, modB)
+        elemsA = modA.enumerate_basis(3).elements
+        assert len(elemsA) > 2 and self._check(modA, modB, phi, psi).passed
+        for wrong in elemsA:
+            def phi_bad(b, wrong=wrong):
+                return phi(b).scale(F2.zero()) if b == wrong else phi(b)
+            assert not self._check(modA, modB, phi_bad, psi).passed, wrong
+
+    def test_negative_controls_still_fail(self, a2, cycle3):
+        a = TwistVector.make(a2, QQ, {"f": 3})
+        assert not verify_triv_iso(a2, QQ, sink_path(a2, a2.path(["f"])), twist=a, corrupt=True).passed
+        modA, modB = self._quotient_modules(cycle3)
+        assert self._check(modA, modB, *boundary_iso_maps(modA, modB)).passed
+        assert not self._check(modA, modB, *boundary_iso_maps(modA, modB, drop_nu_inverse=True)).passed
 
 
 class TestNvcIso:
