@@ -140,19 +140,19 @@ class TwistVector:
         return cls(field, tuple(sorted(table.items())))
 
     def value(self, edge_name: str):
-        return self._product(self._values, (edge_name,), self.field.one())
+        try:
+            return self._values[edge_name]
+        except KeyError:
+            raise AlgebraError(f"no twist value for edge {edge_name!r}") from None
 
     def _product(self, table: dict, names, out):
-        """out times the table's scalars at the named edges; factors equal to 1
-        are skipped."""
-        F = self.field
-        one = F.one()
+        """out times the table's scalars at the named edges."""
+        mul = self.field.mul
         for name in names:
             c = table.get(name)
             if c is None:
                 raise AlgebraError(f"no twist value for edge {name!r}")
-            if c != one:
-                out = c if out == one else F.mul(out, c)
+            out = mul(out, c)
         return out
 
     def of_path(self, path: FinitePath):

@@ -77,11 +77,10 @@ class ScalarAction:
 class QuotientCoeff:
     """K[t,1/t]/(f) with the generator acting by the class of t; not graded.
 
-    ``extension`` is K[t]/(f): built, and f tested, when the spec is made,
-    unless a field over f is passed in."""
+    ``extension`` is K[t]/(f), built (and f tested) when the spec is made."""
 
     modulus: Poly
-    extension: ExtensionField | None = dataclass_field(default=None, repr=False, compare=False)
+    extension: ExtensionField = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _attach_extension(self)
@@ -109,11 +108,8 @@ def quotient_field(field: Field, modulus: Poly) -> ExtensionField:
 def _attach_extension(spec: QuotientCoeff | ChenExtSpec) -> None:
     """Give a spec its K[t]/(modulus), so the modulus is tested for
     irreducibility once, where the spec is made; a module built from the
-    spec uses that field.  A field passed in must be over that modulus."""
-    if spec.extension is None:
-        object.__setattr__(spec, "extension", quotient_field(spec.modulus.field, spec.modulus))
-    elif spec.extension.modulus != spec.modulus:
-        raise ModuleSpecError(f"{spec.extension.name} is not a quotient by {spec.modulus}")
+    spec uses that field."""
+    object.__setattr__(spec, "extension", quotient_field(spec.modulus.field, spec.modulus))
 
 
 def _extension_over(field: Field, spec: QuotientCoeff | ChenExtSpec) -> ExtensionField:
@@ -139,7 +135,7 @@ class ChenExtSpec:
     cycle: FinitePath
     modulus: Poly
     shift: int = 0
-    extension: ExtensionField | None = dataclass_field(default=None, repr=False, compare=False)  # as in QuotientCoeff
+    extension: ExtensionField = dataclass_field(init=False, repr=False, compare=False)  # as in QuotientCoeff
 
     def __post_init__(self):
         _attach_extension(self)

@@ -445,7 +445,7 @@ def verify_twist_iso(
         modB = build_module(graph, field, ChenSpec(x, twist))
         claim = f"induced scalar action {field.format(field.coerce(coeff.value))} at {x} matches the twisted boundary-path module"
     else:
-        modB = build_module(graph, field, ChenExtSpec(cycle, coeff.modulus, extension=coeff.extension))
+        modB = build_module(graph, field, ChenExtSpec(cycle, coeff.modulus))
         claim = f"induced quotient field K[t]/({coeff.modulus}) at {x} matches the scalar-extended boundary-path module"
     enumA = modA.enumerate_basis(bound)
     exact = enumA.exact

@@ -324,3 +324,12 @@ class TestModulusValidation:
     def test_accepts_irreducible(self):
         f = parse_poly("t^2+t+1", F2)
         assert quotient_field(F2, f).modulus == f
+
+    def test_module_over_another_field_is_rejected(self, toeplitz):
+        F3 = PrimeField(3)
+        f = parse_poly("t^2+1", F3)
+        x = lasso(toeplitz, toeplitz.vertex_path("u"), ["e"])
+        with pytest.raises(ModuleSpecError, match="not over the base field"):
+            build_module(toeplitz, F2, ChenExtSpec(toeplitz.path(["e"]), f))
+        with pytest.raises(ModuleSpecError, match="not over the base field"):
+            build_module(toeplitz, F2, InducedSpec(x, QuotientCoeff(f)))
