@@ -548,24 +548,46 @@ def count_paths_ending_at(graph: Graph, v: str) -> int:
     return count[v]
 
 
-def elementary_cycles(graph: Graph) -> tuple[FinitePath, ...]:
-    """All cycles (closed paths with no repeated vertex), one rotation each.
+def _lyndon_closed_walks(graph: Graph, bound: int, elementary: bool) -> tuple[FinitePath, ...]:
+    """Each primitive closed walk of length <= bound once, as its least rotation.
 
-    The representative is the lexicographically least edge-name rotation.
+    The Fredricksen-Kessler-Maiorana recursion restricted to walks (Ruskey &
+    Sawada, COCOON 2000): a word of length n with longest Lyndon prefix of
+    length p grows by an out-edge of its range named at least word[n - p]; p
+    stays on a tie and becomes n + 1 otherwise.  A closed word with p = n is
+    a Lyndon word.  ``elementary`` repeats no vertex, which leaves the cycles.
     """
-    found: set[tuple[str, ...]] = set()
+    found = []
     for start in graph.vertices:
-        stack: list[tuple[list[str], str, set[str]]] = [([], start, {start})]
+        word: list[Edge] = []
+        seen = {start}
+        stack = [(iter(graph.out_edges(start)), 0)]  # an explicit stack: cycles may be long
         while stack:
-            names, at, visited = stack.pop()
-            for e in graph.out_edges(at):
-                if e.rng == start:
-                    found.add(canonical_rotation(tuple(names + [e.name])))
-                elif e.rng not in visited:
-                    stack.append((names + [e.name], e.rng, visited | {e.rng}))
-    paths = [graph.path(names) for names in found]
-    paths.sort(key=FinitePath.sort_key)
-    return tuple(paths)
+            edges, p = stack[-1]
+            e = next(edges, None)
+            if e is None:
+                stack.pop()
+                if word:
+                    seen.discard(word.pop().rng)
+                continue
+            n = len(word)
+            floor = word[n - p].name if n else e.name
+            if e.name < floor:
+                continue
+            p = p if n and e.name == floor else n + 1
+            if e.rng == start and p == n + 1:
+                found.append(FinitePath(tuple(x.name for x in word) + (e.name,), start, start))
+            if n + 1 < bound and not (elementary and e.rng in seen):
+                word.append(e)
+                seen.add(e.rng)
+                stack.append((iter(graph.out_edges(e.rng)), p))
+    return tuple(sorted(found, key=FinitePath.sort_key))
+
+
+def elementary_cycles(graph: Graph) -> tuple[FinitePath, ...]:
+    """All cycles (closed paths with no repeated vertex), each as its
+    lexicographically least edge-name rotation."""
+    return _lyndon_closed_walks(graph, len(graph.vertices), elementary=True)
 
 
 def strongly_connected_components(graph: Graph) -> tuple[frozenset[str], ...]:
@@ -674,22 +696,11 @@ def simple_closed_paths(graph: Graph, bound: int) -> ClosedPathEnumeration:
     """
     if bound < 1:
         raise GraphError("bound must be at least 1")
-    found: set[tuple[str, ...]] = set()
-    for start in graph.vertices:
-        stack: list[tuple[list[str], str]] = [([], start)]
-        while stack:
-            names, at = stack.pop()
-            for e in graph.out_edges(at):
-                seq = names + [e.name]
-                if e.rng == start and not is_proper_power(tuple(seq)):
-                    found.add(canonical_rotation(tuple(seq)))
-                if len(seq) < bound:
-                    stack.append((seq, e.rng))
-    paths = sorted((graph.path(n) for n in found), key=FinitePath.sort_key)
+    paths = _lyndon_closed_walks(graph, bound, elementary=False)
     # A component with one cycle has a cycle as long as its vertex count.
     comps, counts, _ = _cycle_structure(graph)
     complete = all(k == 0 or (k == 1 and len(comp) <= bound) for comp, k in zip(comps, counts))
-    return ClosedPathEnumeration(tuple(paths), complete)
+    return ClosedPathEnumeration(paths, complete)
 
 
 def maximal_sinks(graph: Graph) -> tuple[tuple[str, int], ...]:

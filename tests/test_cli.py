@@ -68,6 +68,15 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["families"][0]["dimension"] == n
 
+    def test_long_cycle_simple(self, graph_file, capsys):
+        n = 1100
+        edges = [(f"f{i}", f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+        cycle = Graph([f"c{i}" for i in range(n)], edges)
+        code, out, _ = run(capsys, ["classify", "--simple", "--json", graph_file(cycle)])
+        assert code == 0
+        families = json.loads(out)["families"]
+        assert {f["cycle"] for f in families} == {".".join(e[0] for e in edges)}
+
 
 class TestAct:
     def test_prefix_rule(self, a2, graph_file, capsys):

@@ -1,8 +1,12 @@
+import itertools
+from math import comb, factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leavitt.graphs import (
+    FinitePath,
     Graph,
     GraphError,
     LagSet,
@@ -203,6 +207,12 @@ class TestCycles:
         assert len(cycles) == 1
         assert cycles[0].edges == ("a", "b", "c")
 
+    def test_cycle_longer_than_the_recursion_limit(self):
+        n = 1100
+        edges = [(f"f{i}", f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+        g = Graph([f"c{i}" for i in range(n)], edges)
+        assert elementary_cycles(g) == (g.path(e[0] for e in edges),)
+
     def test_every_rotation_canonicalizes_to_it(self, cycle3):
         for rot in (["a", "b", "c"], ["b", "c", "a"], ["c", "a", "b"]):
             assert canonical_rotation(cycle3.path(rot).edges) == ("a", "b", "c")
@@ -304,6 +314,46 @@ class TestCycleStructureOracles:
                     count_paths_ending_at(g, v)
             else:
                 assert count_paths_ending_at(g, v) == len(enumerate_paths_ending_at(g, v).paths)
+
+
+def _closed_walks_by_brute_force(g, bound, elementary):
+    """Each primitive closed walk of length <= bound as its least rotation, read
+    off every edge sequence; ``elementary`` keeps those with no repeated vertex."""
+    out = []
+    for n in range(1, bound + 1):
+        for seq in itertools.product(g.edges, repeat=n):
+            if any(a.rng != b.src for a, b in zip(seq, seq[1:] + seq[:1])):
+                continue
+            names = tuple(e.name for e in seq)
+            rots = [names[i:] + names[:i] for i in range(n)]
+            # a word equal to another of its rotations is a proper power
+            if names != min(rots) or names in rots[1:]:
+                continue
+            if elementary and len({e.src for e in seq}) < n:
+                continue
+            out.append(FinitePath(names, seq[0].src, seq[0].src))
+    return tuple(sorted(out, key=FinitePath.sort_key))
+
+
+class TestClosedWalksAgainstBruteForce:
+    """simple_closed_paths and elementary_cycles against every edge sequence."""
+
+    @given(g=small_graphs(), b=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_small_graphs(self, g, b):
+        assert simple_closed_paths(g, b).paths == _closed_walks_by_brute_force(g, b, False)
+        assert elementary_cycles(g) == _closed_walks_by_brute_force(g, len(g.vertices), True)
+
+    @pytest.mark.parametrize("n,loops", [(4, True), (5, False)])
+    def test_complete_digraphs(self, n, loops):
+        # edge i -> j is named after j first, so name order is not vertex order
+        edges = [(f"e{j}{i}", f"v{i}", f"v{j}") for i in range(n) for j in range(n) if loops or i != j]
+        g = Graph([f"v{i}" for i in range(n)], edges)
+        assert simple_closed_paths(g, 4).paths == _closed_walks_by_brute_force(g, 4, False)
+        cycles = elementary_cycles(g)
+        assert tuple(c for c in cycles if len(c) <= 4) == _closed_walks_by_brute_force(g, 4, True)
+        # C(n, L) (L - 1)! cycles of each length L >= 2, plus the loops
+        assert len(cycles) == n * loops + sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
 
 
 class TestTailLags:
