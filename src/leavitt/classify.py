@@ -19,6 +19,7 @@ from .fields import Field, Poly, PrimeField, RationalField, enumerate_monic_irre
 from .graphs import (
     FinitePath,
     Graph,
+    _entwined_pair,
     sink_path,
     closed_path_set_is_finite,
     count_paths_ending_at,
@@ -28,7 +29,6 @@ from .graphs import (
     maximal_cycles,
     maximal_sinks,
     simple_closed_paths,
-    strongly_connected_components,
 )
 from .groupoid import orbit_size
 from .reps import ChenExtSpec, ChenSpec, quotient_field
@@ -113,17 +113,6 @@ def irrational_classes_flag(graph: Graph) -> IrrationalFamilyFlag:
     if closed_path_set_is_finite(graph):
         return IrrationalFamilyFlag(False, None)
     return IrrationalFamilyFlag(True, _entwined_pair(graph, elementary_cycles(graph)))
-
-
-def _entwined_pair(graph: Graph, cycles: tuple[FinitePath, ...]) -> tuple[str, str]:
-    """The first two of all elementary cycles that share a component, taking the
-    first component that has two; there is one when the closed-path set is infinite."""
-    scc = {v: comp for comp in strongly_connected_components(graph) for v in comp}
-    per_comp: dict[frozenset, list[FinitePath]] = {}
-    for c in cycles:
-        per_comp.setdefault(scc[c.src], []).append(c)
-    pair = next(cs for cs in per_comp.values() if len(cs) >= 2)
-    return str(pair[0]), str(pair[1])
 
 
 def classify_graded(graph: Graph, cycle_length_bound: int = 6) -> GradedClassification:

@@ -682,6 +682,15 @@ def closed_path_set_is_finite(graph: Graph) -> bool:
     return 2 not in _cycle_structure(graph)[1]
 
 
+def _entwined_pair(graph: Graph, cycles: tuple[FinitePath, ...]) -> tuple[str, str]:
+    """The two least of the elementary cycles in the component with two cycles
+    whose least cycle is least; there is one when the closed-path set is infinite."""
+    comps, counts, _ = _cycle_structure(graph)
+    comp_of = {v: comp for comp, k in zip(comps, counts) if k == 2 for v in comp}
+    first = next(c for c in cycles if c.src in comp_of)
+    return tuple(str(c) for c in cycles if c.src in comp_of[first.src])[:2]
+
+
 @dataclass(frozen=True)
 class ClosedPathEnumeration:
     paths: tuple[FinitePath, ...]
