@@ -377,12 +377,11 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def is_irreducible(f: Poly, assume_irreducible: bool = False) -> bool:
+def is_irreducible(f: Poly) -> bool:
     """Exact irreducibility over the coefficient field.
 
     Over a prime field: trial division by all monic polynomials of degree
-    at most deg(f)/2.  Over Q: exact only up to degree 3 (root search);
-    higher degrees require the caller to assert irreducibility.
+    at most deg(f)/2.  Over Q: exact only up to degree 3 (root search).
     """
     if not f.is_monic or f.degree < 1:
         raise FieldError("irreducibility test expects a monic polynomial of degree >= 1")
@@ -398,12 +397,7 @@ def is_irreducible(f: Poly, assume_irreducible: bool = False) -> bool:
             return True
         if f.degree <= 3:
             return not _rational_roots_exist(f)
-        if assume_irreducible:
-            return True
-        raise FieldError(
-            "irreducibility over Q is only decided exactly up to degree 3; "
-            "pass assume_irreducible=True to assert it"
-        )
+        raise FieldError(f"irreducibility of {f} over Q is decided only up to degree 3")
     raise FieldError(f"irreducibility test not supported over {F.name}")
 
 
@@ -440,7 +434,7 @@ class ExtensionField(Field):
     the class of t is invertible and the field doubles as K[t,1/t]/(f).
     """
 
-    def __init__(self, base: Field, modulus: Poly, assume_irreducible: bool = False):
+    def __init__(self, base: Field, modulus: Poly):
         if isinstance(base, ExtensionField):
             raise FieldError("towers of extensions are not supported")
         if modulus.field != base:
@@ -449,14 +443,11 @@ class ExtensionField(Field):
             raise FieldError("modulus must be monic of degree >= 1")
         if base.is_zero(modulus.coeff(0)):
             raise FieldError("modulus must have nonzero constant term (t is excluded)")
-        if not is_irreducible(modulus, assume_irreducible=assume_irreducible):
+        if not is_irreducible(modulus):
             raise FieldError(f"{modulus} is reducible over {base.name}")
         self.base = base
         self.modulus = modulus
         self.degree = d = modulus.degree
-        self.irreducibility_asserted = assume_irreducible and not (
-            isinstance(base, PrimeField) or modulus.degree <= 3
-        )
         self.name = f"{base.name}[t]/({format_poly(modulus)})"
         self._zero = (base.zero(),) * d
         self._one = (base.one(),) + self._zero[1:]

@@ -222,6 +222,8 @@ class TestInputErrors:
             ("cycle2", ["act", "--module", "nvc:b.a", "--elt", "a", "--vec", "v2"]),
             # an nvc basis literal that is not in normal form (e e* = v in L(r1))
             ("r1", ["act", "--module", "nvc:e", "--elt", "v", "--vec", "v + e e^"]),
+            # a modulus over Q of degree above 3, whose irreducibility is not decided
+            ("r1", ["act", "--field", "Q[t]/(t^4+1)", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):

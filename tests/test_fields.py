@@ -165,9 +165,6 @@ class TestIrreducibility:
         f = parse_poly("t^4+1", QQ)
         with pytest.raises(FieldError):
             is_irreducible(f)
-        assert is_irreducible(f, assume_irreducible=True)
-        K = ExtensionField(QQ, f, assume_irreducible=True)
-        assert K.irreducibility_asserted
 
 
 class TestPolyText:
