@@ -688,7 +688,8 @@ def _entwined_pair(graph: Graph, cycles: tuple[FinitePath, ...]) -> tuple[str, s
     comps, counts, _ = _cycle_structure(graph)
     comp_of = {v: comp for comp, k in zip(comps, counts) if k == 2 for v in comp}
     first = next(c for c in cycles if c.src in comp_of)
-    return tuple(str(c) for c in cycles if c.src in comp_of[first.src])[:2]
+    second = next(c for c in cycles if c != first and c.src in comp_of[first.src])
+    return str(first), str(second)
 
 
 @dataclass(frozen=True)
@@ -705,11 +706,10 @@ def simple_closed_paths(graph: Graph, bound: int) -> ClosedPathEnumeration:
     """
     if bound < 1:
         raise GraphError("bound must be at least 1")
-    paths = _lyndon_closed_walks(graph, bound, elementary=False)
     # A component with one cycle has a cycle as long as its vertex count.
     comps, counts, _ = _cycle_structure(graph)
     complete = all(k == 0 or (k == 1 and len(comp) <= bound) for comp, k in zip(comps, counts))
-    return ClosedPathEnumeration(paths, complete)
+    return ClosedPathEnumeration(_lyndon_closed_walks(graph, bound, elementary=False), complete)
 
 
 def maximal_sinks(graph: Graph) -> tuple[tuple[str, int], ...]:

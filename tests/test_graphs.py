@@ -352,7 +352,7 @@ class TestClosedWalksAgainstBruteForce:
         assert simple_closed_paths(g, 4).paths == _closed_walks_by_brute_force(g, 4, False)
         cycles = elementary_cycles(g)
         assert tuple(c for c in cycles if len(c) <= 4) == _closed_walks_by_brute_force(g, 4, True)
-        # C(n, L) (L - 1)! cycles of each length L >= 2, plus the loops
+        # C(n, k) (k - 1)! cycles of each length k >= 2, plus the loops
         assert len(cycles) == n * loops + sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
 
 
