@@ -69,7 +69,7 @@ class TestClassify:
         assert json.loads(out)["families"][0]["dimension"] == n
 
     def test_long_cycle_simple(self, graph_file, capsys):
-        n = 1100
+        n = 1050
         edges = [(f"f{i}", f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
         cycle = Graph([f"c{i}" for i in range(n)], edges)
         code, out, _ = run(capsys, ["classify", "--simple", "--json", graph_file(cycle)])
