@@ -361,14 +361,19 @@ def lasso(graph: Graph, prefix: FinitePath, cycle_seq: Iterable[str]) -> Lasso:
         raise GraphError(f"prefix {prefix} does not reach the cycle at {cyc.src}")
     seq = primitive_root(seq)
     star = canonical_rotation(seq)
+    rot = next(i for i in range(len(star)) if star[i:] + star[:i] == seq)
+    return _absorb(graph, prefix, star, rot)
+
+
+def _absorb(graph: Graph, prefix: FinitePath, star: tuple[str, ...], rot: int) -> Lasso:
+    """The lasso prefix.(star from rotation rot)^inf with its trailing prefix
+    edges absorbed into the rotation; ``star`` is already canonical."""
     n = len(star)
-    rot = next(i for i in range(n) if star[i:] + star[:i] == seq)
-    pref = prefix
-    while pref.edges and pref.edges[-1] == star[(rot - 1) % n]:
-        last = graph.edge(pref.edges[-1])
-        pref = FinitePath(pref.edges[:-1], pref.src, last.src)
+    while prefix.edges and prefix.edges[-1] == star[(rot - 1) % n]:
+        last = graph.edge(prefix.edges[-1])
+        prefix = FinitePath(prefix.edges[:-1], prefix.src, last.src)
         rot = (rot - 1) % n
-    return Lasso(pref, star, rot)
+    return Lasso(prefix, star, rot)
 
 
 def cycle_tail(graph: Graph, cycle: FinitePath) -> Lasso:
@@ -394,7 +399,9 @@ def unroll(x: BoundaryPath, length: int) -> tuple[str, ...]:
 def strip_prefix(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath | None:
     """The unique boundary path p with x = mu.p, or None.
 
-    For a lasso the cycle is unrolled as far as |mu| requires.
+    For a lasso the cycle is unrolled as far as |mu| requires.  x is
+    canonical, so p is built directly: a suffix of a minimal prefix is
+    minimal, and past the prefix only the rotation advances.
     """
     if mu.src != x.source:
         return None
@@ -406,12 +413,10 @@ def strip_prefix(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath 
         return None
     pre = x.prefix.edges
     if m <= len(pre):
-        rest = FinitePath(pre[m:], mu.rng, x.prefix.rng)
-        return lasso(graph, rest, x.rotated_cycle())
-    extra = m - len(pre)
-    rot = (x.rotation + extra) % x.period
+        return Lasso(FinitePath(pre[m:], mu.rng, x.prefix.rng), x.cycle, x.rotation)
+    rot = (x.rotation + m - len(pre)) % x.period
     start = graph.edge(x.cycle[rot]).src
-    return lasso(graph, FinitePath((), start, start), x.cycle[rot:] + x.cycle[:rot])
+    return Lasso(FinitePath((), start, start), x.cycle, rot)
 
 
 def prepend(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath:
@@ -420,7 +425,7 @@ def prepend(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath:
         raise GraphError(f"cannot prepend {mu} to a path starting at {x.source}")
     if isinstance(x, SinkPath):
         return SinkPath(concat(mu, x.path))
-    return lasso(graph, concat(mu, x.prefix), x.rotated_cycle())
+    return _absorb(graph, concat(mu, x.prefix), x.cycle, x.rotation)
 
 
 # ---------------------------------------------------------------------------

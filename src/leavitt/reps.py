@@ -430,7 +430,8 @@ class InducedModule(Module):
     the lag of a coset representative is canonicalized via the aligned
     lasso decomposition; the discarded isotropy power is absorbed into the
     coefficient coordinate, where the isotropy generator acts by
-    ``generator``: the scalar a in K, or the class of t in K[t]/(f).
+    ``generator``: the scalar a in K, or the class of t in K[t]/(f).  Its
+    inverse is computed once, for the negative powers.
     """
 
     def __init__(self, graph: Graph, field: Field, spec: InducedSpec):
@@ -462,6 +463,8 @@ class InducedModule(Module):
             self.generator = field.coerce(coeff.value)
             if field.is_zero(self.generator):
                 raise ModuleSpecError("the scalar action value must be nonzero")
+        if isinstance(coeff, (QuotientCoeff, ScalarAction)):
+            self._generator_inverse = self.scalars.inv(self.generator)
         self.gradable = isinstance(coeff, (TrivialCoeff, LaurentCoeff))
 
     # -- canonical coset representatives ---------------------------------
@@ -528,7 +531,8 @@ class InducedModule(Module):
         k_can = self.canonical_lag(target)
         j_diff, remainder = divmod(lag - k_can, self.period)
         assert remainder == 0
-        value = self.expand(self.scalars.pow(self.generator, j_diff), b.power)
+        g = self.generator if j_diff >= 0 else self._generator_inverse
+        value = self.expand(self.scalars.pow(g, abs(j_diff)), b.power)
         return [
             (CosetBasis(target, k_can, j), c)
             for j, c in enumerate(value)

@@ -356,16 +356,33 @@ def linear_extend(f, v: ModuleVector) -> ModuleVector:
 
 def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len: int):
     """First (eta, b, f(eta.b), eta.f(b)) with the two sides different, over the
-    monomials eta with both path lengths at most ``mono_len``; None if none."""
+    monomials eta with both path lengths at most ``mono_len``; None if none.
+
+    eta = mu.nu* is mu times the ghost part r(nu).nu*, and A and B are
+    modules, so a b that the ghost part kills on both sides (b in A, f(b)
+    in B) gives zero on both sides for every mu and is skipped.  The pairs
+    left keep their order, so the first counterexample is the one the scan
+    over all pairs finds."""
     F = modA.field
-    algebra = modA.algebra()
-    for m in all_monomials(modA.graph, mono_len):
+    graph, algebra = modA.graph, modA.algebra()
+    units = [ModuleVector(F, {b: F.one()}) for b in elems]
+    images = [f(b) for b in elems]
+    live: dict = {}  # nu -> indices of the elements its ghost part does not kill
+    for m in all_monomials(graph, mono_len):
+        indices = live.get(m.nu)
+        if indices is None:
+            ghost = algebra.monomial_element(monomial(graph.vertex_path(m.nu.rng), m.nu))
+            indices = live[m.nu] = [
+                i
+                for i in range(len(elems))
+                if not (modA.act(ghost, units[i]).is_zero and modB.act(ghost, images[i]).is_zero)
+            ]
         eta = algebra.monomial_element(m)
-        for b in elems:
-            lhs = linear_extend(f, modA.act(eta, ModuleVector(F, {b: F.one()})))
-            rhs = modB.act(eta, f(b))
+        for i in indices:
+            lhs = linear_extend(f, modA.act(eta, units[i]))
+            rhs = modB.act(eta, images[i])
             if lhs != rhs:
-                return m, b, lhs, rhs
+                return m, elems[i], lhs, rhs
     return None
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixture_graphs import FIXTURE_GRAPHS
 from leavitt.graphs import (
     FinitePath,
     Graph,
@@ -16,6 +17,7 @@ from leavitt.graphs import (
     canonical_rotation,
     concat,
     closed_path_set_is_finite,
+    cycle_tail,
     count_paths_ending_at,
     cycle_reaches_vertex,
     elementary_cycles,
@@ -33,6 +35,7 @@ from leavitt.graphs import (
     unroll,
     validate,
 )
+from leavitt.groupoid import orbit
 
 
 class TestValidate:
@@ -408,6 +411,56 @@ class TestPrepend:
         mu = toeplitz.path(["e", "e"])
         rem = strip_prefix(toeplitz, mu, x)
         assert prepend(toeplitz, mu, rem) == x
+
+
+def _paths_up_to(g, n):
+    """Every path of length at most n, vertices included."""
+    paths = [g.vertex_path(v) for v in g.vertices]
+    frontier = list(paths)
+    for _ in range(n):
+        frontier = [concat(p, g.path([e.name])) for p in frontier for e in g.out_edges(p.rng)]
+        paths.extend(frontier)
+    return paths
+
+
+def _strip_prefix_by_lasso(g, mu, x):
+    """strip_prefix on a lasso, re-canonicalizing the result through lasso()."""
+    if mu.src != x.source or unroll(x, len(mu)) != mu.edges:
+        return None
+    pre = x.prefix.edges
+    if len(mu) <= len(pre):
+        return lasso(g, FinitePath(pre[len(mu):], mu.rng, x.prefix.rng), x.rotated_cycle())
+    rot = (x.rotation + len(mu) - len(pre)) % x.period
+    start = g.edge(x.cycle[rot]).src
+    return lasso(g, FinitePath((), start, start), x.cycle[rot:] + x.cycle[:rot])
+
+
+def _check_boundary_arithmetic(g, cycles):
+    """strip_prefix and prepend build the lasso that lasso() canonicalizes,
+    for every lasso in the bounded orbit of each cycle and every path of
+    length <= 3."""
+    paths = _paths_up_to(g, 3)
+    checked = 0
+    for c in cycles:
+        for x in orbit(g, cycle_tail(g, c), bound=2).elements:
+            for mu in paths:
+                assert strip_prefix(g, mu, x) == _strip_prefix_by_lasso(g, mu, x), (mu, x)
+                if mu.rng == x.source:
+                    assert prepend(g, mu, x) == lasso(g, concat(mu, x.prefix), x.rotated_cycle()), (mu, x)
+                    checked += 1
+    return checked
+
+
+class TestBoundaryPathsAgainstLasso:
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRAPHS))
+    def test_fixtures(self, name):
+        g = Graph(*FIXTURE_GRAPHS[name])
+        assert _check_boundary_arithmetic(g, simple_closed_paths(g, 3).paths) or not elementary_cycles(g)
+
+    @given(g=small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_small_graphs(self, g):
+        _check_boundary_arithmetic(g, elementary_cycles(g))
 
 
 class TestJson:

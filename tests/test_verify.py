@@ -1,15 +1,21 @@
+import functools
+
 import pytest
 
-from leavitt.algebra import TwistVector
+from fixture_graphs import FIXTURE_GRAPHS
+from leavitt import verify
+from leavitt.algebra import TwistVector, all_monomials, monomial
 from leavitt.fields import QQ, PrimeField, parse_field, parse_poly
-from leavitt.graphs import cycle_tail, lasso, sink_path
+from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, lasso, sink_path
 from leavitt.linalg import identity
 from leavitt.reps import (
     ChenExtSpec,
     ChenSpec,
     InducedSpec,
     LaurentCoeff,
+    Module,
     ModuleSpecError,
+    ModuleVector,
     NvcSpec,
     QuotientCoeff,
     ScalarAction,
@@ -18,12 +24,14 @@ from leavitt.reps import (
 )
 from leavitt.verify import (
     Certificate,
+    _equivariance_counterexample,
     OutOfWindowError,
     Window,
     check_module_iso,
     companion_matrix,
     graded_iso_check,
     intertwiner_space,
+    linear_extend,
     nvc_iso_maps,
     restrict,
     simplicity_probe,
@@ -289,6 +297,122 @@ class TestCertificateMemo:
         modA, modB = self._quotient_modules(cycle3)
         assert self._check(modA, modB, *boundary_iso_maps(modA, modB)).passed
         assert not self._check(modA, modB, *boundary_iso_maps(modA, modB, drop_nu_inverse=True)).passed
+
+
+    def test_pairs_both_sides_kill_are_skipped(self, monkeypatch):
+        # a binary tree of depth 3 whose root carries a loop l
+        vertices, edges, frontier = ["r"], [("l", "r", "r")], ["r"]
+        for _ in range(3):
+            nxt = []
+            for parent in frontier:
+                for bit in "01":
+                    child = ("n" if parent == "r" else parent) + bit
+                    vertices.append(child)
+                    edges.append((f"t{child[1:]}", child, parent))
+                    nxt.append(child)
+            frontier = nxt
+        g = Graph(vertices, edges)
+        calls = []
+        real_act = Module.act
+        monkeypatch.setattr(Module, "act", lambda self, elt, vec: calls.append(1) or real_act(self, elt, vec))
+        cert = verify_twist_iso(g, F2, g.path(["l"]), QuotientCoeff(parse_poly("t^2+t+1", F2)))
+        assert cert.passed
+        pairs = len(all_monomials(g, cert.window["mono_len"])) * cert.window["basis"]
+        assert 0 < len(calls) < pairs / 3
+
+
+def _all_pairs_counterexample(modA, modB, f, elems, mono_len):
+    """The equivariance scan without pruning: every monomial on every element."""
+    F = modA.field
+    algebra = modA.algebra()
+    for m in all_monomials(modA.graph, mono_len):
+        eta = algebra.monomial_element(m)
+        for b in elems:
+            lhs = linear_extend(f, modA.act(eta, ModuleVector(F, {b: F.one()})))
+            rhs = modB.act(eta, f(b))
+            if lhs != rhs:
+                return m, b, lhs, rhs
+    return None
+
+
+ORACLE_FIELDS = {"F2": (F2, "t^2+t+1"), "F3": (PrimeField(3), "t^2+1"), "Q": (QQ, "t^2-2")}
+
+
+def _builder_scans(monkeypatch, g, F, modulus):
+    """(modA, modB, phi, elems, mono_len) of every equivariance scan that the
+    certificate builders and the Laurent probe make on g over F, and of the
+    drop_nu_inverse maps."""
+    scans = []
+    real = verify._equivariance_counterexample
+    monkeypatch.setattr(verify, "_equivariance_counterexample", lambda *args: scans.append(args) or real(*args))
+    a = F.coerce(2) if not F.is_zero(F.coerce(2)) else F.one()
+    f = parse_poly(modulus, F)
+    for v in g.sinks:
+        twist = TwistVector.make(g, F, {e.name: a for e in g.in_edges(v)})
+        for p in enumerate_paths_ending_at(g, v, bound=1).paths:
+            for corrupt in (False, True):
+                verify_triv_iso(g, F, sink_path(g, p), twist=twist, bound=2, mono_len=2, corrupt=corrupt)
+    for c in elementary_cycles(g):
+        verify_twist_iso(g, F, c, ScalarAction(a), bound=2, mono_len=2)
+        verify_twist_iso(g, F, c, QuotientCoeff(f), bound=2, mono_len=2)
+        simplicity_probe(g, F, InducedSpec(cycle_tail(g, c), LaurentCoeff(0)), bound=2, mono_len=2)
+        try:
+            verify_nvc_iso(g, F, c, bound=2, mono_len=2)
+        except ModuleSpecError:
+            pass  # the cycle has an exit
+    monkeypatch.undo()
+    for c in elementary_cycles(g):
+        modA = build_module(g, F, InducedSpec(cycle_tail(g, c), QuotientCoeff(f)))
+        modB = build_module(g, F, ChenExtSpec(c, f))
+        phi, _ = boundary_iso_maps(modA, modB, drop_nu_inverse=True)
+        scans.append((modA, modB, phi, modA.enumerate_basis(2).elements, 2))
+    return scans
+
+
+def _wrong_maps(modA, modB, phi, elems, mono_len):
+    """(map, must_fail) for phi made wrong on one basis element b0: scaled,
+    sent to another element's image, or, for a ghost part r(nu).nu* that
+    kills b0 in A, sent to a vector that it does not kill in B."""
+    F = modA.field
+
+    def changed(b0, value):
+        return lambda b: value if b == b0 else phi(b)
+
+    out = []
+    for k in sorted({0, len(elems) - 1}):
+        b0 = elems[k]
+        out.append((changed(b0, phi(b0).scale(F.zero())), False))
+        if F.coerce(2) not in (F.zero(), F.one()):
+            out.append((changed(b0, phi(b0).scale(2)), False))
+        if len(elems) > 1:
+            out.append((changed(b0, phi(elems[k - 1])), False))
+    graph, algebra = modA.graph, modA.algebra()
+    for nu in dict.fromkeys(m.nu for m in all_monomials(graph, mono_len)):
+        ghost = algebra.monomial_element(monomial(graph.vertex_path(nu.rng), nu))
+        killed = [b for b in elems if modA.act(ghost, ModuleVector(F, {b: F.one()})).is_zero]
+        alive = [b for b in elems if not modB.act(ghost, phi(b)).is_zero]
+        if killed and alive:
+            out.append((changed(killed[-1], phi(alive[0])), True))
+            if sum(must_fail for _, must_fail in out) == 2:
+                break
+    return out
+
+
+class TestEquivarianceScanAgainstAllPairs:
+    """The pruned equivariance scan returns what the all-pairs scan returns:
+    None, or the identical (monomial, element, lhs, rhs)."""
+
+    @pytest.mark.parametrize("field_name", sorted(ORACLE_FIELDS))
+    @pytest.mark.parametrize("graph_name", sorted(FIXTURE_GRAPHS))
+    def test_builder_and_wrong_maps(self, monkeypatch, graph_name, field_name):
+        g = Graph(*FIXTURE_GRAPHS[graph_name])
+        F, modulus = ORACLE_FIELDS[field_name]
+        for modA, modB, phi, elems, mono_len in _builder_scans(monkeypatch, g, F, modulus):
+            for f, must_fail in [(phi, False), *_wrong_maps(modA, modB, phi, elems, mono_len)]:
+                f = functools.cache(f)
+                expected = _all_pairs_counterexample(modA, modB, f, elems, mono_len)
+                assert _equivariance_counterexample(modA, modB, f, elems, mono_len) == expected
+                assert expected is not None or not must_fail
 
 
 class TestNvcIso:
