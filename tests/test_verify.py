@@ -298,7 +298,6 @@ class TestCertificateMemo:
         assert self._check(modA, modB, *boundary_iso_maps(modA, modB)).passed
         assert not self._check(modA, modB, *boundary_iso_maps(modA, modB, drop_nu_inverse=True)).passed
 
-
     def test_pairs_both_sides_kill_are_skipped(self, monkeypatch):
         # a binary tree of depth 3 whose root carries a loop l
         vertices, edges, frontier = ["r"], [("l", "r", "r")], ["r"]
