@@ -263,9 +263,9 @@ def _cmd_verify(args) -> int:
         twist = parse_twist(graph, field, args.twist) if args.twist else None
         cert = verify_triv_iso(graph, field, x, twist, bound=args.window, mono_len=args.mono_len)
     elif suite == "twist-iso":
-        if not args.cycle or not (args.scalar or args.modulus):
-            raise InputError("twist-iso needs --cycle and one of --scalar/--modulus")
-        cycle = parse_module_cycle(graph, args.cycle)
+        if not args.cycle or bool(args.scalar) == bool(args.modulus):
+            raise InputError("twist-iso needs --cycle and exactly one of --scalar/--modulus")
+        cycle = parse_finite_path(graph, args.cycle)
         if args.scalar:
             coeff = ScalarAction(field.parse(args.scalar))
         else:
@@ -274,7 +274,7 @@ def _cmd_verify(args) -> int:
     elif suite == "nvc-iso":
         if not args.cycle:
             raise InputError("nvc-iso needs --cycle")
-        cert = verify_nvc_iso(graph, field, parse_module_cycle(graph, args.cycle), bound=args.window, mono_len=args.mono_len)
+        cert = verify_nvc_iso(graph, field, parse_finite_path(graph, args.cycle), bound=args.window, mono_len=args.mono_len)
     else:  # res-ind
         if not args.at or not args.coeff:
             raise InputError("res-ind needs --at BPATH and --coeff NSPEC")
@@ -284,13 +284,6 @@ def _cmd_verify(args) -> int:
     result = cert.to_json_dict()
     _emit(result, args.json, _render_certificate)
     return 0 if cert.passed else 1
-
-
-def parse_module_cycle(graph: Graph, text: str):
-    p = parse_finite_path(graph, text)
-    if p.src != p.rng or not p.edges:
-        raise InputError(f"{text!r} is not a closed path")
-    return p
 
 
 def _cmd_dims(args) -> int:
@@ -325,6 +318,9 @@ def main(argv=None) -> int:
         "dims": _cmd_dims,
     }
     try:
+        for name in ("window", "mono_len", "cap", "triples", "poly_deg"):
+            if getattr(args, name, 0) < 0:
+                raise InputError(f"--{name.replace('_', '-')} must not be negative")
         return handlers[args.command](args)
     except (
         InputError, ParseError, GraphError, FieldError, ModuleSpecError, NotGradableError,

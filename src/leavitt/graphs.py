@@ -257,6 +257,11 @@ def is_proper_power(edge_names: tuple[str, ...]) -> bool:
     return len(primitive_root(edge_names)) < len(edge_names)
 
 
+def _require_closed(path: FinitePath) -> None:
+    if path.src != path.rng or not path.edges:
+        raise GraphError(f"{path} is not a closed path of positive length")
+
+
 @dataclass(frozen=True)
 class ClosedPath:
     """A closed finite path together with its derived flags."""
@@ -268,8 +273,7 @@ class ClosedPath:
 
     @classmethod
     def analyze(cls, graph: Graph, path: FinitePath) -> "ClosedPath":
-        if path.src != path.rng or not path.edges:
-            raise GraphError(f"{path} is not a closed path of positive length")
+        _require_closed(path)
         simple = not is_proper_power(path.edges)
         verts = graph.vertex_sequence(path)[:-1]
         cyc = len(set(verts)) == len(verts)
@@ -355,8 +359,7 @@ def lasso(graph: Graph, prefix: FinitePath, cycle_seq: Iterable[str]) -> Lasso:
     """
     seq = tuple(cycle_seq)
     cyc = graph.path(seq)
-    if cyc.src != cyc.rng:
-        raise GraphError(f"{cyc} is not closed")
+    _require_closed(cyc)
     if prefix.rng != cyc.src:
         raise GraphError(f"prefix {prefix} does not reach the cycle at {cyc.src}")
     seq = primitive_root(seq)
@@ -379,8 +382,7 @@ def _absorb(graph: Graph, prefix: FinitePath, star: tuple[str, ...], rot: int) -
 def cycle_tail(graph: Graph, cycle: FinitePath) -> Lasso:
     """The base point representing a cycle: (c)^inf at the source of c's
     canonical rotation (a power of c gives the tail of its primitive root)."""
-    if not cycle.edges:
-        raise GraphError(f"{cycle} is not a closed path of positive length")
+    _require_closed(cycle)
     star = graph.path(canonical_rotation(cycle.edges))
     return lasso(graph, graph.vertex_path(star.src), star.edges)
 
@@ -394,6 +396,14 @@ def unroll(x: BoundaryPath, length: int) -> tuple[str, ...]:
     while len(names) < length:
         names.extend(body)
     return tuple(names[:length])
+
+
+def initial_path(graph: Graph, x: BoundaryPath, m: int) -> FinitePath:
+    """The first m edges of x as a path (its source vertex when m = 0)."""
+    names = unroll(x, m)
+    if len(names) < m:
+        raise GraphError(f"{x} has fewer than {m} edges")
+    return FinitePath(names, x.source, graph.edge(names[-1]).rng if names else x.source)
 
 
 def strip_prefix(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath | None:

@@ -33,13 +33,14 @@ from .algebra import (
 from .fields import ExtensionField, Field, FieldError, Poly
 from .graphs import (
     BoundaryPath,
+    ClosedPath,
     FinitePath,
     Graph,
     Lasso,
     SinkPath,
-    canonical_rotation,
     cycle_tail,
     enumerate_paths_ending_at,
+    initial_path,
     prepend,
     strip_prefix,
     tail_lags,
@@ -346,8 +347,6 @@ class ChenExtModule(ChenModule):
     the cycle's tail over K[t]/(f), twisted by the class of t on its first edge."""
 
     def __init__(self, graph: Graph, field: Field, spec: ChenExtSpec):
-        if spec.cycle.src != spec.cycle.rng or not spec.cycle.edges:
-            raise ModuleSpecError(f"{spec.cycle} is not a closed path")
         self.extension = _extension_over(field, spec)
         x = cycle_tail(graph, spec.cycle)
         tbar = TwistVector.make(graph, self.extension, {x.cycle[0]: self.extension.tbar()})
@@ -366,37 +365,22 @@ class NvcModule(Module):
     def __init__(self, graph: Graph, field: Field, spec: NvcSpec):
         self.graph = graph
         self.field = field
-        if spec.cycle.src != spec.cycle.rng or not spec.cycle.edges:
-            raise ModuleSpecError(f"{spec.cycle} is not a closed path")
-        star = graph.path(canonical_rotation(spec.cycle.edges))
-        if star.edges != spec.cycle.edges:
-            spec = NvcSpec(star, spec.shift)
-        self.spec = spec
-        verts = graph.vertex_sequence(star)[:-1]
-        if len(set(verts)) != len(verts):
-            raise ModuleSpecError(f"{star} repeats a vertex, so it is not a cycle")
-        for w in verts:
-            extra = [e.name for e in graph.out_edges(w) if e.name not in set(star.edges)]
-            if extra:
-                raise ModuleSpecError(
-                    f"cycle {star} has an exit at {w}: {sorted(extra)}"
-                )
-        self.base_vertex = star.src
+        closed = ClosedPath.analyze(graph, spec.cycle)
+        if not closed.is_cycle:
+            raise ModuleSpecError(f"{spec.cycle} repeats a vertex, so it is not a cycle")
+        if closed.has_exit:
+            raise ModuleSpecError(f"cycle {spec.cycle} has an exit")
+        self.tail = cycle_tail(graph, spec.cycle)
+        self.base_vertex = self.tail.source
+        self.spec = NvcSpec(initial_path(graph, self.tail, self.tail.period), spec.shift)
         self.gradable = True
-
-    def _cycle_segment(self, length: int) -> FinitePath:
-        star = self.spec.cycle
-        if length == 0:
-            return self.graph.vertex_path(self.base_vertex)
-        names = (star.edges * (length // len(star.edges) + 1))[:length]
-        return self.graph.path(names)
 
     def enumerate_basis(self, bound: int | None = None) -> BasisEnumeration:
         if bound is None:
             raise ModuleSpecError("this module is infinite-dimensional; a bound is required")
         elems = []
         for l in range(bound + 1):
-            nu = self._cycle_segment(l)
+            nu = initial_path(self.graph, self.tail, l)
             mus = enumerate_paths_ending_at(self.graph, nu.rng, bound=bound).paths
             for mu in mus:
                 m = monomial(mu, nu)
@@ -478,13 +462,7 @@ class InducedModule(Module):
             return y.path, x.path
         if not isinstance(y, Lasso) or y.cycle != x.cycle:
             raise ModuleSpecError(f"{y} is not in the class of {x}")
-        n = self.period
-        seg_len = (y.rotation - x.rotation) % n
-        rotated = x.cycle[x.rotation:] + x.cycle[: x.rotation]
-        nu = x.prefix
-        if seg_len:
-            seg = self.graph.path(rotated[:seg_len])
-            nu = FinitePath(nu.edges + seg.edges, nu.src, seg.rng)
+        nu = initial_path(self.graph, x, len(x.prefix) + (y.rotation - x.rotation) % self.period)
         return y.prefix, nu
 
     def canonical_lag(self, y: BoundaryPath) -> int:

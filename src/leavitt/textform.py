@@ -305,6 +305,8 @@ def parse_nspec(field: Field, text: str):
 def parse_module_spec(graph: Graph, field: Field, text: str, twist: TwistVector | None = None, shift: int = 0) -> ModuleSpec:
     parts = text.strip().split(":")
     kind = parts[0]
+    if twist is not None and kind != "chen":
+        raise ParseError(f"a twist applies to chen modules only, not to {kind!r}")
     if kind == "chen":
         if len(parts) != 2:
             raise ParseError("chen specs look like 'chen:BPATH'")

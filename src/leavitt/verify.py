@@ -39,11 +39,11 @@ from .graphs import (
     FinitePath,
     Lasso,
     SinkPath,
-    concat,
     cycle_tail,
-    lasso,
+    initial_path,
+    prepend,
+    strip_prefix,
     tail_lags,
-    unroll,
 )
 from .linalg import column_space, coordinates, identity, mat_mul, mat_vec, nullspace, rref
 from .groupoid import pi_consistency
@@ -86,12 +86,8 @@ class Window:
     @classmethod
     def full(cls, module: Module) -> "Window":
         if not module.finite_dimensional():
-            raise ModuleSpecError("module is not finite-dimensional; use a bounded window")
+            raise ModuleSpecError("module is not finite-dimensional")
         return cls(module, module.enumerate_basis().elements)
-
-    @classmethod
-    def bounded(cls, module: Module, bound: int) -> "Window":
-        return cls(module, module.enumerate_basis(bound).elements)
 
     @property
     def dim(self) -> int:
@@ -136,22 +132,11 @@ class Restriction:
     degrees: list | None
 
 
-def _initial_subpath(module: Module, x: BoundaryPath, m: int) -> FinitePath:
-    names = unroll(x, m)
-    if len(names) < m:
-        raise ValueError("sink path exhausted")
-    if m == 0:
-        return module.graph.vertex_path(x.source)
-    return module.graph.path(names)
-
-
 def _isotropy_monomial(module: Module, x: BoundaryPath) -> Monomial | None:
     """A monomial whose bisection contains the isotropy generator (x, |c|, x)."""
     if isinstance(x, SinkPath):
         return None
-    alpha = x.prefix
-    rotated = module.graph.path(x.rotated_cycle())
-    return monomial(concat(alpha, rotated), alpha)
+    return monomial(initial_path(module.graph, x, len(x.prefix) + x.period), x.prefix)
 
 
 def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
@@ -180,7 +165,7 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
         horizon = len(x.prefix) + reach + 2 * x.period + 1
     images = []
     for m in range(horizon + 1):
-        mu = _initial_subpath(module, x, m)
+        mu = initial_path(module.graph, x, m)
         idem = A.monomial_element(monomial(mu, mu))
         images.append(column_space(F, window.matrix_of(idem)))
     final = images[-1]
@@ -218,23 +203,13 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
 # Intertwiner spaces
 
 
-def intertwiner_space(
-    modA: Module,
-    modB: Module,
-    bound: int | None = None,
-    graded: bool = False,
-    degree: int = 0,
-) -> list[list[list]]:
-    """Basis of Hom(A, B) as matrices (graded mode: maps of the given degree).
-
-    Both modules must be finite-dimensional, or windowed with generator
-    actions closed on the window (otherwise OutOfWindowError propagates).
-    """
+def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: int = 0) -> list[list[list]]:
+    """Basis of Hom(A, B) as matrices (graded mode: maps of the given degree)
+    between finite-dimensional modules."""
     if modA.field != modB.field:
         raise ModuleSpecError("modules live over different fields")
     F = modA.field
-    winA = Window.full(modA) if bound is None else Window.bounded(modA, bound)
-    winB = Window.full(modB) if bound is None else Window.bounded(modB, bound)
+    winA, winB = Window.full(modA), Window.full(modB)
     A = modA.algebra()
     gens = generator_elements(A)
     matsA = [winA.matrix_of(g) for g in gens]
@@ -304,29 +279,26 @@ class Certificate:
         }
 
 
-def check_module_iso(
-    cert: Certificate,
-    modA: Module,
-    modB: Module,
-    phi,
-    psi,
-    elemsA,
-    elemsB,
-    mono_len: int,
-    graded: bool,
-) -> Certificate:
-    """phi: A-basis -> B-vector, psi: B-basis -> A-vector; checks run on windows.
+def check_module_iso(claim: str, modA: Module, modB: Module, maps, bound: int, mono_len: int) -> Certificate:
+    """The certificate that maps = (phi, psi), phi: A-basis -> B-vector and
+    psi: B-basis -> A-vector, are mutually inverse and equivariant on the
+    windows of ``bound`` and preserve degrees when A is graded.
 
     phi and psi are pure, so each is evaluated once per basis element; the
     memo lives for this call.  Both sides of each check are still computed
     independently."""
+    if bound < 0 or mono_len < 0:
+        raise ModuleSpecError("the window bound and monomial length must be nonnegative")
+    enumA = modA.enumerate_basis(bound)
+    elemsA, elemsB = enumA.elements, modB.enumerate_basis(bound).elements
+    cert = Certificate(claim, {"basis": len(elemsA), "mono_len": mono_len, "exact": enumA.exact})
     F = modA.field
-    phi, psi = functools.cache(phi), functools.cache(psi)
+    phi, psi = (functools.cache(f) for f in maps)
     ok = all(linear_extend(psi, phi(b)) == ModuleVector(F, {b: F.one()}) for b in elemsA)
     cert.record("psi-after-phi-is-identity", ok)
     ok = all(linear_extend(phi, psi(b)) == ModuleVector(F, {b: F.one()}) for b in elemsB)
     cert.record("phi-after-psi-is-identity", ok)
-    if graded:
+    if modA.gradable:
         ok = True
         for b in elemsA:
             d = modA.grade(b)
@@ -434,15 +406,9 @@ def verify_triv_iso(
         raise ModuleSpecError("this certificate needs a non-rational (sink) base point")
     modA = build_module(graph, field, InducedSpec(x, TrivialCoeff(0)))
     modB = build_module(graph, field, ChenSpec(x, twist))
-    enumA = modA.enumerate_basis(bound)
-    elemsA = enumA.elements
-    elemsB = modB.enumerate_basis(bound).elements
-    phi, psi = boundary_iso_maps(modA, modB, drop_nu_inverse=corrupt)
-    cert = Certificate(
-        claim=f"induced trivial coefficients at {x} match the twisted boundary-path module",
-        window={"basis": len(elemsA), "mono_len": mono_len, "exact": enumA.exact},
-    )
-    return check_module_iso(cert, modA, modB, phi, psi, elemsA, elemsB, mono_len, graded=True)
+    claim = f"induced trivial coefficients at {x} match the twisted boundary-path module"
+    maps = boundary_iso_maps(modA, modB, drop_nu_inverse=corrupt)
+    return check_module_iso(claim, modA, modB, maps, bound, mono_len)
 
 
 def verify_twist_iso(
@@ -464,34 +430,25 @@ def verify_twist_iso(
     else:
         modB = build_module(graph, field, ChenExtSpec(cycle, coeff.modulus))
         claim = f"induced quotient field K[t]/({coeff.modulus}) at {x} matches the scalar-extended boundary-path module"
-    enumA = modA.enumerate_basis(bound)
-    exact = enumA.exact
-    elemsA = enumA.elements
-    elemsB = modB.enumerate_basis(bound).elements
-    phi, psi = boundary_iso_maps(modA, modB)
-    cert = Certificate(claim=claim, window={"basis": len(elemsA), "mono_len": mono_len, "exact": exact})
-    return check_module_iso(cert, modA, modB, phi, psi, elemsA, elemsB, mono_len, graded=False)
+    return check_module_iso(claim, modA, modB, boundary_iso_maps(modA, modB), bound, mono_len)
 
 
 def nvc_iso_maps(modA: InducedModule, modB: NvcModule):
-    """phi (y,k,x) -> mu.nu* (normal form) and psi mu.nu* -> (mu.nu*.c^m.c^inf, |mu|-|nu|, x)."""
+    """phi (y,k,x) -> mu.nu* (normal form) and psi mu.nu* -> (mu.p, |mu|-|nu|, x)
+    with x = nu.p."""
     graph = modA.graph
     F = modA.field
-    star = modB.spec.cycle
-    n = len(star.edges)
+    x = modA.spec.base
+    n = x.period
     algebra = modB.algebra()
 
     def phi(b: CosetBasis) -> ModuleVector:
         mu, nu = modA.canonical_decomposition(b.path)
-        diff = b.lag - (len(mu) - len(nu))
-        steps = diff // n
-        rot_y = b.path.rotation
+        steps = (b.lag - (len(mu) - len(nu))) // n
         if steps > 0:
-            ext = (star.edges[rot_y:] + star.edges[:rot_y]) * steps
-            mu = FinitePath(mu.edges + ext, mu.src, mu.rng)
+            mu = initial_path(graph, b.path, len(mu) + steps * n)
         elif steps < 0:
-            ext = (star.edges[rot_y:] + star.edges[:rot_y]) * (-steps)
-            nu = FinitePath(nu.edges + ext, nu.src, nu.rng)
+            nu = initial_path(graph, x, len(nu) - steps * n)
         terms = algebra.normalize(algebra.monomial_element(monomial(mu, nu))).terms
         assert len(terms) == 1
         (m, c), = terms.items()
@@ -499,9 +456,7 @@ def nvc_iso_maps(modA: InducedModule, modB: NvcModule):
 
     def psi(b: NvcBasis) -> ModuleVector:
         m = b.mono
-        l = len(m.nu)
-        rot = l % n
-        y = lasso(graph, m.mu, star.edges[rot:] + star.edges[:rot])
+        y = prepend(graph, m.mu, strip_prefix(graph, m.nu, x))
         return ModuleVector(F, {CosetBasis(y, m.degree): F.one()})
 
     return phi, psi
@@ -511,16 +466,10 @@ def verify_nvc_iso(graph, field: Field, cycle: FinitePath, bound: int = 3, mono_
     """Certificate: inducing the full isotropy group algebra at the tail of a
     no-exit cycle matches the graded monomial module based at the cycle."""
     modB = build_module(graph, field, NvcSpec(cycle))  # validates no exits
-    x = cycle_tail(graph, cycle)
+    x = modB.tail
     modA = build_module(graph, field, InducedSpec(x, LaurentCoeff(0)))
-    elemsA = modA.enumerate_basis(bound).elements
-    elemsB = modB.enumerate_basis(bound).elements
-    phi, psi = nvc_iso_maps(modA, modB)
-    cert = Certificate(
-        claim=f"inducing the isotropy group algebra at {x} matches the no-exit-cycle monomial module",
-        window={"basis": len(elemsA), "mono_len": mono_len, "exact": False},
-    )
-    return check_module_iso(cert, modA, modB, phi, psi, elemsA, elemsB, mono_len, graded=True)
+    claim = f"inducing the isotropy group algebra at {x} matches the no-exit-cycle monomial module"
+    return check_module_iso(claim, modA, modB, nvc_iso_maps(modA, modB), bound, mono_len)
 
 
 def companion_matrix(f: Poly) -> list[list]:

@@ -22,7 +22,6 @@ from leavitt.reps import (
     build_module,
 )
 from leavitt.verify import (
-    Certificate,
     check_module_iso,
     graded_iso_check,
     intertwiner_space,
@@ -144,11 +143,7 @@ def test_criterion_5_triv_certificate():
 
         return bad_map
 
-    control = Certificate(claim="negative control", window={})
-    check_module_iso(
-        control, modA, modB, invert_scale(phi), invert_scale(psi),
-        modA.enumerate_basis().elements, modB.enumerate_basis().elements, 3, graded=True,
-    )
+    control = check_module_iso("negative control", modA, modB, (invert_scale(phi), invert_scale(psi)), 4, 3)
     equiv = next(c for c in control.checks if c["name"] == "equivariance")
     ok = ok and not equiv["passed"]
     report(5, "A2 with twist f=3: certificate passes; corrupted maps fail", ok)

@@ -224,6 +224,15 @@ class TestInputErrors:
             ("r1", ["act", "--module", "nvc:e", "--elt", "v", "--vec", "v + e e^"]),
             # a modulus over Q of degree above 3, whose irreducibility is not decided
             ("r1", ["act", "--field", "Q[t]/(t^4+1)", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf"]),
+            # negative window, monomial length, triple count and degree bounds
+            ("r1", ["verify", "nvc-iso", "--cycle", "e", "--window", "-2"]),
+            ("r1", ["verify", "nvc-iso", "--cycle", "e", "--mono-len", "-2"]),
+            ("r1", ["verify", "relations", "--triples", "-5"]),
+            ("r1", ["verify", "pi-consistency", "--window", "-1"]),
+            ("r1", ["classify", "--simple", "--poly-deg", "-3"]),
+            # flags the command would otherwise ignore
+            ("r1", ["verify", "twist-iso", "--cycle", "e", "--scalar", "2", "--modulus", "t+1"]),
+            ("r1", ["act", "--module", "chenext:e:t^2+t+1", "--field", "F2", "--twist", "e=1", "--elt", "e", "--vec", "(e)^inf"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):

@@ -22,6 +22,7 @@ from leavitt.graphs import (
     cycle_reaches_vertex,
     elementary_cycles,
     enumerate_paths_ending_at,
+    initial_path,
     initial_remainder,
     lasso,
     maximal_cycles,
@@ -461,6 +462,39 @@ class TestBoundaryPathsAgainstLasso:
     @settings(max_examples=60, deadline=None)
     def test_small_graphs(self, g):
         _check_boundary_arithmetic(g, elementary_cycles(g))
+
+
+def _boundary_paths(g):
+    """Every boundary path in the orbits, bounded by 2, of the sinks and of
+    the tails of the elementary cycles."""
+    bases = [sink_path(g, g.vertex_path(v)) for v in g.sinks]
+    bases += [cycle_tail(g, c) for c in elementary_cycles(g)]
+    return [x for base in bases for x in orbit(g, base, bound=2).elements]
+
+
+def _check_initial_paths(g):
+    for x in _boundary_paths(g):
+        for m in range(9):
+            if isinstance(x, SinkPath) and m > len(x.path):
+                with pytest.raises(GraphError):
+                    initial_path(g, x, m)
+                continue
+            p = initial_path(g, x, m)
+            assert p.edges == unroll(x, m) and p.src == x.source, (x, m)
+            assert p.rng == strip_prefix(g, p, x).source, (x, m)
+
+
+class TestInitialPath:
+    """initial_path against unroll and strip_prefix."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRAPHS))
+    def test_fixtures(self, name):
+        _check_initial_paths(Graph(*FIXTURE_GRAPHS[name]))
+
+    @given(g=small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_small_graphs(self, g):
+        _check_initial_paths(g)
 
 
 class TestJson:

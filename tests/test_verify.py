@@ -23,7 +23,6 @@ from leavitt.reps import (
     build_module,
 )
 from leavitt.verify import (
-    Certificate,
     _equivariance_counterexample,
     OutOfWindowError,
     Window,
@@ -137,8 +136,8 @@ class TestIntertwiners:
 
     def test_window_not_closed_raises(self, r1):
         M = build_module(r1, QQ, NvcSpec(r1.path(["e"])))
-        with pytest.raises(OutOfWindowError):
-            intertwiner_space(M, M, bound=3)
+        with pytest.raises(ModuleSpecError):
+            intertwiner_space(M, M)
 
     def test_nonisomorphic_sink_modules(self, chain3):
         Mv = build_module(chain3, QQ, ChenSpec(sink_path(chain3, chain3.vertex_path("v"))))
@@ -185,10 +184,7 @@ class TestTrivIso:
             ((bb, c),) = good.terms.items()
             return ModuleVector(QQ, {bb: QQ.inv(c)})
 
-        cert = Certificate(claim="negative control", window={})
-        elemsA = modA.enumerate_basis().elements
-        elemsB = modB.enumerate_basis().elements
-        check_module_iso(cert, modA, modB, phi_bad, psi_bad, elemsA, elemsB, 2, graded=True)
+        cert = check_module_iso("negative control", modA, modB, (phi_bad, psi_bad), 4, 2)
         by_name = {c["name"]: c["passed"] for c in cert.checks}
         assert by_name["psi-after-phi-is-identity"]
         assert by_name["phi-after-psi-is-identity"]
@@ -251,10 +247,8 @@ class TestCertificateMemo:
         return modA, modB
 
     @staticmethod
-    def _check(modA, modB, phi, psi, graded=False):
-        cert = Certificate(claim="control", window={})
-        elemsA, elemsB = modA.enumerate_basis(3).elements, modB.enumerate_basis(3).elements
-        return check_module_iso(cert, modA, modB, phi, psi, elemsA, elemsB, 2, graded=graded)
+    def _check(modA, modB, phi, psi):
+        return check_module_iso("control", modA, modB, (phi, psi), 3, 2)
 
     @pytest.mark.parametrize("case", ["triv", "twist", "nvc"])
     def test_maps_evaluated_once_per_basis_element(self, a2, cycle3, r1, case):
@@ -276,7 +270,7 @@ class TestCertificateMemo:
         def counted(name, f):
             return lambda b: calls[name].append(b) or f(b)
 
-        cert = self._check(modA, modB, counted("phi", phi), counted("psi", psi), modA.gradable)
+        cert = self._check(modA, modB, counted("phi", phi), counted("psi", psi))
         assert cert.passed
         for name, args in calls.items():
             assert args and len(args) == len(set(args)), name
@@ -554,6 +548,15 @@ class TestCertificateShape:
         data = cert.to_json_dict()
         assert set(data) == {"claim", "window", "checks", "pass", "counterexample"}
         assert all(set(c) == {"name", "passed", "detail"} for c in data["checks"])
+
+    @pytest.mark.parametrize("bound,mono_len", [(-2, 2), (2, -2)])
+    def test_negative_sizes_rejected(self, a2, r1, bound, mono_len):
+        with pytest.raises(ModuleSpecError):
+            verify_triv_iso(a2, QQ, sink_path(a2, a2.vertex_path("v")), bound=bound, mono_len=mono_len)
+        with pytest.raises(ModuleSpecError):
+            verify_twist_iso(r1, QQ, r1.path(["e"]), ScalarAction(QQ.coerce(2)), bound=bound, mono_len=mono_len)
+        with pytest.raises(ModuleSpecError):
+            verify_nvc_iso(r1, QQ, r1.path(["e"]), bound=bound, mono_len=mono_len)
 
 
 @pytest.mark.parametrize("field_text", EXTENSION_FIELDS)
