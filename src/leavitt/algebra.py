@@ -180,6 +180,13 @@ class LeavittAlgebra:
         self.special_edge = {
             v: graph.out_edges(v)[0].name for v in graph.vertices if graph.is_regular(v)
         }
+        self._monomials: dict[int, list[Monomial]] = {}
+
+    def monomials(self, max_len: int) -> list[Monomial]:
+        """``all_monomials(graph, max_len)``, built once per length; do not mutate."""
+        if max_len not in self._monomials:
+            self._monomials[max_len] = all_monomials(self.graph, max_len)
+        return self._monomials[max_len]
 
     # -- element construction ----------------------------------------------
 
@@ -365,7 +372,7 @@ def all_monomials(graph: Graph, max_len: int) -> list[Monomial]:
 
 def random_element(algebra: LeavittAlgebra, rng, max_len: int = 2, max_terms: int = 2) -> AlgebraElement:
     """A small random element for property tests (seeded rng)."""
-    monos = all_monomials(algebra.graph, max_len)
+    monos = algebra.monomials(max_len)
     terms: dict[Monomial, object] = {}
     F = algebra.field
     for _ in range(rng.randint(1, max_terms)):

@@ -4,7 +4,8 @@ Subcommands: validate, classify, act, verify, dims.  Every command builds
 a JSON-serializable result; ``--json`` prints it verbatim, otherwise a
 plain table is rendered from the same data.  Output is deterministic:
 canonical ordering everywhere and a fixed ``--seed`` for sampled suites.
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error (usage
+errors included), reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -46,23 +47,31 @@ class InputError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``InputError``, so ``main`` reports them like any other."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpa",
         description="Exact computations with Leavitt path algebras of finite graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler, field=True):
+        p.set_defaults(handler=handler)
         p.add_argument("graph", help="graph JSON file")
-        p.add_argument("--field", default="Q", help="Q, Fp, or K[t]/(f), default Q")
+        if field:
+            p.add_argument("--field", default="Q", help="Q, Fp, or K[t]/(f), default Q")
         p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+        return p
 
-    p = sub.add_parser("validate", help="check a graph file and classify its vertices")
-    common(p)
+    common(sub.add_parser("validate", help="check a graph file and classify its vertices"), _cmd_validate, field=False)
 
-    p = sub.add_parser("classify", help="spectral simple / graded simple families")
-    common(p)
+    p = common(sub.add_parser("classify", help="spectral simple / graded simple families"), _cmd_classify)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--graded", action="store_true")
     group.add_argument("--simple", action="store_true")
@@ -74,31 +83,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated a-values for the sampled moduli t-a over Q",
     )
 
-    p = sub.add_parser("act", help="apply an algebra element to a module vector")
-    common(p)
+    p = common(sub.add_parser("act", help="apply an algebra element to a module vector"), _cmd_act)
     p.add_argument("--module", required=True, help="chen:BPATH | chenext:CYCLE:POLY | nvc:CYCLE | ind:BPATH:NSPEC")
     p.add_argument("--elt", required=True, help="algebra element, e.g. '2 e.f v^ + 1/3 u'")
     p.add_argument("--vec", required=True, help="module vector, e.g. 'f' or '(e)^inf@0'")
     p.add_argument("--twist", default=None, help="edge=value,... (chen modules)")
     p.add_argument("--shift", type=int, default=0)
 
-    p = sub.add_parser("verify", help="run a verification suite, emit a certificate")
-    p.add_argument("suite", choices=SUITES)
-    common(p)
-    p.add_argument("--at", default=None, help="base boundary path (triv-iso, res-ind)")
-    p.add_argument("--twist", default=None, help="edge=value,... (triv-iso)")
-    p.add_argument("--cycle", default=None, help="cycle path (twist-iso, nvc-iso)")
-    p.add_argument("--scalar", default=None, help="scalar action value (twist-iso)")
-    p.add_argument("--modulus", default=None, help="monic irreducible polynomial (twist-iso)")
-    p.add_argument("--coeff", default=None, help="coefficient spec for res-ind, e.g. K, Ka(2), quot(t-2)")
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--mono-len", type=int, default=3)
-    p.add_argument("--cap", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--triples", type=int, default=200)
+    # One parser per suite, declaring only the flags that suite reads.
+    suites = sub.add_parser("verify", help="run a verification suite, emit a certificate").add_subparsers(
+        dest="suite", required=True
+    )
+    s = {name: common(suites.add_parser(name), _cmd_verify) for name in SUITES}
+    s["relations"].add_argument("--seed", type=int, default=0)
+    s["relations"].add_argument("--triples", type=int, default=200)
+    for name in ("pi-consistency", "triv-iso", "twist-iso", "nvc-iso"):
+        s[name].add_argument("--window", type=int, default=4)
+    for name in ("triv-iso", "twist-iso", "nvc-iso"):
+        s[name].add_argument("--mono-len", type=int, default=3)
+    for name in ("triv-iso", "res-ind"):
+        s[name].add_argument("--at", required=True, help="base boundary path")
+    s["triv-iso"].add_argument("--twist", default=None, help="edge=value,...")
+    for name in ("twist-iso", "nvc-iso"):
+        s[name].add_argument("--cycle", required=True, help="cycle path")
+    group = s["twist-iso"].add_mutually_exclusive_group(required=True)
+    group.add_argument("--scalar", help="scalar action value")
+    group.add_argument("--modulus", help="monic irreducible polynomial")
+    s["res-ind"].add_argument("--coeff", required=True, help="coefficient spec, e.g. K, Ka(2), quot(t-2)")
+    s["res-ind"].add_argument("--cap", type=int, default=6)
 
-    p = sub.add_parser("dims", help="finite-dimensional simple modules with dimensions")
-    common(p)
+    p = common(sub.add_parser("dims", help="finite-dimensional simple modules with dimensions"), _cmd_dims)
     p.add_argument("--poly-deg", type=int, default=3, metavar="N")
     p.add_argument(
         "--rational-samples", default="1,2,-1", help="a-values for t-a moduli over Q"
@@ -257,27 +271,19 @@ def _cmd_verify(args) -> int:
     elif suite == "pi-consistency":
         cert = verify_pi_consistency(graph, field, max_len=args.window)
     elif suite == "triv-iso":
-        if not args.at:
-            raise InputError("triv-iso needs --at BPATH")
         x = parse_boundary_path(graph, args.at)
         twist = parse_twist(graph, field, args.twist) if args.twist else None
         cert = verify_triv_iso(graph, field, x, twist, bound=args.window, mono_len=args.mono_len)
     elif suite == "twist-iso":
-        if not args.cycle or bool(args.scalar) == bool(args.modulus):
-            raise InputError("twist-iso needs --cycle and exactly one of --scalar/--modulus")
         cycle = parse_finite_path(graph, args.cycle)
-        if args.scalar:
+        if args.scalar is not None:
             coeff = ScalarAction(field.parse(args.scalar))
         else:
             coeff = QuotientCoeff(parse_poly(args.modulus, field))
         cert = verify_twist_iso(graph, field, cycle, coeff, bound=args.window, mono_len=args.mono_len)
     elif suite == "nvc-iso":
-        if not args.cycle:
-            raise InputError("nvc-iso needs --cycle")
         cert = verify_nvc_iso(graph, field, parse_finite_path(graph, args.cycle), bound=args.window, mono_len=args.mono_len)
     else:  # res-ind
-        if not args.at or not args.coeff:
-            raise InputError("res-ind needs --at BPATH and --coeff NSPEC")
         x = parse_boundary_path(graph, args.at)
         coeff = parse_nspec(field, args.coeff)
         cert = verify_res_ind(graph, field, InducedSpec(x, coeff), cap=args.cap)
@@ -308,20 +314,12 @@ def _cmd_dims(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "validate": _cmd_validate,
-        "classify": _cmd_classify,
-        "act": _cmd_act,
-        "verify": _cmd_verify,
-        "dims": _cmd_dims,
-    }
     try:
+        args = build_parser().parse_args(argv)
         for name in ("window", "mono_len", "cap", "triples", "poly_deg"):
             if getattr(args, name, 0) < 0:
                 raise InputError(f"--{name.replace('_', '-')} must not be negative")
-        return handlers[args.command](args)
+        return args.handler(args)
     except (
         InputError, ParseError, GraphError, FieldError, ModuleSpecError, NotGradableError,
         OutOfWindowError, ClassificationError, AlgebraError, GroupoidError,

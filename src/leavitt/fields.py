@@ -88,6 +88,9 @@ class Field:
         return hash(self.name)
 
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 class RationalField(Field):
     name = "Q"
 
@@ -128,6 +131,10 @@ class RationalField(Field):
             raise FieldError("a rational is too long to print") from None
 
     def parse(self, text: str):
+        """``[-]n`` or ``[-]n/m`` only: ``Fraction`` would also take an exponent
+        such as ``1e10000000`` and build its integer before any check."""
+        if not _RATIONAL_RE.fullmatch(text):
+            raise FieldError(f"bad rational {text!r}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

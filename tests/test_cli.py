@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from leavitt import cli
-from leavitt.cli import main
+from leavitt.cli import SUITES, main
 from leavitt.graphs import Graph
 from leavitt.verify import Certificate
 
@@ -170,6 +172,45 @@ class TestVerify:
         assert code == 2 and "--at" in err
 
 
+# Every flag each verify suite reads, with values on a graph where it passes.
+# twist-iso reads --modulus in place of --scalar.
+SUITE_FLAGS = {
+    "relations": ("rose2", {"--seed": "3", "--triples": "5"}),
+    "pi-consistency": ("r1", {"--window": "2"}),
+    "triv-iso": ("toeplitz", {"--at": "v", "--twist": "e=3", "--window": "2", "--mono-len": "1"}),
+    "twist-iso": ("toeplitz", {"--cycle": "e", "--scalar": "2", "--window": "2", "--mono-len": "1"}),
+    "nvc-iso": ("r1", {"--cycle": "e", "--window": "2", "--mono-len": "1"}),
+    "res-ind": ("toeplitz", {"--at": "(e)^inf", "--coeff": "Ka(2)", "--cap": "3"}),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_accepts_exactly_its_own_flags(request, graph_file, capsys, suite):
+    graph, flags = SUITE_FLAGS[suite]
+    path = graph_file(request.getfixturevalue(graph))
+    argv = ["verify", suite] + [a for item in flags.items() for a in item]
+    code, out, err = run(capsys, argv + [path])
+    assert (code, err) == (0, "") and "PASS" in out
+    foreign = {f: v for _, other in SUITE_FLAGS.values() for f, v in other.items() if f not in flags}
+    if suite != "twist-iso":
+        foreign["--modulus"] = "t^2+t+1"
+    for flag, value in foreign.items():
+        code, out, err = run(capsys, argv + [flag, value, path])
+        assert (code, out) == (2, ""), flag
+        assert err.startswith("error: ") and err.count("\n") == 1, flag
+
+
+def test_readme_commands_parse():
+    """Every ``lpa`` line of the README's CLI block is a valid command line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("lpa ")]
+    assert len(commands) >= len(SUITES) + 4
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
 class TestDims:
     def test_toeplitz(self, toeplitz, graph_file, capsys):
         code, out, _ = run(
@@ -233,6 +274,16 @@ class TestInputErrors:
             # flags the command would otherwise ignore
             ("r1", ["verify", "twist-iso", "--cycle", "e", "--scalar", "2", "--modulus", "t+1"]),
             ("r1", ["act", "--module", "chenext:e:t^2+t+1", "--field", "F2", "--twist", "e=1", "--elt", "e", "--vec", "(e)^inf"]),
+            ("r1", ["verify", "twist-iso", "--cycle", "e", "--scalar", "2", "--twist", "e=3"]),
+            ("r1", ["verify", "nvc-iso", "--cycle", "e", "--at", "v", "--coeff", "K"]),
+            ("r1", ["verify", "relations", "--window", "7", "--cap", "3", "--mono-len", "1"]),
+            # usage errors: a missing flag, a bad int and an unknown suite
+            ("r1", ["act", "--elt", "e", "--vec", "v"]),
+            ("r1", ["act", "--module", "chen:v", "--elt", "e", "--vec", "v", "--shift", "x"]),
+            ("r1", ["verify", "bogus"]),
+            # a rational with an exponent, which the grammar does not have
+            ("r1", ["act", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf", "--twist", "e=1e400"]),
+            ("r1", ["validate", "--field", "F2"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):

@@ -1,6 +1,7 @@
 """Fuzz the command line in-process: whatever the arguments, ``cli.main``
-returns 0, 1 or 2 (argparse usage errors exit 2) and no exception escapes,
-so the ``lpa`` script never prints a traceback.
+returns 0, 1 or 2 and no exception escapes, so the ``lpa`` script never
+prints a traceback.  An exit 2 prints one ``error:`` line and nothing on
+stdout, and a ``verify`` flag that the suite does not read always exits 2.
 
 Each case picks a fixture graph, then draws the fragments of every text
 grammar (module, element, vector, twist, cycle, coefficient) mostly from
@@ -27,6 +28,15 @@ FIELDS = ["Q", "F2", "F3", "Q[t]/(t^2-2)", "F2[t]/(t^2+t+1)"]
 BASE_SCALARS = ["2", "-1", "1/3"]
 EXT_SCALARS = ["(t)", "(t+1)", "2"]
 MODULI = ["t^2+t+1", "t^2+1", "t-2", "t^2-2"]
+# The flags each verify suite reads; the parser rejects every other one.
+READS = {
+    "relations": {"--seed", "--triples"},
+    "pi-consistency": {"--window"},
+    "triv-iso": {"--at", "--twist", "--window", "--mono-len"},
+    "twist-iso": {"--cycle", "--scalar", "--modulus", "--window", "--mono-len"},
+    "nvc-iso": {"--cycle", "--window", "--mono-len"},
+    "res-ind": {"--at", "--coeff", "--cap"},
+}
 MALFORMED = ["", "zz", "x", "0", "t", "t^2", "1/0 e", "e^^", "(e)^inf@x", "v#x", "chen:", "ind:v", "ind:v:Ka(",
              "K(x)", "laurent(x)", "(", "e..f", "@", "#", "f=", "e"]
 
@@ -125,7 +135,12 @@ def cli_cases(draw):
         argv += maybe("--shift", ["1", "-1"])
     else:
         suite = draw(st.sampled_from(SUITES))
-        argv = ["verify", suite] + small("--window", 3) + small("--mono-len", 2)
+        reads = READS[suite]
+        argv = ["verify", suite]
+        if "--window" in reads:
+            argv += small("--window", 3)
+        if "--mono-len" in reads:
+            argv += small("--mono-len", 2)
         if suite == "relations":
             argv += small("--triples", 5) + maybe("--seed", ["0", "7"])
         elif suite == "triv-iso":
@@ -140,10 +155,20 @@ def cli_cases(draw):
             at = literal.split("@")[0].split("#")[0]
             coeff = pick(["Ka(2)", "Ka((t))", "quot(t^2+1)"] if ")^inf" in at else ["K", "K(1)"])
             argv += ["--at", at, "--coeff", coeff] + maybe("--cap", ["1", "6"])
-        if not valid:  # flags the suite does not read, or misses
+        if not valid:  # flags the suite misses, or does not read
             argv = argv[: draw(st.sampled_from([4, len(argv)]))]
             argv += maybe("--at", points) + maybe("--cycle", w["cycles"]) + maybe("--coeff", ["K", "Ka(2)"])
-    return name, argv + ["--field", field] + (["--json"] if draw(st.booleans()) else [])
+            argv += maybe("--window", ["2"]) + maybe("--cap", ["1"])
+    if command != "validate":
+        argv += ["--field", field]
+    return name, argv + (["--json"] if draw(st.booleans()) else [])
+
+
+def _unread_flags(argv: list[str]) -> set[str]:
+    """The flags of a ``verify`` command that its suite does not read."""
+    if argv[0] != "verify":
+        return set()
+    return {a for a in argv[2:] if a.startswith("--")} - READS[argv[1]] - {"--field", "--json"}
 
 
 @pytest.fixture(scope="module")
@@ -167,9 +192,11 @@ def test_cli_exits_0_1_or_2_without_a_traceback(graph_paths, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv + [graph_paths[name]])
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-        except Exception:
+        except (Exception, SystemExit):  # usage errors return 2 too, so nothing may escape
             code = traceback.format_exc()
     assert code in (0, 1, 2), f"{name} {argv}: {code}"
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    if _unread_flags(argv):
+        assert code == 2, f"{name} {argv}: a flag the suite does not read was accepted"

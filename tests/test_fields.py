@@ -179,6 +179,15 @@ class TestPolyText:
         K = parse_field("F2[t]/(t^2+t+1)")
         assert isinstance(K, ExtensionField) and K.degree == 2
 
+    @pytest.mark.parametrize("text,value", [("3", 3), ("-3", -3), ("1/3", Fraction(1, 3)), ("-4/6", Fraction(-2, 3))])
+    def test_rational_literals(self, text, value):
+        assert QQ.parse(text) == value
+
+    @pytest.mark.parametrize("text", ["1e400", "1E2", "0.5", ".5", "+2", " 2", "1_000", "1/0", "1/-2", "inf", ""])
+    def test_other_rational_forms_are_refused(self, text):
+        with pytest.raises(FieldError):
+            QQ.parse(text)
+
     def test_divmod(self):
         f = parse_poly("t^3+t+1", QQ)
         g = parse_poly("t+2", QQ)

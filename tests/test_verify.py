@@ -584,3 +584,13 @@ class TestExtensionFieldAsGroundField:
         K = parse_field(field_text)
         x = lasso(r1, r1.vertex_path("v"), ["e"])
         assert verify_res_ind(r1, K, InducedSpec(x, ScalarAction(K.parse("(t)")))).passed
+
+
+def test_relations_builds_the_monomial_list_once(monkeypatch):
+    from leavitt import algebra
+
+    calls = []
+    original = algebra.all_monomials
+    monkeypatch.setattr(algebra, "all_monomials", lambda *a: calls.append(a) or original(*a))
+    assert verify.verify_relations(Graph(*FIXTURE_GRAPHS["rose2"]), PrimeField(5), seed=0, triples=50).passed
+    assert len(calls) == 1
