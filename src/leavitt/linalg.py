@@ -1,11 +1,19 @@
-"""Small dense exact linear algebra over a coefficient field.
+"""Small exact linear algebra over a coefficient field.
 
-Matrices are lists of rows of raw field values.  Everything is Gaussian
-elimination at desk scale; subspaces are represented by their reduced row
-echelon bases, which makes subspace equality a plain comparison.
+Two forms of vectors and matrices meet here.  A sparse vector is a
+``{index: value}`` dict of nonzero raw field values, and a sparse matrix is
+a list of such columns; ``echelon_step`` reduces one sparse row against a
+dict of pivot rows, and both the homogeneous solver ``nullspace`` and the
+submodule spin in ``leavitt.verify`` are built on it.  A dense matrix is a
+list of rows of raw field values; ``rref``, ``column_space``,
+``coordinates``, ``mat_vec`` and ``mat_mul`` work on that form.  Subspaces
+are represented by their reduced row echelon bases, which makes subspace
+equality a plain comparison.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from .fields import Field
 
@@ -44,6 +52,54 @@ def mat_vec(field: Field, a: list[list], v: list) -> list:
     return out
 
 
+def dense(field: Field, cols: list[dict], nrows: int) -> list[list]:
+    """The dense matrix (a list of rows) whose columns are the sparse ``cols``."""
+    out = zeros(field, nrows, len(cols))
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            out[i][j] = c
+    return out
+
+
+def _add_multiple(field: Field, row: dict, factor, other: dict) -> None:
+    """row += factor * other, for sparse rows, in place."""
+    for i, x in other.items():
+        y = field.mul(factor, x)
+        if i in row:
+            y = field.add(row[i], y)
+            if field.is_zero(y):
+                del row[i]
+                continue
+        row[i] = y
+
+
+def apply_columns(field: Field, cols: list[dict], vec: dict) -> dict:
+    """The sparse matrix with columns ``cols`` times the sparse vector ``vec``."""
+    out: dict = {}
+    for j, c in vec.items():
+        _add_multiple(field, out, c, cols[j])
+    return out
+
+
+def echelon_step(field: Field, pivots: dict[int, dict], row: dict) -> int | None:
+    """One step of sparse Gaussian elimination.
+
+    ``pivots`` maps each pivot index to its row: a sparse row whose least
+    index is that pivot, with value one there.  ``row`` is reduced in place
+    at its least index until that index is no pivot; a nonzero remainder is
+    scaled to one there, added to ``pivots``, and its pivot index returned.
+    A row that reduces to zero returns None."""
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            inv = field.inv(row[lead])
+            pivots[lead] = {i: field.mul(inv, x) for i, x in row.items()}
+            return lead
+        _add_multiple(field, row, field.neg(row[lead]), pivot)
+    return None
+
+
 def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; zero rows dropped.  Returns (rows, pivot columns)."""
     mat = [list(r) for r in rows]
@@ -73,17 +129,34 @@ def column_space(field: Field, mat: list[list]) -> list[list]:
     return rref(field, [list(col) for col in zip(*mat)])[0] if mat and mat[0] else []
 
 
-def nullspace(field: Field, rows: list[list], ncols: int) -> list[list]:
-    """Basis of {v : rows @ v = 0}, one vector per free column."""
-    red, pivots = rref(field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def nullspace(field: Field, rows: Iterable[dict], ncols: int) -> list[list]:
+    """Basis of {v : row . v = 0 for every sparse row}, as dense vectors of
+    length ``ncols``, one per free column.
+
+    Each row is reduced in place by ``echelon_step`` as it arrives, so the
+    rows are never held together; back-substitution then makes the pivot
+    rows the reduced row echelon form, which is unique, so the basis
+    depends only on the span of the rows."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        echelon_step(field, pivots, row)
+    order = sorted(pivots)
+    # Descending, so each pivot row met in pj is already reduced: it holds
+    # its own pivot and free columns only, and subtracting it adds no pivot.
+    for j in reversed(order):
+        pj = pivots[j]
+        for k in [i for i in pj if i != j and i in pivots]:
+            _add_multiple(field, pj, field.neg(pj[k]), pivots[k])
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [field.zero()] * ncols
         v[fc] = field.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
+        for pc in order:
+            c = pivots[pc].get(fc)
+            if c is not None:
+                v[pc] = field.neg(c)
         basis.append(v)
     return basis
 

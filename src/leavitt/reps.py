@@ -268,14 +268,27 @@ class Module:
     def finite_dimensional(self) -> bool:
         raise NotImplementedError
 
-    def act(self, elt: AlgebraElement, vec: ModuleVector) -> ModuleVector:
-        """Exact action; distributes over terms and collects like basis elements."""
+    def act_monomial(self, mono: Monomial, terms: dict) -> dict:
+        """The terms of mono acting on the vector with ``terms``: distributes
+        over them and collects like basis elements; a coefficient equal to
+        one is not multiplied."""
         F = self.field
+        one = F.one()
+        out: dict[BasisElement, object] = {}
+        for b, s in terms.items():
+            for b2, s2 in self.act_monomial_basis(mono, b):
+                add_term(F, out, b2, s2 if s == one else F.mul(s, s2))
+        return out
+
+    def act(self, elt: AlgebraElement, vec: ModuleVector) -> ModuleVector:
+        """Exact action: ``act_monomial`` for each term of elt, scaled by its
+        coefficient and collected."""
+        F = self.field
+        one = F.one()
         out: dict[BasisElement, object] = {}
         for m, c in elt.terms.items():
-            for b, s in vec.terms.items():
-                for b2, s2 in self.act_monomial_basis(m, b):
-                    add_term(F, out, b2, F.mul(c, F.mul(s, s2)))
+            for b, s in self.act_monomial(m, vec.terms).items():
+                add_term(F, out, b, s if c == one else F.mul(c, s))
         return ModuleVector(F, out)
 
     def vector(self, terms: dict) -> ModuleVector:

@@ -45,7 +45,17 @@ from .graphs import (
     strip_prefix,
     tail_lags,
 )
-from .linalg import column_space, coordinates, identity, mat_mul, mat_vec, nullspace, rref
+from .linalg import (
+    apply_columns,
+    column_space,
+    coordinates,
+    dense,
+    echelon_step,
+    identity,
+    mat_mul,
+    mat_vec,
+    nullspace,
+)
 from .groupoid import pi_consistency
 from .reps import (
     ChenBasis,
@@ -93,18 +103,20 @@ class Window:
     def dim(self) -> int:
         return len(self.elements)
 
-    def matrix_of(self, elt: AlgebraElement) -> list[list]:
-        """Column j is the image of basis element j."""
+    def matrix_of(self, elt: AlgebraElement) -> list[dict]:
+        """The matrix of ``elt`` as sparse columns: column j is the image of
+        basis element j, as a {row: coefficient} dict."""
         F = self.module.field
-        mat = [[F.zero()] * self.dim for _ in range(self.dim)]
-        for j, b in enumerate(self.elements):
-            image = self.module.act(elt, ModuleVector(F, {b: F.one()}))
-            for b2, c in image.terms.items():
+        cols = []
+        for b in self.elements:
+            col = {}
+            for b2, c in self.module.act(elt, ModuleVector(F, {b: F.one()})).terms.items():
                 i = self.index.get(b2)
                 if i is None:
                     raise OutOfWindowError(f"action of {elt} leaves the window at {b2}")
-                mat[i][j] = c
-        return mat
+                col[i] = c
+            cols.append(col)
+        return cols
 
     def degrees(self) -> list[int]:
         return [self.module.grade(b) for b in self.elements]
@@ -167,7 +179,7 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
     for m in range(horizon + 1):
         mu = initial_path(module.graph, x, m)
         idem = A.monomial_element(monomial(mu, mu))
-        images.append(column_space(F, window.matrix_of(idem)))
+        images.append(column_space(F, dense(F, window.matrix_of(idem), window.dim)))
     final = images[-1]
     first_stable = next(m for m in range(len(images)) if images[m] == final)
     reported_steps = first_stable + 1
@@ -181,7 +193,7 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
     if gen_mono is None or dim == 0:
         gen = identity(F, dim)
     else:
-        gmat = window.matrix_of(A.monomial_element(gen_mono))
+        gmat = dense(F, window.matrix_of(A.monomial_element(gen_mono)), window.dim)
         cols = []
         for w in rows:
             image = mat_vec(F, gmat, w)
@@ -205,15 +217,18 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
 
 def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: int = 0) -> list[list[list]]:
     """Basis of Hom(A, B) as matrices (graded mode: maps of the given degree)
-    between finite-dimensional modules."""
+    between finite-dimensional modules over one graph and one field.
+
+    The unknowns are the entries T[i][j] allowed by the degree.  Each
+    equation (T.g_A - g_B.T)[i][j] = 0, for a generator g, is built as a
+    sparse row from the sparse columns of g_A and the sparse rows of g_B,
+    and ``nullspace`` eliminates it as it arrives."""
     if modA.field != modB.field:
         raise ModuleSpecError("modules live over different fields")
+    if (modA.graph.vertices, modA.graph.edges) != (modB.graph.vertices, modB.graph.edges):
+        raise ModuleSpecError("modules live over different graphs")
     F = modA.field
     winA, winB = Window.full(modA), Window.full(modB)
-    A = modA.algebra()
-    gens = generator_elements(A)
-    matsA = [winA.matrix_of(g) for g in gens]
-    matsB = [winB.matrix_of(g) for g in gens]
     nA, nB = winA.dim, winB.dim
     if graded:
         degsA, degsB = winA.degrees(), winB.degrees()
@@ -222,27 +237,39 @@ def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: 
         ]
     else:
         allowed = [(i, j) for i in range(nB) for j in range(nA)]
-    col_of = {pair: idx for idx, pair in enumerate(allowed)}
-    rows = []
-    for ga, gb in zip(matsA, matsB):
-        for i in range(nB):
-            for j in range(nA):
-                row = [F.zero()] * len(allowed)
-                for k in range(nA):  # T[i,k] * ga[k,j]
-                    if (i, k) in col_of and not F.is_zero(ga[k][j]):
-                        row[col_of[(i, k)]] = F.add(row[col_of[(i, k)]], ga[k][j])
-                for k in range(nB):  # - gb[i,k] * T[k,j]
-                    if (k, j) in col_of and not F.is_zero(gb[i][k]):
-                        row[col_of[(k, j)]] = F.sub(row[col_of[(k, j)]], gb[i][k])
-                if any(not F.is_zero(c) for c in row):
-                    rows.append(row)
     if not allowed:
         return []
-    if not rows:
-        rows = [[F.zero()] * len(allowed)]
-    basis = nullspace(F, rows, len(allowed))
+    col_of = {pair: idx for idx, pair in enumerate(allowed)}
+    gens = generator_elements(modA.algebra())
+    matsA = [winA.matrix_of(g) for g in gens]
+    matsB = [winB.matrix_of(g) for g in gens]
+
+    def equations():
+        for colsA, colsB in zip(matsA, matsB):
+            rowsB = [{} for _ in range(nB)]  # the sparse rows of g_B
+            for k, col in enumerate(colsB):
+                for i, c in col.items():
+                    rowsB[i][k] = c
+            for i in range(nB):
+                for j in range(nA):
+                    row: dict = {}
+                    for k, a in colsA[j].items():  # T[i,k] * gA[k,j]
+                        idx = col_of.get((i, k))
+                        if idx is not None:
+                            row[idx] = a
+                    for k, b in rowsB[i].items():  # - gB[i,k] * T[k,j]
+                        idx = col_of.get((k, j))
+                        if idx is not None:
+                            c = F.sub(row[idx], b) if idx in row else F.neg(b)
+                            if F.is_zero(c):
+                                del row[idx]
+                            else:
+                                row[idx] = c
+                    if row:
+                        yield row
+
     out = []
-    for vec in basis:
+    for vec in nullspace(F, equations(), len(allowed)):
         T = [[F.zero()] * nA for _ in range(nB)]
         for idx, (i, j) in enumerate(allowed):
             T[i][j] = vec[idx]
@@ -334,27 +361,27 @@ def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len:
     modules, so a b that the ghost part kills on both sides (b in A, f(b)
     in B) gives zero on both sides for every mu and is skipped.  The pairs
     left keep their order, so the first counterexample is the one the scan
-    over all pairs finds."""
+    over all pairs finds.  Each monomial acts through ``act_monomial``, on
+    the terms of a unit vector in A and of f(b) in B."""
     F = modA.field
-    graph, algebra = modA.graph, modA.algebra()
-    units = [ModuleVector(F, {b: F.one()}) for b in elems]
-    images = [f(b) for b in elems]
+    graph = modA.graph
+    units = [{b: F.one()} for b in elems]
+    images = [f(b).terms for b in elems]
     live: dict = {}  # nu -> indices of the elements its ghost part does not kill
     for m in all_monomials(graph, mono_len):
         indices = live.get(m.nu)
         if indices is None:
-            ghost = algebra.monomial_element(monomial(graph.vertex_path(m.nu.rng), m.nu))
+            ghost = monomial(graph.vertex_path(m.nu.rng), m.nu)
             indices = live[m.nu] = [
                 i
                 for i in range(len(elems))
-                if not (modA.act(ghost, units[i]).is_zero and modB.act(ghost, images[i]).is_zero)
+                if modA.act_monomial(ghost, units[i]) or modB.act_monomial(ghost, images[i])
             ]
-        eta = algebra.monomial_element(m)
         for i in indices:
-            lhs = linear_extend(f, modA.act(eta, units[i]))
-            rhs = modB.act(eta, images[i])
-            if lhs != rhs:
-                return m, elems[i], lhs, rhs
+            lhs = linear_extend(f, ModuleVector(F, modA.act_monomial(m, units[i])))
+            rhs = modB.act_monomial(m, images[i])
+            if lhs.terms != rhs:
+                return m, elems[i], lhs, ModuleVector(F, rhs)
     return None
 
 
@@ -679,31 +706,36 @@ class ProbeResult:
     witness: dict
 
 
-def _cyclic_span_is_full(window: Window, mats: list[list[list]], seed: int) -> int:
-    F = window.module.field
-    vec = [F.zero()] * window.dim
-    vec[seed] = F.one()
-    rows = [vec]
-    basis, _ = rref(F, rows)
-    while True:
-        new_rows = list(basis)
+def _spin(field: Field, mats: list[list[dict]], seed: dict) -> int:
+    """Dimension of the submodule that the sparse vector ``seed`` generates
+    under the sparse matrices ``mats`` (Parker's spin).
+
+    Each vector added to the echelon basis is multiplied by every matrix
+    once, and each image is reduced against the basis by ``echelon_step``;
+    when no added vector is left unmultiplied, the basis spans a subspace
+    that contains the seed and that every matrix maps into itself."""
+    pivots: dict[int, dict] = {}
+    lead = echelon_step(field, pivots, dict(seed))
+    todo = [] if lead is None else [lead]
+    while todo:
+        w = pivots[todo.pop()]
         for m in mats:
-            for w in basis:
-                new_rows.append(mat_vec(F, m, w))
-        nxt, _ = rref(F, new_rows)
-        if len(nxt) == len(basis):
-            return len(basis)
-        basis = nxt
+            lead = echelon_step(field, pivots, apply_columns(field, m, w))
+            if lead is not None:
+                todo.append(lead)
+    return len(pivots)
 
 
 def simplicity_probe(graph, field: Field, spec: ModuleSpec, bound: int = 4, mono_len: int = 2) -> ProbeResult:
     """Simplicity evidence.
 
     Finite-dimensional modules: checks that every basis-coordinate seed
-    generates the whole module.  Induced modules with Laurent coefficients:
-    certifies graded-simple-but-not-simple by exhibiting an equivariant
-    surjection onto the untwisted boundary-path module with a nonzero
-    in-window kernel vector.  Anything else is inconclusive.
+    generates the whole module.  Each seed is spun under the sparse
+    generator matrices, so each generator acts once on each new basis
+    vector.  Induced modules with Laurent coefficients: certifies
+    graded-simple-but-not-simple by exhibiting an equivariant surjection
+    onto the untwisted boundary-path module with a nonzero in-window kernel
+    vector.  Anything else is inconclusive.
     """
     module = build_module(graph, field, spec)
     if module.finite_dimensional():
@@ -711,7 +743,7 @@ def simplicity_probe(graph, field: Field, spec: ModuleSpec, bound: int = 4, mono
         gens = generator_elements(module.algebra())
         mats = [window.matrix_of(g) for g in gens]
         for seed in range(window.dim):
-            span = _cyclic_span_is_full(window, mats, seed)
+            span = _spin(field, mats, {seed: field.one()})
             if span != window.dim:
                 return ProbeResult(
                     "not-simple",

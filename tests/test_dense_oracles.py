@@ -1,0 +1,278 @@
+"""The sparse spin and the sparse Hom equations against the dense code they
+replaced.
+
+The oracles below are the dense window matrices (one ``Module.act`` per
+basis element, written into a list of rows), the dense cyclic span (apply
+every generator to the whole echelon basis, then ``rref``, until the rank
+stops growing), and the dense equation builder for T.g_A = g_B.T solved by
+``rref``.  They run on random small finite-dimensional modules: sink
+modules, twisted boundary-path modules at cycles, scalar extensions, and
+induced modules with scalar-action and quotient coefficients, plus a
+direct sum, which is not simple and maps onto its summands.
+"""
+
+import random
+from dataclasses import dataclass
+
+import pytest
+
+from leavitt import verify
+from leavitt.algebra import TwistVector
+from leavitt.fields import QQ, PrimeField, parse_poly
+from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, sink_path
+from leavitt.linalg import mat_vec, rref
+from leavitt.reps import (
+    BasisEnumeration,
+    ChenExtSpec,
+    ChenSpec,
+    InducedSpec,
+    Module,
+    ModuleVector,
+    QuotientCoeff,
+    ScalarAction,
+    TrivialCoeff,
+    build_module,
+)
+from leavitt.verify import Window, generator_elements, intertwiner_space, simplicity_probe
+
+# field name -> (field, an irreducible quadratic, a scalar other than 0 and 1 when there is one)
+FIELDS = {
+    "F2": (PrimeField(2), "t^2+t+1", 1),
+    "F3": (PrimeField(3), "t^2+1", 2),
+    "Q": (QQ, "t^2-2", 2),
+}
+MAX_DIM = 5
+
+
+# ---------------------------------------------------------------------------
+# The dense oracles
+
+
+def dense_matrix_of(window: Window, elt) -> list[list]:
+    """Column j is the image of basis element j, in a dense list of rows."""
+    F = window.module.field
+    mat = [[F.zero()] * window.dim for _ in range(window.dim)]
+    for j, b in enumerate(window.elements):
+        for b2, c in window.module.act(elt, ModuleVector(F, {b: F.one()})).terms.items():
+            mat[window.index[b2]][j] = c
+    return mat
+
+
+def dense_cyclic_span(F, mats: list[list[list]], dim: int, seed: int) -> int:
+    """Dimension of the submodule that basis vector ``seed`` generates."""
+    vec = [F.zero()] * dim
+    vec[seed] = F.one()
+    basis, _ = rref(F, [vec])
+    while True:
+        new_rows = list(basis)
+        for m in mats:
+            for w in basis:
+                new_rows.append(mat_vec(F, m, w))
+        nxt, _ = rref(F, new_rows)
+        if len(nxt) == len(basis):
+            return len(basis)
+        basis = nxt
+
+
+def dense_intertwiner_space(modA, modB, graded=False, degree=0) -> list[list[list]]:
+    """Hom(A, B) from dense equation rows, eliminated together by ``rref``."""
+    F = modA.field
+    winA, winB = Window.full(modA), Window.full(modB)
+    gens = generator_elements(modA.algebra())
+    matsA = [dense_matrix_of(winA, g) for g in gens]
+    matsB = [dense_matrix_of(winB, g) for g in gens]
+    nA, nB = winA.dim, winB.dim
+    if graded:
+        degsA, degsB = winA.degrees(), winB.degrees()
+        allowed = [(i, j) for i in range(nB) for j in range(nA) if degsB[i] == degsA[j] + degree]
+    else:
+        allowed = [(i, j) for i in range(nB) for j in range(nA)]
+    col_of = {pair: idx for idx, pair in enumerate(allowed)}
+    rows = []
+    for ga, gb in zip(matsA, matsB):
+        for i in range(nB):
+            for j in range(nA):
+                row = [F.zero()] * len(allowed)
+                for k in range(nA):  # T[i,k] * ga[k,j]
+                    if (i, k) in col_of and not F.is_zero(ga[k][j]):
+                        row[col_of[(i, k)]] = F.add(row[col_of[(i, k)]], ga[k][j])
+                for k in range(nB):  # - gb[i,k] * T[k,j]
+                    if (k, j) in col_of and not F.is_zero(gb[i][k]):
+                        row[col_of[(k, j)]] = F.sub(row[col_of[(k, j)]], gb[i][k])
+                if any(not F.is_zero(c) for c in row):
+                    rows.append(row)
+    if not allowed:
+        return []
+    red, pivots = rref(F, rows)
+    out = []
+    for fc in range(len(allowed)):
+        if fc in pivots:
+            continue
+        vec = [F.zero()] * len(allowed)
+        vec[fc] = F.one()
+        for r, pc in enumerate(pivots):
+            vec[pc] = F.neg(red[r][fc])
+        T = [[F.zero()] * nA for _ in range(nB)]
+        for idx, (i, j) in enumerate(allowed):
+            T[i][j] = vec[idx]
+        out.append(T)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# A module that is not simple
+
+
+@dataclass(frozen=True)
+class Summand:
+    index: int
+    b: object
+
+    def __str__(self) -> str:
+        return f"{self.index}:{self.b}"
+
+    def sort_key(self):
+        return (self.index, self.b.sort_key())
+
+
+class DirectSum(Module):
+    """M (+) N for two finite-dimensional modules over one graph and field."""
+
+    def __init__(self, first: Module, second: Module):
+        self.parts = (first, second)
+        self.graph, self.field = first.graph, first.field
+        self.gradable = first.gradable and second.gradable
+
+    def enumerate_basis(self, bound=None) -> BasisEnumeration:
+        elems = tuple(
+            Summand(i, b) for i, M in enumerate(self.parts) for b in M.enumerate_basis(bound).elements
+        )
+        return BasisEnumeration(elems, True, len(elems))
+
+    def act_monomial_basis(self, mono, s: Summand):
+        return [(Summand(s.index, b2), c) for b2, c in self.parts[s.index].act_monomial_basis(mono, s.b)]
+
+    def grade(self, s: Summand) -> int:
+        return self.parts[s.index].grade(s.b)
+
+    def finite_dimensional(self) -> bool:
+        return True
+
+
+# ---------------------------------------------------------------------------
+# Random small modules
+
+
+def _random_graph(rng: random.Random) -> Graph:
+    vertices = [f"v{i}" for i in range(rng.randint(1, 4))]
+    edges = [(f"e{i}", rng.choice(vertices), rng.choice(vertices)) for i in range(rng.randint(1, 5))]
+    return Graph(vertices, edges)
+
+
+def _specs(g: Graph, F, modulus: str, a):
+    """Sink modules (graded, some twisted and shifted), and at each cycle a
+    twisted boundary-path module, a scalar extension, and induced modules
+    with scalar-action and quotient coefficients."""
+    f = parse_poly(modulus, F)
+    for v in g.sinks:
+        twist = TwistVector.make(g, F, {e.name: a for e in g.in_edges(v)})
+        for p in enumerate_paths_ending_at(g, v, bound=1).paths:
+            x = sink_path(g, p)
+            yield ChenSpec(x)
+            yield ChenSpec(x, twist, 1)
+            yield InducedSpec(x, TrivialCoeff(1))
+    for c in elementary_cycles(g):
+        x = cycle_tail(g, c)
+        yield ChenSpec(x, TwistVector.make(g, F, {x.cycle[0]: a}))
+        yield ChenExtSpec(c, f)
+        yield InducedSpec(x, ScalarAction(a))
+        yield InducedSpec(x, QuotientCoeff(f))
+
+
+def _modules(g: Graph, F, modulus: str, a) -> list[Module]:
+    out = []
+    for spec in _specs(g, F, modulus, a):
+        M = build_module(g, F, spec)
+        if M.finite_dimensional() and 0 < len(M.enumerate_basis().elements) <= MAX_DIM:
+            out.append(M)
+    return out
+
+
+def _samples(field_name: str, count: int):
+    """(graph, field, modules) for ``count`` random graphs with at least one
+    small finite-dimensional module."""
+    F, modulus, a = FIELDS[field_name]
+    rng = random.Random(f"dense-oracles-{field_name}")
+    found, seen = [], set()
+    while len(found) < count:
+        g = _random_graph(rng)
+        key = (g.vertices, g.edges)
+        mods = [] if key in seen else _modules(g, F, modulus, a)
+        seen.add(key)
+        if mods:
+            found.append((g, F, mods))
+    return found
+
+
+def _assert_spin_matches(module: Module):
+    window = Window.full(module)
+    F = module.field
+    gens = generator_elements(module.algebra())
+    sparse = [window.matrix_of(g) for g in gens]
+    dense = [dense_matrix_of(window, g) for g in gens]
+    for s, d in zip(sparse, dense):
+        assert [{i: c for i, c in enumerate(col) if not F.is_zero(c)} for col in zip(*d)] == s
+    dims = [verify._spin(F, sparse, {seed: F.one()}) for seed in range(window.dim)]
+    assert dims == [dense_cyclic_span(F, dense, window.dim, seed) for seed in range(window.dim)]
+    return dims
+
+
+# ---------------------------------------------------------------------------
+# The tests
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_spin_matches_dense_span(field_name):
+    for g, F, mods in _samples(field_name, 3):
+        for M in mods:
+            dims = _assert_spin_matches(M)
+            probe = simplicity_probe(g, F, M.spec)
+            full = all(d == len(dims) for d in dims)
+            assert probe.verdict == ("simple" if full else "not-simple")
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_hom_matches_dense_equations(field_name):
+    rng = random.Random(f"hom-{field_name}")
+    for g, F, mods in _samples(field_name, 3):
+        pairs = [(A, B) for A in mods for B in mods]
+        for A, B in rng.sample(pairs, min(len(pairs), 4)):
+            assert intertwiner_space(A, B) == dense_intertwiner_space(A, B)
+        graded = [M for M in mods if M.gradable]
+        for A in graded:
+            B = rng.choice(graded)
+            for degree in (-1, 0, 1):
+                got = intertwiner_space(A, B, graded=True, degree=degree)
+                assert got == dense_intertwiner_space(A, B, graded=True, degree=degree)
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_direct_sum_is_not_simple_and_maps_onto_a_summand(monkeypatch, field_name):
+    for g, F, mods in _samples(field_name, 3):
+        M, N = mods[0], mods[-1]
+        S = DirectSum(M, N)
+        dims = _assert_spin_matches(S)
+        assert min(dims) <= len(M.enumerate_basis().elements) < len(dims)
+        monkeypatch.setattr(verify, "build_module", lambda *args: S)
+        probe = simplicity_probe(g, F, None)
+        monkeypatch.undo()
+        seed = next(i for i, d in enumerate(dims) if d < len(dims))
+        assert probe.verdict == "not-simple"
+        assert probe.witness == {
+            "seed": str(Window.full(S).elements[seed]),
+            "submodule_dimension": dims[seed],
+            "module_dimension": len(dims),
+        }
+        homs = intertwiner_space(S, M)
+        assert homs == dense_intertwiner_space(S, M)
+        assert len(homs) >= len(intertwiner_space(M, M)) > 0
