@@ -14,20 +14,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .fields import Field
 from .graphs import FinitePath, Graph, concat, initial_remainder
+from .linalg import add_scaled, add_term
 
 
 class AlgebraError(ValueError):
     """Invalid algebra element construction or mixed-context operation."""
-
-
-def add_term(field: Field, terms: dict, key, c) -> None:
-    """Add c to the coefficient of key in terms, dropping key if the sum is zero."""
-    if key in terms:
-        c = field.add(terms[key], c)
-    if field.is_zero(c):
-        terms.pop(key, None)
-    else:
-        terms[key] = c
 
 
 class LinearCombination:
@@ -53,8 +44,7 @@ class LinearCombination:
     def __add__(self, other):
         F = self.field
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(F, out, k, c)
+        add_scaled(F, out, F.one(), other.terms)
         return self._like(out)
 
     def __neg__(self):

@@ -555,13 +555,20 @@ class ExtensionField(Field):
         return "(" + format_poly(p) + ")"
 
     def parse(self, text: str):
+        """A base-field literal, or a polynomial in t read as its sparse terms;
+        each t^k is reduced by ``pow``, so an exponent costs log k products."""
         text = text.strip()
         if text.startswith("(") and text.endswith(")"):
-            return self._wrap(parse_poly(text[1:-1], self.base))
-        try:
-            return self.embed(self.base.parse(text))
-        except FieldError:
-            return self._wrap(parse_poly(text, self.base))
+            text = text[1:-1]
+        else:
+            try:
+                return self.embed(self.base.parse(text))
+            except FieldError:
+                pass
+        out, t = self._zero, self.tbar()
+        for k, c in _poly_terms(text, self.base).items():
+            out = self.add(out, tuple(self.base.mul(c, x) for x in self.pow(t, k)))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +606,13 @@ _TERM_RE = re.compile(r"^(?:(?P<coef>[^t]*?)\*?)?(?P<t>t(?:\^(?P<exp>\d+))?)?$")
 
 def parse_poly(text: str, field: Field) -> Poly:
     """Parse forms like ``t^3+t+1`` or ``t^2-2`` over the given field."""
+    coeffs = _poly_terms(text, field)
+    return Poly.make(field, [coeffs.get(i, field.zero()) for i in range(max(coeffs) + 1)])
+
+
+def _poly_terms(text: str, field: Field) -> dict[int, object]:
+    """The terms of a polynomial literal as sparse {exponent: coefficient},
+    like terms collected."""
     s = text.replace(" ", "")
     if not s:
         raise FieldError("empty polynomial")
@@ -633,8 +647,7 @@ def parse_poly(text: str, field: Field) -> Poly:
         if sign < 0:
             c = field.neg(c)
         coeffs[exp] = field.add(coeffs.get(exp, field.zero()), c)
-    n = max(coeffs) if coeffs else 0
-    return Poly.make(field, [coeffs.get(i, field.zero()) for i in range(n + 1)])
+    return coeffs
 
 
 _FIELD_RE = re.compile(r"^(?P<base>Q|F(?P<p>\d+))(?:\[t\]/\((?P<mod>.+)\))?$")

@@ -1,11 +1,14 @@
-"""Small exact linear algebra over a coefficient field.
+"""Exact linear algebra over a coefficient field; the one home of sparse
+vector arithmetic.
 
-Two forms of vectors and matrices meet here.  A sparse vector is a
-``{index: value}`` dict of nonzero raw field values, and a sparse matrix is
-a list of such columns; ``echelon_step`` reduces one sparse row against a
-dict of pivot rows, and both the homogeneous solver ``nullspace`` and the
-submodule spin in ``leavitt.verify`` are built on it.  A dense matrix is a
-list of rows of raw field values; ``rref``, ``column_space``,
+A sparse vector is a ``{key: value}`` dict of nonzero raw field values,
+keyed by column indices or module basis elements.  ``add_term``,
+``add_scaled`` and ``linear_extend`` are the only code that adds such
+dicts; algebra elements, module actions, certificates and the elimination
+here all use them.  A sparse matrix is a list of such columns;
+``echelon_step`` reduces one sparse row against a dict of pivot rows, and
+``nullspace`` and the submodule spin in ``leavitt.verify`` are built on it.
+A dense matrix is a list of rows; ``rref``, ``column_space``,
 ``coordinates``, ``mat_vec`` and ``mat_mul`` work on that form.  Subspaces
 are represented by their reduced row echelon bases, which makes subspace
 equality a plain comparison.
@@ -61,23 +64,42 @@ def dense(field: Field, cols: list[dict], nrows: int) -> list[list]:
     return out
 
 
-def _add_multiple(field: Field, row: dict, factor, other: dict) -> None:
-    """row += factor * other, for sparse rows, in place."""
-    for i, x in other.items():
-        y = field.mul(factor, x)
-        if i in row:
-            y = field.add(row[i], y)
-            if field.is_zero(y):
-                del row[i]
+def add_term(field: Field, out: dict, key, c) -> None:
+    """Add c to the coefficient of key in out, dropping key if the sum is zero."""
+    if key in out:
+        c = field.add(out[key], c)
+    if field.is_zero(c):
+        out.pop(key, None)
+    else:
+        out[key] = c
+
+
+def add_scaled(field: Field, out: dict, c, vec: dict) -> None:
+    """out += c * vec, in place, for a nonzero c; sums that reach zero are
+    dropped, and a c equal to one is not multiplied."""
+    scale = c != field.one()
+    if not (out or scale):
+        out.update(vec)  # copies vec's stored key hashes: basis keys hash slowly
+        return
+    for k, x in vec.items():
+        if scale:
+            x = field.mul(c, x)
+        if k in out:
+            x = field.add(out[k], x)
+            if field.is_zero(x):
+                del out[k]
                 continue
-        row[i] = y
+        out[k] = x
 
 
-def apply_columns(field: Field, cols: list[dict], vec: dict) -> dict:
-    """The sparse matrix with columns ``cols`` times the sparse vector ``vec``."""
+def linear_extend(field: Field, f, vec: dict) -> dict:
+    """The linear map that sends each key k to the sparse vector f(k), applied
+    to the sparse vector ``vec``; zero images cost no call to ``add_scaled``."""
     out: dict = {}
-    for j, c in vec.items():
-        _add_multiple(field, out, c, cols[j])
+    for k, c in vec.items():
+        image = f(k)
+        if image:
+            add_scaled(field, out, c, image)
     return out
 
 
@@ -96,7 +118,7 @@ def echelon_step(field: Field, pivots: dict[int, dict], row: dict) -> int | None
             inv = field.inv(row[lead])
             pivots[lead] = {i: field.mul(inv, x) for i, x in row.items()}
             return lead
-        _add_multiple(field, row, field.neg(row[lead]), pivot)
+        add_scaled(field, row, field.neg(row[lead]), pivot)
     return None
 
 
@@ -146,7 +168,7 @@ def nullspace(field: Field, rows: Iterable[dict], ncols: int) -> list[list]:
     for j in reversed(order):
         pj = pivots[j]
         for k in [i for i in pj if i != j and i in pivots]:
-            _add_multiple(field, pj, field.neg(pj[k]), pivots[k])
+            add_scaled(field, pj, field.neg(pj[k]), pivots[k])
     basis = []
     for fc in range(ncols):
         if fc in pivots:

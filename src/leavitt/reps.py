@@ -27,7 +27,6 @@ from .algebra import (
     LinearCombination,
     Monomial,
     TwistVector,
-    add_term,
     monomial,
 )
 from .fields import ExtensionField, Field, FieldError, Poly
@@ -46,6 +45,7 @@ from .graphs import (
     tail_lags,
 )
 from .groupoid import orbit, orbit_size
+from .linalg import add_term, linear_extend
 
 
 class ModuleSpecError(ValueError):
@@ -140,6 +140,14 @@ class ChenExtSpec:
 
     def __post_init__(self):
         _attach_extension(self)
+
+    @classmethod
+    def over(cls, cycle: FinitePath, coeff: QuotientCoeff) -> "ChenExtSpec":
+        """The spec at ``cycle`` for coeff's modulus, with coeff's K[t]/(f):
+        the modulus was tested when coeff was made and is not tested again."""
+        spec = cls.__new__(cls)
+        spec.__dict__.update(cycle=cycle, modulus=coeff.modulus, shift=0, extension=coeff.extension)
+        return spec
 
 
 @dataclass(frozen=True)
@@ -252,14 +260,17 @@ class Module:
     def scalars(self) -> Field:
         return self.extension or self.field
 
-    def expand(self, a, j: int) -> tuple:
-        """Ground-field coordinates of a*t^j, for a in ``scalars``."""
-        return (a,) if self.extension is None else self.extension.expand(a, j)
+    def expand(self, a, j: int) -> dict:
+        """Ground-field coordinates of a*t^j, for a in ``scalars``, as a sparse
+        {j: coordinate} dict."""
+        coords = (a,) if self.extension is None else self.extension.expand(a, j)
+        return {i: c for i, c in enumerate(coords) if not self.field.is_zero(c)}
 
     def enumerate_basis(self, bound: int | None = None) -> BasisEnumeration:
         raise NotImplementedError
 
-    def act_monomial_basis(self, mono: Monomial, b: BasisElement) -> list[tuple[BasisElement, object]]:
+    def act_monomial_basis(self, mono: Monomial, b: BasisElement) -> dict:
+        """mono acting on the basis element b, as a sparse {basis element: value} dict."""
         raise NotImplementedError
 
     def grade(self, b: BasisElement) -> int:
@@ -269,27 +280,15 @@ class Module:
         raise NotImplementedError
 
     def act_monomial(self, mono: Monomial, terms: dict) -> dict:
-        """The terms of mono acting on the vector with ``terms``: distributes
-        over them and collects like basis elements; a coefficient equal to
-        one is not multiplied."""
-        F = self.field
-        one = F.one()
-        out: dict[BasisElement, object] = {}
-        for b, s in terms.items():
-            for b2, s2 in self.act_monomial_basis(mono, b):
-                add_term(F, out, b2, s2 if s == one else F.mul(s, s2))
-        return out
+        """The terms of mono acting on the vector with ``terms``: the linear
+        extension (``linalg.linear_extend``) of ``act_monomial_basis``."""
+        return linear_extend(self.field, lambda b: self.act_monomial_basis(mono, b), terms)
 
     def act(self, elt: AlgebraElement, vec: ModuleVector) -> ModuleVector:
-        """Exact action: ``act_monomial`` for each term of elt, scaled by its
-        coefficient and collected."""
+        """Exact action: the linear extension of ``act_monomial`` over the
+        terms of elt."""
         F = self.field
-        one = F.one()
-        out: dict[BasisElement, object] = {}
-        for m, c in elt.terms.items():
-            for b, s in self.act_monomial(m, vec.terms).items():
-                add_term(F, out, b, s if c == one else F.mul(c, s))
-        return ModuleVector(F, out)
+        return ModuleVector(F, linear_extend(F, lambda m: self.act_monomial(m, vec.terms), elt.terms))
 
     def vector(self, terms: dict) -> ModuleVector:
         """The checked entry point: coerces the coefficients and drops zeros."""
@@ -335,12 +334,12 @@ class ChenModule(Module):
         coordinates; an untwisted module does no scalar work."""
         rem = strip_prefix(self.graph, mono.nu, b.path)
         if rem is None:
-            return []
+            return {}
         target = prepend(self.graph, mono.mu, rem)
         if self.twist is None:
-            return [(ChenBasis(target), self.field.one())]
+            return {ChenBasis(target): self.field.one()}
         value = self.expand(self.twist.ratio(mono.mu, mono.nu), b.power)
-        return [(ChenBasis(target, j), c) for j, c in enumerate(value) if not self.field.is_zero(c)]
+        return {ChenBasis(target, j): c for j, c in value.items()}
 
     def grade(self, b: ChenBasis) -> int:
         if self.rational:
@@ -406,11 +405,11 @@ class NvcModule(Module):
         algebra = self.algebra()
         prod = algebra.mono_mul(mono, b.mono)
         if prod is None:
-            return []
-        out = []
+            return {}
+        out = {}
         for m, c in algebra.normalize(algebra.monomial_element(prod)).terms.items():
             assert m.nu.src == self.base_vertex
-            out.append((NvcBasis(m), c))
+            out[NvcBasis(m)] = c
         return out
 
     def grade(self, b: NvcBasis) -> int:
@@ -514,21 +513,17 @@ class InducedModule(Module):
     def act_monomial_basis(self, mono: Monomial, b: CosetBasis):
         rem = strip_prefix(self.graph, mono.nu, b.path)
         if rem is None:
-            return []
+            return {}
         target = prepend(self.graph, mono.mu, rem)
         lag = mono.degree + b.lag
         if self.gradable:
-            return [(CosetBasis(target, lag), self.field.one())]
+            return {CosetBasis(target, lag): self.field.one()}
         k_can = self.canonical_lag(target)
         j_diff, remainder = divmod(lag - k_can, self.period)
         assert remainder == 0
         g = self.generator if j_diff >= 0 else self._generator_inverse
         value = self.expand(self.scalars.pow(g, abs(j_diff)), b.power)
-        return [
-            (CosetBasis(target, k_can, j), c)
-            for j, c in enumerate(value)
-            if not self.field.is_zero(c)
-        ]
+        return {CosetBasis(target, k_can, j): c for j, c in value.items()}
 
     def grade(self, b: CosetBasis) -> int:
         if not self.gradable:

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import re
 
-from .algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector, add_term, monomial
+from .algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector, monomial
 from .fields import Field, parse_poly
 from .graphs import BoundaryPath, FinitePath, Graph, GraphError, lasso, sink_path, tail_lags
+from .linalg import add_term
 from .reps import (
     ChenBasis,
     ChenExtSpec,

@@ -24,11 +24,9 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import (
-    AlgebraElement,
     LeavittAlgebra,
     Monomial,
     TwistVector,
-    add_term,
     all_monomials,
     monomial,
     random_element,
@@ -37,6 +35,7 @@ from .fields import Field, Poly
 from .graphs import (
     BoundaryPath,
     FinitePath,
+    Graph,
     Lasso,
     SinkPath,
     cycle_tail,
@@ -46,12 +45,13 @@ from .graphs import (
     tail_lags,
 )
 from .linalg import (
-    apply_columns,
+    add_scaled,
     column_space,
     coordinates,
     dense,
     echelon_step,
     identity,
+    linear_extend,
     mat_mul,
     mat_vec,
     nullspace,
@@ -103,17 +103,18 @@ class Window:
     def dim(self) -> int:
         return len(self.elements)
 
-    def matrix_of(self, elt: AlgebraElement) -> list[dict]:
-        """The matrix of ``elt`` as sparse columns: column j is the image of
-        basis element j, as a {row: coefficient} dict."""
-        F = self.module.field
+    def matrix_of(self, mono: Monomial) -> list[dict]:
+        """The matrix of the monomial ``mono`` as sparse columns: column j is
+        ``module.act_monomial`` on {basis element j: 1}, as a {row:
+        coefficient} dict."""
+        act, one = self.module.act_monomial, self.module.field.one()
         cols = []
         for b in self.elements:
             col = {}
-            for b2, c in self.module.act(elt, ModuleVector(F, {b: F.one()})).terms.items():
+            for b2, c in act(mono, {b: one}).items():
                 i = self.index.get(b2)
                 if i is None:
-                    raise OutOfWindowError(f"action of {elt} leaves the window at {b2}")
+                    raise OutOfWindowError(f"action of {mono} leaves the window at {b2}")
                 col[i] = c
             cols.append(col)
         return cols
@@ -122,12 +123,12 @@ class Window:
         return [self.module.grade(b) for b in self.elements]
 
 
-def generator_elements(algebra: LeavittAlgebra) -> list[AlgebraElement]:
-    """Vertex idempotents, edges, and ghost edges, in canonical order."""
-    out = [algebra.vertex(v) for v in algebra.graph.vertices]
-    for e in algebra.graph.edges:
-        out.append(algebra.edge(e.name))
-        out.append(algebra.ghost(e.name))
+def generators(graph: Graph) -> list[Monomial]:
+    """Vertex idempotents, edges, and ghost edges, as monomials in canonical order."""
+    out = [Monomial(p, p) for p in map(graph.vertex_path, graph.vertices)]
+    for e in graph.edges:
+        path, rng = graph.path([e.name]), graph.vertex_path(e.rng)
+        out += [Monomial(path, rng), Monomial(rng, path)]
     return out
 
 
@@ -161,7 +162,6 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
     moving, and exceeding ``cap`` is an explicit error.
     """
     window = Window.full(module)
-    A = module.algebra()
     F = module.field
     if isinstance(x, SinkPath):
         horizon = len(x.path)
@@ -178,8 +178,7 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
     images = []
     for m in range(horizon + 1):
         mu = initial_path(module.graph, x, m)
-        idem = A.monomial_element(monomial(mu, mu))
-        images.append(column_space(F, dense(F, window.matrix_of(idem), window.dim)))
+        images.append(column_space(F, dense(F, window.matrix_of(monomial(mu, mu)), window.dim)))
     final = images[-1]
     first_stable = next(m for m in range(len(images)) if images[m] == final)
     reported_steps = first_stable + 1
@@ -193,7 +192,7 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
     if gen_mono is None or dim == 0:
         gen = identity(F, dim)
     else:
-        gmat = dense(F, window.matrix_of(A.monomial_element(gen_mono)), window.dim)
+        gmat = dense(F, window.matrix_of(gen_mono), window.dim)
         cols = []
         for w in rows:
             image = mat_vec(F, gmat, w)
@@ -240,9 +239,10 @@ def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: 
     if not allowed:
         return []
     col_of = {pair: idx for idx, pair in enumerate(allowed)}
-    gens = generator_elements(modA.algebra())
+    gens = generators(modA.graph)
     matsA = [winA.matrix_of(g) for g in gens]
     matsB = [winB.matrix_of(g) for g in gens]
+    minus_one = F.neg(F.one())
 
     def equations():
         for colsA, colsB in zip(matsA, matsB):
@@ -252,19 +252,9 @@ def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: 
                     rowsB[i][k] = c
             for i in range(nB):
                 for j in range(nA):
-                    row: dict = {}
-                    for k, a in colsA[j].items():  # T[i,k] * gA[k,j]
-                        idx = col_of.get((i, k))
-                        if idx is not None:
-                            row[idx] = a
-                    for k, b in rowsB[i].items():  # - gB[i,k] * T[k,j]
-                        idx = col_of.get((k, j))
-                        if idx is not None:
-                            c = F.sub(row[idx], b) if idx in row else F.neg(b)
-                            if F.is_zero(c):
-                                del row[idx]
-                            else:
-                                row[idx] = c
+                    # T[i,k] * gA[k,j] - gB[i,k] * T[k,j], summed over k
+                    row = {col_of[i, k]: a for k, a in colsA[j].items() if (i, k) in col_of}
+                    add_scaled(F, row, minus_one, {col_of[k, j]: b for k, b in rowsB[i].items() if (k, j) in col_of})
                     if row:
                         yield row
 
@@ -320,10 +310,11 @@ def check_module_iso(claim: str, modA: Module, modB: Module, maps, bound: int, m
     elemsA, elemsB = enumA.elements, modB.enumerate_basis(bound).elements
     cert = Certificate(claim, {"basis": len(elemsA), "mono_len": mono_len, "exact": enumA.exact})
     F = modA.field
+    one = F.one()
     phi, psi = (functools.cache(f) for f in maps)
-    ok = all(linear_extend(psi, phi(b)) == ModuleVector(F, {b: F.one()}) for b in elemsA)
+    ok = all(linear_extend(F, lambda b2: psi(b2).terms, phi(b).terms) == {b: one} for b in elemsA)
     cert.record("psi-after-phi-is-identity", ok)
-    ok = all(linear_extend(phi, psi(b)) == ModuleVector(F, {b: F.one()}) for b in elemsB)
+    ok = all(linear_extend(F, lambda b2: phi(b2).terms, psi(b).terms) == {b: one} for b in elemsB)
     cert.record("phi-after-psi-is-identity", ok)
     if modA.gradable:
         ok = True
@@ -343,16 +334,6 @@ def check_module_iso(claim: str, modA: Module, modB: Module, maps, bound: int, m
     return cert
 
 
-def linear_extend(f, v: ModuleVector) -> ModuleVector:
-    """The linear map sending each basis element b to f(b), applied to v."""
-    F = v.field
-    out: dict = {}
-    for b, c in v.terms.items():
-        for b2, c2 in f(b).terms.items():
-            add_term(F, out, b2, F.mul(c, c2))
-    return ModuleVector(F, out)
-
-
 def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len: int):
     """First (eta, b, f(eta.b), eta.f(b)) with the two sides different, over the
     monomials eta with both path lengths at most ``mono_len``; None if none.
@@ -362,11 +343,13 @@ def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len:
     in B) gives zero on both sides for every mu and is skipped.  The pairs
     left keep their order, so the first counterexample is the one the scan
     over all pairs finds.  Each monomial acts through ``act_monomial``, on
-    the terms of a unit vector in A and of f(b) in B."""
+    the terms of a unit vector in A and of f(b) in B, and the sides are
+    compared as plain dicts."""
     F = modA.field
     graph = modA.graph
     units = [{b: F.one()} for b in elems]
     images = [f(b).terms for b in elems]
+    image = lambda b: f(b).terms
     live: dict = {}  # nu -> indices of the elements its ghost part does not kill
     for m in all_monomials(graph, mono_len):
         indices = live.get(m.nu)
@@ -378,10 +361,10 @@ def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len:
                 if modA.act_monomial(ghost, units[i]) or modB.act_monomial(ghost, images[i])
             ]
         for i in indices:
-            lhs = linear_extend(f, ModuleVector(F, modA.act_monomial(m, units[i])))
+            lhs = linear_extend(F, image, modA.act_monomial(m, units[i]))
             rhs = modB.act_monomial(m, images[i])
-            if lhs.terms != rhs:
-                return m, elems[i], lhs, ModuleVector(F, rhs)
+            if lhs != rhs:
+                return m, elems[i], ModuleVector(F, lhs), ModuleVector(F, rhs)
     return None
 
 
@@ -403,17 +386,13 @@ def boundary_iso_maps(
         mu, nu = modA.canonical_decomposition(b.path)
         scale = twist.of_path(mu) if drop_nu_inverse else twist.ratio(mu, nu)
         value = modB.expand(scale, b.power)
-        return ModuleVector(modB.field, {
-            ChenBasis(b.path, j): c for j, c in enumerate(value) if not modB.field.is_zero(c)
-        })
+        return ModuleVector(modB.field, {ChenBasis(b.path, j): c for j, c in value.items()})
 
     def psi(b: ChenBasis) -> ModuleVector:
         mu, nu = modA.canonical_decomposition(b.path)
         value = modB.expand(twist.ratio(nu, mu), b.power)
         k = len(mu) - len(nu)
-        return ModuleVector(modA.field, {
-            CosetBasis(b.path, k, j): c for j, c in enumerate(value) if not modA.field.is_zero(c)
-        })
+        return ModuleVector(modA.field, {CosetBasis(b.path, k, j): c for j, c in value.items()})
 
     return phi, psi
 
@@ -455,7 +434,7 @@ def verify_twist_iso(
         modB = build_module(graph, field, ChenSpec(x, twist))
         claim = f"induced scalar action {field.format(field.coerce(coeff.value))} at {x} matches the twisted boundary-path module"
     else:
-        modB = build_module(graph, field, ChenExtSpec(cycle, coeff.modulus))
+        modB = build_module(graph, field, ChenExtSpec.over(cycle, coeff))
         claim = f"induced quotient field K[t]/({coeff.modulus}) at {x} matches the scalar-extended boundary-path module"
     return check_module_iso(claim, modA, modB, boundary_iso_maps(modA, modB), bound, mono_len)
 
@@ -720,7 +699,7 @@ def _spin(field: Field, mats: list[list[dict]], seed: dict) -> int:
     while todo:
         w = pivots[todo.pop()]
         for m in mats:
-            lead = echelon_step(field, pivots, apply_columns(field, m, w))
+            lead = echelon_step(field, pivots, linear_extend(field, m.__getitem__, w))
             if lead is not None:
                 todo.append(lead)
     return len(pivots)
@@ -740,8 +719,7 @@ def simplicity_probe(graph, field: Field, spec: ModuleSpec, bound: int = 4, mono
     module = build_module(graph, field, spec)
     if module.finite_dimensional():
         window = Window.full(module)
-        gens = generator_elements(module.algebra())
-        mats = [window.matrix_of(g) for g in gens]
+        mats = [window.matrix_of(g) for g in generators(graph)]
         for seed in range(window.dim):
             span = _spin(field, mats, {seed: field.one()})
             if span != window.dim:
@@ -772,7 +750,7 @@ def _laurent_probe(module: InducedModule, bound: int, mono_len: int) -> ProbeRes
     equivariant = _equivariance_counterexample(module, target, project, elems, mono_len) is None
     k0 = module.canonical_lag(x)
     kernel_vec = ModuleVector(F, {CosetBasis(x, k0 + n): F.one(), CosetBasis(x, k0): F.neg(F.one())})
-    kernel_ok = (not kernel_vec.is_zero) and linear_extend(project, kernel_vec).is_zero
+    kernel_ok = not kernel_vec.is_zero and not linear_extend(F, lambda b: project(b).terms, kernel_vec.terms)
     target_window = target.enumerate_basis(bound).elements
     surjective = all(
         any(tb in project(b).terms for b in elems) for tb in target_window

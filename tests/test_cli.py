@@ -309,6 +309,7 @@ class TestModulusTestedOnce:
         [
             ["act", "--field", "F3", "--module", "ind:(e)^inf:quot(t^2+1)", "--elt", "e", "--vec", "(e)^inf@0#0"],
             ["act", "--field", "F3", "--module", "chenext:e:t^2+1", "--elt", "e", "--vec", "(e)^inf#1"],
+            ["verify", "twist-iso", "--cycle", "e", "--modulus", "t^2+t+1", "--field", "F2"],
         ],
     )
     def test_one_irreducibility_test(self, r1, graph_file, capsys, monkeypatch, argv):

@@ -1,14 +1,15 @@
 """The sparse spin and the sparse Hom equations against the dense code they
 replaced.
 
-The oracles below are the dense window matrices (one ``Module.act`` per
-basis element, written into a list of rows), the dense cyclic span (apply
-every generator to the whole echelon basis, then ``rref``, until the rank
-stops growing), and the dense equation builder for T.g_A = g_B.T solved by
-``rref``.  They run on random small finite-dimensional modules: sink
-modules, twisted boundary-path modules at cycles, scalar extensions, and
-induced modules with scalar-action and quotient coefficients, plus a
-direct sum, which is not simple and maps onto its summands.
+The oracles below are the dense window matrices (``Module.act`` of the
+generators as algebra elements on each basis element, written into a list
+of rows), the dense cyclic span (apply every generator to the whole echelon
+basis, then ``rref``, until the rank stops growing), and the dense
+equation builder for T.g_A = g_B.T solved by ``rref``.  They run on random
+small finite-dimensional modules: sink modules, twisted boundary-path
+modules at cycles, scalar extensions, and induced modules with
+scalar-action and quotient coefficients, plus a direct sum, which is not
+simple and maps onto its summands.
 """
 
 import random
@@ -33,7 +34,7 @@ from leavitt.reps import (
     TrivialCoeff,
     build_module,
 )
-from leavitt.verify import Window, generator_elements, intertwiner_space, simplicity_probe
+from leavitt.verify import Window, generators, intertwiner_space, simplicity_probe
 
 # field name -> (field, an irreducible quadratic, a scalar other than 0 and 1 when there is one)
 FIELDS = {
@@ -46,6 +47,16 @@ MAX_DIM = 5
 
 # ---------------------------------------------------------------------------
 # The dense oracles
+
+
+def generator_elements(algebra) -> list:
+    """Vertex idempotents, edges and ghost edges as algebra elements, in the
+    order of ``verify.generators``."""
+    out = [algebra.vertex(v) for v in algebra.graph.vertices]
+    for e in algebra.graph.edges:
+        out.append(algebra.edge(e.name))
+        out.append(algebra.ghost(e.name))
+    return out
 
 
 def dense_matrix_of(window: Window, elt) -> list[list]:
@@ -150,7 +161,7 @@ class DirectSum(Module):
         return BasisEnumeration(elems, True, len(elems))
 
     def act_monomial_basis(self, mono, s: Summand):
-        return [(Summand(s.index, b2), c) for b2, c in self.parts[s.index].act_monomial_basis(mono, s.b)]
+        return {Summand(s.index, b2): c for b2, c in self.parts[s.index].act_monomial_basis(mono, s.b).items()}
 
     def grade(self, s: Summand) -> int:
         return self.parts[s.index].grade(s.b)
@@ -217,9 +228,10 @@ def _samples(field_name: str, count: int):
 def _assert_spin_matches(module: Module):
     window = Window.full(module)
     F = module.field
-    gens = generator_elements(module.algebra())
-    sparse = [window.matrix_of(g) for g in gens]
-    dense = [dense_matrix_of(window, g) for g in gens]
+    monos, elts = generators(module.graph), generator_elements(module.algebra())
+    assert [module.algebra().monomial_element(m) for m in monos] == elts
+    sparse = [window.matrix_of(m) for m in monos]
+    dense = [dense_matrix_of(window, g) for g in elts]
     for s, d in zip(sparse, dense):
         assert [{i: c for i, c in enumerate(col) if not F.is_zero(c)} for col in zip(*d)] == s
     dims = [verify._spin(F, sparse, {seed: F.one()}) for seed in range(window.dim)]

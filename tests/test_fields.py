@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,24 @@ class TestExtensionArithmeticAgainstPoly:
         assert g == Poly.one(K.base)
         assert K.inv(a) == _value(K, u % f)
         assert K.mul(a, K.inv(a)) == K.one()
+
+    @pytest.mark.parametrize("K", DIFFERENTIAL_FIELDS, ids=lambda K: K.name)
+    def test_parse_agrees_with_dense_reduction(self, K):
+        """``parse`` reduces each term's t^k by ``pow``; the oracle reduces the
+        dense polynomial of the literal modulo f."""
+        rng = random.Random(K.name)
+        for k in range(21):
+            j, c = rng.randrange(k + 1), rng.randint(1, 4)
+            for inner in [f"t^{k}", f"t^{k}+1", f"{c}*t^{k}-t^{j}+{c}", f"t^{k}-t^{k}", f"t^{k}+t^{k}+t^{j}"]:
+                want = K._wrap(parse_poly(inner, K.base))
+                assert K.parse(f"({inner})") == want, inner
+                assert K.parse(inner) == want, inner
+
+    def test_large_exponent_is_not_listed(self):
+        start = time.perf_counter()
+        assert GF4.parse("(t^1000000)") == GF4.tbar()  # t^3 = 1 in F4
+        assert GF4.parse("t^1000001+t") == GF4.one()  # t^2 + t = 1
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("K", DIFFERENTIAL_FIELDS, ids=lambda K: K.name)
     def test_inverse_of_zero_and_of_one(self, K):

@@ -1,5 +1,8 @@
-"""The sparse elimination in ``leavitt.linalg`` against dense oracles.
+"""The sparse kernel and the sparse elimination in ``leavitt.linalg``
+against dense oracles.
 
+``add_scaled`` and ``linear_extend`` are checked against dense vector sums
+and ``mat_vec``, with integer keys and with module basis elements as keys.
 ``nullspace`` reduces sparse rows one at a time and back-substitutes; the
 oracle here is a textbook dense Gauss-Jordan elimination.  Both return the
 basis read off the reduced row echelon form, which is unique, so the bases
@@ -11,7 +14,9 @@ import random
 import pytest
 
 from leavitt.fields import QQ, ExtensionField, PrimeField, parse_poly
-from leavitt.linalg import apply_columns, dense, echelon_step, mat_vec, nullspace
+from leavitt.graphs import Graph, lasso
+from leavitt.linalg import add_scaled, dense, echelon_step, linear_extend, mat_vec, nullspace
+from leavitt.reps import ChenSpec, build_module
 
 F2, F3 = PrimeField(2), PrimeField(3)
 FIELDS = {
@@ -141,8 +146,28 @@ def test_echelon_step_keeps_least_index_pivots():
     assert echelon_step(F3, pivots, {}) is None
 
 
+def _nonzero(F, rng):
+    while True:
+        c = _random_value(F, rng)
+        if not F.is_zero(c):
+            return c
+
+
+class _NoMul:
+    """A field that refuses to multiply: the c = 1 shortcut must not need to."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+    def mul(self, a, b):
+        raise AssertionError("multiplied by one")
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
-def test_apply_columns_matches_dense_product(name):
+def test_linear_extend_matches_dense_product(name):
     F = FIELDS[name]
     rng = random.Random(name)
     for _ in range(20):
@@ -150,4 +175,81 @@ def test_apply_columns_matches_dense_product(name):
         cols = _random_rows(F, rng, n, n)
         vec = _random_rows(F, rng, 1, n)[0]
         want = mat_vec(F, dense(F, cols, n), _to_dense(F, vec, n))
-        assert _to_dense(F, apply_columns(F, cols, vec), n) == want
+        got = linear_extend(F, cols.__getitem__, vec)
+        assert _to_dense(F, got, n) == want
+        assert all(not F.is_zero(x) for x in got.values())
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_add_scaled_matches_dense_sum(name):
+    F = FIELDS[name]
+    rng = random.Random(f"add-scaled-{name}")
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        out, vec = _random_rows(F, rng, 2, n)
+        c = _nonzero(F, rng)
+        want = [F.add(x, F.mul(c, y)) for x, y in zip(_to_dense(F, out, n), _to_dense(F, vec, n))]
+        add_scaled(F, out, c, vec)
+        assert _to_dense(F, out, n) == want
+        assert all(not F.is_zero(x) for x in out.values())
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_sums_that_cancel_are_dropped(name):
+    F = FIELDS[name]
+    rng = random.Random(f"cancel-{name}")
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        vec = _random_rows(F, rng, 1, n)[0]
+        c = _nonzero(F, rng)
+        out = {k: F.mul(c, x) for k, x in vec.items()}
+        add_scaled(F, out, F.neg(c), vec)
+        assert out == {}
+        # f(0) = -f(1), so the image of {0: 1, 1: 1} cancels to nothing
+        images = [vec, {k: F.neg(x) for k, x in vec.items()}]
+        assert linear_extend(F, images.__getitem__, {0: F.one(), 1: F.one()}) == {}
+    out = {0: F.one(), 1: F.one()}
+    add_scaled(F, out, F.one(), {0: F.neg(F.one())})
+    assert out == {1: F.one()}  # the key whose sum is zero is gone, the other kept
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_one_is_not_multiplied_and_agrees_with_multiplying(name):
+    F = FIELDS[name]
+    rng = random.Random(f"one-{name}")
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        out, vec = _random_rows(F, rng, 2, n)
+        want = [F.add(x, F.mul(F.one(), y)) for x, y in zip(_to_dense(F, out, n), _to_dense(F, vec, n))]
+        add_scaled(_NoMul(F), out, F.one(), vec)
+        assert _to_dense(F, out, n) == want
+        empty = {}
+        add_scaled(_NoMul(F), empty, F.one(), vec)
+        assert empty == vec
+        cols = _random_rows(F, rng, n, n)
+        units = {k: F.one() for k in range(n) if rng.random() < 0.5}
+        assert linear_extend(_NoMul(F), cols.__getitem__, units) == linear_extend(F, cols.__getitem__, units)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_basis_elements_as_keys(name):
+    """The kernel only hashes and compares keys: relabelling the integer keys
+    by module basis elements commutes with it."""
+    F = FIELDS[name]
+    g = Graph(["v"], [("e", "v", "v"), ("f", "v", "v")])
+    module = build_module(g, F, ChenSpec(lasso(g, g.vertex_path("v"), ["e"])))
+    basis = module.enumerate_basis(2).elements
+    n = len(basis)
+    assert n > 3
+    relabel = lambda row: {basis[i]: x for i, x in row.items()}
+    rng = random.Random(f"keys-{name}")
+    for _ in range(20):
+        cols = _random_rows(F, rng, n, n)
+        vec, out = _random_rows(F, rng, 2, n)
+        image = dict(zip(basis, map(relabel, cols)))
+        assert linear_extend(F, image.__getitem__, relabel(vec)) == relabel(linear_extend(F, cols.__getitem__, vec))
+        c = _nonzero(F, rng)
+        keyed = relabel(out)
+        add_scaled(F, keyed, c, relabel(vec))
+        add_scaled(F, out, c, vec)
+        assert keyed == relabel(out)

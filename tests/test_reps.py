@@ -333,3 +333,33 @@ class TestModulusValidation:
             build_module(toeplitz, F2, ChenExtSpec(toeplitz.path(["e"]), f))
         with pytest.raises(ModuleSpecError, match="not over the base field"):
             build_module(toeplitz, F2, InducedSpec(x, QuotientCoeff(f)))
+
+    def test_spec_over_a_quotient_shares_its_field(self, toeplitz, monkeypatch):
+        from leavitt import fields
+
+        coeff = QuotientCoeff(parse_poly("t^2+t+1", F2))
+        monkeypatch.setattr(fields, "is_irreducible", lambda f: pytest.fail("modulus tested again"))
+        spec = ChenExtSpec.over(toeplitz.path(["e"]), coeff)
+        assert spec.extension is coeff.extension
+        monkeypatch.undo()
+        assert spec == ChenExtSpec(toeplitz.path(["e"]), coeff.modulus)
+        assert build_module(toeplitz, F2, spec).extension is coeff.extension
+
+
+class TestExpand:
+    """``Module.expand`` gives the sparse ground-field coordinates of a*t^j."""
+
+    def test_zero_coordinates_are_dropped(self, toeplitz):
+        M = build_module(toeplitz, F2, ChenExtSpec(toeplitz.path(["e"]), parse_poly("t^2+t+1", F2)))
+        t = M.extension.tbar()
+        assert M.expand(M.extension.one(), 0) == {0: 1}
+        assert M.expand(M.extension.one(), 1) == {1: 1}
+        assert M.expand(t, 1) == {0: 1, 1: 1}  # t^2 = t + 1
+        for a in [M.extension.one(), t, M.extension.add(t, M.extension.one())]:
+            for j in range(2):
+                dense = M.extension.expand(a, j)
+                assert M.expand(a, j) == {i: c for i, c in enumerate(dense) if c}
+
+    def test_without_extension(self, toeplitz):
+        M = chen(toeplitz, QQ, lasso(toeplitz, toeplitz.vertex_path("u"), ["e"]))
+        assert M.expand(QQ.coerce(3), 0) == {0: 3}

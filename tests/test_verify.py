@@ -7,7 +7,7 @@ from leavitt import verify
 from leavitt.algebra import TwistVector, all_monomials, monomial
 from leavitt.fields import QQ, PrimeField, parse_field, parse_poly
 from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, lasso, sink_path
-from leavitt.linalg import identity
+from leavitt.linalg import identity, linear_extend
 from leavitt.reps import (
     ChenExtSpec,
     ChenSpec,
@@ -30,7 +30,6 @@ from leavitt.verify import (
     companion_matrix,
     graded_iso_check,
     intertwiner_space,
-    linear_extend,
     nvc_iso_maps,
     restrict,
     simplicity_probe,
@@ -333,7 +332,8 @@ def _all_pairs_counterexample(modA, modB, f, elems, mono_len):
     for m in all_monomials(modA.graph, mono_len):
         eta = algebra.monomial_element(m)
         for b in elems:
-            lhs = linear_extend(f, modA.act(eta, ModuleVector(F, {b: F.one()})))
+            image = modA.act(eta, ModuleVector(F, {b: F.one()}))
+            lhs = ModuleVector(F, linear_extend(F, lambda b2: f(b2).terms, image.terms))
             rhs = modB.act(eta, f(b))
             if lhs != rhs:
                 return m, b, lhs, rhs
