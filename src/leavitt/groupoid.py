@@ -4,7 +4,10 @@ Elements are triples of boundary paths with a lag witnessing tail
 equivalence.  Compact open bisections are represented syntactically by a
 pair of finite paths with a finite excluded edge set; their products are
 computed by the prefix calculus, mirroring monomial multiplication in the
-path algebra, which `pi_consistency` cross-validates.
+path algebra, which `pi_consistency` cross-validates.  The exhaustive
+check (`verify.verify_pi_consistency`) builds one bisection per monomial
+and compares each pair's products through `bisections_match_monomial`;
+`bisection` validates every bisection it builds, products included.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixture_graphs import FIXTURE_GRAPHS
+from strategies import small_graphs
 from leavitt.graphs import (
     FinitePath,
     Graph,
@@ -274,14 +275,6 @@ class TestMaximality:
         comps = set(strongly_connected_components(cycle3_exit))
         assert frozenset({"v1", "v2", "v3"}) in comps
         assert frozenset({"w"}) in comps
-
-
-@st.composite
-def small_graphs(draw):
-    vertices = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
-    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
-    edges = [(f"e{i}", s, r) for i, (s, r) in enumerate(draw(st.lists(ends, max_size=6)))]
-    return Graph(vertices, edges)
 
 
 def _reach(g, v):

@@ -1,10 +1,12 @@
 import functools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fixture_graphs import FIXTURE_GRAPHS
 from leavitt import verify
-from leavitt.algebra import TwistVector, all_monomials, monomial
+from leavitt.algebra import LeavittAlgebra, TwistVector, all_monomials, monomial
 from leavitt.fields import QQ, PrimeField, parse_field, parse_poly
 from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, lasso, sink_path
 from leavitt.linalg import identity, linear_extend
@@ -22,6 +24,7 @@ from leavitt.reps import (
     TrivialCoeff,
     build_module,
 )
+from strategies import small_graphs
 from leavitt.verify import (
     _equivariance_counterexample,
     OutOfWindowError,
@@ -35,6 +38,7 @@ from leavitt.verify import (
     simplicity_probe,
     boundary_iso_maps,
     verify_nvc_iso,
+    verify_pi_consistency,
     verify_res_ind,
     verify_triv_iso,
     verify_twist_iso,
@@ -303,8 +307,10 @@ class TestCertificateMemo:
         assert self._check(modA, modB, *boundary_iso_maps(modA, modB)).passed
         assert not self._check(modA, modB, *boundary_iso_maps(modA, modB, drop_nu_inverse=True)).passed
 
-    def test_pairs_both_sides_kill_are_skipped(self, monkeypatch):
-        # a binary tree of depth 3 whose root carries a loop l
+    @staticmethod
+    def _tree_into_loop_scan(monkeypatch):
+        """The Module.act_monomial calls of the quotient twist-iso certificate
+        on a binary tree of depth 3 whose root carries a loop l."""
         vertices, edges, frontier = ["r"], [("l", "r", "r")], ["r"]
         for _ in range(3):
             nxt = []
@@ -321,8 +327,19 @@ class TestCertificateMemo:
         monkeypatch.setattr(Module, "act_monomial", lambda self, m, terms: calls.append(1) or real(self, m, terms))
         cert = verify_twist_iso(g, F2, g.path(["l"]), QuotientCoeff(parse_poly("t^2+t+1", F2)))
         assert cert.passed
+        return g, cert, len(calls)
+
+    def test_pairs_both_sides_kill_are_skipped(self, monkeypatch):
+        g, cert, calls = self._tree_into_loop_scan(monkeypatch)
         pairs = len(all_monomials(g, cert.window["mono_len"])) * cert.window["basis"]
-        assert 0 < len(calls) < pairs / 3, len(calls)
+        assert 0 < calls < pairs / 3, calls
+
+    def test_ghost_parts_act_only_where_the_parent_left_elements_alive(self, monkeypatch):
+        # Testing the ghost part of every nu on every element makes 6,752
+        # calls here; testing nu'.e only where nu' left an element alive
+        # makes 4,232.
+        _, _, calls = self._tree_into_loop_scan(monkeypatch)
+        assert calls <= 4232, calls
 
 
 def _all_pairs_counterexample(modA, modB, f, elems, mono_len):
@@ -606,3 +623,38 @@ def test_relations_builds_the_monomial_list_once(monkeypatch):
     monkeypatch.setattr(algebra, "all_monomials", lambda *a: calls.append(a) or original(*a))
     assert verify.verify_relations(Graph(*FIXTURE_GRAPHS["rose2"]), PrimeField(5), seed=0, triples=50).passed
     assert len(calls) == 1
+
+
+class TestPiConsistency:
+    def test_wrong_product_is_reported_at_its_pair(self, monkeypatch, rose2):
+        monos = all_monomials(rose2, 2)
+        i, j = 17, 40
+        m1, m2 = monos[i], monos[j]
+        real = LeavittAlgebra.mono_mul
+
+        def wrong(self, a, b):
+            prod = real(self, a, b)
+            if (a, b) != (m1, m2):
+                return prod
+            return a if prod is None else None
+
+        monkeypatch.setattr(LeavittAlgebra, "mono_mul", wrong)
+        cert = verify_pi_consistency(rose2, QQ, max_len=2)
+        assert not cert.passed
+        assert cert.checks == [{"name": "exhaustive-pairs", "passed": False, "detail": f"{m1} times {m2}"}]
+        assert cert.window["pairs"] == i * len(monos) + j + 1
+
+    @given(g=small_graphs(), max_len=st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_small_graphs_pass_on_every_pair(self, g, max_len):
+        # mu.nu* needs r(mu) = r(nu): count the paths of length <= max_len by range
+        ending = {v: 1 for v in g.vertices}
+        by_range = dict(ending)
+        for _ in range(max_len):
+            ending = {v: sum(ending[e.src] for e in g.in_edges(v)) for v in g.vertices}
+            by_range = {v: by_range[v] + ending[v] for v in g.vertices}
+        monos = sum(n * n for n in by_range.values())
+        assume(monos <= 400)
+        cert = verify_pi_consistency(g, QQ, max_len=max_len)
+        assert cert.passed
+        assert cert.window == {"max_len": max_len, "monomials": monos, "pairs": monos**2}
