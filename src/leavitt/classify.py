@@ -12,6 +12,7 @@ irreducible polynomial other than t.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -278,28 +279,61 @@ def classify_simple(
     )
 
 
+# graph -> {cycle edges: number of lassos}; graphs are immutable
+_LASSO_COUNTS: weakref.WeakKeyDictionary[Graph, dict] = weakref.WeakKeyDictionary()
+
+
+def _lasso_count(graph: Graph, star: tuple[str, ...]) -> int:
+    """The number of distinct canonical lassos prefix.(rotation of star)^inf.
+
+    A depth-first walk over finite paths up to |V| + |star| + 1 edges,
+    started and extended only at vertices that reach the cycle (found by a
+    reverse search); each path ending on the cycle continues around it.
+    """
+    counts = _LASSO_COUNTS.setdefault(graph, {})
+    known = counts.get(star)
+    if known is not None:
+        return known
+    n = len(star)
+    entries: dict[str, list[int]] = {}
+    for i, e in enumerate(star):
+        entries.setdefault(graph.edge(e).src, []).append(i)
+    reach = set(entries)
+    stack = list(reach)
+    while stack:
+        for e in graph.in_edges(stack.pop()):
+            if e.src not in reach:
+                reach.add(e.src)
+                stack.append(e.src)
+    horizon = len(graph.vertices) + n + 1
+    seen = set()
+    paths = [graph.vertex_path(v) for v in graph.vertices if v in reach]
+    while paths:
+        p = paths.pop()
+        for i in entries.get(p.rng, ()):
+            seen.add(lasso(graph, p, star[i:] + star[:i]))
+        if len(p) < horizon:
+            for e in graph.out_edges(p.rng):
+                if e.rng in reach:
+                    paths.append(FinitePath(p.edges + (e.name,), p.src, e.rng))
+    counts[star] = len(seen)
+    return len(seen)
+
+
 def dimension_oracle(graph: Graph, entry) -> int:
     """Independent dimension computation for a finite-dimensional entry.
 
     Sink entries: dynamic programming on the acyclic predecessor subgraph.
-    Cycle entries: brute-force boundary-path enumeration with canonical
-    dedup (exact because the predecessors are finite) times deg(modulus).
+    Cycle entries: the number of boundary paths tail-equivalent to the
+    cycle's tail, found by brute-force path enumeration with ``lasso``
+    canonicalisation and dedup (exact because the predecessors are finite),
+    times deg(modulus).  It never calls ``orbit_size`` or the groupoid, so
+    it stays independent of ``classify_simple``'s dimensions.  The walk is
+    pruned to the vertices that reach the cycle, and the count is memoised
+    per graph and cycle, since every modulus at one cycle shares it.
     """
     if isinstance(entry, SinkSimple):
         return count_paths_ending_at(graph, entry.vertex)
     if isinstance(entry, CycleSimple):
-        star = entry.cycle.edges
-        n = len(star)
-        horizon = len(graph.vertices) + n + 1
-        seen = set()
-        stack = [graph.vertex_path(v) for v in graph.vertices]
-        while stack:
-            p = stack.pop()
-            rotated = {i for i in range(n) if graph.edge(star[i]).src == p.rng}
-            for i in rotated:
-                seen.add(lasso(graph, p, star[i:] + star[:i]))
-            if len(p) < horizon:
-                for e in graph.out_edges(p.rng):
-                    stack.append(FinitePath(p.edges + (e.name,), p.src, e.rng))
-        return len(seen) * entry.modulus.degree
+        return _lasso_count(graph, entry.cycle.edges) * entry.modulus.degree
     raise ClassificationError(f"no finite dimension for {entry!r}")

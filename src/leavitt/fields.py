@@ -380,15 +380,31 @@ def _rational_roots_exist(f: Poly) -> bool:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, abs(n) + 1) if n % d == 0]
-    return out
+    """The positive divisors of n != 0, ascending, each d found with n // d."""
+    n = abs(n)
+    small, large = [], []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
+
+
+def _is_rational_square(q: Fraction) -> bool:
+    num, den = q.numerator, q.denominator  # lowest terms, den > 0
+    return num >= 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
 def is_irreducible(f: Poly) -> bool:
     """Exact irreducibility over the coefficient field.
 
     Over a prime field: trial division by all monic polynomials of degree
-    at most deg(f)/2.  Over Q: exact only up to degree 3 (root search).
+    at most deg(f)/2.  This decides single moduli; the enumeration of all
+    irreducibles up to a degree sieves instead and uses this as its test
+    oracle.  Over Q: exact only up to degree 3.  A monic quadratic splits
+    iff its discriminant is the square of a rational; a cubic splits iff
+    it has a rational root (rational root theorem).
     """
     if not f.is_monic or f.degree < 1:
         raise FieldError("irreducibility test expects a monic polynomial of degree >= 1")
@@ -402,24 +418,39 @@ def is_irreducible(f: Poly) -> bool:
     if isinstance(F, RationalField):
         if f.degree == 1:
             return True
-        if f.degree <= 3:
+        if f.degree == 2:
+            c, b = f.coeffs[0], f.coeffs[1]
+            return not _is_rational_square(b * b - 4 * c)
+        if f.degree == 3:
             return not _rational_roots_exist(f)
         raise FieldError(f"irreducibility of {f} over Q is decided only up to degree 3")
     raise FieldError(f"irreducibility test not supported over {F.name}")
 
 
 def enumerate_monic_irreducibles(p: int, d_max: int) -> list[Poly]:
-    """All monic irreducibles of degree <= d_max over GF(p), except t, sorted."""
+    """All monic irreducibles of degree <= d_max over GF(p), except t, sorted.
+
+    A sieve: a monic f of degree d is reducible iff f = g*h with g monic
+    irreducible of degree k <= d/2 (t included) and h monic of degree d - k.
+    Each degree marks every such product and keeps the unmarked monics in
+    ``enumerate_monic`` order, so the list equals filtering ``enumerate_monic``
+    through ``is_irreducible``.  The products cost sum_k N_p(k) p^(d-k)
+    multiplications per degree, against p^d trial divisions by up to
+    p^(d/2) divisors.
+    """
     if d_max < 1:
         raise FieldError("d_max must be at least 1")
     field = PrimeField(p)
     t = Poly.t(field)
-    out = []
+    by_degree: list[list[Poly]] = [[]]  # monic irreducibles of each degree, t included
     for d in range(1, d_max + 1):
-        for f in enumerate_monic(field, d):
-            if f != t and is_irreducible(f):
-                out.append(f)
-    return out
+        marked = set()
+        for k in range(1, d // 2 + 1):
+            for g in by_degree[k]:
+                for h in enumerate_monic(field, d - k):
+                    marked.add((g * h).coeffs)
+        by_degree.append([f for f in enumerate_monic(field, d) if f.coeffs not in marked])
+    return [f for fs in by_degree for f in fs if f != t]
 
 
 # ---------------------------------------------------------------------------

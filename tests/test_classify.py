@@ -1,5 +1,9 @@
+import gc
+import json
+
 import pytest
 
+from leavitt import classify
 from leavitt.classify import (
     ClassificationError,
     CycleSimple,
@@ -9,7 +13,9 @@ from leavitt.classify import (
     dimension_oracle,
     irrational_classes_flag,
 )
+from leavitt.cli import main
 from leavitt.fields import QQ, PrimeField, parse_poly
+from leavitt.graphs import Graph
 from leavitt.reps import build_module
 from leavitt.verify import intertwiner_space
 
@@ -156,6 +162,49 @@ class TestDimensionOracle:
                 enum = M.enumerate_basis()
                 assert enum.exact
                 assert dimension_oracle(graph, e) == enum.dimension
+
+
+def _complete_with_loops_beside_a_loop(n: int) -> Graph:
+    """K_n with a loop at every vertex, and a separate vertex w with one loop."""
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}_{j}", a, b) for i, a in enumerate(vs) for j, b in enumerate(vs)]
+    return Graph(vs + ["w"], edges + [("l", "w", "w")])
+
+
+class TestDimensionOracleWork:
+    def test_walk_stays_at_the_cycle(self, monkeypatch):
+        """Only w reaches the maximal loop; a walk from every vertex would
+        list every path of K5 up to 8 edges (2.4 million) and of K6 up to
+        9 edges (73 million)."""
+        calls = []
+        real_lasso = classify.lasso
+        monkeypatch.setattr(classify, "lasso", lambda *a: calls.append(a) or real_lasso(*a))
+        for n in (5, 6):
+            graph = _complete_with_loops_beside_a_loop(n)
+            calls.clear()
+            res = classify_simple(graph, F2, 2)
+            dims = [dimension_oracle(graph, e) for e in res.entries]
+            assert dims == [e.dimension for e in res.entries] == [1, 2]
+            # at most one lasso per path l^k, k <= |V| + 2, for the first modulus only
+            assert len(calls) <= len(graph.vertices) + 3
+
+    def test_lpa_dims_on_k5_beside_a_loop(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(_complete_with_loops_beside_a_loop(5).to_json_dict()))
+        assert main(["dims", "--field", "F2", "--poly-deg", "2", "--json", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["all_match"] and [e["oracle"] for e in data["entries"]] == [1, 2]
+
+    def test_memo_lets_the_graph_go(self, toeplitz):
+        gc.collect()
+        before = len(classify._LASSO_COUNTS)
+        graph = Graph(toeplitz.vertices, toeplitz.edges)
+        for e in classify_simple(graph, F2, 2).entries:
+            dimension_oracle(graph, e)
+        assert len(classify._LASSO_COUNTS) == before + 1
+        del graph, e
+        gc.collect()
+        assert len(classify._LASSO_COUNTS) == before
 
 
 class TestPairwiseNonIsomorphism:

@@ -1,5 +1,5 @@
-"""The sparse spin and the sparse Hom equations against the dense code they
-replaced.
+"""The sparse spin, the sparse Hom equations and the pruned dimension oracle
+against the code they replaced.
 
 The oracles below are the dense window matrices (``Module.act`` of the
 generators as algebra elements on each basis element, written into a list
@@ -9,18 +9,30 @@ equation builder for T.g_A = g_B.T solved by ``rref``.  They run on random
 small finite-dimensional modules: sink modules, twisted boundary-path
 modules at cycles, scalar extensions, and induced modules with
 scalar-action and quotient coefficients, plus a direct sum, which is not
-simple and maps onto its summands.
+simple and maps onto its summands.  The cycle count of
+``classify.dimension_oracle`` is checked against the walk from every vertex
+over every path up to |V| + |c| + 1 edges, on random small graphs.
 """
 
 import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
 
 from leavitt import verify
 from leavitt.algebra import TwistVector
+from leavitt.classify import CycleSimple, classify_simple, dimension_oracle
 from leavitt.fields import QQ, PrimeField, parse_poly
-from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, sink_path
+from leavitt.graphs import (
+    FinitePath,
+    Graph,
+    cycle_tail,
+    elementary_cycles,
+    enumerate_paths_ending_at,
+    lasso,
+    sink_path,
+)
 from leavitt.linalg import mat_vec, rref
 from leavitt.reps import (
     BasisEnumeration,
@@ -35,6 +47,7 @@ from leavitt.reps import (
     build_module,
 )
 from leavitt.verify import Window, generators, intertwiner_space, simplicity_probe
+from strategies import small_graphs
 
 # field name -> (field, an irreducible quadratic, a scalar other than 0 and 1 when there is one)
 FIELDS = {
@@ -170,6 +183,26 @@ class DirectSum(Module):
         return True
 
 
+def all_vertex_lasso_count(graph: Graph, entry: CycleSimple) -> int:
+    """Boundary paths tail-equivalent to the cycle's tail: every path from
+    every vertex up to |V| + |c| + 1 edges, continued around the cycle
+    wherever it ends on it, canonicalised by ``lasso`` and deduplicated."""
+    star = entry.cycle.edges
+    n = len(star)
+    horizon = len(graph.vertices) + n + 1
+    seen = set()
+    stack = [graph.vertex_path(v) for v in graph.vertices]
+    while stack:
+        p = stack.pop()
+        rotated = {i for i in range(n) if graph.edge(star[i]).src == p.rng}
+        for i in rotated:
+            seen.add(lasso(graph, p, star[i:] + star[:i]))
+        if len(p) < horizon:
+            for e in graph.out_edges(p.rng):
+                stack.append(FinitePath(p.edges + (e.name,), p.src, e.rng))
+    return len(seen)
+
+
 # ---------------------------------------------------------------------------
 # Random small modules
 
@@ -288,3 +321,21 @@ def test_direct_sum_is_not_simple_and_maps_onto_a_summand(monkeypatch, field_nam
         homs = intertwiner_space(S, M)
         assert homs == dense_intertwiner_space(S, M)
         assert len(homs) >= len(intertwiner_space(M, M)) > 0
+
+
+_CHAIN_INTO_LOOP = Graph(
+    ["v0", "v1", "v2", "v3"],
+    [("a", "v0", "v1"), ("b", "v1", "v2"), ("c", "v2", "v3"), ("e", "v3", "v3")],
+)
+
+
+@given(g=small_graphs())
+@example(g=_CHAIN_INTO_LOOP)
+@settings(max_examples=150, deadline=None)
+def test_pruned_dimension_oracle_matches_all_vertex_walk(g):
+    F2 = PrimeField(2)
+    entries = [e for e in classify_simple(g, F2, 2).entries if isinstance(e, CycleSimple)]
+    for e in entries:
+        want = all_vertex_lasso_count(g, e) * e.modulus.degree
+        assert dimension_oracle(g, e) == want == e.dimension
+        assert dimension_oracle(g, e) == want  # read back from the memo

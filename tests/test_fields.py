@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,125 @@ class TestIrreducibility:
         f = parse_poly("t^4+1", QQ)
         with pytest.raises(FieldError):
             is_irreducible(f)
+
+
+def _mobius(n: int) -> int:
+    out, m, q = 1, n, 2
+    while q * q <= m:
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return -out if m > 1 else out
+
+
+def gauss_count(p: int, d: int) -> int:
+    """N_p(d) = (1/d) sum_{e | d} mu(d/e) p^e monic irreducibles of degree d."""
+    return sum(_mobius(d // e) * p**e for e in range(1, d + 1) if d % e == 0) // d
+
+
+def _trial_division_irreducibles(p: int, d_max: int) -> list[Poly]:
+    field = PrimeField(p)
+    t = Poly.t(field)
+    return [
+        f
+        for d in range(1, d_max + 1)
+        for f in enumerate_monic(field, d)
+        if f != t and is_irreducible(f)
+    ]
+
+
+def _sieve_agrees(p: int, d_max: int) -> bool:
+    """The sieve against trial division and against Gauss's count."""
+    got = enumerate_monic_irreducibles(p, d_max)
+    by_degree = [sum(1 for f in got if f.degree == d) for d in range(1, d_max + 1)]
+    gauss = [gauss_count(p, d) - (d == 1) for d in range(1, d_max + 1)]
+    return got == _trial_division_irreducibles(p, d_max) and by_degree == gauss
+
+
+class TestIrreducibleSieve:
+    @pytest.mark.parametrize("p,d_max", [(2, 4), (3, 4), (5, 4), (2, 6)])
+    def test_same_list_as_trial_division(self, p, d_max):
+        for d in range(1, d_max + 1):
+            assert enumerate_monic_irreducibles(p, d) == _trial_division_irreducibles(p, d)
+
+    def test_gauss_formula_itself(self):
+        assert [gauss_count(2, d) for d in range(1, 7)] == [2, 1, 2, 3, 6, 9]
+        assert [gauss_count(3, d) for d in range(1, 5)] == [3, 3, 8, 18]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_counts_per_degree_match_gauss(self, p):
+        got = enumerate_monic_irreducibles(p, 6)
+        for d in range(1, 7):
+            # t is irreducible of degree 1 and excluded
+            assert sum(1 for f in got if f.degree == d) == gauss_count(p, d) - (d == 1), d
+        assert len({f.coeffs for f in got}) == len(got)
+
+    def test_sieve_that_skips_one_factor_fails(self, monkeypatch):
+        """Products with t^2+t+1 are dropped: t^4+t^2+1 = (t^2+t+1)^2 stays unmarked."""
+        skipped = parse_poly("t^2+t+1", F2)
+        multiply = Poly.__mul__
+
+        def planted(g, h):
+            return Poly.zero(g.field) if g == skipped else multiply(g, h)
+
+        assert _sieve_agrees(2, 5)
+        monkeypatch.setattr(Poly, "__mul__", planted)
+        assert not _sieve_agrees(2, 5)
+
+    def test_large_field_degree_two(self):
+        start = time.perf_counter()
+        got = enumerate_monic_irreducibles(101, 2)
+        assert time.perf_counter() - start < 1.0
+        assert len(got) == 100 + gauss_count(101, 2)
+
+
+def _rational_root_by_search(f: Poly) -> bool:
+    """The rational root theorem with every divisor up to |n| (the former test)."""
+    den = 1
+    for c in f.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in f.coeffs]
+    if ints[0] == 0:
+        return True
+    num_divs = [d for d in range(1, abs(ints[0]) + 1) if ints[0] % d == 0]
+    den_divs = [d for d in range(1, abs(ints[-1]) + 1) if ints[-1] % d == 0]
+    return any(f.evaluate(Fraction(s * a, b)) == 0 for a in num_divs for b in den_divs for s in (1, -1))
+
+
+class TestRationalIrreducibility:
+    def test_small_quadratics_and_cubics_against_root_search(self):
+        r = range(-6, 7)
+        polys = [Poly.make(QQ, [c, b, 1]) for b in r for c in r]
+        polys += [Poly.make(QQ, [c, b, a, 1]) for a in r for b in r for c in r]
+        for f in polys:
+            assert is_irreducible(f) == (not _rational_root_by_search(f)), str(f)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (Fraction(-1, 4), 0),
+            (Fraction(-2, 9), 0),
+            (Fraction(-4, 9), 0),
+            (Fraction(-1, 2), Fraction(1, 2)),  # (t+1)(t-1/2)
+            (Fraction(1, 3), Fraction(2, 5)),
+            (Fraction(-1, 8), 0, 0),
+            (Fraction(1, 3), Fraction(1, 2), 0),
+            (Fraction(-3, 4), Fraction(-1, 4), Fraction(1, 2)),
+        ],
+    )
+    def test_fractions_against_root_search(self, coeffs):
+        f = Poly.make(QQ, [*coeffs, 1])
+        assert is_irreducible(f) == (not _rational_root_by_search(f))
+
+    def test_large_constant_term_is_fast(self):
+        start = time.perf_counter()
+        assert is_irreducible(parse_poly("t^2-100000007", QQ))
+        assert not is_irreducible(parse_poly(f"t^2-{100000007**2}", QQ))
+        assert is_irreducible(parse_poly("t^3-100000007", QQ))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestPolyText:
