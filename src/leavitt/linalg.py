@@ -5,13 +5,18 @@ A sparse vector is a ``{key: value}`` dict of nonzero raw field values,
 keyed by column indices or module basis elements.  ``add_term``,
 ``add_scaled`` and ``linear_extend`` are the only code that adds such
 dicts; algebra elements, module actions, certificates and the elimination
-here all use them.  A sparse matrix is a list of such columns;
-``echelon_step`` reduces one sparse row against a dict of pivot rows, and
-``nullspace`` and the submodule spin in ``leavitt.verify`` are built on it.
-A dense matrix is a list of rows; ``rref``, ``column_space``,
-``coordinates``, ``mat_vec`` and ``mat_mul`` work on that form.  Subspaces
-are represented by their reduced row echelon bases, which makes subspace
-equality a plain comparison.
+here all use them.  A sparse matrix is a list of such columns.
+
+There is one exact elimination: ``echelon_step`` reduces one sparse row
+against a dict of pivot rows, and ``row_reduce`` brings a stream of sparse
+rows to the reduced row echelon form, which is unique, so subspace equality
+is a plain comparison.  ``nullspace``, the restriction and the submodule
+spin in ``leavitt.verify`` are built on them.
+
+A dense matrix is a list of rows.  ``rref``, ``coordinates``, ``mat_vec``
+and ``mat_mul`` work on that form; no library code calls them.  They are
+the dense reference that tests compare against, and names that the
+benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -52,15 +57,6 @@ def mat_vec(field: Field, a: list[list], v: list) -> list:
         for x, y in zip(row, v):
             acc = field.add(acc, field.mul(x, y))
         out[i] = acc
-    return out
-
-
-def dense(field: Field, cols: list[dict], nrows: int) -> list[list]:
-    """The dense matrix (a list of rows) whose columns are the sparse ``cols``."""
-    out = zeros(field, nrows, len(cols))
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            out[i][j] = c
     return out
 
 
@@ -146,29 +142,32 @@ def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     return mat[:r], pivots
 
 
-def column_space(field: Field, mat: list[list]) -> list[list]:
-    """Reduced row echelon basis of the span of the columns of ``mat``."""
-    return rref(field, [list(col) for col in zip(*mat)])[0] if mat and mat[0] else []
+def row_reduce(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
+    """The reduced row echelon form of the span of sparse rows, as {pivot:
+    row}: each row is one at its pivot and zero at every other pivot.  The
+    form is unique, so two spans are equal iff their forms are.
+
+    Each row is reduced in place by ``echelon_step`` as it arrives, so the
+    rows are never held together; back-substitution then clears the pivot
+    columns above each pivot."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        echelon_step(field, pivots, row)
+    # Descending, so each pivot row met in pj is already reduced: it holds
+    # its own pivot and free columns only, and subtracting it adds no pivot.
+    for j in sorted(pivots, reverse=True):
+        pj = pivots[j]
+        for k in [i for i in pj if i != j and i in pivots]:
+            add_scaled(field, pj, field.neg(pj[k]), pivots[k])
+    return pivots
 
 
 def nullspace(field: Field, rows: Iterable[dict], ncols: int) -> list[list]:
     """Basis of {v : row . v = 0 for every sparse row}, as dense vectors of
-    length ``ncols``, one per free column.
-
-    Each row is reduced in place by ``echelon_step`` as it arrives, so the
-    rows are never held together; back-substitution then makes the pivot
-    rows the reduced row echelon form, which is unique, so the basis
-    depends only on the span of the rows."""
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        echelon_step(field, pivots, row)
+    length ``ncols``, one per free column of ``row_reduce``'s form, so the
+    basis depends only on the span of the rows."""
+    pivots = row_reduce(field, rows)
     order = sorted(pivots)
-    # Descending, so each pivot row met in pj is already reduced: it holds
-    # its own pivot and free columns only, and subtracting it adds no pivot.
-    for j in reversed(order):
-        pj = pivots[j]
-        for k in [i for i in pj if i != j and i in pivots]:
-            add_scaled(field, pj, field.neg(pj[k]), pivots[k])
     basis = []
     for fc in range(ncols):
         if fc in pivots:

@@ -46,15 +46,13 @@ from .graphs import (
 )
 from .linalg import (
     add_scaled,
-    column_space,
-    coordinates,
-    dense,
+    add_term,
     echelon_step,
     identity,
     linear_extend,
-    mat_mul,
-    mat_vec,
     nullspace,
+    row_reduce,
+    zeros,
 )
 from .groupoid import bisection_product, bisections_match_monomial, monomial_bisection
 from .reps import (
@@ -178,7 +176,7 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
     images = []
     for m in range(horizon + 1):
         mu = initial_path(module.graph, x, m)
-        images.append(column_space(F, dense(F, window.matrix_of(monomial(mu, mu)), window.dim)))
+        images.append(row_reduce(F, window.matrix_of(monomial(mu, mu))))
     final = images[-1]
     first_stable = next(m for m in range(len(images)) if images[m] == final)
     reported_steps = first_stable + 1
@@ -186,27 +184,35 @@ def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
         raise OutOfWindowError(
             f"idempotent chain did not stabilize within {cap} steps ({reported_steps} needed)"
         )
-    rows = final or []
-    dim = len(rows)
+    order = sorted(final)
+    basis = [final[p] for p in order]
+    dim = len(basis)
     gen_mono = _isotropy_monomial(module, x)
     if gen_mono is None or dim == 0:
         gen = identity(F, dim)
     else:
-        gmat = dense(F, window.matrix_of(gen_mono), window.dim)
-        cols = []
-        for w in rows:
-            image = mat_vec(F, gmat, w)
-            coeffs = coordinates(F, rows, image)
-            if coeffs is None:
+        gcols = window.matrix_of(gen_mono)
+        gen = zeros(F, dim, dim)
+        for j, w in enumerate(basis):
+            # The basis is reduced, so an image inside its span has its
+            # coordinates at the pivots; whatever is left after taking them
+            # off lies outside.
+            image = linear_extend(F, gcols.__getitem__, w)
+            residual = dict(image)
+            for i, p in enumerate(order):
+                c = image.get(p)
+                if c is not None:
+                    gen[i][j] = c
+                    add_scaled(F, residual, F.neg(c), basis[i])
+            if residual:
                 raise OutOfWindowError("isotropy generator does not preserve the restriction")
-            cols.append(coeffs)
-        gen = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     degrees = None
     if module.gradable:
         degrees = []
-        for w in rows:
-            degs = {module.grade(window.elements[i]) for i, c in enumerate(w) if not F.is_zero(c)}
+        for w in basis:
+            degs = {module.grade(window.elements[i]) for i in w}
             degrees.append(degs.pop() if len(degs) == 1 else None)
+    rows = [[w.get(i, F.zero()) for i in range(window.dim)] for w in basis]
     return Restriction(dim, gen, rows, reported_steps, degrees)
 
 
@@ -489,28 +495,17 @@ def verify_nvc_iso(graph, field: Field, cycle: FinitePath, bound: int = 3, mono_
     return check_module_iso(claim, modA, modB, nvc_iso_maps(modA, modB), bound, mono_len)
 
 
-def companion_matrix(f: Poly) -> list[list]:
-    F = f.field
-    d = f.degree
-    out = [[F.zero()] * d for _ in range(d)]
-    for i in range(1, d):
-        out[i][i - 1] = F.one()
-    for i in range(d):
-        out[i][d - 1] = F.neg(f.coeff(i))
-    return out
-
-
-def _poly_of_matrix(field: Field, f: Poly, mat: list[list]) -> list[list]:
-    d = len(mat)
-    acc = [[field.zero()] * d for _ in range(d)]
-    power = identity(field, d)
-    for i in range(f.degree + 1):
-        c = f.coeff(i)
-        for r in range(d):
-            for s in range(d):
-                acc[r][s] = field.add(acc[r][s], field.mul(c, power[r][s]))
-        power = mat_mul(field, power, mat)
-    return acc
+def _annihilates(field: Field, f: Poly, mat: list[list]) -> bool:
+    """Whether f(mat) = 0, by Horner's rule on the sparse columns of mat:
+    column j of f(mat) is (...(f_d M + f_(d-1)) M + ... + f_0) e_j."""
+    n = len(mat)
+    cols = [{i: row[j] for i, row in enumerate(mat) if not field.is_zero(row[j])} for j in range(n)]
+    value: list[dict] = [{} for _ in range(n)]
+    for c in reversed(f.coeffs):
+        value = [linear_extend(field, cols.__getitem__, col) for col in value]
+        for j, col in enumerate(value):
+            add_term(field, col, j, c)
+    return not any(value)
 
 
 def verify_res_ind(graph, field: Field, spec: InducedSpec, cap: int = 6) -> Certificate:
@@ -550,11 +545,9 @@ def verify_res_ind(graph, field: Field, spec: InducedSpec, cap: int = 6) -> Cert
         f = coeff.modulus
         cert.record("dimension-equals-degree", res.dimension == f.degree)
         if res.dimension == f.degree:
-            value = _poly_of_matrix(field, f, res.generator_matrix)
-            zero = [[field.zero()] * res.dimension for _ in range(res.dimension)]
             cert.record(
                 "generator-satisfies-modulus",
-                value == zero,
+                _annihilates(field, f, res.generator_matrix),
                 "f(M) = 0 certifies similarity to the companion matrix",
             )
     return cert

@@ -1,12 +1,14 @@
-"""The sparse spin, the sparse Hom equations and the pruned dimension oracle
-against the code they replaced.
+"""The sparse spin, the sparse Hom equations, the sparse restriction and the
+pruned dimension oracle against the code they replaced.
 
 The oracles below are the dense window matrices (``Module.act`` of the
 generators as algebra elements on each basis element, written into a list
 of rows), the dense cyclic span (apply every generator to the whole echelon
 basis, then ``rref``, until the rank stops growing), and the dense
-equation builder for T.g_A = g_B.T solved by ``rref``.  They run on random
-small finite-dimensional modules: sink modules, twisted boundary-path
+equation builder for T.g_A = g_B.T solved by ``rref``, and the dense
+restriction (the column space of each cylinder idempotent by ``rref``, the
+isotropy generator's coordinates by ``coordinates``, and f(M) by matrix
+powers).  They run on random small finite-dimensional modules: sink modules, twisted boundary-path
 modules at cycles, scalar extensions, and induced modules with
 scalar-action and quotient coefficients, plus a direct sum, which is not
 simple and maps onto its summands.  The cycle count of
@@ -21,23 +23,30 @@ import pytest
 from hypothesis import example, given, settings
 
 from leavitt import verify
-from leavitt.algebra import TwistVector
+from leavitt.algebra import TwistVector, monomial
 from leavitt.classify import CycleSimple, classify_simple, dimension_oracle
 from leavitt.fields import QQ, PrimeField, parse_poly
 from leavitt.graphs import (
     FinitePath,
     Graph,
+    Lasso,
+    SinkPath,
     cycle_tail,
     elementary_cycles,
     enumerate_paths_ending_at,
+    initial_path,
     lasso,
     sink_path,
+    tail_lags,
 )
-from leavitt.linalg import mat_vec, rref
+from leavitt.groupoid import orbit
+from leavitt.linalg import coordinates, identity, mat_mul, mat_vec, rref
 from leavitt.reps import (
     BasisEnumeration,
+    ChenBasis,
     ChenExtSpec,
     ChenSpec,
+    CosetBasis,
     InducedSpec,
     Module,
     ModuleVector,
@@ -46,7 +55,15 @@ from leavitt.reps import (
     TrivialCoeff,
     build_module,
 )
-from leavitt.verify import Window, generators, intertwiner_space, simplicity_probe
+from leavitt.verify import (
+    OutOfWindowError,
+    Restriction,
+    Window,
+    generators,
+    intertwiner_space,
+    restrict,
+    simplicity_probe,
+)
 from strategies import small_graphs
 
 # field name -> (field, an irreducible quadratic, a scalar other than 0 and 1 when there is one)
@@ -141,6 +158,86 @@ def dense_intertwiner_space(modA, modB, graded=False, degree=0) -> list[list[lis
             T[i][j] = vec[idx]
         out.append(T)
     return out
+
+
+def dense(F, cols: list[dict], nrows: int) -> list[list]:
+    """The dense matrix (a list of rows) whose columns are the sparse ``cols``."""
+    out = [[F.zero()] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            out[i][j] = c
+    return out
+
+
+def column_space(F, mat: list[list]) -> list[list]:
+    """Reduced row echelon basis of the span of the columns of ``mat``."""
+    return rref(F, [list(col) for col in zip(*mat)])[0] if mat and mat[0] else []
+
+
+def dense_restrict(module: Module, x, cap: int = 12) -> Restriction:
+    """``verify.restrict`` on dense matrices: each idempotent's column space
+    by ``rref``, and the generator's coordinates by one ``rref`` per row."""
+    window = Window.full(module)
+    F = module.field
+    if isinstance(x, SinkPath):
+        horizon = len(x.path)
+    else:
+        reach = max(
+            (
+                len(b.path.prefix)
+                for b in window.elements
+                if isinstance(b, (ChenBasis, CosetBasis)) and isinstance(b.path, Lasso)
+            ),
+            default=0,
+        )
+        horizon = len(x.prefix) + reach + 2 * x.period + 1
+    images = []
+    for m in range(horizon + 1):
+        mu = initial_path(module.graph, x, m)
+        images.append(column_space(F, dense(F, window.matrix_of(monomial(mu, mu)), window.dim)))
+    final = images[-1]
+    first_stable = next(m for m in range(len(images)) if images[m] == final)
+    reported_steps = first_stable + 1
+    if reported_steps > cap:
+        raise OutOfWindowError(
+            f"idempotent chain did not stabilize within {cap} steps ({reported_steps} needed)"
+        )
+    rows = final or []
+    dim = len(rows)
+    gen_mono = verify._isotropy_monomial(module, x)
+    if gen_mono is None or dim == 0:
+        gen = identity(F, dim)
+    else:
+        gmat = dense(F, window.matrix_of(gen_mono), window.dim)
+        cols = []
+        for w in rows:
+            image = mat_vec(F, gmat, w)
+            coeffs = coordinates(F, rows, image)
+            if coeffs is None:
+                raise OutOfWindowError("isotropy generator does not preserve the restriction")
+            cols.append(coeffs)
+        gen = [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    degrees = None
+    if module.gradable:
+        degrees = []
+        for w in rows:
+            degs = {module.grade(window.elements[i]) for i, c in enumerate(w) if not F.is_zero(c)}
+            degrees.append(degs.pop() if len(degs) == 1 else None)
+    return Restriction(dim, gen, rows, reported_steps, degrees)
+
+
+def poly_of_matrix(F, f, mat: list[list]) -> list[list]:
+    """f(mat) as the sum of f_i mat^i over dense matrix powers."""
+    d = len(mat)
+    acc = [[F.zero()] * d for _ in range(d)]
+    power = identity(F, d)
+    for i in range(f.degree + 1):
+        c = f.coeff(i)
+        for r in range(d):
+            for s in range(d):
+                acc[r][s] = F.add(acc[r][s], F.mul(c, power[r][s]))
+        power = mat_mul(F, power, mat)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +396,58 @@ def test_hom_matches_dense_equations(field_name):
             for degree in (-1, 0, 1):
                 got = intertwiner_space(A, B, graded=True, degree=degree)
                 assert got == dense_intertwiner_space(A, B, graded=True, degree=degree)
+
+
+def _base_points(M: Module) -> list:
+    """Every point of the orbit M is built on, then one point of another
+    orbit (a sink or a cycle tail) when the graph has one."""
+    g, spec = M.graph, M.spec
+    x = spec.base if hasattr(spec, "base") else cycle_tail(g, spec.cycle)
+    others = [sink_path(g, g.vertex_path(v)) for v in g.sinks] + [cycle_tail(g, c) for c in elementary_cycles(g)]
+    off = [y for y in others if tail_lags(x, y).is_empty]
+    return list(orbit(g, x).elements) + off[:1]
+
+
+def _outcome(restriction, M, x):
+    """The restriction's fields, or the message of the error it raised."""
+    try:
+        r = restriction(M, x)
+    except OutOfWindowError as exc:
+        return str(exc)
+    return (r.dimension, r.generator_matrix, r.subspace, r.steps, r.degrees)
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_restrict_matches_dense_restriction(field_name):
+    restricted = 0
+    for g, F, mods in _samples(field_name, 3):
+        for M in mods:
+            for x in _base_points(M):
+                got = _outcome(restrict, M, x)
+                assert got == _outcome(dense_restrict, M, x)
+                restricted += not isinstance(got, str) and got[0] > 0
+    assert restricted > 0
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_horner_matches_dense_powers(field_name):
+    """``verify._annihilates`` agrees with f(M) by dense powers on every
+    isotropy generator matrix, for the modulus and for a polynomial it
+    does not satisfy."""
+    checked = 0
+    for g, F, mods in _samples(field_name, 3):
+        for M in mods:
+            for x in _base_points(M):
+                try:
+                    gen = restrict(M, x).generator_matrix
+                except OutOfWindowError:
+                    continue
+                modulus = parse_poly(FIELDS[field_name][1], F)
+                for f in (modulus, parse_poly("t-1", F), modulus * parse_poly("t", F)):
+                    zero = [[F.zero()] * len(gen) for _ in gen]
+                    assert verify._annihilates(F, f, gen) == (poly_of_matrix(F, f, gen) == zero)
+                    checked += bool(gen)
+    assert checked > 0
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))

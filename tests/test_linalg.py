@@ -3,10 +3,11 @@ against dense oracles.
 
 ``add_scaled`` and ``linear_extend`` are checked against dense vector sums
 and ``mat_vec``, with integer keys and with module basis elements as keys.
-``nullspace`` reduces sparse rows one at a time and back-substitutes; the
-oracle here is a textbook dense Gauss-Jordan elimination.  Both return the
-basis read off the reduced row echelon form, which is unique, so the bases
-must be equal entry for entry, not only in number.
+``row_reduce`` reduces sparse rows one at a time and back-substitutes; its
+form is checked against the dense ``rref``, and ``nullspace`` against a
+textbook dense Gauss-Jordan elimination.  Each side reads its answer off
+the reduced row echelon form, which is unique, so the answers must be
+equal entry for entry, not only in number.
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 
 from leavitt.fields import QQ, ExtensionField, PrimeField, parse_poly
 from leavitt.graphs import Graph, lasso
-from leavitt.linalg import add_scaled, dense, echelon_step, linear_extend, mat_vec, nullspace
+from leavitt.linalg import add_scaled, echelon_step, linear_extend, mat_vec, nullspace, row_reduce, rref
 from leavitt.reps import ChenSpec, build_module
 
 F2, F3 = PrimeField(2), PrimeField(3)
@@ -72,6 +73,11 @@ def _to_dense(F, row, ncols):
     return out
 
 
+def _dense_columns(F, cols, nrows):
+    """The dense matrix (a list of rows) whose columns are the sparse ``cols``."""
+    return [[col.get(i, F.zero()) for col in cols] for i in range(nrows)]
+
+
 def _dense_nullspace(F, rows, ncols):
     """Gauss-Jordan on a list of dense rows, then one basis vector per free column."""
     mat = [list(r) for r in rows]
@@ -121,6 +127,20 @@ def test_random_shapes_match_dense_gauss_jordan(name):
     for _ in range(60):
         ncols = rng.randint(0, 7)
         _check(F, _random_rows(F, rng, rng.randint(0, 9), ncols), ncols)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_row_reduce_matches_dense_rref(name):
+    F = FIELDS[name]
+    rng = random.Random(f"row-reduce-{name}")
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        rows = _random_rows(F, rng, rng.randint(0, 9), ncols)
+        red, pivots = rref(F, [_to_dense(F, r, ncols) for r in rows])
+        form = row_reduce(F, (dict(r) for r in rows))
+        assert sorted(form) == pivots
+        assert [_to_dense(F, form[p], ncols) for p in pivots] == red
+        assert all(not F.is_zero(x) for row in form.values() for x in row.values())
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -174,7 +194,7 @@ def test_linear_extend_matches_dense_product(name):
         n = rng.randint(1, 6)
         cols = _random_rows(F, rng, n, n)
         vec = _random_rows(F, rng, 1, n)[0]
-        want = mat_vec(F, dense(F, cols, n), _to_dense(F, vec, n))
+        want = mat_vec(F, _dense_columns(F, cols, n), _to_dense(F, vec, n))
         got = linear_extend(F, cols.__getitem__, vec)
         assert _to_dense(F, got, n) == want
         assert all(not F.is_zero(x) for x in got.values())

@@ -30,7 +30,6 @@ from leavitt.verify import (
     OutOfWindowError,
     Window,
     check_module_iso,
-    companion_matrix,
     graded_iso_check,
     intertwiner_space,
     nvc_iso_maps,
@@ -46,6 +45,17 @@ from leavitt.verify import (
 
 F2 = PrimeField(2)
 EXTENSION_FIELDS = ["Q[t]/(t^2-2)", "F2[t]/(t^2+t+1)"]
+
+
+def companion_matrix(f) -> list[list]:
+    F = f.field
+    d = f.degree
+    out = [[F.zero()] * d for _ in range(d)]
+    for i in range(1, d):
+        out[i][i - 1] = F.one()
+    for i in range(d):
+        out[i][d - 1] = F.neg(f.coeff(i))
+    return out
 
 
 class TestRestrict:
