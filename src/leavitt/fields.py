@@ -144,14 +144,31 @@ class RationalField(Field):
 QQ = RationalField()
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; a p past the bound is an error, not a guess."""
+    if p >= _MR_BOUND:
+        raise FieldError(f"primality is decided only below {_MR_BOUND}")
+    if p < 2 or p in _MR_BASES:
+        return p in _MR_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):  # is one of a^d, a^(2d), ..., a^(2^(s-1) d) equal to -1?
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 
@@ -396,13 +413,24 @@ def _is_rational_square(q: Fraction) -> bool:
     return num >= 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
+def _pow_mod(g: Poly, n: int, f: Poly) -> Poly:
+    """g^n mod f by square-and-multiply."""
+    out = Poly.one(g.field)
+    while n:
+        if n & 1:
+            out = out * g % f
+        n >>= 1
+        if n:
+            g = g * g % f
+    return out
+
+
 def is_irreducible(f: Poly) -> bool:
     """Exact irreducibility over the coefficient field.
 
-    Over a prime field: trial division by all monic polynomials of degree
-    at most deg(f)/2.  This decides single moduli; the enumeration of all
-    irreducibles up to a degree sieves instead and uses this as its test
-    oracle.  Over Q: exact only up to degree 3.  A monic quadratic splits
+    Over GF(p), Rabin's test (SIAM J. Comput. 9(2), 1980): f of degree d
+    is irreducible iff t^(p^d) = t mod f and gcd(t^(p^(d/r)) - t, f) = 1
+    for each prime r dividing d.  Over Q: exact only up to degree 3.  A monic quadratic splits
     iff its discriminant is the square of a rational; a cubic splits iff
     it has a rational root (rational root theorem).
     """
@@ -410,11 +438,16 @@ def is_irreducible(f: Poly) -> bool:
         raise FieldError("irreducibility test expects a monic polynomial of degree >= 1")
     F = f.field
     if isinstance(F, PrimeField):
-        for d in range(1, f.degree // 2 + 1):
-            for g in enumerate_monic(F, d):
-                if (f % g).is_zero:
-                    return False
-        return True
+        d = f.degree
+        t = Poly.t(F) % f
+        frobenius = [t]  # t^(p^k) mod f, k = 0..d
+        for _ in range(d):
+            frobenius.append(_pow_mod(frobenius[-1], F.p, f))
+        return frobenius[d] == t and all(
+            poly_xgcd(frobenius[d // r] - t, f)[0] == Poly.one(F)
+            for r in range(2, d + 1)
+            if d % r == 0 and _is_prime(r)
+        )
     if isinstance(F, RationalField):
         if f.degree == 1:
             return True
@@ -435,8 +468,7 @@ def enumerate_monic_irreducibles(p: int, d_max: int) -> list[Poly]:
     Each degree marks every such product and keeps the unmarked monics in
     ``enumerate_monic`` order, so the list equals filtering ``enumerate_monic``
     through ``is_irreducible``.  The products cost sum_k N_p(k) p^(d-k)
-    multiplications per degree, against p^d trial divisions by up to
-    p^(d/2) divisors.
+    multiplications per degree, against p^d runs of Rabin's test.
     """
     if d_max < 1:
         raise FieldError("d_max must be at least 1")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from leavitt.fields import (
     QQ,
+    _is_prime,
     ExtensionField,
     FieldError,
     Poly,
@@ -186,6 +187,27 @@ def gauss_count(p: int, d: int) -> int:
     return sum(_mobius(d // e) * p**e for e in range(1, d + 1) if d % e == 0) // d
 
 
+def _is_prime_by_trial_division(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def _irreducible_by_trial_division(f: Poly) -> bool:
+    """Over GF(p): no monic polynomial of degree at most deg(f)/2 divides f."""
+    F = f.field
+    for d in range(1, f.degree // 2 + 1):
+        for g in enumerate_monic(F, d):
+            if (f % g).is_zero:
+                return False
+    return True
+
+
 def _trial_division_irreducibles(p: int, d_max: int) -> list[Poly]:
     field = PrimeField(p)
     t = Poly.t(field)
@@ -193,7 +215,7 @@ def _trial_division_irreducibles(p: int, d_max: int) -> list[Poly]:
         f
         for d in range(1, d_max + 1)
         for f in enumerate_monic(field, d)
-        if f != t and is_irreducible(f)
+        if f != t and _irreducible_by_trial_division(f)
     ]
 
 
@@ -203,6 +225,40 @@ def _sieve_agrees(p: int, d_max: int) -> bool:
     by_degree = [sum(1 for f in got if f.degree == d) for d in range(1, d_max + 1)]
     gauss = [gauss_count(p, d) - (d == 1) for d in range(1, d_max + 1)]
     return got == _trial_division_irreducibles(p, d_max) and by_degree == gauss
+
+
+class TestRabinAndMillerRabin:
+    """Rabin's irreducibility test and Miller-Rabin against the trial
+    divisions they replaced."""
+
+    @pytest.mark.parametrize("p,d_max", [(2, 6), (3, 4), (5, 4)])
+    def test_every_monic_up_to_degree(self, p, d_max):
+        """From degree 5 on, a reducible f can have no factor of degree
+        dividing d/r, as t^5+t^4+1 = (t^2+t+1)(t^3+t+1) over GF(2)."""
+        field = PrimeField(p)
+        for d in range(1, d_max + 1):
+            for f in enumerate_monic(field, d):
+                assert is_irreducible(f) == _irreducible_by_trial_division(f), str(f)
+
+    def test_primes_below_100000(self):
+        assert all(_is_prime(p) == _is_prime_by_trial_division(p) for p in range(100_000))
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # strong pseudoprimes to the bases 2..23 and 2..37 respectively
+        assert not _is_prime(3_825_123_056_546_413_051)
+        assert not _is_prime(318_665_857_834_031_151_167_461)
+        assert _is_prime(10**18 + 3)
+
+    def test_past_the_bound_is_an_error(self):
+        with pytest.raises(FieldError, match="decided only below 3317044064679887385961981"):
+            PrimeField(3_317_044_064_679_887_385_961_981)
+
+    def test_high_degree_and_large_prime_are_fast(self):
+        start = time.perf_counter()
+        assert is_irreducible(parse_poly("t^41+t^3+1", F2))
+        assert not is_irreducible(parse_poly("t^41+t^3+t", F2))
+        assert is_irreducible(parse_poly("t^2+1", PrimeField(1_000_000_000_000_000_003)))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIrreducibleSieve:
