@@ -701,7 +701,7 @@ def _poly_terms(text: str, field: Field) -> dict[int, object]:
         if not m or (not m.group("coef") and not m.group("t")):
             raise FieldError(f"bad polynomial term {term!r} in {text!r}")
         if m.group("t"):
-            exp = int(m.group("exp") or 1)
+            exp = _literal_int(m.group("exp") or "1")
             coef_text = m.group("coef") or "1"
         else:
             exp = 0
@@ -713,6 +713,13 @@ def _poly_terms(text: str, field: Field) -> dict[int, object]:
     return coeffs
 
 
+def _literal_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's string-to-integer digit limit
+        raise FieldError(f"the integer literal {digits[:20]}... is too long") from None
+
+
 _FIELD_RE = re.compile(r"^(?P<base>Q|F(?P<p>\d+))(?:\[t\]/\((?P<mod>.+)\))?$")
 
 
@@ -721,7 +728,7 @@ def parse_field(spec: str) -> Field:
     m = _FIELD_RE.match(spec.replace(" ", ""))
     if not m:
         raise FieldError(f"bad field spec {spec!r}")
-    base: Field = QQ if m.group("base") == "Q" else PrimeField(int(m.group("p")))
+    base: Field = QQ if m.group("base") == "Q" else PrimeField(_literal_int(m.group("p")))
     if m.group("mod") is None:
         return base
     return ExtensionField(base, parse_poly(m.group("mod"), base))

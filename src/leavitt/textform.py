@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from .algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector, monomial
-from .fields import Field, parse_poly
+from .fields import Field, FieldError, parse_poly
 from .graphs import BoundaryPath, FinitePath, Graph, GraphError, lasso, sink_path, tail_lags
 from .linalg import add_term
 from .reps import (
@@ -164,7 +164,7 @@ def _is_scalar_token(graph: Graph, field: Field, token: str) -> bool:
     try:
         field.parse(token)
         return True
-    except Exception:
+    except FieldError:
         return False
 
 

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,9 @@ class TestDeterminism:
         assert out1 == out2
 
 
+HUGE = "9" * 5000
+
+
 class TestInputErrors:
     """Every input error exits 2 with a one-line message, never a traceback."""
 
@@ -284,6 +288,12 @@ class TestInputErrors:
             # a rational with an exponent, which the grammar does not have
             ("r1", ["act", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf", "--twist", "e=1e400"]),
             ("r1", ["validate", "--field", "F2"]),
+            # integers past the interpreter's string-to-integer digit limit
+            ("r1", ["act", "--field", f"F2[t]/(t^{HUGE}+t+1)", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf"]),
+            ("r1", ["verify", "twist-iso", "--cycle", "e", "--modulus", f"t^{HUGE}+1"]),
+            ("r1", ["act", "--field", "F2[t]/(t^2+t+1)", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf",
+                    "--twist", f"e=(t^{HUGE})"]),
+            ("r1", ["act", "--field", f"F{HUGE}", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):
@@ -298,6 +308,21 @@ class TestInputErrors:
                 "--vec", "(e)^inf@100000000", graph_file(r1)]
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (0, "2 (e)^inf@0\n", "")
+
+
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (["act", "--field", "F2", "--module", "ind:(e)^inf:quot(t^41+t^3+1)", "--elt", "e", "--vec", "(e)^inf@0"],
+             "(e)^inf@0#1\n"),
+            (["act", "--field", "F1000000000000000003", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf"],
+             "(e)^inf\n"),
+        ],
+    )
+    def test_high_degree_modulus_and_large_prime_exit_0_fast(self, r1, graph_file, capsys, argv, out):
+        start = time.perf_counter()
+        assert run(capsys, argv + [graph_file(r1)]) == (0, out, "")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestModulusTestedOnce:
