@@ -54,6 +54,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _count(text: str) -> int:
+    """The argparse type of the size flags: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lpa",
@@ -75,12 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--graded", action="store_true")
     group.add_argument("--simple", action="store_true")
-    p.add_argument("--cycles-up-to", type=int, default=6, metavar="N")
-    p.add_argument("--poly-deg", type=int, default=3, metavar="N")
+    # Each mode ignores the other's flags: rejecting them here would need
+    # subcommands, which would change the `classify --graded|--simple` syntax.
+    p.add_argument("--cycles-up-to", type=int, default=6, metavar="N", help="with --graded: longest closed path enumerated")
+    p.add_argument("--poly-deg", type=_count, default=3, metavar="N", help="with --simple: highest modulus degree")
     p.add_argument(
         "--rational-samples",
         default="1,2,-1",
-        help="comma-separated a-values for the sampled moduli t-a over Q",
+        help="with --simple: comma-separated a-values for the sampled moduli t-a over Q",
     )
 
     p = common(sub.add_parser("act", help="apply an algebra element to a module vector"), _cmd_act)
@@ -96,11 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s = {name: common(suites.add_parser(name), _cmd_verify) for name in SUITES}
     s["relations"].add_argument("--seed", type=int, default=0)
-    s["relations"].add_argument("--triples", type=int, default=200)
+    s["relations"].add_argument("--triples", type=_count, default=200)
     for name in ("pi-consistency", "triv-iso", "twist-iso", "nvc-iso"):
-        s[name].add_argument("--window", type=int, default=4)
+        s[name].add_argument("--window", type=_count, default=4)
     for name in ("triv-iso", "twist-iso", "nvc-iso"):
-        s[name].add_argument("--mono-len", type=int, default=3)
+        s[name].add_argument("--mono-len", type=_count, default=3)
     for name in ("triv-iso", "res-ind"):
         s[name].add_argument("--at", required=True, help="base boundary path")
     s["triv-iso"].add_argument("--twist", default=None, help="edge=value,...")
@@ -110,10 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--scalar", help="scalar action value")
     group.add_argument("--modulus", help="monic irreducible polynomial")
     s["res-ind"].add_argument("--coeff", required=True, help="coefficient spec, e.g. K, Ka(2), quot(t-2)")
-    s["res-ind"].add_argument("--cap", type=int, default=6)
+    s["res-ind"].add_argument("--cap", type=_count, default=6)
 
     p = common(sub.add_parser("dims", help="finite-dimensional simple modules with dimensions"), _cmd_dims)
-    p.add_argument("--poly-deg", type=int, default=3, metavar="N")
+    p.add_argument("--poly-deg", type=_count, default=3, metavar="N")
     p.add_argument(
         "--rational-samples", default="1,2,-1", help="a-values for t-a moduli over Q"
     )
@@ -316,9 +329,6 @@ def _cmd_dims(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for name in ("window", "mono_len", "cap", "triples", "poly_deg"):
-            if getattr(args, name, 0) < 0:
-                raise InputError(f"--{name.replace('_', '-')} must not be negative")
         return args.handler(args)
     except (
         InputError, ParseError, GraphError, FieldError, ModuleSpecError, NotGradableError,
