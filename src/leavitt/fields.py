@@ -430,9 +430,10 @@ def is_irreducible(f: Poly) -> bool:
 
     Over GF(p), Rabin's test (SIAM J. Comput. 9(2), 1980): f of degree d
     is irreducible iff t^(p^d) = t mod f and gcd(t^(p^(d/r)) - t, f) = 1
-    for each prime r dividing d.  Over Q: exact only up to degree 3.  A monic quadratic splits
-    iff its discriminant is the square of a rational; a cubic splits iff
-    it has a rational root (rational root theorem).
+    for each prime r dividing d.  Over Q: exact only up to degree 3.  A
+    monic quadratic splits iff its discriminant is the square of a
+    rational; a cubic splits iff it has a rational root (rational root
+    theorem).
     """
     if not f.is_monic or f.degree < 1:
         raise FieldError("irreducibility test expects a monic polynomial of degree >= 1")

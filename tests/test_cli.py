@@ -309,7 +309,6 @@ class TestInputErrors:
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (0, "2 (e)^inf@0\n", "")
 
-
     @pytest.mark.parametrize(
         "argv,out",
         [

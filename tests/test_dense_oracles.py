@@ -4,14 +4,14 @@ pruned dimension oracle against the code they replaced.
 The oracles below are the dense window matrices (``Module.act`` of the
 generators as algebra elements on each basis element, written into a list
 of rows), the dense cyclic span (apply every generator to the whole echelon
-basis, then ``rref``, until the rank stops growing), and the dense
-equation builder for T.g_A = g_B.T solved by ``rref``, and the dense
-restriction (the column space of each cylinder idempotent by ``rref``, the
-isotropy generator's coordinates by ``coordinates``, and f(M) by matrix
-powers).  They run on random small finite-dimensional modules: sink modules, twisted boundary-path
-modules at cycles, scalar extensions, and induced modules with
-scalar-action and quotient coefficients, plus a direct sum, which is not
-simple and maps onto its summands.  The cycle count of
+basis, then ``rref``, until the rank stops growing), the dense equation
+builder for T.g_A = g_B.T solved by ``rref``, and the dense restriction
+(the column space of each cylinder idempotent by ``rref``, the isotropy
+generator's coordinates by ``coordinates``, and f(M) by matrix powers).
+They run on random small finite-dimensional modules: sink modules, twisted
+boundary-path modules at cycles, scalar extensions, and induced modules
+with scalar-action and quotient coefficients, plus a direct sum, which is
+not simple and maps onto its summands.  The cycle count of
 ``classify.dimension_oracle`` is checked against the walk from every vertex
 over every path up to |V| + |c| + 1 edges, on random small graphs.
 """

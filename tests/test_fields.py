@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from leavitt.fields import (
     QQ,
-    _is_prime,
     ExtensionField,
     FieldError,
     Poly,
     PrimeField,
+    _is_prime,
     enumerate_monic,
     enumerate_monic_irreducibles,
     format_poly,
