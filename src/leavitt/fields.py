@@ -260,10 +260,6 @@ class Poly:
     def t(cls, field: Field) -> "Poly":
         return cls(field, (field.zero(), field.one()))
 
-    @classmethod
-    def constant(cls, field: Field, c) -> "Poly":
-        return cls.make(field, [c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -413,18 +409,6 @@ def _is_rational_square(q: Fraction) -> bool:
     return num >= 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
-def _pow_mod(g: Poly, n: int, f: Poly) -> Poly:
-    """g^n mod f by square-and-multiply."""
-    out = Poly.one(g.field)
-    while n:
-        if n & 1:
-            out = out * g % f
-        n >>= 1
-        if n:
-            g = g * g % f
-    return out
-
-
 def is_irreducible(f: Poly) -> bool:
     """Exact irreducibility over the coefficient field.
 
@@ -439,13 +423,13 @@ def is_irreducible(f: Poly) -> bool:
         raise FieldError("irreducibility test expects a monic polynomial of degree >= 1")
     F = f.field
     if isinstance(F, PrimeField):
-        d = f.degree
-        t = Poly.t(F) % f
+        d, ring = f.degree, _QuotientRing(F, f)
+        t = ring.tbar()
         frobenius = [t]  # t^(p^k) mod f, k = 0..d
         for _ in range(d):
-            frobenius.append(_pow_mod(frobenius[-1], F.p, f))
+            frobenius.append(ring.pow(frobenius[-1], F.p))
         return frobenius[d] == t and all(
-            poly_xgcd(frobenius[d // r] - t, f)[0] == Poly.one(F)
+            poly_xgcd(ring._unwrap(ring.sub(frobenius[d // r], t)), f)[0] == Poly.one(F)
             for r in range(2, d + 1)
             if d % r == 0 and _is_prime(r)
         )
@@ -516,6 +500,10 @@ class ExtensionField(Field):
             raise FieldError("modulus must have nonzero constant term (t is excluded)")
         if not is_irreducible(modulus):
             raise FieldError(f"{modulus} is reducible over {base.name}")
+        self._tabulate(base, modulus)
+
+    def _tabulate(self, base: Field, modulus: Poly) -> None:
+        """The values and the fold table of K[t]/(f), for any monic f."""
         self.base = base
         self.modulus = modulus
         self.degree = d = modulus.degree
@@ -533,10 +521,6 @@ class ExtensionField(Field):
             row = [base.add(r, base.mul(top, c)) for r, c in zip(row, fold[0])]
         self._fold = tuple(fold)
 
-    def _wrap(self, poly: Poly) -> tuple:
-        r = poly % self.modulus
-        return tuple(r.coeff(i) for i in range(self.degree))
-
     def _unwrap(self, value: tuple) -> Poly:
         return Poly._trimmed(self.base, list(value))
 
@@ -547,17 +531,18 @@ class ExtensionField(Field):
         return self._one
 
     def tbar(self):
-        return self._wrap(Poly.t(self.base))
+        """The class of t; for d = 1 that is t mod (t + f_0) = -f_0."""
+        if self.degree == 1:
+            return (self.base.neg(self.modulus.coeffs[0]),)
+        return self._zero[:1] + (self.base.one(),) + self._zero[2:]
 
     def embed(self, c) -> tuple:
-        return self._wrap(Poly.constant(self.base, c))
+        return (self.base.coerce(c),) + self._zero[1:]
 
     def coerce(self, value):
         if isinstance(value, tuple) and len(value) == self.degree:
             return tuple(self.base.coerce(c) for c in value)
-        if isinstance(value, Poly) and value.field == self.base:
-            return self._wrap(value)
-        return self.embed(self.base.coerce(value))
+        return self.embed(value)
 
     def add(self, a, b):
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
@@ -633,6 +618,15 @@ class ExtensionField(Field):
         for k, c in _poly_terms(text, self.base).items():
             out = self.add(out, tuple(self.base.mul(c, x) for x in self.pow(t, k)))
         return out
+
+
+class _QuotientRing(ExtensionField):
+    """K[t]/(f) for any monic f, reducible or with f(0) = 0: the arithmetic
+    of ``ExtensionField`` without its checks, for Rabin's test.  ``inv`` is
+    meaningful only where a value is a unit."""
+
+    def __init__(self, base: Field, modulus: Poly):
+        self._tabulate(base, modulus)
 
 
 # ---------------------------------------------------------------------------
