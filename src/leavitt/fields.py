@@ -7,8 +7,10 @@ Three kinds of fields are supported, all with raw hashable values:
 * quotient fields K[t]/(f) for f monic irreducible with f(0) != 0
   (values are coefficient tuples over the base field).
 
-Polynomials over any of these and irreducibility testing round out the
-module.  No floating point anywhere.
+K[t]/(f) has one reduction kernel, a table of t^k mod f, and Rabin's test
+runs on it up to ``_RABIN_BOUND``.  ``Poly`` parses, runs the sieve and the
+gcd, and is the tests' oracle.  Over Q, irreducibility is decided up to
+degree 3, a cubic by bisection for an integer root.  No floating point.
 """
 
 from __future__ import annotations
@@ -373,35 +375,34 @@ def enumerate_monic(field: PrimeField, degree: int) -> Iterator[Poly]:
             return
 
 
-def _rational_roots_exist(f: Poly) -> bool:
-    # Rational root theorem on the integer-cleared polynomial.
-    denoms = [c.denominator for c in f.coeffs]
-    lcm = 1
-    for d in denoms:
-        g = math.gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(c * lcm) for c in f.coeffs]
-    while ints and ints[0] == 0:
-        return True  # t divides f, so 0 is a root
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for sign in (1, -1):
-                if f.evaluate(Fraction(sign * p, q)) == 0:
-                    return True
+def _rational_root_exists(f: Poly) -> bool:
+    """Whether the monic cubic f over Q has a rational root (see ``is_irreducible``)."""
+    L = math.lcm(*(c.denominator for c in f.coeffs))
+    c, b, a = (int(x * L ** (3 - i)) for i, x in enumerate(f.coeffs[:3]))
+
+    def g(s: int) -> int:
+        return ((s + a) * s + b) * s + c
+
+    bound = 1 + max(abs(a), abs(b), abs(c))  # Cauchy: every root lies inside
+    pieces, near = [(-bound, bound, 1)], []
+    disc = a * a - 3 * b  # g' = 3s^2 + 2as + b vanishes at (-a -+ sqrt(disc))/3
+    if disc > 0:
+        r = math.isqrt(disc)
+        lo1, hi1, lo2, hi2 = (-a - r - 1) // 3, -((a + r) // 3), (r - a) // 3, -((a - r - 1) // 3)
+        pieces = [(-bound, lo1, 1), (hi1, lo2, -1), (hi2, bound, 1)]
+        near = [*range(lo1, hi1 + 1), *range(lo2, hi2 + 1)]  # brackets of the critical points
+    return any(g(s) == 0 for s in near) or any(_monotone_root(g, *piece) for piece in pieces)
+
+
+def _monotone_root(g, lo: int, hi: int, sign: int) -> bool:
+    """Whether g(n) = 0 for an integer lo <= n <= hi, sign*g nondecreasing there."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        v = sign * g(mid)
+        if v == 0:
+            return True
+        lo, hi = (mid + 1, hi) if v < 0 else (lo, mid - 1)
     return False
-
-
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n != 0, ascending, each d found with n // d."""
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-    return small + large[::-1]
 
 
 def _is_rational_square(q: Fraction) -> bool:
@@ -409,21 +410,33 @@ def _is_rational_square(q: Fraction) -> bool:
     return num >= 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
+# Rabin's test makes d calls pow(., p) in K[t]/(f), each of bit_length(p) +
+# bit_count(p) - 2 products of about d^2 base operations.  This bound on
+# their product keeps one test to about a second.
+_RABIN_BOUND = 3_000_000
+
+
 def is_irreducible(f: Poly) -> bool:
     """Exact irreducibility over the coefficient field.
 
     Over GF(p), Rabin's test (SIAM J. Comput. 9(2), 1980): f of degree d
     is irreducible iff t^(p^d) = t mod f and gcd(t^(p^(d/r)) - t, f) = 1
-    for each prime r dividing d.  Over Q: exact only up to degree 3.  A
-    monic quadratic splits iff its discriminant is the square of a
-    rational; a cubic splits iff it has a rational root (rational root
-    theorem).
+    for each prime r dividing d.  The powers are taken in ``_QuotientRing``,
+    whose cost ``_RABIN_BOUND`` limits.  Over Q: exact only up to degree 3.
+    A monic quadratic splits iff its discriminant is the square of a
+    rational.  A cubic splits iff it has a rational root: with L the lcm of
+    the denominators, L^3 f(s/L) is a monic integer cubic, so its rational
+    roots are integers inside the Cauchy bound, found by integer bisection
+    on the monotone pieces between its critical points.
     """
     if not f.is_monic or f.degree < 1:
         raise FieldError("irreducibility test expects a monic polynomial of degree >= 1")
     F = f.field
     if isinstance(F, PrimeField):
-        d, ring = f.degree, _QuotientRing(F, f)
+        d, products = f.degree, F.p.bit_length() + F.p.bit_count() - 2
+        if d**3 * products > _RABIN_BOUND:
+            raise FieldError(f"Rabin's test over {F.name} runs only while deg^3 * {products} <= {_RABIN_BOUND} (deg {d})")
+        ring = _QuotientRing(F, f)
         t = ring.tbar()
         frobenius = [t]  # t^(p^k) mod f, k = 0..d
         for _ in range(d):
@@ -440,7 +453,7 @@ def is_irreducible(f: Poly) -> bool:
             c, b = f.coeffs[0], f.coeffs[1]
             return not _is_rational_square(b * b - 4 * c)
         if f.degree == 3:
-            return not _rational_roots_exist(f)
+            return not _rational_root_exists(f)
         raise FieldError(f"irreducibility of {f} over Q is decided only up to degree 3")
     raise FieldError(f"irreducibility test not supported over {F.name}")
 
@@ -621,9 +634,8 @@ class ExtensionField(Field):
 
 
 class _QuotientRing(ExtensionField):
-    """K[t]/(f) for any monic f, reducible or with f(0) = 0: the arithmetic
-    of ``ExtensionField`` without its checks, for Rabin's test.  ``inv`` is
-    meaningful only where a value is a unit."""
+    """K[t]/(f) for any monic f, reducible or with f(0) = 0: the field's
+    arithmetic without its checks, for Rabin's test (``inv`` needs a unit)."""
 
     def __init__(self, base: Field, modulus: Poly):
         self._tabulate(base, modulus)

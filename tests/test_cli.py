@@ -294,6 +294,9 @@ class TestInputErrors:
             ("r1", ["act", "--field", "F2[t]/(t^2+t+1)", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf",
                     "--twist", f"e=(t^{HUGE})"]),
             ("r1", ["act", "--field", f"F{HUGE}", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf"]),
+            # moduli past the cost bound on Rabin's test
+            ("r1", ["act", "--field", "F2[t]/(t^1000+t+1)", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf"]),
+            ("r1", ["verify", "twist-iso", "--cycle", "e", "--modulus", "t^3000+t+1", "--field", "F2"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):
@@ -316,6 +319,8 @@ class TestInputErrors:
              "(e)^inf@0#1\n"),
             (["act", "--field", "F1000000000000000003", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf"],
              "(e)^inf\n"),
+            (["act", "--field", "Q[t]/(t^3-100000000000000000003)", "--module", "chen:(e)^inf", "--elt", "e",
+              "--vec", "(e)^inf"], "(e)^inf\n"),
         ],
     )
     def test_high_degree_modulus_and_large_prime_exit_0_fast(self, r1, graph_file, capsys, argv, out):

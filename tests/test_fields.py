@@ -14,6 +14,7 @@ from leavitt.fields import (
     Poly,
     PrimeField,
     _is_prime,
+    _QuotientRing,
     enumerate_monic,
     enumerate_monic_irreducibles,
     format_poly,
@@ -260,6 +261,13 @@ class TestRabinAndMillerRabin:
         assert is_irreducible(parse_poly("t^2+1", PrimeField(1_000_000_000_000_000_003)))
         assert time.perf_counter() - start < 1.0
 
+    def test_past_the_cost_bound_is_an_error(self):
+        """deg^3 times the products of one p-th power: 1 over F2, 2 over F3."""
+        assert not is_irreducible(parse_poly("t^144+t+1", F2))
+        for f, F in [("t^145+t+1", F2), ("t^115+t+1", F3)]:
+            with pytest.raises(FieldError, match="<= 3000000"):
+                is_irreducible(parse_poly(f, F))
+
 
 class TestIrreducibleSieve:
     @pytest.mark.parametrize("p,d_max", [(2, 4), (3, 4), (5, 4), (2, 6)])
@@ -341,7 +349,21 @@ class TestRationalIrreducibility:
         assert is_irreducible(parse_poly("t^2-100000007", QQ))
         assert not is_irreducible(parse_poly(f"t^2-{100000007**2}", QQ))
         assert is_irreducible(parse_poly("t^3-100000007", QQ))
+        assert is_irreducible(parse_poly("t^3-100000000000000000003", QQ))
         assert time.perf_counter() - start < 0.5
+
+
+    @given(
+        root=st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**4),
+        b=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50),
+        c=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cubics_with_a_rational_root_split(self, root, b, c):
+        """Roots far past the divisor search's reach, double roots included."""
+        linear = Poly.make(QQ, [-root, 1])
+        assert not is_irreducible(linear * Poly.make(QQ, [c, b, 1]))
+        assert not is_irreducible(linear * linear * Poly.make(QQ, [b, 1]))
 
 
 class TestPolyText:
@@ -385,6 +407,16 @@ DIFFERENTIAL_FIELDS = [
 ]
 
 
+# Moduli that are reducible or divisible by t, where only the ring exists.
+RINGS = [
+    _QuotientRing(F, parse_poly(f, F))
+    for F, f in [
+        (F2, "t"), (F2, "t^2+t"), (F2, "t^4+1"), (F3, "t^3"), (F3, "t^2+2"),
+        (F5, "t^3+t^2"), (QQ, "t^2-1"), (QQ, "t^3+t"),
+    ]
+]
+
+
 def _poly(K, a):
     return Poly.make(K.base, a)
 
@@ -414,6 +446,38 @@ class TestExtensionArithmeticAgainstPoly:
         assert g == Poly.one(K.base)
         assert K.inv(a) == _value(K, u % f)
         assert K.mul(a, K.inv(a)) == K.one()
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_ring_on_any_monic_modulus(self, seed):
+        """``_QuotientRing``, where Rabin's test runs, on moduli that are
+        reducible or divisible by t."""
+        rng = random.Random(seed)
+        R = rng.choice(RINGS)
+        a, b = (R.random(rng) for _ in range(2))
+        pa, f, n = _poly(R, a), R.modulus, rng.randrange(40)
+        assert R.tbar() == _value(R, Poly.t(R.base) % f)
+        assert R.mul(a, b) == _value(R, (pa * _poly(R, b)) % f)
+        want = Poly.one(R.base)
+        for _ in range(n):
+            want = want * pa % f
+        assert R.pow(a, n) == _value(R, want)
+
+    def test_field_does_no_polynomial_division(self, monkeypatch):
+        """The field's own operations run on the fold table alone.  Building
+        a field runs Rabin's gcd step, which divides, so it comes first."""
+        cases = [("F2[t]/(t^2+t+1)", "(t)", "(t+1)"), ("F3[t]/(t+1)", "2", "1"), ("Q[t]/(t^2-2)", "(t)", "2")]
+        fields = [(parse_field(spec), tbar, square) for spec, tbar, square in cases]
+
+        def refuse(*_):
+            raise AssertionError("Poly.divmod called")
+
+        monkeypatch.setattr(Poly, "divmod", refuse)
+        for K, tbar, square in fields:
+            t = K.tbar()
+            assert K.format(t) == tbar and K.parse(tbar) == t and K.coerce(t) == t
+            assert K.format(K.parse("(t^2)")) == square and K.format(K.mul(t, t)) == square
+            assert K.coerce(3) == K.embed(3) == K.parse("3") == K.mul(K.one(), K.parse("3"))
 
     @pytest.mark.parametrize("K", DIFFERENTIAL_FIELDS, ids=lambda K: K.name)
     def test_parse_agrees_with_dense_reduction(self, K):
