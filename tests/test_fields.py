@@ -352,7 +352,6 @@ class TestRationalIrreducibility:
         assert is_irreducible(parse_poly("t^3-100000000000000000003", QQ))
         assert time.perf_counter() - start < 0.5
 
-
     @given(
         root=st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**4),
         b=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50),
