@@ -406,11 +406,7 @@ class NvcModule(Module):
         prod = algebra.mono_mul(mono, b.mono)
         if prod is None:
             return {}
-        out = {}
-        for m, c in algebra.normalize(algebra.monomial_element(prod)).terms.items():
-            assert m.nu.src == self.base_vertex
-            out[NvcBasis(m)] = c
-        return out
+        return {NvcBasis(m): c for m, c in algebra._normalize_terms([(prod, self.field.one())]).items()}
 
     def grade(self, b: NvcBasis) -> int:
         return b.mono.degree - self.spec.shift

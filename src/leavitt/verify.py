@@ -103,13 +103,13 @@ class Window:
 
     def matrix_of(self, mono: Monomial) -> list[dict]:
         """The matrix of the monomial ``mono`` as sparse columns: column j is
-        ``module.act_monomial`` on {basis element j: 1}, as a {row:
+        ``module.act_monomial_basis`` on basis element j, as a {row:
         coefficient} dict."""
-        act, one = self.module.act_monomial, self.module.field.one()
+        act = self.module.act_monomial_basis
         cols = []
         for b in self.elements:
             col = {}
-            for b2, c in act(mono, {b: one}).items():
+            for b2, c in act(mono, b).items():
                 i = self.index.get(b2)
                 if i is None:
                     raise OutOfWindowError(f"action of {mono} leaves the window at {b2}")
@@ -350,12 +350,11 @@ def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len:
     nu = nu'.e the ghost part is e* times that of nu', so it kills what
     nu' kills and is tested only on the elements nu' leaves alive.  The
     pairs left keep their order, so the first counterexample is the one
-    the scan over all pairs finds.  Each monomial acts through
-    ``act_monomial``, on the terms of a unit vector in A and of f(b) in B,
-    and the sides are compared as plain dicts."""
+    the scan over all pairs finds.  Each monomial acts on the basis element
+    b by ``act_monomial_basis`` in A and on the vector f(b) by
+    ``act_monomial`` in B, and the sides are compared as plain dicts."""
     F = modA.field
     graph = modA.graph
-    units = [{b: F.one()} for b in elems]
     images = [f(b).terms for b in elems]
     image = lambda b: f(b).terms
     live: dict = {}  # nu -> indices of the elements its ghost part does not kill
@@ -372,13 +371,13 @@ def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len:
             indices = live[nu] = [
                 i
                 for i in candidates
-                if modA.act_monomial(ghost, units[i]) or modB.act_monomial(ghost, images[i])
+                if modA.act_monomial_basis(ghost, elems[i]) or modB.act_monomial(ghost, images[i])
             ]
         return indices
 
     for m in all_monomials(graph, mono_len):
         for i in alive(m.nu):
-            lhs = linear_extend(F, image, modA.act_monomial(m, units[i]))
+            lhs = linear_extend(F, image, modA.act_monomial_basis(m, elems[i]))
             rhs = modB.act_monomial(m, images[i])
             if lhs != rhs:
                 return m, elems[i], ModuleVector(F, lhs), ModuleVector(F, rhs)
@@ -472,9 +471,7 @@ def nvc_iso_maps(modA: InducedModule, modB: NvcModule):
             mu = initial_path(graph, b.path, len(mu) + steps * n)
         elif steps < 0:
             nu = initial_path(graph, x, len(nu) - steps * n)
-        terms = algebra.normalize(algebra.monomial_element(monomial(mu, nu))).terms
-        assert len(terms) == 1
-        (m, c), = terms.items()
+        (m, c), = algebra._normalize_terms([(monomial(mu, nu), F.one())]).items()
         return ModuleVector(F, {NvcBasis(m): c})
 
     def psi(b: NvcBasis) -> ModuleVector:

@@ -13,6 +13,7 @@ from leavitt.linalg import identity, linear_extend
 from leavitt.reps import (
     ChenExtSpec,
     ChenSpec,
+    InducedModule,
     InducedSpec,
     LaurentCoeff,
     Module,
@@ -98,6 +99,23 @@ class TestRestrict:
         M = build_module(toeplitz, QQ, ChenSpec(sink_path(toeplitz, toeplitz.vertex_path("v"))))
         with pytest.raises(ModuleSpecError):
             restrict(M, sink_path(toeplitz, toeplitz.vertex_path("v")))
+
+
+def test_windows_act_on_basis_elements(monkeypatch, toeplitz):
+    """Window matrices, and the restriction, Hom and simplicity checks built
+    on them, act on basis elements, never on one-term vectors."""
+
+    def refuse(self, mono, terms):
+        raise AssertionError(f"act_monomial on {terms}")
+
+    monkeypatch.setattr(Module, "act_monomial", refuse)
+    spec = InducedSpec(cycle_tail(toeplitz, toeplitz.path(["e"])), QuotientCoeff(parse_poly("t^2+t+1", F2)))
+    M = build_module(toeplitz, F2, spec)
+    window = Window.full(M)
+    assert len(window.matrix_of(monomial(toeplitz.path(["e"]), toeplitz.vertex_path("u")))) == window.dim == 2
+    assert restrict(M, spec.base).dimension == 2
+    assert len(intertwiner_space(M, M)) == 2
+    assert simplicity_probe(toeplitz, F2, spec).verdict == "simple"
 
 
 class TestIntertwiners:
@@ -319,8 +337,11 @@ class TestCertificateMemo:
 
     @staticmethod
     def _tree_into_loop_scan(monkeypatch):
-        """The Module.act_monomial calls of the quotient twist-iso certificate
-        on a binary tree of depth 3 whose root carries a loop l."""
+        """The actions of the quotient twist-iso certificate on a binary tree
+        of depth 3 whose root carries a loop l: Module.act_monomial calls (the
+        B side, on f(b)) and InducedModule.act_monomial_basis calls (the A
+        side, on b).  B is a scalar extension, so every InducedModule call
+        comes from the A side directly."""
         vertices, edges, frontier = ["r"], [("l", "r", "r")], ["r"]
         for _ in range(3):
             nxt = []
@@ -335,6 +356,8 @@ class TestCertificateMemo:
         calls = []
         real = Module.act_monomial
         monkeypatch.setattr(Module, "act_monomial", lambda self, m, terms: calls.append(1) or real(self, m, terms))
+        real_basis = InducedModule.act_monomial_basis
+        monkeypatch.setattr(InducedModule, "act_monomial_basis", lambda self, m, b: calls.append(1) or real_basis(self, m, b))
         cert = verify_twist_iso(g, F2, g.path(["l"]), QuotientCoeff(parse_poly("t^2+t+1", F2)))
         assert cert.passed
         return g, cert, len(calls)
