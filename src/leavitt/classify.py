@@ -23,7 +23,6 @@ from .graphs import (
     _entwined_pair,
     sink_path,
     closed_path_set_is_finite,
-    count_paths_ending_at,
     cycle_tail,
     elementary_cycles,
     lasso,
@@ -205,7 +204,8 @@ def moduli_for_field(
     rational_values: Iterable[int] = (1, 2, -1),
     extra_moduli: Iterable[Poly] = (),
 ) -> tuple[list[Poly], bool]:
-    """The sampled or enumerated f-axis; second value: complete up to the bound."""
+    """The sampled or enumerated f-axis, each modulus once; second value:
+    complete up to the bound."""
     if isinstance(field, PrimeField):
         return enumerate_monic_irreducibles(field.p, poly_degree_bound), True
     if isinstance(field, RationalField):
@@ -217,8 +217,7 @@ def moduli_for_field(
             out.append(parse_poly(text, field))
         for f in extra_moduli:
             out.append(quotient_field(field, f).modulus)
-        out.sort(key=Poly.sort_key)
-        return out, False
+        return sorted(set(out), key=Poly.sort_key), False
     raise ClassificationError(
         f"classification enumerates moduli over Q or a prime field, not {field.name}"
     )
@@ -320,20 +319,42 @@ def _lasso_count(graph: Graph, star: tuple[str, ...]) -> int:
     return len(seen)
 
 
+def _walk_count(graph: Graph, v: str) -> int:
+    """The number of paths ending at v.  x_0 = e_v and x_(k+1)(w) is the sum
+    of x_k(r(e)) over the edges e out of w, so x_k(w) counts the paths of
+    length k from w to v; the answer is the sum of every x_k.  A path of |V|
+    edges repeats a vertex, so x_k nonzero at k = |V| means a cycle reaches
+    v.  O(|V|.|E|) work."""
+    x, total = {v: 1}, 0
+    for _ in range(len(graph.vertices)):
+        total += sum(x.values())
+        step: dict[str, int] = {}
+        for w, n in x.items():
+            for e in graph.in_edges(w):
+                step[e.src] = step.get(e.src, 0) + n
+        x = step
+        if not x:
+            return total
+    raise ClassificationError(f"a cycle reaches {v!r}; the path count is infinite")
+
+
 def dimension_oracle(graph: Graph, entry) -> int:
     """Independent dimension computation for a finite-dimensional entry.
 
-    Sink entries: dynamic programming on the acyclic predecessor subgraph.
+    Sink entries: the paths into the sink, counted length by length
+    (``_walk_count``), not by the dynamic programming of
+    ``graphs.count_paths_ending_at`` that ``classify_simple`` uses.
     Cycle entries: the number of boundary paths tail-equivalent to the
     cycle's tail, found by brute-force path enumeration with ``lasso``
     canonicalisation and dedup (exact because the predecessors are finite),
-    times deg(modulus).  It never calls ``orbit_size`` or the groupoid, so
-    it stays independent of ``classify_simple``'s dimensions.  The walk is
-    pruned to the vertices that reach the cycle, and the count is memoised
-    per graph and cycle, since every modulus at one cycle shares it.
+    times deg(modulus), never calling ``orbit_size`` or the groupoid.  So
+    neither half shares a formula with ``classify_simple``'s dimensions.
+    The cycle walk is pruned to the vertices that reach the cycle, and the
+    count is memoised per graph and cycle, since every modulus at one cycle
+    shares it.
     """
     if isinstance(entry, SinkSimple):
-        return count_paths_ending_at(graph, entry.vertex)
+        return _walk_count(graph, entry.vertex)
     if isinstance(entry, CycleSimple):
         return _lasso_count(graph, entry.cycle.edges) * entry.modulus.degree
     raise ClassificationError(f"no finite dimension for {entry!r}")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from leavitt import classify
+from leavitt import classify, graphs
 from leavitt.classify import (
     ClassificationError,
     CycleSimple,
@@ -114,6 +114,26 @@ class TestClassifySimple:
         assert [str(e.modulus) for e in cycles] == ["t-2", "t-1", "t+1"]
         assert not res.complete
 
+    def test_q_moduli_listed_once(self, toeplitz):
+        extra = [parse_poly("t-2", QQ), parse_poly("t^2-2", QQ), parse_poly("t^2-2", QQ)]
+        res = classify_simple(toeplitz, QQ, 3, rational_values=(2, 1, 2, -1), extra_moduli=extra)
+        cycles = [e for e in res.entries if isinstance(e, CycleSimple)]
+        assert [str(e.modulus) for e in cycles] == ["t-2", "t-1", "t+1", "t^2-2"]
+
+    @pytest.mark.parametrize(
+        "argv,key,moduli",
+        [
+            (["classify", "--simple", "--rational-samples", "1,1"], "families", ["t-1"]),
+            (["dims", "--rational-samples", "2,2"], "entries", ["t-2"]),
+        ],
+    )
+    def test_lpa_lists_a_repeated_sample_once(self, r1, tmp_path, capsys, argv, key, moduli):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(r1.to_json_dict()))
+        assert main(argv + ["--field", "Q", "--json", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [e["modulus"] for e in data[key]] == moduli
+
     def test_q_extra_moduli(self, toeplitz):
         extra = [parse_poly("t^2-2", QQ)]
         res = classify_simple(toeplitz, QQ, 3, extra_moduli=extra)
@@ -141,6 +161,24 @@ class TestDimensionOracle:
 
     def test_chain(self, chain3):
         assert dimension_oracle(chain3, SinkSimple("v", 3)) == 3
+
+    def test_sink_below_a_cycle_is_an_error(self, toeplitz):
+        with pytest.raises(ClassificationError, match="a cycle reaches 'v'"):
+            dimension_oracle(toeplitz, SinkSimple("v", 1))
+
+    def test_lpa_dims_catches_a_wrong_sink_count(self, a2, tmp_path, capsys, monkeypatch):
+        """The oracle counts sink paths by its own walk, so a wrong count from
+        ``graphs.count_paths_ending_at`` shows as a mismatch."""
+        real = graphs.count_paths_ending_at
+        wrong = lambda graph, v: real(graph, v) + 1
+        monkeypatch.setattr(graphs, "count_paths_ending_at", wrong)
+        monkeypatch.setattr(classify, "count_paths_ending_at", wrong, raising=False)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(a2.to_json_dict()))
+        assert main(["dims", "--json", str(path)]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["all_match"] is False
+        assert [(e["dimension"], e["oracle"]) for e in data["entries"]] == [(3, 2)]
 
     def test_toeplitz_orbit_size_one(self, toeplitz):
         res = classify_simple(toeplitz, F2, 2)

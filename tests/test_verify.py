@@ -8,8 +8,9 @@ from fixture_graphs import FIXTURE_GRAPHS
 from leavitt import verify
 from leavitt.algebra import LeavittAlgebra, TwistVector, all_monomials, monomial
 from leavitt.fields import QQ, PrimeField, parse_field, parse_poly
-from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, lasso, sink_path
-from leavitt.linalg import identity, linear_extend
+from leavitt.classify import CycleSimple, SinkSimple, classify_simple
+from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, lasso, maximal_cycles, sink_path
+from leavitt.linalg import identity, linear_extend, mat_mul, rref, zeros
 from leavitt.reps import (
     ChenExtSpec,
     ChenSpec,
@@ -522,6 +523,39 @@ class TestResInd:
     def test_shifted_trivial_degrees(self, a2):
         cert = verify_res_ind(a2, QQ, InducedSpec(sink_path(a2, a2.vertex_path("v")), TrivialCoeff(2)))
         assert cert.passed
+
+
+def _kernel_dimension(F, f, G: list[list]) -> int:
+    """dim ker f(G): f(G) by Horner's rule, R <- R.G + c.I over the
+    coefficients c of f from the top, and its rank by ``rref``."""
+    n = len(G)
+    R = zeros(F, n, n)
+    for c in reversed(f.coeffs):
+        R = mat_mul(F, R, G)
+        for i in range(n):
+            R[i][i] = F.add(R[i][i], c)
+    return n - len(rref(F, R)[0])
+
+
+@pytest.mark.parametrize("field", [F2, PrimeField(3)], ids=str)
+@pytest.mark.parametrize("gname", sorted(FIXTURE_GRAPHS))
+def test_induction_restriction_adjunction(gname, field):
+    """dim Hom(Ind_x K[t]/(f), M) = dim Hom_{K[t,1/t]}(K[t]/(f), Res_x M)
+    = dim ker f(G), with G the isotropy generator on ``restrict(M, x)``, for
+    x the tail of each maximal cycle, each modulus f of the classification
+    and each entry M.  Swapping ``generator`` and ``_generator_inverse`` in
+    InducedModule fails it (on r1 over F3, at t^2+t+2)."""
+    g = Graph(*FIXTURE_GRAPHS[gname])
+    res = classify_simple(g, field, 2)
+    entries = [build_module(g, field, e.module_spec(g) if isinstance(e, SinkSimple) else e.module_spec()) for e in res.entries]
+    moduli = dict.fromkeys(e.modulus for e in res.entries if isinstance(e, CycleSimple))
+    for c in maximal_cycles(g):
+        x = cycle_tail(g, c)
+        for f in moduli:
+            induced = build_module(g, field, InducedSpec(x, QuotientCoeff(f)))
+            for M in entries:
+                want = _kernel_dimension(field, f, restrict(M, x).generator_matrix)
+                assert len(intertwiner_space(induced, M)) == want, (c, f, M.spec)
 
 
 class TestGradedIsoCheck:
