@@ -204,10 +204,16 @@ def moduli_for_field(
     rational_values: Iterable[int] = (1, 2, -1),
     extra_moduli: Iterable[Poly] = (),
 ) -> tuple[list[Poly], bool]:
-    """The sampled or enumerated f-axis, each modulus once; second value:
-    complete up to the bound."""
+    """The sampled or enumerated f-axis with the extra moduli, each modulus
+    once (over GF(p) the extras not enumerated follow in the order given);
+    second value: complete up to the bound."""
     if isinstance(field, PrimeField):
-        return enumerate_monic_irreducibles(field.p, poly_degree_bound), True
+        out = enumerate_monic_irreducibles(field.p, poly_degree_bound)
+        for f in extra_moduli:
+            f = quotient_field(field, f).modulus
+            if f not in out:
+                out.append(f)
+        return out, True
     if isinstance(field, RationalField):
         out = []
         for a in rational_values:

@@ -31,6 +31,7 @@ from .textform import (
     parse_vector,
 )
 from .verify import (
+    RESTRICTION_CAP,
     OutOfWindowError,
     verify_nvc_iso,
     verify_pi_consistency,
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--scalar", help="scalar action value")
     group.add_argument("--modulus", help="monic irreducible polynomial")
     s["res-ind"].add_argument("--coeff", required=True, help="coefficient spec, e.g. K, Ka(2), quot(t-2)")
-    s["res-ind"].add_argument("--cap", type=_count, default=6)
+    s["res-ind"].add_argument("--cap", type=_count, default=RESTRICTION_CAP)
 
     p = common(sub.add_parser("dims", help="finite-dimensional simple modules with dimensions"), _cmd_dims)
     p.add_argument("--poly-deg", type=_count, default=3, metavar="N")
@@ -217,12 +218,17 @@ def _render_dims(result: dict):
 
 
 def _read_graph(path: str) -> Graph:
+    """A file that cannot be read or parsed is an input error; ``Graph.from_json_dict`` checks the rest."""
     try:
-        return Graph.from_file(path)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {path}: line {exc.lineno}, column {exc.colno}")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}")
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an integer past the digit limit, deep nesting
+        raise InputError(f"bad JSON in {path}: {exc}")
+    return Graph.from_json_dict(data)
 
 
 def _load(args) -> tuple[Graph, object]:
@@ -243,9 +249,8 @@ def _cmd_validate(args) -> int:
         result = {"ok": False, "errors": [str(exc)], "sinks": [], "regular": []}
         _emit(result, args.json, _render_validate)
         return 2
-    result = validate(graph).to_json_dict()
-    _emit(result, args.json, _render_validate)
-    return 0 if result["ok"] else 2
+    _emit(validate(graph).to_json_dict(), args.json, _render_validate)
+    return 0
 
 
 def _cmd_classify(args) -> int:

@@ -9,7 +9,6 @@ relation.  Everything is an immutable value.
 
 from __future__ import annotations
 
-import json
 import re
 import weakref
 from dataclasses import dataclass
@@ -22,11 +21,14 @@ class GraphError(ValueError):
     """Malformed graph data or an invalid path construction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: field reads are hot, and faster than a NamedTuple's
 class Edge:
     name: str
     src: str
     rng: str
+
+    def __iter__(self):  # an edge unpacks as the (name, src, rng) triple that Graph takes
+        return iter((self.name, self.src, self.rng))
 
 
 class Graph:
@@ -37,24 +39,22 @@ class Graph:
     (dot-separated edge names, bare vertex names) is unambiguous.
     """
 
-    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple | dict]):
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
         vs = list(vertices)
-        es = []
-        for e in edges:
-            if isinstance(e, Edge):
-                es.append(e)
-            elif isinstance(e, dict):
-                es.append(Edge(e["name"], e["src"], e["rng"]))
-            else:
-                es.append(Edge(*e))
+        es = [Edge(*e) for e in edges]
         errors = _validate_data(vs, es)
         if errors:
             raise GraphError("; ".join(errors))
         self._vertices = tuple(sorted(vs))
         self._edges = tuple(sorted(es, key=lambda e: e.name))
         self._by_name = {e.name: e for e in self._edges}
-        self._out = {v: tuple(e for e in self._edges if e.src == v) for v in self._vertices}
-        self._in = {v: tuple(e for e in self._edges if e.rng == v) for v in self._vertices}
+        out: dict[str, list[Edge]] = {v: [] for v in self._vertices}
+        into: dict[str, list[Edge]] = {v: [] for v in self._vertices}
+        for e in self._edges:
+            out[e.src].append(e)
+            into[e.rng].append(e)
+        self._out = {v: tuple(x) for v, x in out.items()}
+        self._in = {v: tuple(x) for v, x in into.items()}
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -115,15 +115,15 @@ class Graph:
     # -- serialization ----------------------------------------------------
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Graph":
-        if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
-            raise GraphError('graph JSON must have "vertices" and "edges" keys')
-        return cls(data["vertices"], data["edges"])
-
-    @classmethod
-    def from_file(cls, path: str) -> "Graph":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+    def from_json_dict(cls, data) -> "Graph":
+        """The graph of a parsed graph file: "vertices" a list of names, "edges" a list
+        of objects with "name", "src" and "rng", other keys ignored; else a GraphError."""
+        if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("vertices", "edges")):
+            raise GraphError('graph JSON must be an object whose "vertices" and "edges" are lists')
+        edges = data["edges"]
+        if not all(isinstance(e, dict) and all(k in e for k in ("name", "src", "rng")) for e in edges):
+            raise GraphError('each edge must be an object with "name", "src" and "rng"')
+        return cls(data["vertices"], [(e["name"], e["src"], e["rng"]) for e in edges])
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,7 +132,7 @@ class Graph:
         }
 
 
-def _validate_data(vertices: list[str], edges: list[Edge]) -> list[str]:
+def _validate_data(vertices: list, edges: list[Edge]) -> list[str]:
     errors = []
     if not vertices:
         errors.append("vertex set is empty")
@@ -144,7 +144,7 @@ def _validate_data(vertices: list[str], edges: list[Edge]) -> list[str]:
             errors.append(f"duplicate name {v!r}")
         else:
             seen.add(v)
-    vset = set(vertices)
+    vset = set(seen)
     for e in edges:
         if not isinstance(e.name, str) or not _NAME_RE.match(e.name):
             errors.append(f"bad edge name {e.name!r}")
@@ -152,9 +152,9 @@ def _validate_data(vertices: list[str], edges: list[Edge]) -> list[str]:
             errors.append(f"duplicate name {e.name!r}")
         else:
             seen.add(e.name)
-        if e.src not in vset:
+        if not (isinstance(e.src, str) and e.src in vset):
             errors.append(f"dangling endpoint: edge {e.name!r} has undeclared source {e.src!r}")
-        if e.rng not in vset:
+        if not (isinstance(e.rng, str) and e.rng in vset):
             errors.append(f"dangling endpoint: edge {e.name!r} has undeclared range {e.rng!r}")
     return errors
 
@@ -176,13 +176,12 @@ class ValidationReport:
 
 
 def validate(graph: Graph) -> ValidationReport:
-    """Re-check graph invariants and classify vertices (sink vs regular)."""
-    errors = tuple(_validate_data(list(graph.vertices), list(graph.edges)))
+    """Classify the vertices (sink vs regular); a constructed graph is valid."""
     return ValidationReport(
-        ok=not errors,
+        ok=True,
         sinks=graph.sinks,
         regular=tuple(v for v in graph.vertices if graph.is_regular(v)),
-        errors=errors,
+        errors=(),
     )
 
 
@@ -606,52 +605,39 @@ def elementary_cycles(graph: Graph) -> tuple[FinitePath, ...]:
 
 
 def strongly_connected_components(graph: Graph) -> tuple[frozenset[str], ...]:
-    """Tarjan's algorithm, iterative."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    result: list[frozenset[str]] = []
-    counter = [0]
-
+    """Kosaraju-Sharir: a depth-first search over out-edges lists the vertices
+    by finishing time; from each vertex not yet placed, the latest finished
+    first, a search over in-edges then collects one component."""
+    finished: list[str] = []
+    seen: set[str] = set()
     for root in graph.vertices:
-        if root in index:
+        if root in seen:
             continue
-        work = [(root, iter(graph.out_edges(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for e in it:
-                w = e.rng
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(graph.out_edges(w))))
-                    advanced = True
+        seen.add(root)
+        stack = [(root, iter(graph.out_edges(root)))]  # explicit: cycles may be long
+        while stack:
+            v, edges = stack[-1]
+            for e in edges:
+                if e.rng not in seen:
+                    seen.add(e.rng)
+                    stack.append((e.rng, iter(graph.out_edges(e.rng))))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                result.append(frozenset(comp))
+            else:
+                stack.pop()
+                finished.append(v)
+    result: list[frozenset[str]] = []
+    placed: set[str] = set()
+    for root in reversed(finished):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp = [root]
+        for v in comp:  # comp grows as it is read: a breadth-first search
+            for e in graph.in_edges(v):
+                if e.src not in placed:
+                    placed.add(e.src)
+                    comp.append(e.src)
+        result.append(frozenset(comp))
     return tuple(result)
 
 

@@ -78,6 +78,8 @@ from .reps import (
     build_module,
 )
 
+RESTRICTION_CAP = 6  # idempotents the restriction chain may need before it stabilizes
+
 
 class OutOfWindowError(Exception):
     """An action left the enumerated window; the window is not closed."""
@@ -150,7 +152,7 @@ def _isotropy_monomial(module: Module, x: BoundaryPath) -> Monomial | None:
     return monomial(initial_path(module.graph, x, len(x.prefix) + x.period), x.prefix)
 
 
-def restrict(module: Module, x: BoundaryPath, cap: int = 12) -> Restriction:
+def restrict(module: Module, x: BoundaryPath, cap: int = RESTRICTION_CAP) -> Restriction:
     """Intersection of the idempotent images over initial subpaths of x.
 
     Requires a finite-dimensional module.  The chain is descending and,
@@ -505,7 +507,7 @@ def _annihilates(field: Field, f: Poly, mat: list[list]) -> bool:
     return not any(value)
 
 
-def verify_res_ind(graph, field: Field, spec: InducedSpec, cap: int = 6) -> Certificate:
+def verify_res_ind(graph, field: Field, spec: InducedSpec, cap: int = RESTRICTION_CAP) -> Certificate:
     """Certificate: restricting the induced module at its base point recovers
     the coefficient module (dimension and isotropy action)."""
     module = build_module(graph, field, spec)

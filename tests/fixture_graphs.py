@@ -2,7 +2,11 @@
 
 ``conftest.py`` makes each one a fixture of the same name, and the golden
 CLI corpus (``golden_corpus.py``) writes them out as graph files.
+``MALFORMED_GRAPH_FILES`` holds graph files that every command must reject
+as an input error: name -> file contents.
 """
+
+import json
 
 FIXTURE_GRAPHS = {
     "single_vertex": (["w"], []),
@@ -33,4 +37,23 @@ FIXTURE_GRAPHS = {
             ("d", "v3", "v1"), ("x", "v3", "z"),
         ],
     ),
+}
+
+
+MALFORMED_GRAPH_FILES = {
+    name: data if isinstance(data, bytes) else json.dumps(data).encode()
+    for name, data in {
+        "edge_without_rng": {"vertices": ["u", "v"], "edges": [{"name": "e", "src": "u"}]},
+        "edge_pair": {"vertices": ["u", "v"], "edges": [["e", "u"]]},
+        "edge_integer": {"vertices": ["u", "v"], "edges": [5]},
+        "edges_object": {"vertices": ["u", "v"], "edges": {"a": 1}},
+        "edges_null": {"vertices": ["u", "v"], "edges": None},
+        "vertices_null": {"vertices": None, "edges": []},
+        "vertex_list": {"vertices": [["u"]], "edges": []},
+        "source_list": {"vertices": ["u", "v"], "edges": [{"name": "e", "src": ["u"], "rng": "v"}]},
+        "vertices_string": {"vertices": "uv", "edges": []},
+        "not_utf8": b'{"vertices": ["\xff"], "edges": []}',
+        "deep_nesting": b"[" * 100_000,
+        "long_integer": b'{"vertices": [' + b"9" * 5000 + b'], "edges": []}',
+    }.items()
 }

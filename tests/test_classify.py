@@ -16,7 +16,7 @@ from leavitt.classify import (
 from leavitt.cli import main
 from leavitt.fields import QQ, PrimeField, parse_poly
 from leavitt.graphs import Graph
-from leavitt.reps import build_module
+from leavitt.reps import ModuleSpecError, build_module
 from leavitt.verify import intertwiner_space
 
 F2 = PrimeField(2)
@@ -141,6 +141,22 @@ class TestClassifySimple:
             e.dimension for e in res.entries if isinstance(e, CycleSimple)
         )
         assert dims == [1, 1, 1, 2]
+
+    @pytest.mark.parametrize(
+        "extra,moduli",
+        [
+            (["t^2+t+1"], ["t+1", "t^2+t+1"]),
+            (["t+1", "t^3+t+1", "t^2+t+1", "t^3+t+1"], ["t+1", "t^3+t+1", "t^2+t+1"]),
+        ],
+    )
+    def test_prime_field_extra_moduli(self, r1, extra, moduli):
+        res = classify_simple(r1, F2, 1, extra_moduli=[parse_poly(f, F2) for f in extra])
+        assert [str(e.modulus) for e in res.entries] == moduli
+        assert res.complete
+
+    def test_prime_field_reducible_extra_modulus(self, r1):
+        with pytest.raises(ModuleSpecError):
+            classify_simple(r1, F2, 1, extra_moduli=[parse_poly("t^2+1", F2)])
 
     def test_monotone_in_poly_bound(self, toeplitz):
         small = classify_simple(toeplitz, F2, 2).entries

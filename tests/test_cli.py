@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fixture_graphs import MALFORMED_GRAPH_FILES
 from leavitt import cli
 from leavitt.cli import SUITES, main
 from leavitt.graphs import Graph
@@ -305,6 +306,22 @@ class TestInputErrors:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["validate"], ["classify", "--graded"]], ids=["validate", "classify"])
+    @pytest.mark.parametrize("name", [*MALFORMED_GRAPH_FILES, "directory"])
+    def test_malformed_graph_file_exits_2(self, tmp_path, capsys, name, command):
+        path = tmp_path / "g.json"
+        if name == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(MALFORMED_GRAPH_FILES[name])
+        code, out, err = run(capsys, command + [str(path)])
+        assert code == 2
+        assert "Traceback" not in err
+        if out:  # validate reports a file it parsed but could not build as INVALID
+            assert command == ["validate"] and out.startswith("INVALID\n") and err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_large_lag_over_a_prime_field_exits_0(self, r1, graph_file, capsys):
         argv = ["act", "--module", "ind:(e)^inf:Ka(2)", "--field", "F3", "--elt", "e",

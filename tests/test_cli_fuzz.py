@@ -2,6 +2,8 @@
 returns 0, 1 or 2 and no exception escapes, so the ``lpa`` script never
 prints a traceback.  An exit 2 prints one ``error:`` line and nothing on
 stdout, and a ``verify`` flag that the suite does not read always exits 2.
+Whatever a graph file holds, ``validate`` and ``classify --graded`` exit 0
+or 2.
 
 Each case picks a fixture graph, then draws the fragments of every text
 grammar (module, element, vector, twist, cycle, coefficient) mostly from
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fixture_graphs import FIXTURE_GRAPHS
+from fixture_graphs import FIXTURE_GRAPHS, MALFORMED_GRAPH_FILES
 from leavitt.cli import SUITES, main
 from leavitt.graphs import Graph, elementary_cycles
 
@@ -200,3 +202,45 @@ def test_cli_exits_0_1_or_2_without_a_traceback(graph_paths, case):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     if _unread_flags(argv):
         assert code == 2, f"{name} {argv}: a flag the suite does not read was accepted"
+
+
+# Graph files drawn from arbitrary JSON values: names come mostly from a few
+# that fit together, so some files build a graph and run to the end.
+_NAMES = st.sampled_from(["u", "v", "e", "f", "", "a.b"])
+_KEYS = st.sampled_from(["vertices", "edges", "name", "src", "rng"]) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3) | _NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+_EDGES = st.fixed_dictionaries(
+    {"name": _NAMES | _JSON, "src": _NAMES | _JSON, "rng": _NAMES | _JSON}, optional={"extra": _JSON}
+)
+_GRAPHS = st.fixed_dictionaries(
+    {"vertices": st.lists(_NAMES, max_size=3) | _JSON, "edges": st.lists(_EDGES | _JSON, max_size=3) | _JSON},
+    optional={"extra": _JSON},
+)
+_GRAPH_FILES = (_GRAPHS | _JSON).map(lambda data: json.dumps(data).encode())
+
+
+def _with_malformed_examples(test):
+    for content in MALFORMED_GRAPH_FILES.values():
+        test = example(content=content)(test)
+    return test
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(content=_GRAPH_FILES)
+@_with_malformed_examples
+def test_any_graph_file_exits_0_or_2_without_a_traceback(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz_graph.json"
+    path.write_bytes(content)
+    for argv in (["validate"], ["classify", "--graded"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + [str(path)])
+            except (Exception, SystemExit):
+                code = traceback.format_exc()
+        assert code in (0, 2), f"{argv} {content[:200]!r}: {code}"
+        assert "Traceback" not in err.getvalue()

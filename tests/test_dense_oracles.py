@@ -174,7 +174,7 @@ def column_space(F, mat: list[list]) -> list[list]:
     return rref(F, [list(col) for col in zip(*mat)])[0] if mat and mat[0] else []
 
 
-def dense_restrict(module: Module, x, cap: int = 12) -> Restriction:
+def dense_restrict(module: Module, x, cap: int = verify.RESTRICTION_CAP) -> Restriction:
     """``verify.restrict`` on dense matrices: each idempotent's column space
     by ``rref``, and the generator's coordinates by one ``rref`` per row."""
     window = Window.full(module)

@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import comb, factorial
 
 import pytest
@@ -212,6 +213,14 @@ class TestCycles:
         assert len(cycles) == 1
         assert cycles[0].edges == ("a", "b", "c")
 
+    def test_long_cycle_builds_in_linear_time(self):
+        n = 20_000
+        edges = [(f"f{i}", f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+        start = time.perf_counter()
+        g = Graph([f"c{i}" for i in range(n)], edges)
+        assert time.perf_counter() - start < 2.0
+        assert strongly_connected_components(g) == (frozenset(g.vertices),)
+
     def test_cycle_longer_than_the_recursion_limit(self):
         n = 1050
         edges = [(f"f{i}", f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
@@ -311,6 +320,16 @@ class TestCycleStructureOracles:
                     count_paths_ending_at(g, v)
             else:
                 assert count_paths_ending_at(g, v) == len(enumerate_paths_ending_at(g, v).paths)
+
+    @given(g=small_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_sccs_are_the_mutual_reachability_classes(self, g):
+        reach = {v: _reach(g, v) for v in g.vertices}
+        comps = strongly_connected_components(g)
+        assert sorted(v for comp in comps for v in comp) == list(g.vertices)
+        for comp in comps:
+            v = min(comp)
+            assert comp == {w for w in reach[v] if v in reach[w]}
 
 
 def _closed_walks_by_brute_force(g, bound, elementary):
