@@ -11,6 +11,7 @@ errors included), reported as one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -66,7 +67,10 @@ def _count(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lpa`` parser, built once per process: building it costs far more
+    than a parse, and each ``parse_args`` fills a fresh namespace."""
     parser = _Parser(
         prog="lpa",
         description="Exact computations with Leavitt path algebras of finite graphs.",

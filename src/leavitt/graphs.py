@@ -10,11 +10,14 @@ relation.  Everything is an immutable value.
 from __future__ import annotations
 
 import re
+import reprlib
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_QUOTE_LIMIT = 40  # characters of a bad value's repr that an error message quotes
+_ERROR_LIMIT = 5  # errors that one GraphError lists
 
 
 class GraphError(ValueError):
@@ -43,6 +46,8 @@ class Graph:
         vs = list(vertices)
         es = [Edge(*e) for e in edges]
         errors = _validate_data(vs, es)
+        if len(errors) > _ERROR_LIMIT:
+            errors[_ERROR_LIMIT:] = [f"and {len(errors) - _ERROR_LIMIT} more errors"]
         if errors:
             raise GraphError("; ".join(errors))
         self._vertices = tuple(sorted(vs))
@@ -66,6 +71,9 @@ class Graph:
 
     def is_vertex(self, v: str) -> bool:
         return v in self._out
+
+    def is_edge(self, name: str) -> bool:
+        return name in self._by_name
 
     def edge(self, name: str) -> Edge:
         try:
@@ -132,6 +140,15 @@ class Graph:
         }
 
 
+def _quote(value) -> str:
+    """repr(value), cut to its first _QUOTE_LIMIT characters."""
+    try:
+        text = repr(value)
+    except RecursionError:  # nested deeper than the stack allows; reprlib stops at a few levels
+        text = reprlib.repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
+
+
 def _validate_data(vertices: list, edges: list[Edge]) -> list[str]:
     errors = []
     if not vertices:
@@ -139,23 +156,23 @@ def _validate_data(vertices: list, edges: list[Edge]) -> list[str]:
     seen: set[str] = set()
     for v in vertices:
         if not isinstance(v, str) or not _NAME_RE.match(v):
-            errors.append(f"bad vertex name {v!r}")
+            errors.append(f"bad vertex name {_quote(v)}")
         elif v in seen:
-            errors.append(f"duplicate name {v!r}")
+            errors.append(f"duplicate name {_quote(v)}")
         else:
             seen.add(v)
     vset = set(seen)
     for e in edges:
         if not isinstance(e.name, str) or not _NAME_RE.match(e.name):
-            errors.append(f"bad edge name {e.name!r}")
+            errors.append(f"bad edge name {_quote(e.name)}")
         elif e.name in seen:
-            errors.append(f"duplicate name {e.name!r}")
+            errors.append(f"duplicate name {_quote(e.name)}")
         else:
             seen.add(e.name)
         if not (isinstance(e.src, str) and e.src in vset):
-            errors.append(f"dangling endpoint: edge {e.name!r} has undeclared source {e.src!r}")
+            errors.append(f"dangling endpoint: edge {_quote(e.name)} has undeclared source {_quote(e.src)}")
         if not (isinstance(e.rng, str) and e.rng in vset):
-            errors.append(f"dangling endpoint: edge {e.name!r} has undeclared range {e.rng!r}")
+            errors.append(f"dangling endpoint: edge {_quote(e.name)} has undeclared range {_quote(e.rng)}")
     return errors
 
 

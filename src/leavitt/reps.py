@@ -44,7 +44,7 @@ from .graphs import (
     strip_prefix,
     tail_lags,
 )
-from .groupoid import orbit, orbit_size
+from .groupoid import orbit
 from .linalg import add_term, linear_extend
 
 
@@ -235,8 +235,7 @@ class ModuleVector(LinearCombination):
 @dataclass(frozen=True)
 class BasisEnumeration:
     elements: tuple[BasisElement, ...]
-    exact: bool
-    dimension: int | None  # None means infinite
+    exact: bool  # the whole basis, so the module is finite-dimensional
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +266,8 @@ class Module:
         return {i: c for i, c in enumerate(coords) if not self.field.is_zero(c)}
 
     def enumerate_basis(self, bound: int | None = None) -> BasisEnumeration:
+        """The canonical basis: whole and exact, whatever the bound, when the
+        module is finite-dimensional; otherwise the part within ``bound``."""
         raise NotImplementedError
 
     def act_monomial_basis(self, mono: Monomial, b: BasisElement) -> dict:
@@ -274,9 +275,6 @@ class Module:
         raise NotImplementedError
 
     def grade(self, b: BasisElement) -> int:
-        raise NotImplementedError
-
-    def finite_dimensional(self) -> bool:
         raise NotImplementedError
 
     def act_monomial(self, mono: Monomial, terms: dict) -> dict:
@@ -327,7 +325,7 @@ class ChenModule(Module):
     def enumerate_basis(self, bound: int | None = None) -> BasisEnumeration:
         res = orbit(self.graph, self.base, bound)
         elems = tuple(ChenBasis(p, j) for p in res.elements for j in range(self.tensor_degree))
-        return BasisEnumeration(elems, res.exact, len(elems) if res.exact else None)
+        return BasisEnumeration(elems, res.exact)
 
     def act_monomial_basis(self, mono: Monomial, b: ChenBasis):
         """mu.nu* sends nu.p (x) t^j to a_mu a_nu^(-1) t^j mu.p, in ground-field
@@ -349,9 +347,6 @@ class ChenModule(Module):
         lags = tail_lags(b.path, self.base)
         assert lags.kind == "single"
         return lags.k0 - self.spec.shift
-
-    def finite_dimensional(self) -> bool:
-        return orbit_size(self.graph, self.base) is not None
 
 
 class ChenExtModule(ChenModule):
@@ -399,7 +394,7 @@ class NvcModule(Module):
                 if self.algebra().is_normal(m):
                     elems.append(NvcBasis(m))
         elems.sort(key=lambda b: b.sort_key())
-        return BasisEnumeration(tuple(elems), False, None)
+        return BasisEnumeration(tuple(elems), False)
 
     def act_monomial_basis(self, mono: Monomial, b: NvcBasis):
         algebra = self.algebra()
@@ -410,9 +405,6 @@ class NvcModule(Module):
 
     def grade(self, b: NvcBasis) -> int:
         return b.mono.degree - self.spec.shift
-
-    def finite_dimensional(self) -> bool:
-        return False
 
 
 class InducedModule(Module):
@@ -494,15 +486,14 @@ class InducedModule(Module):
                     if lags.contains(k):
                         elems.append(CosetBasis(y, k))
             elems.sort(key=lambda b: b.sort_key())
-            return BasisEnumeration(tuple(elems), False, None)
+            return BasisEnumeration(tuple(elems), False)
         elems = []
         for y in res.elements:
             k = self.canonical_lag(y)
             for j in range(self.tensor_degree):
                 elems.append(CosetBasis(y, k, j))
         elems.sort(key=lambda b: b.sort_key())
-        dim = len(elems) if res.exact else None
-        return BasisEnumeration(tuple(elems), res.exact, dim)
+        return BasisEnumeration(tuple(elems), res.exact)
 
     # -- action ------------------------------------------------------------
 
@@ -525,11 +516,6 @@ class InducedModule(Module):
         if not self.gradable:
             raise NotGradableError("scalar-action and quotient coefficients are not graded")
         return b.lag - self.spec.coeff.shift - self.spec.shift
-
-    def finite_dimensional(self) -> bool:
-        if isinstance(self.spec.coeff, LaurentCoeff):
-            return False
-        return orbit_size(self.graph, self.spec.base) is not None
 
 
 def build_module(graph: Graph, field: Field, spec: ModuleSpec) -> Module:

@@ -159,7 +159,7 @@ def _normalize_ghosts(term: str) -> str:
 
 
 def _is_scalar_token(graph: Graph, field: Field, token: str) -> bool:
-    if graph.is_vertex(token) or token in {e.name for e in graph.edges}:
+    if graph.is_vertex(token) or graph.is_edge(token):
         return False
     try:
         field.parse(token)

@@ -95,9 +95,10 @@ class Window:
 
     @classmethod
     def full(cls, module: Module) -> "Window":
-        if not module.finite_dimensional():
+        enum = module.enumerate_basis(0)  # exact, whatever the bound, just when finite-dimensional
+        if not enum.exact:
             raise ModuleSpecError("module is not finite-dimensional")
-        return cls(module, module.enumerate_basis().elements)
+        return cls(module, enum.elements)
 
     @property
     def dim(self) -> int:
@@ -723,8 +724,9 @@ def simplicity_probe(graph, field: Field, spec: ModuleSpec, bound: int = 4, mono
     vector.  Anything else is inconclusive.
     """
     module = build_module(graph, field, spec)
-    if module.finite_dimensional():
-        window = Window.full(module)
+    enum = module.enumerate_basis(bound)
+    if enum.exact:
+        window = Window(module, enum.elements)
         mats = [window.matrix_of(g) for g in generators(graph)]
         for seed in range(window.dim):
             span = _spin(field, mats, {seed: field.one()})
@@ -739,11 +741,12 @@ def simplicity_probe(graph, field: Field, spec: ModuleSpec, bound: int = 4, mono
                 )
         return ProbeResult("simple", {"dimension": window.dim, "seeds_checked": window.dim})
     if isinstance(spec, InducedSpec) and isinstance(spec.coeff, LaurentCoeff):
-        return _laurent_probe(module, bound, mono_len)
+        return _laurent_probe(module, enum.elements, bound, mono_len)
     return ProbeResult("inconclusive", {"reason": "infinite-dimensional without a certified witness"})
 
 
-def _laurent_probe(module: InducedModule, bound: int, mono_len: int) -> ProbeResult:
+def _laurent_probe(module: InducedModule, elems: tuple, bound: int, mono_len: int) -> ProbeResult:
+    """``elems`` is the module's basis window of ``bound``."""
     graph, F = module.graph, module.field
     x = module.spec.base
     n = module.period
@@ -752,7 +755,6 @@ def _laurent_probe(module: InducedModule, bound: int, mono_len: int) -> ProbeRes
     def project(b: CosetBasis) -> ModuleVector:
         return ModuleVector(F, {ChenBasis(b.path): F.one()})
 
-    elems = module.enumerate_basis(bound).elements
     equivariant = _equivariance_counterexample(module, target, project, elems, mono_len) is None
     k0 = module.canonical_lag(x)
     kernel_vec = ModuleVector(F, {CosetBasis(x, k0 + n): F.one(), CosetBasis(x, k0): F.neg(F.one())})

@@ -64,7 +64,7 @@ class TestClassifyGraded:
         assert large[: len(small)] == small
         assert len(large) > len(small)
 
-    def test_finite_dimensional_iff_maximal_sink(self, request):
+    def test_finite_dimension_iff_maximal_sink(self, request):
         from leavitt.graphs import maximal_sinks
 
         for name in ("a2", "r1", "toeplitz", "rose2", "chain3", "lasso_graph", "two_loops"):
@@ -97,7 +97,7 @@ class TestClassifySimple:
         assert [f.base for f in sink_flags] == ["v"]
         assert res.complete
 
-    def test_rose2_no_finite_dimensional(self, rose2):
+    def test_rose2_no_finite_dimension(self, rose2):
         res = classify_simple(rose2, QQ, 2)
         assert res.entries == ()
         assert any(f.kind == "cycle" for f in res.flagged)
@@ -215,7 +215,7 @@ class TestDimensionOracle:
                 M = build_module(graph, field, spec)
                 enum = M.enumerate_basis()
                 assert enum.exact
-                assert dimension_oracle(graph, e) == enum.dimension
+                assert dimension_oracle(graph, e) == len(enum.elements)
 
 
 def _complete_with_loops_beside_a_loop(n: int) -> Graph:

@@ -230,6 +230,26 @@ class TestDeterminism:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    def test_one_parser_and_no_flag_leaks_between_calls(self, a2, graph_file, capsys, monkeypatch):
+        """``main`` builds its parser once; a flag given in one call is not a
+        default in the next."""
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        argv = ["verify", "res-ind", "--at", "v", "--coeff", "K", "--json", graph_file(a2)]
+        code, out, _ = run(capsys, argv[:2] + ["--cap", "3"] + argv[2:])
+        assert code == 0 and json.loads(out)["window"]["cap"] == 3
+        parsers = len(built)
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out)["window"]["cap"] == 6
+        assert parsers > 0 and len(built) == parsers
+
     def test_classify_json_deterministic(self, toeplitz, graph_file, capsys):
         path = graph_file(toeplitz)
         argv = ["classify", "--simple", "--field", "F2", "--json", path]
@@ -322,6 +342,21 @@ class TestInputErrors:
             assert command == ["validate"] and out.startswith("INVALID\n") and err == ""
         else:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["validate"], ["classify", "--graded"]], ids=["validate", "classify"])
+    @pytest.mark.parametrize(
+        "vertices",
+        ["[" + ", ".join(f'"bad-{i}"' for i in range(20_000)) + "]", "[" * 986 + "]" * 986],
+        ids=["20000-bad-names", "nested-985-deep"],
+    )
+    def test_graph_file_errors_are_one_short_line(self, tmp_path, capsys, command, vertices):
+        path = tmp_path / "g.json"
+        path.write_text('{"vertices": ' + vertices + ', "edges": []}')
+        code, out, err = run(capsys, command + [str(path)])
+        assert code == 2 and "Traceback" not in err
+        # validate reports the error in its INVALID report, classify on stderr
+        errors = [line for line in (out + err).splitlines() if "error: " in line]
+        assert len(errors) == 1 and len(errors[0]) < 1000
 
     def test_large_lag_over_a_prime_field_exits_0(self, r1, graph_file, capsys):
         argv = ["act", "--module", "ind:(e)^inf:Ka(2)", "--field", "F3", "--elt", "e",

@@ -27,6 +27,7 @@ from leavitt.algebra import TwistVector, monomial
 from leavitt.classify import CycleSimple, classify_simple, dimension_oracle
 from leavitt.fields import QQ, PrimeField, parse_poly
 from leavitt.graphs import (
+    ClosedPath,
     FinitePath,
     Graph,
     Lasso,
@@ -39,7 +40,7 @@ from leavitt.graphs import (
     sink_path,
     tail_lags,
 )
-from leavitt.groupoid import orbit
+from leavitt.groupoid import orbit, orbit_size
 from leavitt.linalg import coordinates, identity, mat_mul, mat_vec, rref
 from leavitt.reps import (
     BasisEnumeration,
@@ -48,8 +49,10 @@ from leavitt.reps import (
     ChenSpec,
     CosetBasis,
     InducedSpec,
+    LaurentCoeff,
     Module,
     ModuleVector,
+    NvcSpec,
     QuotientCoeff,
     ScalarAction,
     TrivialCoeff,
@@ -268,16 +271,13 @@ class DirectSum(Module):
         elems = tuple(
             Summand(i, b) for i, M in enumerate(self.parts) for b in M.enumerate_basis(bound).elements
         )
-        return BasisEnumeration(elems, True, len(elems))
+        return BasisEnumeration(elems, True)
 
     def act_monomial_basis(self, mono, s: Summand):
         return {Summand(s.index, b2): c for b2, c in self.parts[s.index].act_monomial_basis(mono, s.b).items()}
 
     def grade(self, s: Summand) -> int:
         return self.parts[s.index].grade(s.b)
-
-    def finite_dimensional(self) -> bool:
-        return True
 
 
 def all_vertex_lasso_count(graph: Graph, entry: CycleSimple) -> int:
@@ -334,7 +334,8 @@ def _modules(g: Graph, F, modulus: str, a) -> list[Module]:
     out = []
     for spec in _specs(g, F, modulus, a):
         M = build_module(g, F, spec)
-        if M.finite_dimensional() and 0 < len(M.enumerate_basis().elements) <= MAX_DIM:
+        enum = M.enumerate_basis(0)
+        if enum.exact and 0 < len(enum.elements) <= MAX_DIM:
             out.append(M)
     return out
 
@@ -488,3 +489,26 @@ def test_pruned_dimension_oracle_matches_all_vertex_walk(g):
         want = all_vertex_lasso_count(g, e) * e.modulus.degree
         assert dimension_oracle(g, e) == want == e.dimension
         assert dimension_oracle(g, e) == want  # read back from the memo
+
+
+@given(g=small_graphs())
+@example(g=_CHAIN_INTO_LOOP)
+@settings(max_examples=100, deadline=None)
+def test_exact_enumeration_matches_orbit_size(g):
+    """A module is finite-dimensional exactly when enumerate_basis is exact,
+    for any bound: the no-exit-cycle and Laurent modules never are, every
+    other module exactly when ``orbit_size`` finds its orbit finite, and then
+    the basis is the orbit times the tensor degree."""
+    F2 = PrimeField(2)
+    cycles = elementary_cycles(g)
+    infinite = [InducedSpec(cycle_tail(g, c), LaurentCoeff(0)) for c in cycles]
+    infinite += [NvcSpec(c) for c in cycles if not ClosedPath.analyze(g, c).has_exit]
+    for spec in infinite:
+        assert not build_module(g, F2, spec).enumerate_basis(0).exact
+    for spec in _specs(g, F2, "t^2+t+1", 1):
+        M = build_module(g, F2, spec)
+        enum = M.enumerate_basis(0)
+        size = orbit_size(g, cycle_tail(g, spec.cycle) if isinstance(spec, ChenExtSpec) else spec.base)
+        assert enum.exact == (size is not None)
+        if enum.exact:
+            assert len(enum.elements) == size * M.tensor_degree

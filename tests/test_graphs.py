@@ -71,6 +71,26 @@ class TestValidate:
         with pytest.raises(GraphError, match="bad vertex name"):
             Graph(["a.b"], [])
 
+    def test_error_message_is_bounded(self):
+        """Each bad value is quoted by a prefix of its repr, and only the first
+        errors are listed; short values are quoted whole."""
+        with pytest.raises(GraphError) as exc:
+            Graph(["a.b", "x" * 100 + "."], [("f", "u", "v")])
+        assert str(exc.value) == (
+            "bad vertex name 'a.b'; bad vertex name '" + "x" * 39 + "...; "
+            "dangling endpoint: edge 'f' has undeclared source 'u'; "
+            "dangling endpoint: edge 'f' has undeclared range 'v'"
+        )
+        with pytest.raises(GraphError) as exc:
+            Graph([f"bad-{i}" for i in range(20_000)], [])
+        assert str(exc.value).endswith("bad vertex name 'bad-4'; and 19995 more errors")
+        deep = []
+        for _ in range(984):
+            deep = [deep]
+        with pytest.raises(GraphError) as exc:
+            Graph([deep], [])
+        assert str(exc.value).startswith("bad vertex name [[[") and len(str(exc.value)) < 100
+
 
 class TestPathOps:
     def test_concat(self, chain3):

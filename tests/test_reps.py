@@ -35,19 +35,19 @@ class TestBasisEnumeration:
         M = chen(a2, QQ, sink_path(a2, a2.vertex_path("v")))
         res = M.enumerate_basis()
         assert [str(b) for b in res.elements] == ["v", "f"]
-        assert res.exact and res.dimension == 2
+        assert res.exact and len(res.elements) == 2
 
     def test_toeplitz_ext_dimension(self, toeplitz):
         spec = ChenExtSpec(toeplitz.path(["e"]), parse_poly("t^2+t+1", F2))
         M = build_module(toeplitz, F2, spec)
         res = M.enumerate_basis()
-        assert res.exact and res.dimension == 1 * 2
+        assert res.exact and len(res.elements) == 1 * 2
         assert [str(b) for b in res.elements] == ["(e)^inf", "(e)^inf#1"]
 
     def test_r1_nvc_graded_components_dim_one(self, r1):
         M = build_module(r1, QQ, NvcSpec(r1.path(["e"])))
         res = M.enumerate_basis(bound=4)
-        assert not res.exact and res.dimension is None
+        assert not res.exact
         by_degree = {}
         for b in res.elements:
             by_degree.setdefault(M.grade(b), []).append(b)
@@ -63,7 +63,7 @@ class TestBasisEnumeration:
     def test_chen_infinite_dimension_flag(self, toeplitz):
         M = chen(toeplitz, QQ, sink_path(toeplitz, toeplitz.vertex_path("v")))
         res = M.enumerate_basis(bound=3)
-        assert not res.exact and res.dimension is None
+        assert not res.exact
 
     def test_nvc_rejects_cycle_with_exits(self, rose2):
         with pytest.raises(ModuleSpecError, match="exit"):

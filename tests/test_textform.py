@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
 from leavitt.algebra import LeavittAlgebra, random_element
 from leavitt.fields import QQ, ExtensionField, PrimeField, parse_field, parse_poly
-from leavitt.graphs import lasso, sink_path
+from leavitt.graphs import Graph, lasso, sink_path
 from leavitt.reps import (
     ChenExtSpec,
     ChenSpec,
@@ -90,6 +91,17 @@ class TestElements:
         A = LeavittAlgebra(a2, QQ)
         with pytest.raises(ParseError):
             parse_element(A, "q")
+
+    def test_parse_time_does_not_grow_with_the_edge_count(self):
+        """Each term's scalar test looks its token up, not every edge name."""
+        n = 20_000
+        graph = Graph([f"v{i}" for i in range(n)], [(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+        A = LeavittAlgebra(graph, QQ)
+        text = " + ".join(f"2 e{i}" for i in range(200))
+        start = time.perf_counter()
+        x = parse_element(A, text)
+        assert time.perf_counter() - start < 0.1
+        assert len(x.terms) == 200
 
     def test_range_mismatch(self, a2):
         A = LeavittAlgebra(a2, QQ)

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixture_graphs import FIXTURE_GRAPHS
-from leavitt import verify
+from leavitt import groupoid, verify
 from leavitt.algebra import LeavittAlgebra, TwistVector, all_monomials, monomial
 from leavitt.fields import QQ, PrimeField, parse_field, parse_poly
 from leavitt.classify import CycleSimple, SinkSimple, classify_simple
@@ -96,7 +96,7 @@ class TestRestrict:
         with pytest.raises(OutOfWindowError):
             restrict(M, x, cap=0)
 
-    def test_infinite_dimensional_rejected(self, toeplitz):
+    def test_infinite_dimension_rejected(self, toeplitz):
         M = build_module(toeplitz, QQ, ChenSpec(sink_path(toeplitz, toeplitz.vertex_path("v"))))
         with pytest.raises(ModuleSpecError):
             restrict(M, sink_path(toeplitz, toeplitz.vertex_path("v")))
@@ -117,6 +117,28 @@ def test_windows_act_on_basis_elements(monkeypatch, toeplitz):
     assert restrict(M, spec.base).dimension == 2
     assert len(intertwiner_space(M, M)) == 2
     assert simplicity_probe(toeplitz, F2, spec).verdict == "simple"
+
+
+def test_window_operations_enumerate_the_orbit_once_per_window(monkeypatch, lasso_graph):
+    """Finiteness is read off the basis enumeration, so a full window lists
+    its orbit once: one canonical_lassos call for Window.full, one for the
+    simplicity probe, and one per module for Hom."""
+    calls = []
+    lassos = groupoid.canonical_lassos
+
+    def counted(*args):
+        calls.append(args)
+        return lassos(*args)
+
+    monkeypatch.setattr(groupoid, "canonical_lassos", counted)
+    spec = ChenExtSpec(lasso_graph.path(["e"]), parse_poly("t^2+t+1", F2))
+    M = build_module(lasso_graph, F2, spec)
+    counts = []
+    for run in (lambda: Window.full(M), lambda: simplicity_probe(lasso_graph, F2, spec), lambda: intertwiner_space(M, M)):
+        calls.clear()
+        run()
+        counts.append(len(calls))
+    assert counts == [1, 1, 2]
 
 
 class TestIntertwiners:
