@@ -724,29 +724,28 @@ def simplicity_probe(graph, field: Field, spec: ModuleSpec, bound: int = 4, mono
     vector.  Anything else is inconclusive.
     """
     module = build_module(graph, field, spec)
-    enum = module.enumerate_basis(bound)
-    if enum.exact:
-        window = Window(module, enum.elements)
-        mats = [window.matrix_of(g) for g in generators(graph)]
-        for seed in range(window.dim):
-            span = _spin(field, mats, {seed: field.one()})
-            if span != window.dim:
-                return ProbeResult(
-                    "not-simple",
-                    {
-                        "seed": str(window.elements[seed]),
-                        "submodule_dimension": span,
-                        "module_dimension": window.dim,
-                    },
-                )
-        return ProbeResult("simple", {"dimension": window.dim, "seeds_checked": window.dim})
     if isinstance(spec, InducedSpec) and isinstance(spec.coeff, LaurentCoeff):
-        return _laurent_probe(module, enum.elements, bound, mono_len)
-    return ProbeResult("inconclusive", {"reason": "infinite-dimensional without a certified witness"})
+        return _laurent_probe(module, bound, mono_len)
+    enum = module.enumerate_basis(0)  # as in Window.full, exact just when finite-dimensional
+    if not enum.exact:
+        return ProbeResult("inconclusive", {"reason": "infinite-dimensional without a certified witness"})
+    window = Window(module, enum.elements)
+    mats = [window.matrix_of(g) for g in generators(graph)]
+    for seed in range(window.dim):
+        span = _spin(field, mats, {seed: field.one()})
+        if span != window.dim:
+            return ProbeResult(
+                "not-simple",
+                {
+                    "seed": str(window.elements[seed]),
+                    "submodule_dimension": span,
+                    "module_dimension": window.dim,
+                },
+            )
+    return ProbeResult("simple", {"dimension": window.dim, "seeds_checked": window.dim})
 
 
-def _laurent_probe(module: InducedModule, elems: tuple, bound: int, mono_len: int) -> ProbeResult:
-    """``elems`` is the module's basis window of ``bound``."""
+def _laurent_probe(module: InducedModule, bound: int, mono_len: int) -> ProbeResult:
     graph, F = module.graph, module.field
     x = module.spec.base
     n = module.period
@@ -755,6 +754,7 @@ def _laurent_probe(module: InducedModule, elems: tuple, bound: int, mono_len: in
     def project(b: CosetBasis) -> ModuleVector:
         return ModuleVector(F, {ChenBasis(b.path): F.one()})
 
+    elems = module.enumerate_basis(bound).elements
     equivariant = _equivariance_counterexample(module, target, project, elems, mono_len) is None
     k0 = module.canonical_lag(x)
     kernel_vec = ModuleVector(F, {CosetBasis(x, k0 + n): F.one(), CosetBasis(x, k0): F.neg(F.one())})

@@ -13,6 +13,7 @@ from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths
 from leavitt.linalg import identity, linear_extend, mat_mul, rref, zeros
 from leavitt.reps import (
     ChenExtSpec,
+    ChenModule,
     ChenSpec,
     InducedModule,
     InducedSpec,
@@ -139,6 +140,22 @@ def test_window_operations_enumerate_the_orbit_once_per_window(monkeypatch, lass
         run()
         counts.append(len(calls))
     assert counts == [1, 1, 2]
+
+
+def test_probe_of_an_infinite_module_enumerates_no_window(monkeypatch, toeplitz):
+    """Without a Laurent coefficient the probe has no use for a window of
+    ``bound``: an infinite-dimensional module is enumerated at bound 0 at
+    most, however large the bound."""
+    bounds = []
+    enumerate_basis = ChenModule.enumerate_basis
+
+    def recorded(self, bound=None):
+        bounds.append(bound)
+        return enumerate_basis(self, bound)
+
+    monkeypatch.setattr(ChenModule, "enumerate_basis", recorded)
+    probe = simplicity_probe(toeplitz, QQ, ChenSpec(sink_path(toeplitz, toeplitz.vertex_path("v"))), bound=50)
+    assert probe.verdict == "inconclusive" and set(bounds) <= {0}
 
 
 class TestIntertwiners:
