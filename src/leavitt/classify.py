@@ -106,13 +106,11 @@ class GradedClassification:
 
 
 def irrational_classes_flag(graph: Graph) -> IrrationalFamilyFlag:
-    """Irrational tail classes exist iff some SCC contains two cycles.
-
-    The cycles are enumerated only to name two of them as the witness.
-    """
+    """Irrational tail classes exist iff some SCC contains two cycles; the
+    witness names that component's two least cycles."""
     if closed_path_set_is_finite(graph):
         return IrrationalFamilyFlag(False, None)
-    return IrrationalFamilyFlag(True, _entwined_pair(graph, elementary_cycles(graph)))
+    return IrrationalFamilyFlag(True, _entwined_pair(graph))
 
 
 def classify_graded(graph: Graph, cycle_length_bound: int = 6) -> GradedClassification:
@@ -258,8 +256,7 @@ def classify_simple(
             cycle_entries.append(CycleSimple(c, f, size, size * f.degree))
     entries.extend(cycle_entries)
     max_cycle_names = {c.edges for c in max_cycles}
-    cycles = elementary_cycles(graph)
-    for c in cycles:
+    for c in elementary_cycles(graph):
         if c.edges not in max_cycle_names:
             flagged.append(
                 InfiniteDimFlagged(
@@ -270,7 +267,7 @@ def classify_simple(
         flagged.append(
             InfiniteDimFlagged(
                 "irrational-classes",
-                " and ".join(_entwined_pair(graph, cycles)),
+                " and ".join(_entwined_pair(graph)),
                 "entwined cycles give irrational tail classes; infinite-dimensional by truncation",
             )
         )

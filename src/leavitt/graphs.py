@@ -242,7 +242,10 @@ def initial_remainder(mu: FinitePath, p: FinitePath) -> FinitePath | None:
     if mu.src != p.src:
         return None
     n = len(mu.edges)
-    if n > len(p.edges) or p.edges[:n] != mu.edges:
+    if not n:
+        return p
+    # the last edge first: most failing prefixes differ there, and no slice is built
+    if n > len(p.edges) or p.edges[n - 1] != mu.edges[-1] or p.edges[:n] != mu.edges:
         return None
     return FinitePath(p.edges[n:], mu.rng, p.rng)
 
@@ -251,13 +254,37 @@ def initial_remainder(mu: FinitePath, p: FinitePath) -> FinitePath | None:
 # Closed paths and rotations
 
 
-def rotations(edge_names: tuple[str, ...]) -> list[tuple[str, ...]]:
-    return [edge_names[i:] + edge_names[:i] for i in range(len(edge_names))]
+def _least_rotation(word: tuple[str, ...]) -> int:
+    """The least k such that word[k:] + word[:k] is the least rotation of word.
+
+    Booth's algorithm (Inf. Process. Lett. 10(5), 1980): the failure function
+    of the Knuth-Morris-Pratt automaton of the candidate rotation, run over
+    the doubled word, moves the candidate start k past each mismatch that
+    shows a smaller letter.  O(n) time and memory.
+    """
+    s = word + word
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != (d := s[k + i + 1]):
+            if c < d:
+                k = j - i - 1
+            i = fail[i]
+        if c == s[k + i + 1]:
+            fail[j - k] = i + 1
+        else:  # i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+    return k
 
 
 def canonical_rotation(edge_names: tuple[str, ...]) -> tuple[str, ...]:
     """Lexicographically least rotation of a closed edge sequence."""
-    return min(rotations(edge_names))
+    k = _least_rotation(edge_names)
+    return edge_names[k:] + edge_names[:k]
 
 
 def primitive_root(edge_names: tuple[str, ...]) -> tuple[str, ...]:
@@ -379,9 +406,9 @@ def lasso(graph: Graph, prefix: FinitePath, cycle_seq: Iterable[str]) -> Lasso:
     if prefix.rng != cyc.src:
         raise GraphError(f"prefix {prefix} does not reach the cycle at {cyc.src}")
     seq = primitive_root(seq)
-    star = canonical_rotation(seq)
-    rot = next(i for i in range(len(star)) if star[i:] + star[:i] == seq)
-    return _absorb(graph, prefix, star, rot)
+    k = _least_rotation(seq)
+    # seq is primitive, so its rotations are distinct: seq is star from len(seq) - k
+    return _absorb(graph, prefix, seq[k:] + seq[:k], -k % len(seq))
 
 
 def _absorb(graph: Graph, prefix: FinitePath, star: tuple[str, ...], rot: int) -> Lasso:
@@ -579,17 +606,22 @@ def count_paths_ending_at(graph: Graph, v: str) -> int:
     return count[v]
 
 
-def _lyndon_closed_walks(graph: Graph, bound: int, elementary: bool) -> tuple[FinitePath, ...]:
-    """Each primitive closed walk of length <= bound once, as its least rotation.
+def _lyndon_closed_walks(
+    graph: Graph, within: frozenset[str], bound: int, elementary: bool
+) -> tuple[FinitePath, ...]:
+    """Each primitive closed walk of length <= bound through the vertices
+    ``within`` once, as its least rotation; ``within`` is a union of strongly
+    connected components, which no closed walk through them leaves.
 
     The Fredricksen-Kessler-Maiorana recursion restricted to walks (Ruskey &
     Sawada, COCOON 2000): a word of length n with longest Lyndon prefix of
     length p grows by an out-edge of its range named at least word[n - p]; p
     stays on a tie and becomes n + 1 otherwise.  A closed word with p = n is
-    a Lyndon word.  ``elementary`` repeats no vertex, which leaves the cycles.
+    a Lyndon word.  ``elementary`` repeats no vertex, which leaves the cycles,
+    and is cut where it leaves ``within``.
     """
     found = []
-    for start in graph.vertices:
+    for start in within:
         word: list[Edge] = []
         seen = {start}
         stack = [(iter(graph.out_edges(start)), 0)]  # an explicit stack: cycles may be long
@@ -608,26 +640,107 @@ def _lyndon_closed_walks(graph: Graph, bound: int, elementary: bool) -> tuple[Fi
             p = p if n and e.name == floor else n + 1
             if e.rng == start and p == n + 1:
                 found.append(FinitePath(tuple(x.name for x in word) + (e.name,), start, start))
-            if n + 1 < bound and not (elementary and e.rng in seen):
+            if n + 1 < bound and not (elementary and (e.rng in seen or e.rng not in within)):
                 word.append(e)
                 seen.add(e.rng)
                 stack.append((iter(graph.out_edges(e.rng)), p))
     return tuple(sorted(found, key=FinitePath.sort_key))
 
 
+def _circuits_through(graph: Graph, start: str, within: set[str]) -> list[tuple[str, ...]]:
+    """The edge sequences of the cycles through ``start`` on the vertices
+    ``within``, each read from ``start``.
+
+    Johnson's CIRCUIT (SIAM J. Comput. 4(1), 1975), with an explicit stack.
+    A vertex left on a path that did not close stays blocked until a vertex
+    it leads to closes a cycle, and is recorded in that vertex's ``waiting``
+    list; so every search step ends in a cycle or is paid once per vertex
+    and edge, and the walk costs O(V + E) per cycle.
+    """
+    found = []
+    names: list[str] = []
+    path = [start]
+    closed = [False]  # per path vertex: some cycle was found below it
+    blocked = {start}
+    waiting: dict[str, set[str]] = {}
+    stack = [iter(graph.out_edges(start))]
+    while stack:
+        for e in stack[-1]:
+            if e.rng == start:
+                found.append((*names, e.name))
+                closed[-1] = True
+            elif e.rng in within and e.rng not in blocked:
+                names.append(e.name)
+                path.append(e.rng)
+                closed.append(False)
+                blocked.add(e.rng)
+                stack.append(iter(graph.out_edges(e.rng)))
+                break
+        else:
+            stack.pop()
+            v = path.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                free = [v]
+                while free:
+                    w = free.pop()
+                    if w in blocked:
+                        blocked.discard(w)
+                        free.extend(waiting.pop(w, ()))
+            else:
+                for e in graph.out_edges(v):
+                    if e.rng in within:
+                        waiting.setdefault(e.rng, set()).add(v)
+            if names:
+                names.pop()
+    return found
+
+
 def elementary_cycles(graph: Graph) -> tuple[FinitePath, ...]:
     """All cycles (closed paths with no repeated vertex), each as its
-    lexicographically least edge-name rotation."""
-    return _lyndon_closed_walks(graph, len(graph.vertices), elementary=True)
+    lexicographically least edge-name rotation.
+
+    Johnson's order: the cycles through the least vertex of a component with
+    an inner edge, which has at least one, then the components of that
+    component without the vertex.  One cycle per component search bounds the
+    work by O((V + E)(C + 1)) for C cycles.
+    """
+    found = []
+    todo = [set(graph.vertices)]
+    while todo:
+        for comp in _components(graph, todo.pop()):
+            start = min(comp)
+            if len(comp) > 1 or any(e.rng == start for e in graph.out_edges(start)):
+                found.extend(_circuits_through(graph, start, comp))
+                comp.discard(start)
+                todo.append(comp)
+    # a cycle repeats no vertex, hence no edge: its least rotation starts at its least edge
+    out = []
+    for names in found:
+        k = names.index(min(names))
+        names = names[k:] + names[:k]
+        src = graph.edge(names[0]).src
+        out.append(FinitePath(names, src, src))
+    return tuple(sorted(out, key=FinitePath.sort_key))
 
 
 def strongly_connected_components(graph: Graph) -> tuple[frozenset[str], ...]:
-    """Kosaraju-Sharir: a depth-first search over out-edges lists the vertices
+    """The strongly connected components of the graph."""
+    return tuple(frozenset(comp) for comp in _components(graph, graph.vertices))
+
+
+def _components(graph: Graph, vertices: Iterable[str]) -> list[set[str]]:
+    """The strongly connected components of the subgraph on ``vertices``.
+
+    Kosaraju-Sharir: a depth-first search over out-edges lists the vertices
     by finishing time; from each vertex not yet placed, the latest finished
-    first, a search over in-edges then collects one component."""
+    first, a search over in-edges then collects one component.
+    """
+    within = set(vertices)
     finished: list[str] = []
     seen: set[str] = set()
-    for root in graph.vertices:
+    for root in vertices:
         if root in seen:
             continue
         seen.add(root)
@@ -635,14 +748,14 @@ def strongly_connected_components(graph: Graph) -> tuple[frozenset[str], ...]:
         while stack:
             v, edges = stack[-1]
             for e in edges:
-                if e.rng not in seen:
+                if e.rng not in seen and e.rng in within:
                     seen.add(e.rng)
                     stack.append((e.rng, iter(graph.out_edges(e.rng))))
                     break
             else:
                 stack.pop()
                 finished.append(v)
-    result: list[frozenset[str]] = []
+    result: list[set[str]] = []
     placed: set[str] = set()
     for root in reversed(finished):
         if root in placed:
@@ -651,11 +764,11 @@ def strongly_connected_components(graph: Graph) -> tuple[frozenset[str], ...]:
         comp = [root]
         for v in comp:  # comp grows as it is read: a breadth-first search
             for e in graph.in_edges(v):
-                if e.src not in placed:
+                if e.src not in placed and e.src in within:
                     placed.add(e.src)
                     comp.append(e.src)
-        result.append(frozenset(comp))
-    return tuple(result)
+        result.append(set(comp))
+    return result
 
 
 _CYCLE_STRUCTURES: weakref.WeakKeyDictionary[Graph, tuple] = weakref.WeakKeyDictionary()
@@ -700,14 +813,26 @@ def closed_path_set_is_finite(graph: Graph) -> bool:
     return 2 not in _cycle_structure(graph)[1]
 
 
-def _entwined_pair(graph: Graph, cycles: tuple[FinitePath, ...]) -> tuple[str, str]:
-    """The two least of the elementary cycles in the component with two cycles
-    whose least cycle is least; there is one when the closed-path set is infinite."""
+def _entwined_pair(graph: Graph) -> tuple[str, str]:
+    """The two least elementary cycles of the component with two cycles whose
+    least cycle is least; there is one when the closed-path set is infinite.
+
+    Cycles are ordered by length first, so the cycles of length <= L inside
+    those components, found by an elementary walk, hold the pair as soon as
+    one component shows two of them; L doubles from 1 until one does.
+    """
     comps, counts, _ = _cycle_structure(graph)
     comp_of = {v: comp for comp, k in zip(comps, counts) if k == 2 for v in comp}
-    first = next(c for c in cycles if c.src in comp_of)
-    second = next(c for c in cycles if c != first and c.src in comp_of[first.src])
-    return str(first), str(second)
+    entwined = frozenset(comp_of)
+    bound = 1
+    while True:
+        cycles = _lyndon_closed_walks(graph, entwined, bound, elementary=True)
+        if cycles:
+            first = cycles[0]
+            same = [c for c in cycles[1:] if c.src in comp_of[first.src]]
+            if same:
+                return str(first), str(same[0])
+        bound *= 2
 
 
 @dataclass(frozen=True)
@@ -727,7 +852,8 @@ def simple_closed_paths(graph: Graph, bound: int) -> ClosedPathEnumeration:
     # A component with one cycle has a cycle as long as its vertex count.
     comps, counts, _ = _cycle_structure(graph)
     complete = all(k == 0 or (k == 1 and len(comp) <= bound) for comp, k in zip(comps, counts))
-    return ClosedPathEnumeration(_lyndon_closed_walks(graph, bound, elementary=False), complete)
+    walks = _lyndon_closed_walks(graph, frozenset(graph.vertices), bound, elementary=False)
+    return ClosedPathEnumeration(walks, complete)
 
 
 def maximal_sinks(graph: Graph) -> tuple[tuple[str, int], ...]:

@@ -286,6 +286,25 @@ class TestIrrationalFlag:
         flag = irrational_classes_flag(rose2)
         assert flag.present and set(flag.witness) == {"e", "g"}
 
+    def test_witness_cycle_longer_than_the_cycle_bound(self, theta):
+        res = classify_graded(theta, 2)
+        assert [str(f.cycle) for f in res.laurent_families] == ["a.b"]
+        assert res.irrational.witness == ("a.b", "a.c.d")
+
+    def test_classify_graded_lists_no_cycles(self, monkeypatch, theta, rose2):
+        """The witness comes from a bounded search, not from every cycle."""
+        calls = []
+        listed = graphs.elementary_cycles
+        for module in (graphs, classify):
+            monkeypatch.setattr(module, "elementary_cycles", lambda g: calls.append(g) or listed(g))
+        edges = [(f"e{i}{j}", f"v{i}", f"v{j}") for i in range(5) for j in range(5) if i != j]
+        k5 = Graph([f"v{i}" for i in range(5)], edges)
+        for g in (theta, rose2, k5):
+            assert classify_graded(g, 3).irrational.present
+        assert calls == []
+        assert len(classify_simple(k5, F2, 1).flagged) == 85  # 84 cycles and the witness
+        assert len(calls) == 1
+
 
 class TestJsonShape:
     def test_graded_json(self, toeplitz):

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from math import comb, factorial
 
 import pytest
@@ -30,6 +31,7 @@ from leavitt.graphs import (
     maximal_cycles,
     maximal_sinks,
     prepend,
+    primitive_root,
     simple_closed_paths,
     sink_path,
     strip_prefix,
@@ -128,6 +130,22 @@ class TestPathOps:
         rem = initial_remainder(toeplitz.path(["e"]), p)
         assert rem == toeplitz.path(["e", "f"])
         assert initial_remainder(toeplitz.path(["f"]), p) is None
+
+    def test_initial_remainder_by_slicing(self, toeplitz, rose2):
+        for g in (toeplitz, rose2):
+            names = [e.name for e in g.edges]
+            paths = [g.vertex_path(v) for v in g.vertices]
+            for n in (1, 2, 3):
+                for seq in itertools.product(names, repeat=n):
+                    if all(g.edge(a).rng == g.edge(b).src for a, b in zip(seq, seq[1:])):
+                        paths.append(g.path(seq))
+            for mu in paths:
+                for p in paths:
+                    n = len(mu)
+                    want = None
+                    if mu.src == p.src and p.edges[:n] == mu.edges:
+                        want = FinitePath(p.edges[n:], mu.rng, p.rng)
+                    assert initial_remainder(mu, p) == want
 
 
 class TestLassoCanonicalForm:
@@ -247,9 +265,51 @@ class TestCycles:
         g = Graph([f"c{i}" for i in range(n)], edges)
         assert elementary_cycles(g) == (g.path(e[0] for e in edges),)
 
+    def test_long_cycle_walks_each_edge_a_few_times(self, monkeypatch):
+        """Names increase along the cycle, so the elementary Lyndon walk from
+        vertex i ran n - i edges before its names fell below its first edge:
+        about n^2/2 edges in all.  Johnson's order searches from the least
+        vertex only, then finds no component with an edge in the rest."""
+        n = 400
+        edges = [(f"f{i:04d}", f"c{i:04d}", f"c{(i + 1) % n:04d}") for i in range(n)]
+        g = Graph([f"c{i:04d}" for i in range(n)], edges)
+        visited = []
+        out_edges = Graph.out_edges
+        monkeypatch.setattr(
+            Graph, "out_edges", lambda self, v: visited.append(len(out_edges(self, v))) or out_edges(self, v)
+        )
+        assert elementary_cycles(g) == (g.path(e[0] for e in edges),)
+        assert sum(visited) <= 5 * n  # 1,598 here; 80,599 for the Lyndon walk
+
     def test_every_rotation_canonicalizes_to_it(self, cycle3):
         for rot in (["a", "b", "c"], ["b", "c", "a"], ["c", "a", "b"]):
             assert canonical_rotation(cycle3.path(rot).edges) == ("a", "b", "c")
+
+    @given(word=st.lists(st.sampled_from("abc"), min_size=1, max_size=12))
+    @settings(max_examples=500, deadline=None)
+    def test_booth_finds_the_least_of_all_rotations(self, word):
+        w = tuple(word)
+        assert canonical_rotation(w) == min(w[i:] + w[:i] for i in range(len(w)))
+
+    @given(word=st.lists(st.sampled_from("eg"), min_size=1, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_lasso_enters_its_cycle_at_the_given_rotation(self, word):
+        rose2 = Graph(*FIXTURE_GRAPHS["rose2"])
+        x = lasso(rose2, rose2.vertex_path("v"), word)
+        assert x.rotated_cycle() == primitive_root(tuple(word))
+        assert x.cycle == canonical_rotation(x.cycle)
+
+    def test_least_rotation_of_a_long_word_in_linear_memory(self):
+        """The list of every rotation of 4,000 names held 16 million references."""
+        word = tuple(f"f{i * 7919 % 4000:04d}" for i in range(4000))
+        tracemalloc.start()
+        try:
+            star = canonical_rotation(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert star[0] == "f0000" and sorted(star) == sorted(word)
+        assert peak < 1_000_000
 
     def test_closed_path_flags(self, rose2):
         eg = ClosedPath.analyze(rose2, rose2.path(["e", "g"]))
