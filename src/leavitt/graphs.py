@@ -652,10 +652,10 @@ def _circuits_through(graph: Graph, start: str, within: set[str]) -> list[tuple[
     ``within``, each read from ``start``.
 
     Johnson's CIRCUIT (SIAM J. Comput. 4(1), 1975), with an explicit stack.
-    A vertex left on a path that did not close stays blocked until a vertex
-    it leads to closes a cycle, and is recorded in that vertex's ``waiting``
-    list; so every search step ends in a cycle or is paid once per vertex
-    and edge, and the walk costs O(V + E) per cycle.
+    A vertex whose search closed no cycle stays blocked, ``waiting`` on each
+    vertex it leads to; a search that closes one unblocks its vertex and,
+    through those lists, every vertex waiting on it.  So every step leads
+    to a cycle or is paid once per vertex and edge: O(V + E) per cycle.
     """
     found = []
     names: list[str] = []
