@@ -16,7 +16,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
-from .fields import Field, Poly, PrimeField, RationalField, enumerate_monic_irreducibles, parse_poly
+from .fields import Field, Poly, PrimeField, RationalField, enumerate_monic_irreducibles
 from .graphs import (
     FinitePath,
     Graph,
@@ -217,8 +217,7 @@ def moduli_for_field(
         for a in rational_values:
             if a == 0:
                 raise ClassificationError("t - 0 is the excluded modulus t")
-            text = f"t-{a}" if a > 0 else f"t+{-a}"
-            out.append(parse_poly(text, field))
+            out.append(Poly.make(field, [-a, 1]))
         for f in extra_moduli:
             out.append(quotient_field(field, f).modulus)
         return sorted(set(out), key=Poly.sort_key), False

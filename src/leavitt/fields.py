@@ -227,12 +227,6 @@ class PrimeField(Field):
 # Polynomials over a field
 
 
-def _trim(field: Field, cs: list) -> list:
-    while cs and field.is_zero(cs[-1]):
-        cs.pop()
-    return cs
-
-
 @dataclass(frozen=True)
 class Poly:
     """Polynomial in t with coefficients in ``field`` (ascending tuple, trimmed)."""
@@ -248,7 +242,9 @@ class Poly:
     @classmethod
     def _trimmed(cls, field: Field, cs: list) -> "Poly":
         """Coefficients already in the field: only trailing zeros are removed."""
-        return cls(field, tuple(_trim(field, cs)))
+        while cs and field.is_zero(cs[-1]):
+            cs.pop()
+        return cls(field, tuple(cs))
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
@@ -487,14 +483,6 @@ def enumerate_monic_irreducibles(p: int, d_max: int) -> list[Poly]:
 # Quotient fields K[t]/(f)
 
 
-def _sub_scaled(field: Field, x: list, c, y: list, shift: int) -> list:
-    """x - c*t^shift*y on trimmed ascending coefficient lists."""
-    out = list(x) + [field.zero()] * max(0, len(y) + shift - len(x))
-    for i, b in enumerate(y):
-        out[i + shift] = field.sub(out[i + shift], field.mul(c, b))
-    return _trim(field, out)
-
-
 class ExtensionField(Field):
     """K[t]/(f) for f monic irreducible with nonzero constant term.
 
@@ -582,24 +570,12 @@ class ExtensionField(Field):
         return tuple(coerce(c) for c in out)
 
     def inv(self, a):
-        """Extended Euclid on coefficient lists: keeps u0*a = r0 and u1*a = r1
-        modulo f while r0, r1 run through the remainders of f and a."""
-        F = self.base
-        r0, r1 = list(self.modulus.coeffs), _trim(F, list(a))
-        if not r1:
+        """The u of u*a + v*f = 1 from ``poly_xgcd``, padded to deg f."""
+        a = self._unwrap(a)
+        if a.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        u0, u1 = [], [F.one()]
-        while len(r1) > 1:
-            lead = F.inv(r1[-1])
-            while len(r0) >= len(r1):
-                shift, c = len(r0) - len(r1), F.mul(r0[-1], lead)
-                r0 = _sub_scaled(F, r0, c, r1, shift)
-                u0 = _sub_scaled(F, u0, c, u1, shift)
-            if not r0:
-                raise FieldError("modulus is not irreducible")  # unreachable if validated
-            r0, r1, u0, u1 = r1, r0, u1, u0
-        c = F.inv(r1[0])
-        return tuple(F.mul(c, x) for x in u1) + self._zero[len(u1):]
+        u = poly_xgcd(a, self.modulus)[1]
+        return u.coeffs + self._zero[len(u.coeffs):]
 
     def expand(self, a, j: int) -> tuple:
         """Base-field coordinates of a*t^j."""

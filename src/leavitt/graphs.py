@@ -607,43 +607,43 @@ def count_paths_ending_at(graph: Graph, v: str) -> int:
 
 
 def _lyndon_closed_walks(
-    graph: Graph, within: frozenset[str], bound: int, elementary: bool
+    graph: Graph, comps: Iterable[frozenset[str]], bound: int
 ) -> tuple[FinitePath, ...]:
-    """Each primitive closed walk of length <= bound through the vertices
-    ``within`` once, as its least rotation; ``within`` is a union of strongly
-    connected components, which no closed walk through them leaves.
+    """Each primitive closed walk of length <= bound inside the strongly
+    connected components ``comps`` once, as its least rotation.  A walk
+    starts at each vertex of its component and reads only the edges inside
+    it: an edge that leaves the component starts no closed walk.
 
     The Fredricksen-Kessler-Maiorana recursion restricted to walks (Ruskey &
     Sawada, COCOON 2000): a word of length n with longest Lyndon prefix of
     length p grows by an out-edge of its range named at least word[n - p]; p
     stays on a tie and becomes n + 1 otherwise.  A closed word with p = n is
-    a Lyndon word.  ``elementary`` repeats no vertex, which leaves the cycles,
-    and is cut where it leaves ``within``.
+    a Lyndon word.
     """
     found = []
-    for start in within:
-        word: list[Edge] = []
-        seen = {start}
-        stack = [(iter(graph.out_edges(start)), 0)]  # an explicit stack: cycles may be long
-        while stack:
-            edges, p = stack[-1]
-            e = next(edges, None)
-            if e is None:
-                stack.pop()
-                if word:
-                    seen.discard(word.pop().rng)
-                continue
-            n = len(word)
-            floor = word[n - p].name if n else e.name
-            if e.name < floor:
-                continue
-            p = p if n and e.name == floor else n + 1
-            if e.rng == start and p == n + 1:
-                found.append(FinitePath(tuple(x.name for x in word) + (e.name,), start, start))
-            if n + 1 < bound and not (elementary and (e.rng in seen or e.rng not in within)):
-                word.append(e)
-                seen.add(e.rng)
-                stack.append((iter(graph.out_edges(e.rng)), p))
+    for comp in comps:
+        inner = {v: [e for e in graph.out_edges(v) if e.rng in comp] for v in comp}
+        for start in comp:
+            word: list[Edge] = []
+            stack = [(iter(inner[start]), 0)]  # an explicit stack: cycles may be long
+            while stack:
+                edges, p = stack[-1]
+                e = next(edges, None)
+                if e is None:
+                    stack.pop()
+                    if word:
+                        word.pop()
+                    continue
+                n = len(word)
+                floor = word[n - p].name if n else e.name
+                if e.name < floor:
+                    continue
+                p = p if n and e.name == floor else n + 1
+                if e.rng == start and p == n + 1:
+                    found.append(FinitePath(tuple(x.name for x in word) + (e.name,), start, start))
+                if n + 1 < bound:
+                    word.append(e)
+                    stack.append((iter(inner[e.rng]), p))
     return tuple(sorted(found, key=FinitePath.sort_key))
 
 
@@ -817,19 +817,24 @@ def _entwined_pair(graph: Graph) -> tuple[str, str]:
     """The two least elementary cycles of the component with two cycles whose
     least cycle is least; there is one when the closed-path set is infinite.
 
-    Cycles are ordered by length first, so the cycles of length <= L inside
-    those components, found by an elementary walk, hold the pair as soon as
-    one component shows two of them; L doubles from 1 until one does.
+    Cycles are ordered by length first.  The edges of a closed walk that
+    repeats a vertex split into at least two cycles, each strictly shorter;
+    were they all one cycle, the walk would go round it, a proper power.  So
+    a primitive closed walk that is not a cycle holds two distinct shorter
+    cycles of its component, and a component's two least primitive closed
+    walks are its two least cycles.  The walks of length <= L in the
+    components with two cycles hold the pair as soon as one component shows
+    two of them; L doubles from 1 until one does.
     """
     comps, counts, _ = _cycle_structure(graph)
-    comp_of = {v: comp for comp, k in zip(comps, counts) if k == 2 for v in comp}
-    entwined = frozenset(comp_of)
+    entwined = [comp for comp, k in zip(comps, counts) if k == 2]
     bound = 1
     while True:
-        cycles = _lyndon_closed_walks(graph, entwined, bound, elementary=True)
-        if cycles:
-            first = cycles[0]
-            same = [c for c in cycles[1:] if c.src in comp_of[first.src]]
+        walks = _lyndon_closed_walks(graph, entwined, bound)
+        if walks:
+            first = walks[0]
+            comp = next(c for c in entwined if first.src in c)
+            same = [w for w in walks[1:] if w.src in comp]
             if same:
                 return str(first), str(same[0])
         bound *= 2
@@ -852,8 +857,8 @@ def simple_closed_paths(graph: Graph, bound: int) -> ClosedPathEnumeration:
     # A component with one cycle has a cycle as long as its vertex count.
     comps, counts, _ = _cycle_structure(graph)
     complete = all(k == 0 or (k == 1 and len(comp) <= bound) for comp, k in zip(comps, counts))
-    walks = _lyndon_closed_walks(graph, frozenset(graph.vertices), bound, elementary=False)
-    return ClosedPathEnumeration(walks, complete)
+    cyclic = [comp for comp, k in zip(comps, counts) if k]
+    return ClosedPathEnumeration(_lyndon_closed_walks(graph, cyclic, bound), complete)
 
 
 def maximal_sinks(graph: Graph) -> tuple[tuple[str, int], ...]:

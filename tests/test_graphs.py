@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from fixture_graphs import FIXTURE_GRAPHS
 from strategies import small_graphs
+from leavitt.classify import irrational_classes_flag
 from leavitt.graphs import (
+    _cycle_structure,
     FinitePath,
     Graph,
     GraphError,
@@ -339,6 +341,24 @@ class TestSimpleClosedPaths:
         res = simple_closed_paths(a2, 5)
         assert res.paths == ()
         assert res.complete
+
+    def test_walks_stay_inside_their_component(self, monkeypatch):
+        """A 2,000-vertex chain runs into a vertex with two loops.  No closed
+        walk starts on the chain, so the Lyndon walks read only the loop
+        vertex's edges, where a walk from every vertex read each chain edge."""
+        n = 2000
+        edges = [(f"f{i:04d}", f"c{i:04d}", f"c{i + 1:04d}") for i in range(n - 1)]
+        edges += [(f"f{n - 1:04d}", f"c{n - 1:04d}", "x"), ("a", "x", "x"), ("b", "x", "x")]
+        g = Graph([f"c{i:04d}" for i in range(n)] + ["x"], edges)
+        _cycle_structure(g)  # the components are found once per graph, outside the count
+        calls = []
+        out_edges = Graph.out_edges
+        monkeypatch.setattr(Graph, "out_edges", lambda self, v: calls.append(v) or out_edges(self, v))
+        res = simple_closed_paths(g, 6)
+        flag = irrational_classes_flag(g)
+        assert len(res.paths) == 23  # the binary Lyndon words of length 1 to 6
+        assert flag.present and flag.witness == ("a", "b")
+        assert set(calls) == {"x"} and len(calls) <= 50
 
 
 class TestMaximality:
