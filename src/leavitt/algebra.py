@@ -103,17 +103,27 @@ def monomial(mu: FinitePath, nu: FinitePath) -> Monomial:
 
 @dataclass(frozen=True)
 class TwistVector:
-    """An invertible scalar per edge; paths get the product of their edges."""
+    """An invertible scalar per edge; paths get the product of their edges.
+
+    a_mu and a_nu^(-1) are memoized per edge tuple, so ``ratio`` on paths
+    seen before is one multiplication.
+    """
 
     field: Field
     entries: tuple[tuple[str, object], ...]  # sorted by edge name, all edges present
     _values: dict = dataclass_field(init=False, repr=False, compare=False)
     _inverses: dict = dataclass_field(init=False, repr=False, compare=False)
+    _path_values: dict = dataclass_field(init=False, repr=False, compare=False)
+    _path_inverses: dict = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Each edge value is inverted once here, so ratio() only multiplies.
-        object.__setattr__(self, "_values", dict(self.entries))
-        object.__setattr__(self, "_inverses", {n: self.field.inv(c) for n, c in self.entries})
+        # Each distinct value is inverted once: most edges carry the value one.
+        values = dict(self.entries)
+        inverse = {c: self.field.inv(c) for c in dict.fromkeys(values.values())}
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_inverses", {n: inverse[c] for n, c in values.items()})
+        object.__setattr__(self, "_path_values", {})
+        object.__setattr__(self, "_path_inverses", {})
 
     @classmethod
     def make(cls, graph: Graph, field: Field, values: dict | None = None) -> "TwistVector":
@@ -135,23 +145,28 @@ class TwistVector:
         except KeyError:
             raise AlgebraError(f"no twist value for edge {edge_name!r}") from None
 
-    def _product(self, table: dict, names, out):
-        """out times the table's scalars at the named edges."""
-        mul = self.field.mul
-        for name in names:
-            c = table.get(name)
-            if c is None:
-                raise AlgebraError(f"no twist value for edge {name!r}")
-            out = mul(out, c)
+    def _product(self, memo: dict, table: dict, names: tuple[str, ...]):
+        """The product of the table's scalars at the named edges, kept in memo."""
+        out = memo.get(names)
+        if out is None:
+            mul = self.field.mul
+            out = self.field.one()
+            for name in names:
+                c = table.get(name)
+                if c is None:
+                    raise AlgebraError(f"no twist value for edge {name!r}")
+                out = mul(out, c)
+            memo[names] = out
         return out
 
     def of_path(self, path: FinitePath):
         """a_mu: the product of the edge scalars along mu (1 for vertices)."""
-        return self._product(self._values, path.edges, self.field.one())
+        return self._product(self._path_values, self._values, path.edges)
 
     def ratio(self, mu: FinitePath, nu: FinitePath):
         """a_mu a_nu^(-1): the factor by which the twist scales mu.nu*."""
-        return self._product(self._inverses, nu.edges, self.of_path(mu))
+        inv_nu = self._product(self._path_inverses, self._inverses, nu.edges)
+        return self.field.mul(self.of_path(mu), inv_nu)
 
     def inverse(self) -> "TwistVector":
         return TwistVector(self.field, tuple(self._inverses.items()))

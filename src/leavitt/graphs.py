@@ -18,6 +18,7 @@ from typing import Iterable, Union
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _QUOTE_LIMIT = 40  # characters of a bad value's repr that an error message quotes
 _ERROR_LIMIT = 5  # errors that one GraphError lists
+_MISSING = object()  # a memo's miss, where None is a result
 
 
 class GraphError(ValueError):
@@ -37,9 +38,10 @@ class Edge:
 class Graph:
     """A finite directed graph with named vertices and edges.
 
-    Immutable after construction.  Vertex and edge names share one
-    namespace of word characters so that the textual path grammar
-    (dot-separated edge names, bare vertex names) is unambiguous.
+    Immutable after construction; the memo caches pure results.  Vertex
+    and edge names share one namespace of word characters so that the
+    textual path grammar (dot-separated edge names, bare vertex names) is
+    unambiguous.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
@@ -60,6 +62,10 @@ class Graph:
             into[e.rng].append(e)
         self._out = {v: tuple(x) for v, x in out.items()}
         self._in = {v: tuple(x) for v, x in into.items()}
+        # The memo: strip_prefix and prepend results keyed by (mu, x).  Both are
+        # pure functions of this graph, and module actions repeat them.
+        self._stripped: dict = {}
+        self._prepended: dict = {}
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -454,10 +460,19 @@ def strip_prefix(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath 
 
     For a lasso the cycle is unrolled as far as |mu| requires.  x is
     canonical, so p is built directly: a suffix of a minimal prefix is
-    minimal, and past the prefix only the rotation advances.
+    minimal, and past the prefix only the rotation advances.  The result
+    is kept in the graph's memo.
     """
     if mu.src != x.source:
         return None
+    key = (mu, x)
+    p = graph._stripped.get(key, _MISSING)
+    if p is _MISSING:
+        p = graph._stripped[key] = _strip_prefix(graph, mu, x)
+    return p
+
+
+def _strip_prefix(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath | None:
     m = len(mu.edges)
     if isinstance(x, SinkPath):
         rest = initial_remainder(mu, x.path)
@@ -473,12 +488,19 @@ def strip_prefix(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath 
 
 
 def prepend(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath:
-    """The boundary path mu.x (requires r(mu) = s(x))."""
+    """The boundary path mu.x (requires r(mu) = s(x)); the result is kept
+    in the graph's memo."""
     if mu.rng != x.source:
         raise GraphError(f"cannot prepend {mu} to a path starting at {x.source}")
-    if isinstance(x, SinkPath):
-        return SinkPath(concat(mu, x.path))
-    return _absorb(graph, concat(mu, x.prefix), x.cycle, x.rotation)
+    key = (mu, x)
+    y = graph._prepended.get(key)
+    if y is None:
+        if isinstance(x, SinkPath):
+            y = SinkPath(concat(mu, x.path))
+        else:
+            y = _absorb(graph, concat(mu, x.prefix), x.cycle, x.rotation)
+        graph._prepended[key] = y
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -415,7 +415,8 @@ class InducedModule(Module):
     lasso decomposition; the discarded isotropy power is absorbed into the
     coefficient coordinate, where the isotropy generator acts by
     ``generator``: the scalar a in K, or the class of t in K[t]/(f).  Its
-    inverse is computed once, for the negative powers.
+    inverse is computed once, for the negative powers, and the coordinates
+    of each generator power times t^j once per (power, j).
     """
 
     def __init__(self, graph: Graph, field: Field, spec: InducedSpec):
@@ -449,6 +450,7 @@ class InducedModule(Module):
                 raise ModuleSpecError("the scalar action value must be nonzero")
         if isinstance(coeff, (QuotientCoeff, ScalarAction)):
             self._generator_inverse = self.scalars.inv(self.generator)
+        self._powers: dict[tuple[int, int], dict] = {}  # (j_diff, j) -> coordinates of g^j_diff t^j
         self.gradable = isinstance(coeff, (TrivialCoeff, LaurentCoeff))
 
     # -- canonical coset representatives ---------------------------------
@@ -508,8 +510,10 @@ class InducedModule(Module):
         k_can = self.canonical_lag(target)
         j_diff, remainder = divmod(lag - k_can, self.period)
         assert remainder == 0
-        g = self.generator if j_diff >= 0 else self._generator_inverse
-        value = self.expand(self.scalars.pow(g, abs(j_diff)), b.power)
+        value = self._powers.get((j_diff, b.power))
+        if value is None:
+            g = self.generator if j_diff >= 0 else self._generator_inverse
+            value = self._powers[j_diff, b.power] = self.expand(self.scalars.pow(g, abs(j_diff)), b.power)
         return {CosetBasis(target, k_can, j): c for j, c in value.items()}
 
     def grade(self, b: CosetBasis) -> int:

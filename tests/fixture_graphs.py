@@ -40,6 +40,22 @@ FIXTURE_GRAPHS = {
 }
 
 
+def tree_into_loop(depth):
+    """(vertices, edges) of a binary tree of the given depth whose root r
+    carries a loop l; each edge runs from a child to its parent."""
+    vertices, edges, frontier = ["r"], [("l", "r", "r")], ["r"]
+    for _ in range(depth):
+        nxt = []
+        for parent in frontier:
+            for bit in "01":
+                child = ("n" if parent == "r" else parent) + bit
+                vertices.append(child)
+                edges.append((f"t{child[1:]}", child, parent))
+                nxt.append(child)
+        frontier = nxt
+    return vertices, edges
+
+
 MALFORMED_GRAPH_FILES = {
     name: data if isinstance(data, bytes) else json.dumps(data).encode()
     for name, data in {

@@ -320,6 +320,43 @@ class TestTwist:
         assert a.ratio(mu, nu) == F.mul(product(mu), F.inv(product(nu)))
         assert a.of_path(mu) == product(mu)
 
+    @pytest.mark.parametrize("F", TWIST_FIELDS, ids=lambda F: F.name)
+    @pytest.mark.parametrize("name", ["toeplitz", "rose2", "cycle3_exit"])
+    def test_memoized_products_cold_and_warm(self, F, name):
+        # All edges but one share a value, so the inverses come from the table
+        # of distinct values; every call runs twice, the second from the memo.
+        g = GRAPHS[name]
+        rng = random.Random(name)
+
+        def nonzero():
+            c = F.zero()
+            while F.is_zero(c):
+                c = F.random(rng)
+            return c
+
+        values = {e.name: nonzero() for e in g.edges[:1]}
+        shared = nonzero()
+        values.update({e.name: shared for e in g.edges[1:]})
+        a = TwistVector.make(g, F, values)
+        paths = [g.vertex_path(v) for v in g.vertices]
+        frontier = paths
+        for _ in range(3):
+            frontier = [g.path(p.edges + (e.name,)) for p in frontier for e in g.out_edges(p.rng)]
+            paths = paths + frontier
+        products = {}
+        for p in paths:
+            out = F.one()
+            for n in p.edges:
+                out = F.mul(out, values[n])
+            products[p] = out, F.inv(out)
+        for _ in range(2):
+            for mu in paths:
+                assert a.of_path(mu) == products[mu][0], mu
+                for nu in paths:
+                    assert a.ratio(mu, nu) == F.mul(products[mu][0], products[nu][1]), (mu, nu)
+        for e in g.edges:
+            assert a.inverse().value(e.name) == F.inv(values[e.name])
+
     def test_unknown_edge_raises(self):
         g = GRAPHS["r1"]
         a = TwistVector.make(g, QQ, {"e": 2})

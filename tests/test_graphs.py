@@ -609,6 +609,123 @@ class TestInitialPath:
         _check_initial_paths(g)
 
 
+def _word(x, n):
+    """The first n edge names of the boundary path x, spelled out from its
+    fields here (fewer for a sink path that ends sooner)."""
+    if isinstance(x, SinkPath):
+        return x.path.edges[:n]
+    body = x.cycle[x.rotation:] + x.cycle[: x.rotation]
+    return (x.prefix.edges + body * n)[:n]
+
+
+def _is_canonical(g, x):
+    """A sink path ends at a sink.  A lasso's cycle is primitive and its own
+    least rotation, its prefix is minimal and ends where the tail enters."""
+    if isinstance(x, SinkPath):
+        return g.is_sink(x.path.rng)
+    c, n = x.cycle, x.period
+    return (
+        c == min(c[k:] + c[:k] for k in range(n))
+        and all(c != c[:d] * (n // d) for d in range(1, n) if n % d == 0)
+        and not (x.prefix.edges and x.prefix.edges[-1] == c[(x.rotation - 1) % n])
+        and x.prefix.rng == g.edge(c[x.rotation]).src
+    )
+
+
+def _spells(g, r, x, source, word):
+    """r is the canonical boundary path of x's kind that starts at source
+    and spells word: all of its edges for a sink path, its first len(word)
+    edges for a lasso.  A canonical lasso is fixed by its source and its
+    infinite word, and word is long enough to fix that."""
+    if type(r) is not type(x) or r.source != source or not _is_canonical(g, r):
+        return False
+    if isinstance(x, SinkPath):
+        return r.path == FinitePath(word, source, x.path.rng)
+    return _word(r, len(word)) == word
+
+
+def _word_length(mu, x):
+    """Edges of x enough to fix x less mu and mu.x: all of a sink path; for
+    a lasso, more than its prefix, mu and two periods, which fixes an
+    eventually periodic word of that prefix length and period."""
+    if isinstance(x, SinkPath):
+        return len(x.path)
+    return 2 * (len(mu) + len(x.prefix) + 2 * x.period)
+
+
+def _strip_oracle(g, mu, x, r):
+    """r is strip_prefix(g, mu, x), by the unrolled edge words."""
+    m, word = len(mu), _word(x, len(mu) + _word_length(mu, x))
+    if mu.src != x.source or word[:m] != mu.edges:
+        return r is None
+    return _spells(g, r, x, mu.rng, word[m:])
+
+
+def _prepend_oracle(g, mu, x, r):
+    """r is prepend(g, mu, x), by the unrolled edge words."""
+    return _spells(g, r, x, mu.src, mu.edges + _word(x, _word_length(mu, x)))
+
+
+def _check_path_memo(g, size=3):
+    """strip_prefix and prepend against the oracles on a cold memo and again
+    on a warm one, and the round trips between them, for the paths mu of
+    length at most ``size`` and the boundary paths x within ``size - 1`` of
+    a base.  The tails of closed paths that repeat a vertex give lassos
+    that differ in rotation alone."""
+    bases = [sink_path(g, g.vertex_path(v)) for v in g.sinks]
+    cycles = elementary_cycles(g) + simple_closed_paths(g, 2).paths
+    bases += dict.fromkeys(cycle_tail(g, c) for c in cycles)
+    xs = [x for base in bases for x in orbit(g, base, bound=size - 1).elements]
+    paths = _paths_up_to(g, size)
+    pairs = [(mu, x) for x in xs for mu in paths]
+    cold = {}
+    for mu, x in pairs:
+        cold[mu, x] = strip_prefix(g, mu, x), prepend(g, mu, x) if mu.rng == x.source else None
+    for mu, x in pairs:
+        stripped, prepended = cold[mu, x]
+        assert _strip_oracle(g, mu, x, stripped), (mu, x, stripped)
+        assert strip_prefix(g, mu, x) is stripped, (mu, x)
+        if stripped is not None:
+            assert prepend(g, mu, stripped) == x, (mu, x)
+        if mu.rng == x.source:
+            assert _prepend_oracle(g, mu, x, prepended), (mu, x, prepended)
+            assert prepend(g, mu, x) is prepended, (mu, x)
+            assert strip_prefix(g, mu, prepended) == x, (mu, x)
+    return len(pairs)
+
+
+class TestPathMemo:
+    """The memo behind strip_prefix and prepend, against oracles on edge
+    words that call neither.  The all-pairs equivariance oracle cannot see
+    a memo fault: both of its sides call the memoized functions."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRAPHS))
+    def test_fixtures(self, name):
+        assert _check_path_memo(Graph(*FIXTURE_GRAPHS[name]))
+
+    @given(g=small_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_small_graphs(self, g):
+        _check_path_memo(g, size=2)
+
+    def test_graphs_with_the_same_edge_names_share_no_result(self):
+        # In both graphs c.d runs from s to v and the tail (e.d)^inf starts at
+        # v.  Prepending c.d absorbs d into the tail, and the prefix left
+        # ends at the source of d: w in one graph, z in the other.
+        vertices = ["s", "v", "w", "z"]
+        g1 = Graph(vertices, [("c", "s", "w"), ("d", "w", "v"), ("e", "v", "w")])
+        g2 = Graph(vertices, [("c", "s", "z"), ("d", "z", "v"), ("e", "v", "z")])
+        mu = FinitePath(("c", "d"), "s", "v")
+        x = Lasso(FinitePath((), "v", "v"), ("d", "e"), 1)
+        assert g1.path(mu.edges) == mu == g2.path(mu.edges)
+        y1, y2 = prepend(g1, mu, x), prepend(g2, mu, x)
+        assert y1 == Lasso(FinitePath(("c",), "s", "w"), ("d", "e"), 0)
+        assert y2 == Lasso(FinitePath(("c",), "s", "z"), ("d", "e"), 0)
+        for g in (g1, g2):
+            _check_path_memo(g)
+        assert prepend(g1, mu, x) is y1 and prepend(g2, mu, x) is y2
+
+
 class TestJson:
     def test_roundtrip(self, toeplitz):
         assert Graph.from_json_dict(toeplitz.to_json_dict()).to_json_dict() == toeplitz.to_json_dict()

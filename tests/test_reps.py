@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from fixture_graphs import tree_into_loop
 from leavitt.algebra import LeavittAlgebra, TwistVector, all_monomials, monomial, random_element
-from leavitt.fields import QQ, PrimeField, parse_poly
-from leavitt.graphs import lasso, sink_path, tail_lags, unroll
+from leavitt.fields import QQ, ExtensionField, PrimeField, parse_poly
+from leavitt.graphs import Graph, lasso, sink_path, tail_lags, unroll
 from leavitt.reps import (
     ChenBasis,
     ChenExtSpec,
@@ -160,6 +161,30 @@ class TestInducedCanonicalization:
         y = lasso(lasso_graph, lasso_graph.path(["f"]), ["e"])
         assert M.canonical_lag(x) == 0
         assert M.canonical_lag(y) == 1
+
+    @pytest.mark.parametrize(
+        "field, coeff",
+        [
+            (QQ, ScalarAction(QQ.coerce(7))),
+            (PrimeField(3), QuotientCoeff(parse_poly("t^2+1", PrimeField(3)))),
+            (QQ, QuotientCoeff(parse_poly("t^2-2", QQ))),
+        ],
+        ids=["Q-Ka(7)", "F3-quot(t^2+1)", "Q-quot(t^2-2)"],
+    )
+    def test_generator_powers_cold_and_warm(self, r1, field, coeff):
+        # e^n and (e^*)^n fix the coset of (e)^inf and move its lag by n, so
+        # they act by g^n; the module memoizes g^n t^j per (n, j).
+        x = lasso(r1, r1.vertex_path("v"), ["e"])
+        M = build_module(r1, field, InducedSpec(x, coeff))
+        v = r1.vertex_path("v")
+        for _ in range(2):
+            for n in range(-4, 5):
+                e_n = r1.path(["e"] * abs(n)) if n else v
+                mono = monomial(e_n, v) if n >= 0 else monomial(v, e_n)
+                for j in range(M.tensor_degree):
+                    value = M.expand(M.scalars.pow(M.generator, n), j)
+                    expected = {CosetBasis(x, 0, i): c for i, c in value.items()}
+                    assert M.act_monomial_basis(mono, CosetBasis(x, 0, j)) == expected, (n, j)
 
     def test_rational_base_rejects_trivial_coeff(self, r1):
         x = lasso(r1, r1.vertex_path("v"), ["e"])
@@ -344,6 +369,19 @@ class TestModulusValidation:
         monkeypatch.undo()
         assert spec == ChenExtSpec(toeplitz.path(["e"]), coeff.modulus)
         assert build_module(toeplitz, F2, spec).extension is coeff.extension
+
+
+class TestTwistInversions:
+    def test_each_distinct_twist_value_is_inverted_once(self, monkeypatch):
+        # A binary tree of depth 3 into a loop l: 15 edges, and the scalar
+        # extension's twist is the class of t on l and one on the 14 others.
+        g = Graph(*tree_into_loop(3))
+        calls = []
+        real = ExtensionField.inv
+        monkeypatch.setattr(ExtensionField, "inv", lambda self, a: calls.append(a) or real(self, a))
+        M = build_module(g, QQ, ChenExtSpec(g.path(["l"]), parse_poly("t^2-2", QQ)))
+        assert len(g.edges) == 15
+        assert sorted(calls) == sorted([M.extension.one(), M.extension.tbar()])
 
 
 class TestExpand:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixture_graphs import FIXTURE_GRAPHS
+from fixture_graphs import FIXTURE_GRAPHS, tree_into_loop
 from leavitt import groupoid, verify
 from leavitt.algebra import LeavittAlgebra, TwistVector, all_monomials, monomial
 from leavitt.fields import QQ, PrimeField, parse_field, parse_poly
@@ -382,17 +382,7 @@ class TestCertificateMemo:
         B side, on f(b)) and InducedModule.act_monomial_basis calls (the A
         side, on b).  B is a scalar extension, so every InducedModule call
         comes from the A side directly."""
-        vertices, edges, frontier = ["r"], [("l", "r", "r")], ["r"]
-        for _ in range(3):
-            nxt = []
-            for parent in frontier:
-                for bit in "01":
-                    child = ("n" if parent == "r" else parent) + bit
-                    vertices.append(child)
-                    edges.append((f"t{child[1:]}", child, parent))
-                    nxt.append(child)
-            frontier = nxt
-        g = Graph(vertices, edges)
+        g = Graph(*tree_into_loop(3))
         calls = []
         real = Module.act_monomial
         monkeypatch.setattr(Module, "act_monomial", lambda self, m, terms: calls.append(1) or real(self, m, terms))
