@@ -8,9 +8,10 @@ Three kinds of fields are supported, all with raw hashable values:
   (values are coefficient tuples over the base field).
 
 K[t]/(f) has one reduction kernel, a table of t^k mod f, and Rabin's test
-runs on it up to ``_RABIN_BOUND``.  ``Poly`` parses, runs the sieve and the
-gcd, and is the tests' oracle.  Over Q, irreducibility is decided up to
-degree 3, a cubic by bisection for an integer root.  No floating point.
+runs on it up to ``_RABIN_BOUND``.  ``Poly`` parses, runs the gcd, and is
+the tests' oracle; the sieve of irreducibles works on integer positions.
+Over Q, irreducibility is decided up to degree 3, a cubic by bisection for
+an integer root.  No floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import chain, compress, product
+from typing import Iterable
 
 
 class FieldError(ValueError):
@@ -335,40 +337,22 @@ class Poly:
         return (self.degree, self.coeffs)
 
 
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g, g monic (or zero)."""
+def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(g, u) with u*a = g mod b, g = gcd(a, b) monic (or zero).
+
+    The cofactor v of u*a + v*b = g is not built: no caller reads it.
+    """
     F = a.field
     r0, r1 = a, b
     u0, u1 = Poly.one(F), Poly.zero(F)
-    v0, v1 = Poly.zero(F), Poly.one(F)
     while not r1.is_zero:
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
     if r0.is_zero:
-        return r0, u0, v0
+        return r0, u0
     lead_inv = F.inv(r0.coeffs[-1])
-    return r0.monic(), u0.scale(lead_inv), v0.scale(lead_inv)
-
-
-def enumerate_monic(field: PrimeField, degree: int) -> Iterator[Poly]:
-    """All monic polynomials of the given degree over a prime field."""
-    if degree == 0:
-        yield Poly.one(field)
-        return
-    coeffs = [0] * degree
-    while True:
-        yield Poly(field, tuple(coeffs) + (1,))
-        i = 0
-        while i < degree:
-            coeffs[i] += 1
-            if coeffs[i] < field.p:
-                break
-            coeffs[i] = 0
-            i += 1
-        else:
-            return
+    return r0.monic(), u0.scale(lead_inv)
 
 
 def _rational_root_exists(f: Poly) -> bool:
@@ -457,26 +441,69 @@ def is_irreducible(f: Poly) -> bool:
 def enumerate_monic_irreducibles(p: int, d_max: int) -> list[Poly]:
     """All monic irreducibles of degree <= d_max over GF(p), except t, sorted.
 
-    A sieve: a monic f of degree d is reducible iff f = g*h with g monic
+    A sieve by position: a monic f = c_0 + ... + c_(d-1) t^(d-1) + t^d sits
+    at position c_0 + c_1 p + ... + c_(d-1) p^(d-1) among the p^d monics of
+    degree d, so position order is the order of increasing coefficient
+    digits, c_0 the fastest.  f is reducible iff f = g*h with g monic
     irreducible of degree k <= d/2 (t included) and h monic of degree d - k.
-    Each degree marks every such product and keeps the unmarked monics in
-    ``enumerate_monic`` order, so the list equals filtering ``enumerate_monic``
-    through ``is_irreducible``.  The products cost sum_k N_p(k) p^(d-k)
-    multiplications per degree, against p^d runs of Rabin's test.
+    Each degree marks every such product in one bytearray and decodes the
+    unmarked positions, so the list equals the monics in position order,
+    filtered by ``is_irreducible``.  Marking costs sum_k N_p(k) p^(d-k) (k+1)
+    integer steps per degree (``_mark_multiples``), against p^d runs of
+    Rabin's test.
     """
     if d_max < 1:
         raise FieldError("d_max must be at least 1")
     field = PrimeField(p)
-    t = Poly.t(field)
-    by_degree: list[list[Poly]] = [[]]  # monic irreducibles of each degree, t included
+    by_degree: list[list[tuple]] = [[]]  # coefficients of the irreducibles of each degree, t included
     for d in range(1, d_max + 1):
-        marked = set()
+        marked = bytearray(p**d)
         for k in range(1, d // 2 + 1):
             for g in by_degree[k]:
-                for h in enumerate_monic(field, d - k):
-                    marked.add((g * h).coeffs)
-        by_degree.append([f for f in enumerate_monic(field, d) if f.coeffs not in marked])
-    return [f for fs in by_degree for f in fs if f != t]
+                _mark_multiples(marked, g, d - k, p)
+        unmarked = marked.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+        # product() runs its last digit fastest, so each tuple is read backwards
+        by_degree.append([cs[::-1] + (1,) for cs in compress(product(range(p), repeat=d), unmarked)])
+    return [Poly(field, cs) for cs in chain.from_iterable(by_degree) if cs != (0, 1)]
+
+
+def _mark_multiples(marked: bytearray, g: tuple, m: int, p: int) -> None:
+    """Mark the position of g*h for every monic h of degree m.
+
+    h runs as an odometer over its digits h_0, ..., h_(m-1), h_0 the
+    fastest, from h = t^m.  Raising digit i by one, or wrapping it from
+    p - 1 to 0 (p more copies of g*t^i add zero), adds g*t^i to the
+    product: coefficients i..i+k move, and the position moves with them.
+    """
+    k = len(g) - 1
+    d = k + m
+    weight = [p**i for i in range(d)]
+    coeffs = [0] * m + list(g[:k])  # the low d coefficients of g*t^m
+    pos = sum(c * w for c, w in zip(coeffs, weight))
+    # for each coefficient n that g*t^i moves: g_j, and the position's move
+    # when c_n + g_j stays below p and when it wraps
+    steps = [[(i + j, c, c * weight[i + j], (c - p) * weight[i + j]) for j, c in enumerate(g) if c] for i in range(m)]
+    digits = [0] * m
+    marked[pos] = 1
+    while True:
+        i = 0
+        while i < m:
+            for n, c, up, wrap in steps[i]:
+                v = coeffs[n] + c
+                if v < p:
+                    coeffs[n] = v
+                    pos += up
+                else:
+                    coeffs[n] = v - p
+                    pos += wrap
+            if digits[i] < p - 1:
+                digits[i] += 1
+                break
+            digits[i] = 0
+            i += 1
+        else:
+            return
+        marked[pos] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +597,7 @@ class ExtensionField(Field):
         return tuple(coerce(c) for c in out)
 
     def inv(self, a):
-        """The u of u*a + v*f = 1 from ``poly_xgcd``, padded to deg f."""
+        """The u of u*a = 1 mod f from ``poly_xgcd``, padded to deg f."""
         a = self._unwrap(a)
         if a.is_zero:
             raise ZeroDivisionError("inverse of zero")

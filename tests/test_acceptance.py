@@ -8,7 +8,7 @@ import pytest
 
 from leavitt.algebra import LeavittAlgebra, TwistVector
 from leavitt.classify import CycleSimple, SinkSimple, classify_graded, classify_simple, dimension_oracle
-from leavitt.fields import QQ, PrimeField, enumerate_monic, enumerate_monic_irreducibles, is_irreducible, parse_poly
+from leavitt.fields import QQ, PrimeField, enumerate_monic_irreducibles, is_irreducible, parse_poly
 from leavitt.graphs import Graph, LagSet, lasso, sink_path, tail_lags
 from leavitt.groupoid import orbit
 from leavitt.reps import (
@@ -34,6 +34,7 @@ from leavitt.verify import (
     verify_triv_iso,
     verify_twist_iso,
 )
+from strategies import enumerate_monic
 
 F2 = PrimeField(2)
 

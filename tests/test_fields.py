@@ -14,8 +14,8 @@ from leavitt.fields import (
     Poly,
     PrimeField,
     _is_prime,
+    _mark_multiples,
     _QuotientRing,
-    enumerate_monic,
     enumerate_monic_irreducibles,
     format_poly,
     is_irreducible,
@@ -23,6 +23,7 @@ from leavitt.fields import (
     parse_poly,
     poly_xgcd,
 )
+from strategies import enumerate_monic
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -270,7 +271,7 @@ class TestRabinAndMillerRabin:
 
 
 class TestIrreducibleSieve:
-    @pytest.mark.parametrize("p,d_max", [(2, 4), (3, 4), (5, 4), (2, 6)])
+    @pytest.mark.parametrize("p,d_max", [(2, 4), (3, 4), (5, 4), (2, 6), (7, 3), (2, 8)])
     def test_same_list_as_trial_division(self, p, d_max):
         for d in range(1, d_max + 1):
             assert enumerate_monic_irreducibles(p, d) == _trial_division_irreducibles(p, d)
@@ -288,16 +289,29 @@ class TestIrreducibleSieve:
         assert len({f.coeffs for f in got}) == len(got)
 
     def test_sieve_that_skips_one_factor_fails(self, monkeypatch):
-        """Products with t^2+t+1 are dropped: t^4+t^2+1 = (t^2+t+1)^2 stays unmarked."""
-        skipped = parse_poly("t^2+t+1", F2)
-        multiply = Poly.__mul__
+        """Products with t^2+t+1 go unmarked: t^4+t^2+1 = (t^2+t+1)^2 stays in."""
+        skipped = parse_poly("t^2+t+1", F2).coeffs
 
-        def planted(g, h):
-            return Poly.zero(g.field) if g == skipped else multiply(g, h)
+        def planted(marked, g, m, p):
+            if g != skipped:
+                _mark_multiples(marked, g, m, p)
 
         assert _sieve_agrees(2, 5)
-        monkeypatch.setattr(Poly, "__mul__", planted)
+        monkeypatch.setattr("leavitt.fields._mark_multiples", planted)
         assert not _sieve_agrees(2, 5)
+
+    def test_counts_per_degree_match_gauss_over_f31(self):
+        got = enumerate_monic_irreducibles(31, 3)
+        assert [sum(1 for f in got if f.degree == d) for d in (1, 2, 3)] == [gauss_count(31, d) - (d == 1) for d in (1, 2, 3)]
+
+    @given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_membership_is_rabins_test(self, p, data):
+        """A random monic f is listed iff Rabin's test says irreducible (t aside)."""
+        field = PrimeField(p)
+        d = data.draw(st.integers(1, 4))
+        f = Poly(field, tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))) + (1,))
+        assert (f in enumerate_monic_irreducibles(p, d)) == (is_irreducible(f) and f != Poly.t(field))
 
     def test_large_field_degree_two(self):
         start = time.perf_counter()
@@ -441,7 +455,7 @@ class TestExtensionArithmeticAgainstPoly:
             with pytest.raises(ZeroDivisionError):
                 K.inv(a)
             return
-        g, u, _ = poly_xgcd(pa, f)
+        g, u = poly_xgcd(pa, f)
         assert g == Poly.one(K.base)
         assert K.inv(a) == _value(K, u % f)
         assert K.mul(a, K.inv(a)) == K.one()
