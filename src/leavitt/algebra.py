@@ -11,6 +11,7 @@ lexicographically least edge name, so normal forms are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .fields import Field
 from .graphs import FinitePath, Graph, concat, initial_remainder
@@ -72,8 +73,7 @@ class LinearCombination:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """mu.nu* with r(mu) = r(nu); degree |mu| - |nu|."""
 
     mu: FinitePath
@@ -238,12 +238,14 @@ class LeavittAlgebra:
 
     def mono_mul(self, m1: Monomial, m2: Monomial) -> Monomial | None:
         """(mu.nu*)(al.be*): mu.gamma.be* if al = nu.gamma, mu.(be.gamma)* if nu = al.gamma, else 0."""
-        gamma = initial_remainder(m1.nu, m2.mu)
+        mu, nu = m1  # unpacked once: a NamedTuple's named field read is slower
+        al, be = m2
+        gamma = initial_remainder(nu, al)
         if gamma is not None:
-            return monomial(concat(m1.mu, gamma), m2.nu)
-        gamma = initial_remainder(m2.mu, m1.nu)
+            return monomial(concat(mu, gamma), be)
+        gamma = initial_remainder(al, nu)
         if gamma is not None:
-            return monomial(m1.mu, concat(m2.nu, gamma))
+            return monomial(mu, concat(be, gamma))
         return None
 
     def is_normal(self, m: Monomial) -> bool:

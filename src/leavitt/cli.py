@@ -5,7 +5,9 @@ a JSON-serializable result; ``--json`` prints it verbatim, otherwise a
 plain table is rendered from the same data.  Output is deterministic:
 canonical ordering everywhere and a fixed ``--seed`` for sampled suites.
 Exit codes: 0 success, 1 verification failure, 2 input error (usage
-errors included), reported as one ``error:`` line on stderr.
+errors included), reported as one ``error:`` line on stderr, and 141 when
+the reader of stdout closes it early (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE ended), with no message.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .algebra import AlgebraError
@@ -338,7 +341,14 @@ def _cmd_dims(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the interpreter's own flush at exit
+        # does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (
         InputError, ParseError, GraphError, FieldError, ModuleSpecError, NotGradableError,
         OutOfWindowError, ClassificationError, AlgebraError, GroupoidError,

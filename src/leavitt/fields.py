@@ -93,16 +93,21 @@ class Field:
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_Q_ZERO = Fraction(0)  # a Fraction is immutable, so one zero and one one serve every caller
+_Q_ONE = Fraction(1)
 
 
 class RationalField(Field):
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
+
+    def is_zero(self, a) -> bool:
+        return not a  # Fraction.__eq__ first checks the other operand against number ABCs
 
     def coerce(self, value):
         if isinstance(value, Fraction):

@@ -13,7 +13,7 @@ import re
 import reprlib
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _QUOTE_LIMIT = 40  # characters of a bad value's repr that an error message quotes
@@ -25,7 +25,12 @@ class GraphError(ValueError):
     """Malformed graph data or an invalid path construction."""
 
 
-@dataclass(frozen=True, slots=True)  # slots: field reads are hot, and faster than a NamedTuple's
+# Edge stays a slots dataclass: edges are read far more often than they are
+# built or hashed, and 3.11 specialises a slot read but not a NamedTuple's
+# field descriptor.  Paths, lassos and the values built on them are hashed
+# and built on every module action, so they are NamedTuples: building,
+# hashing and comparing them runs as C tuple code, nested keys included.
+@dataclass(frozen=True, slots=True)
 class Edge:
     name: str
     src: str
@@ -212,11 +217,11 @@ def validate(graph: Graph) -> ValidationReport:
 # Finite paths
 
 
-@dataclass(frozen=True)
-class FinitePath:
+class FinitePath(NamedTuple):
     """A path given by its edge-name sequence plus endpoints.
 
-    A length-0 path carries only a vertex (src == rng, no edges).
+    A length-0 path carries only a vertex (src == rng, no edges).  Its
+    length is the number of edges, so a length-0 path is falsy.
     """
 
     edges: tuple[str, ...]
@@ -238,22 +243,26 @@ class FinitePath:
 
 
 def concat(p: FinitePath, q: FinitePath) -> FinitePath:
-    if p.rng != q.src:
-        raise GraphError(f"cannot concatenate {p} (range {p.rng}) with {q} (source {q.src})")
-    return FinitePath(p.edges + q.edges, p.src, q.rng)
+    p_edges, p_src, p_rng = p  # one unpack is cheaper than three NamedTuple field reads
+    q_edges, q_src, q_rng = q
+    if p_rng != q_src:
+        raise GraphError(f"cannot concatenate {p} (range {p_rng}) with {q} (source {q_src})")
+    return FinitePath(p_edges + q_edges, p_src, q_rng)
 
 
 def initial_remainder(mu: FinitePath, p: FinitePath) -> FinitePath | None:
     """The unique q with p = mu.q, or None when mu is not an initial subpath."""
     if mu.src != p.src:
         return None
-    n = len(mu.edges)
+    mu_edges = mu.edges  # each field is read once: a NamedTuple field read is slow
+    n = len(mu_edges)
     if not n:
         return p
+    p_edges = p.edges
     # the last edge first: most failing prefixes differ there, and no slice is built
-    if n > len(p.edges) or p.edges[n - 1] != mu.edges[-1] or p.edges[:n] != mu.edges:
+    if n > len(p_edges) or p_edges[n - 1] != mu_edges[-1] or p_edges[:n] != mu_edges:
         return None
-    return FinitePath(p.edges[n:], mu.rng, p.rng)
+    return FinitePath(p_edges[n:], mu.rng, p.rng)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +347,7 @@ class ClosedPath:
 # Boundary paths
 
 
-@dataclass(frozen=True)
-class SinkPath:
+class SinkPath(NamedTuple):
     """A finite boundary path: a path whose range is a sink."""
 
     path: FinitePath
@@ -355,8 +363,7 @@ class SinkPath:
         return (0, self.path.sort_key(), ())
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(NamedTuple):
     """The eventually periodic infinite path prefix.(c_rotation)^inf.
 
     Canonical form: ``cycle`` is the lex-least rotation representative of a

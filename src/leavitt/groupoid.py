@@ -13,6 +13,7 @@ and compares each pair's products through `bisections_match_monomial`;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import LeavittAlgebra, Monomial
 from .graphs import (
@@ -76,8 +77,7 @@ def degree(g: GroupoidElement) -> int:
 # Bisections
 
 
-@dataclass(frozen=True)
-class Bisection:
+class Bisection(NamedTuple):
     """Z((mu, nu) \\ F): pairs (mu.p, |mu|-|nu|, nu.p) with p not starting in F."""
 
     mu: FinitePath
@@ -98,10 +98,11 @@ class Bisection:
 def bisection(graph: Graph, mu: FinitePath, nu: FinitePath, excluded=()) -> Bisection:
     if mu.rng != nu.rng:
         raise GroupoidError(f"ranges differ: {mu} vs {nu}")
-    out = {e.name for e in graph.out_edges(mu.rng)}
     excl = frozenset(excluded)
-    if not excl <= out:
-        raise GroupoidError(f"excluded edges {sorted(excl - out)} do not leave {mu.rng}")
+    if excl:  # the empty set always leaves mu.rng
+        out = {e.name for e in graph.out_edges(mu.rng)}
+        if not excl <= out:
+            raise GroupoidError(f"excluded edges {sorted(excl - out)} do not leave {mu.rng}")
     return Bisection(mu, nu, excl)
 
 
@@ -136,20 +137,22 @@ def bisection_product(graph: Graph, b1: Bisection, b2: Bisection) -> list[Bisect
     nu = al.ga; exclusions transfer to whichever side still constrains the
     common continuation.
     """
-    gamma = initial_remainder(b1.nu, b2.mu)
+    mu, nu, ex1 = b1  # unpacked once: a NamedTuple's named field read is slower
+    al, be, ex2 = b2
+    gamma = initial_remainder(nu, al)
     if gamma is not None:
         if gamma.edges:
-            if gamma.edges[0] in b1.excluded:
+            if gamma.edges[0] in ex1:
                 return []
-            excl = b2.excluded
+            excl = ex2
         else:
-            excl = b1.excluded | b2.excluded
-        return [bisection(graph, concat(b1.mu, gamma), b2.nu, excl)]
-    gamma = initial_remainder(b2.mu, b1.nu)
+            excl = ex1 | ex2
+        return [bisection(graph, concat(mu, gamma), be, excl)]
+    gamma = initial_remainder(al, nu)
     if gamma is not None and gamma.edges:
-        if gamma.edges[0] in b2.excluded:
+        if gamma.edges[0] in ex2:
             return []
-        return [bisection(graph, b1.mu, concat(b2.nu, gamma), b1.excluded)]
+        return [bisection(graph, mu, concat(be, gamma), ex1)]
     return []
 
 
@@ -159,8 +162,9 @@ def bisections_match_monomial(prod: Monomial | None, bs: list[Bisection]) -> boo
         return not bs
     if len(bs) != 1:
         return False
-    b = bs[0]
-    return b.mu == prod.mu and b.nu == prod.nu and not b.excluded
+    mu, nu, excluded = bs[0]
+    prod_mu, prod_nu = prod
+    return mu == prod_mu and nu == prod_nu and not excluded
 
 
 def pi_consistency(algebra: LeavittAlgebra, m1: Monomial, m2: Monomial) -> bool:

@@ -75,7 +75,7 @@ def add_scaled(field: Field, out: dict, c, vec: dict) -> None:
     dropped, and a c equal to one is not multiplied."""
     scale = c != field.one()
     if not (out or scale):
-        out.update(vec)  # copies vec's stored key hashes: basis keys hash slowly
+        out.update(vec)  # copies vec's stored key hashes instead of hashing each key again
         return
     for k, x in vec.items():
         if scale:

@@ -19,7 +19,7 @@ is a finite combination of canonical basis elements, never a truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .algebra import (
     AlgebraElement,
@@ -170,8 +170,7 @@ ModuleSpec = Union[ChenSpec, ChenExtSpec, NvcSpec, InducedSpec]
 # Basis elements and vectors
 
 
-@dataclass(frozen=True)
-class ChenBasis:
+class ChenBasis(NamedTuple):
     path: BoundaryPath
     power: int = 0
 
@@ -182,8 +181,7 @@ class ChenBasis:
         return (self.path.sort_key(), self.power)
 
 
-@dataclass(frozen=True)
-class NvcBasis:
+class NvcBasis(NamedTuple):
     mono: Monomial
 
     def __str__(self) -> str:
@@ -193,8 +191,7 @@ class NvcBasis:
         return self.mono.sort_key()
 
 
-@dataclass(frozen=True)
-class CosetBasis:
+class CosetBasis(NamedTuple):
     path: BoundaryPath
     lag: int
     power: int = 0

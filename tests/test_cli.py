@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -256,6 +259,24 @@ class TestDeterminism:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+class TestClosedStdout:
+    def test_reader_that_stops_early_gets_exit_141_and_no_traceback(self, rose2, graph_file):
+        """``lpa ... --json | head -c 100``: the JSON is far longer than a pipe
+        holds, so the write fails once the reader has closed its end."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["classify", graph_file(rose2), "--graded", "--cycles-up-to", "14", "--json"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "leavitt.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert head.startswith(b"{") and len(head) == 100
+        assert (code, err) == (141, b"")
 
 
 HUGE = "9" * 5000
