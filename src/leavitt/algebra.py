@@ -10,12 +10,12 @@ lexicographically least edge name, so normal forms are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
 from .fields import Field
 from .graphs import FinitePath, Graph, concat, initial_remainder
 from .linalg import add_scaled, add_term
+from .records import frozen
 
 
 class AlgebraError(ValueError):
@@ -101,29 +101,44 @@ def monomial(mu: FinitePath, nu: FinitePath) -> Monomial:
     return Monomial(mu, nu)
 
 
-@dataclass(frozen=True)
 class TwistVector:
     """An invertible scalar per edge; paths get the product of their edges.
 
     a_mu and a_nu^(-1) are memoized per edge tuple, so ``ratio`` on paths
-    seen before is one multiplication.
+    seen before is one multiplication.  Only ``field`` and ``entries`` are
+    compared, hashed and printed.
     """
 
-    field: Field
-    entries: tuple[tuple[str, object], ...]  # sorted by edge name, all edges present
-    _values: dict = dataclass_field(init=False, repr=False, compare=False)
-    _inverses: dict = dataclass_field(init=False, repr=False, compare=False)
-    _path_values: dict = dataclass_field(init=False, repr=False, compare=False)
-    _path_inverses: dict = dataclass_field(init=False, repr=False, compare=False)
+    __slots__ = ("field", "entries", "_values", "_inverses", "_path_values", "_path_inverses")
 
-    def __post_init__(self):
-        # Each distinct value is inverted once: most edges carry the value one.
-        values = dict(self.entries)
-        inverse = {c: self.field.inv(c) for c in dict.fromkeys(values.values())}
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_inverses", {n: inverse[c] for n, c in values.items()})
-        object.__setattr__(self, "_path_values", {})
-        object.__setattr__(self, "_path_inverses", {})
+    def __init__(self, field: Field, entries: tuple[tuple[str, object], ...]):
+        # entries: sorted by edge name, all edges present.  Each distinct
+        # value is inverted once: most edges carry the value one.
+        values = dict(entries)
+        inverse = {c: field.inv(c) for c in dict.fromkeys(values.values())}
+        _setattr = object.__setattr__
+        _setattr(self, "field", field)
+        _setattr(self, "entries", entries)
+        _setattr(self, "_values", values)
+        _setattr(self, "_inverses", {n: inverse[c] for n, c in values.items()})
+        _setattr(self, "_path_values", {})
+        _setattr(self, "_path_inverses", {})
+
+    __setattr__ = __delattr__ = frozen
+
+    def __eq__(self, other):
+        if type(other) is not TwistVector:
+            return NotImplemented
+        return (self.field, self.entries) == (other.field, other.entries)
+
+    def __hash__(self):
+        return hash((self.field, self.entries))
+
+    def __repr__(self) -> str:
+        return f"TwistVector(field={self.field!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        return TwistVector, (self.field, self.entries)
 
     @classmethod
     def make(cls, graph: Graph, field: Field, values: dict | None = None) -> "TwistVector":
@@ -173,7 +188,7 @@ class TwistVector:
 
     def is_stable(self, path: FinitePath) -> bool:
         """mu-stability: a_mu = 1."""
-        return self.of_path(path) == self.field.one()
+        return self.field.is_one(self.of_path(path))
 
 
 class LeavittAlgebra:

@@ -13,8 +13,7 @@ irreducible polynomial other than t.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .fields import Field, Poly, PrimeField, RationalField, enumerate_monic_irreducibles
 from .graphs import (
@@ -31,6 +30,7 @@ from .graphs import (
     simple_closed_paths,
 )
 from .groupoid import orbit_size
+from .records import same_class_eq, same_class_ne
 from .reps import ChenExtSpec, ChenSpec, quotient_field
 
 
@@ -42,10 +42,11 @@ class ClassificationError(ValueError):
 # Graded families
 
 
-@dataclass(frozen=True)
-class SinkFamily:
+class SinkFamily(NamedTuple):
     vertex: str
     dimension: int | None  # None = infinite
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def to_json_dict(self) -> dict:
         return {
@@ -56,10 +57,11 @@ class SinkFamily:
         }
 
 
-@dataclass(frozen=True)
-class LaurentFamily:
+class LaurentFamily(NamedTuple):
     cycle: FinitePath
     period: int
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     @property
     def shifts(self) -> tuple[int, ...]:
@@ -74,10 +76,11 @@ class LaurentFamily:
         }
 
 
-@dataclass(frozen=True)
-class IrrationalFamilyFlag:
+class IrrationalFamilyFlag(NamedTuple):
     present: bool
     witness: tuple[str, str] | None
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,13 +90,14 @@ class IrrationalFamilyFlag:
         }
 
 
-@dataclass(frozen=True)
-class GradedClassification:
+class GradedClassification(NamedTuple):
     sink_families: tuple[SinkFamily, ...]
     laurent_families: tuple[LaurentFamily, ...]
     irrational: IrrationalFamilyFlag
     complete: bool
     bounds: dict
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,10 +136,11 @@ def classify_graded(graph: Graph, cycle_length_bound: int = 6) -> GradedClassifi
 # Simple modules
 
 
-@dataclass(frozen=True)
-class SinkSimple:
+class SinkSimple(NamedTuple):
     vertex: str
     dimension: int
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def module_spec(self, graph: Graph) -> ChenSpec:
         return ChenSpec(sink_path(graph, graph.vertex_path(self.vertex)))
@@ -144,12 +149,13 @@ class SinkSimple:
         return {"kind": "sink-simple", "vertex": self.vertex, "dimension": self.dimension}
 
 
-@dataclass(frozen=True)
-class CycleSimple:
+class CycleSimple(NamedTuple):
     cycle: FinitePath
     modulus: Poly
     orbit_size: int
     dimension: int  # orbit_size * deg(modulus)
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def module_spec(self) -> ChenExtSpec:
         return ChenExtSpec(self.cycle, self.modulus)
@@ -163,11 +169,12 @@ class CycleSimple:
         }
 
 
-@dataclass(frozen=True)
-class InfiniteDimFlagged:
+class InfiniteDimFlagged(NamedTuple):
     kind: str  # "sink" | "cycle" | "irrational-classes"
     base: str
     reason: str
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,13 +185,14 @@ class InfiniteDimFlagged:
         }
 
 
-@dataclass(frozen=True)
-class SimpleClassification:
+class SimpleClassification(NamedTuple):
     entries: tuple
     flagged: tuple[InfiniteDimFlagged, ...]
     complete: bool
     bounds: dict
     field_name: str
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def to_json_dict(self) -> dict:
         return {

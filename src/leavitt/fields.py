@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product
 from typing import Iterable
+
+from .records import frozen
 
 
 class FieldError(ValueError):
@@ -59,6 +60,9 @@ class Field:
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
+
+    def is_one(self, a) -> bool:
+        return a == self.one()
 
     def pow(self, a, n: int):
         """a^n by square-and-multiply: never more multiplications than |n|."""
@@ -108,6 +112,11 @@ class RationalField(Field):
 
     def is_zero(self, a) -> bool:
         return not a  # Fraction.__eq__ first checks the other operand against number ABCs
+
+    def is_one(self, a) -> bool:
+        # one() itself is the usual one; Fraction.__eq__ compares with an int
+        # before any number-ABC check
+        return a is _Q_ONE or a == 1
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -233,13 +242,36 @@ class PrimeField(Field):
 # ---------------------------------------------------------------------------
 # Polynomials over a field
 
+_setattr = object.__setattr__  # how a frozen Poly sets its own fields
 
-@dataclass(frozen=True)
+
 class Poly:
-    """Polynomial in t with coefficients in ``field`` (ascending tuple, trimmed)."""
+    """Polynomial in t with coefficients in ``field`` (ascending tuple, trimmed).
 
-    field: Field
-    coeffs: tuple
+    A slots class, not a tuple: a tuple's ``len``, iteration, ``<`` and
+    ``3 * p`` (repetition) would be wrong for a polynomial."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: Field, coeffs: tuple):
+        _setattr(self, "field", field)
+        _setattr(self, "coeffs", coeffs)
+
+    __setattr__ = __delattr__ = frozen
+
+    def __eq__(self, other):
+        if type(other) is not Poly:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"Poly(field={self.field!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return Poly, (self.field, self.coeffs)
 
     @classmethod
     def make(cls, field: Field, coeffs: Iterable) -> "Poly":
@@ -275,7 +307,7 @@ class Poly:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.coeffs) and self.field.is_one(self.coeffs[-1])
 
     def coeff(self, i: int):
         return self.coeffs[i] if i < len(self.coeffs) else self.field.zero()
@@ -666,7 +698,7 @@ def format_poly(f: Poly) -> str:
             parts.append(F.format(c))
         else:
             tpow = "t" if i == 1 else f"t^{i}"
-            if c == F.one():
+            if F.is_one(c):
                 parts.append(tpow)
             else:
                 parts.append(f"{F.format(c)}*{tpow}")

@@ -12,8 +12,9 @@ from __future__ import annotations
 import re
 import reprlib
 import weakref
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
+
+from .records import frozen, same_class_eq, same_class_ne
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _QUOTE_LIMIT = 40  # characters of a bad value's repr that an error message quotes
@@ -25,19 +26,38 @@ class GraphError(ValueError):
     """Malformed graph data or an invalid path construction."""
 
 
-# Edge stays a slots dataclass: edges are read far more often than they are
-# built or hashed, and 3.11 specialises a slot read but not a NamedTuple's
-# field descriptor.  Paths, lassos and the values built on them are hashed
-# and built on every module action, so they are NamedTuples: building,
-# hashing and comparing them runs as C tuple code, nested keys included.
-@dataclass(frozen=True, slots=True)
+# Edge is a slots class: edges are read far more often than they are built
+# or hashed, and 3.11 specialises a slot read but not a NamedTuple's field
+# descriptor.  Paths, lassos and the values built on them are hashed and
+# built on every module action, so they are NamedTuples: building, hashing
+# and comparing them runs as C tuple code, nested keys included.
 class Edge:
-    name: str
-    src: str
-    rng: str
+    __slots__ = ("name", "src", "rng")
+
+    def __init__(self, name: str, src: str, rng: str):
+        _setattr = object.__setattr__
+        _setattr(self, "name", name)
+        _setattr(self, "src", src)
+        _setattr(self, "rng", rng)
+
+    __setattr__ = __delattr__ = frozen
 
     def __iter__(self):  # an edge unpacks as the (name, src, rng) triple that Graph takes
         return iter((self.name, self.src, self.rng))
+
+    def __eq__(self, other):
+        if type(other) is not Edge:
+            return NotImplemented
+        return (self.name, self.src, self.rng) == (other.name, other.src, other.rng)
+
+    def __hash__(self):
+        return hash((self.name, self.src, self.rng))
+
+    def __repr__(self) -> str:
+        return f"Edge(name={self.name!r}, src={self.src!r}, rng={self.rng!r})"
+
+    def __reduce__(self):
+        return Edge, (self.name, self.src, self.rng)
 
 
 class Graph:
@@ -187,12 +207,13 @@ def _validate_data(vertices: list, edges: list[Edge]) -> list[str]:
     return errors
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     sinks: tuple[str, ...]
     regular: tuple[str, ...]
     errors: tuple[str, ...]
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def to_json_dict(self) -> dict:
         return {
@@ -320,14 +341,15 @@ def _require_closed(path: FinitePath) -> None:
         raise GraphError(f"{path} is not a closed path of positive length")
 
 
-@dataclass(frozen=True)
-class ClosedPath:
+class ClosedPath(NamedTuple):
     """A closed finite path together with its derived flags."""
 
     path: FinitePath
     is_simple: bool   # not c^n for n >= 2
     is_cycle: bool    # no repeated vertex
     has_exit: bool    # some vertex on it emits an edge not used at that step
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     @classmethod
     def analyze(cls, graph: Graph, path: FinitePath) -> "ClosedPath":
@@ -514,13 +536,14 @@ def prepend(graph: Graph, mu: FinitePath, x: BoundaryPath) -> BoundaryPath:
 # Lag sets
 
 
-@dataclass(frozen=True)
-class LagSet:
+class LagSet(NamedTuple):
     """A set of lags: empty, a single integer, or the coset k0 + nZ."""
 
     kind: str  # "empty" | "single" | "coset"
     k0: int = 0
     n: int = 0
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     @classmethod
     def empty(cls) -> "LagSet":
@@ -574,10 +597,11 @@ def tail_lags(x: BoundaryPath, y: BoundaryPath) -> LagSet:
 # Enumeration: paths, cycles, reachability
 
 
-@dataclass(frozen=True)
-class PathEnumeration:
+class PathEnumeration(NamedTuple):
     paths: tuple[FinitePath, ...]
     exact: bool
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
 def cycle_reaches_vertex(graph: Graph, v: str) -> bool:
@@ -869,10 +893,11 @@ def _entwined_pair(graph: Graph) -> tuple[str, str]:
         bound *= 2
 
 
-@dataclass(frozen=True)
-class ClosedPathEnumeration:
+class ClosedPathEnumeration(NamedTuple):
     paths: tuple[FinitePath, ...]
     complete: bool
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
 def simple_closed_paths(graph: Graph, bound: int) -> ClosedPathEnumeration:

@@ -12,7 +12,6 @@ and compares each pair's products through `bisections_match_monomial`;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import LeavittAlgebra, Monomial
@@ -34,19 +33,21 @@ from .graphs import (
     tail_lags,
     unroll,
 )
+from .records import same_class_eq, same_class_ne
 
 
 class GroupoidError(ValueError):
     """Invalid groupoid element or non-composable pair."""
 
 
-@dataclass(frozen=True)
-class GroupoidElement:
+class GroupoidElement(NamedTuple):
     """(x, k, y) with x tail-equivalent to y with lag k."""
 
     x: BoundaryPath
     k: int
     y: BoundaryPath
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def __str__(self) -> str:
         return f"({self.x}, {self.k}, {self.y})"
@@ -179,13 +180,14 @@ def pi_consistency(algebra: LeavittAlgebra, m1: Monomial, m2: Monomial) -> bool:
 # Isotropy and orbits
 
 
-@dataclass(frozen=True)
-class IsotropyDescriptor:
+class IsotropyDescriptor(NamedTuple):
     """Trivial, or infinite cyclic generated by (x, |c|, x) over the tail cycle c."""
 
     kind: str  # "trivial" | "infinite-cyclic"
     generator_lag: int = 0
     cycle: tuple[str, ...] = ()
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     @property
     def is_trivial(self) -> bool:
@@ -205,10 +207,11 @@ def isotropy_generator(x: BoundaryPath) -> GroupoidElement:
     return GroupoidElement(x, iso.generator_lag, x)
 
 
-@dataclass(frozen=True)
-class OrbitEnumeration:
+class OrbitEnumeration(NamedTuple):
     elements: tuple[BoundaryPath, ...]
     exact: bool
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
 def canonical_lassos(graph: Graph, cycle_star: tuple[str, ...], max_prefix: int | None) -> list[Lasso]:

@@ -73,7 +73,7 @@ def add_term(field: Field, out: dict, key, c) -> None:
 def add_scaled(field: Field, out: dict, c, vec: dict) -> None:
     """out += c * vec, in place, for a nonzero c; sums that reach zero are
     dropped, and a c equal to one is not multiplied."""
-    scale = c != field.one()
+    scale = not field.is_one(c)
     if not (out or scale):
         out.update(vec)  # copies vec's stored key hashes instead of hashing each key again
         return

@@ -18,7 +18,6 @@ is a finite combination of canonical basis elements, never a truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple, Union
 
 from .algebra import (
@@ -46,6 +45,7 @@ from .graphs import (
 )
 from .groupoid import orbit
 from .linalg import add_term, linear_extend
+from .records import frozen, same_class_eq, same_class_ne
 
 
 class ModuleSpecError(ValueError):
@@ -60,38 +60,57 @@ class NotGradableError(ValueError):
 # Coefficient-module specifications over the isotropy group algebra
 
 
-@dataclass(frozen=True)
-class TrivialCoeff:
+class TrivialCoeff(NamedTuple):
     """K with the trivial action, shifted; for bases with trivial isotropy."""
 
     shift: int = 0
 
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class ScalarAction:
+
+class ScalarAction(NamedTuple):
     """K with the isotropy generator acting by the nonzero scalar; not graded."""
 
     value: object
 
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
-@dataclass(frozen=True)
+
 class QuotientCoeff:
     """K[t,1/t]/(f) with the generator acting by the class of t; not graded.
 
-    ``extension`` is K[t]/(f), built (and f tested) when the spec is made."""
+    ``extension`` is K[t]/(f), built (and f tested) when the spec is made;
+    it is not compared, hashed or printed, so the spec is a slots class."""
 
-    modulus: Poly
-    extension: ExtensionField = dataclass_field(init=False, repr=False, compare=False)
+    __slots__ = ("modulus", "extension")
 
-    def __post_init__(self):
+    def __init__(self, modulus: Poly):
+        object.__setattr__(self, "modulus", modulus)
         _attach_extension(self)
 
+    __setattr__ = __delattr__ = frozen
 
-@dataclass(frozen=True)
-class LaurentCoeff:
+    def __eq__(self, other):
+        if type(other) is not QuotientCoeff:
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.modulus,))
+
+    def __repr__(self) -> str:
+        return f"QuotientCoeff(modulus={self.modulus!r})"
+
+    def __reduce__(self):
+        return QuotientCoeff, (self.modulus,)
+
+
+class LaurentCoeff(NamedTuple):
     """K[t^n, t^(-n)] shifted by 0 <= shift < n; graded, not simple."""
 
     shift: int = 0
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
 NSpec = Union[TrivialCoeff, ScalarAction, QuotientCoeff, LaurentCoeff]
@@ -124,43 +143,68 @@ def _extension_over(field: Field, spec: QuotientCoeff | ChenExtSpec) -> Extensio
 # Module specifications
 
 
-@dataclass(frozen=True)
-class ChenSpec:
+class ChenSpec(NamedTuple):
     base: BoundaryPath
     twist: TwistVector | None = None
     shift: int = 0
 
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
-@dataclass(frozen=True)
+
 class ChenExtSpec:
-    cycle: FinitePath
-    modulus: Poly
-    shift: int = 0
-    extension: ExtensionField = dataclass_field(init=False, repr=False, compare=False)  # as in QuotientCoeff
+    """``extension`` is as in QuotientCoeff: built with the spec, and not
+    compared, hashed or printed."""
 
-    def __post_init__(self):
+    __slots__ = ("cycle", "modulus", "shift", "extension")
+
+    def __init__(self, cycle: FinitePath, modulus: Poly, shift: int = 0):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "shift", shift)
         _attach_extension(self)
+
+    __setattr__ = __delattr__ = frozen
+
+    def _key(self) -> tuple:
+        return (self.cycle, self.modulus, self.shift)
+
+    def __eq__(self, other):
+        if type(other) is not ChenExtSpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"ChenExtSpec(cycle={self.cycle!r}, modulus={self.modulus!r}, shift={self.shift!r})"
+
+    def __reduce__(self):
+        return ChenExtSpec, self._key()
 
     @classmethod
     def over(cls, cycle: FinitePath, coeff: QuotientCoeff) -> "ChenExtSpec":
         """The spec at ``cycle`` for coeff's modulus, with coeff's K[t]/(f):
         the modulus was tested when coeff was made and is not tested again."""
         spec = cls.__new__(cls)
-        spec.__dict__.update(cycle=cycle, modulus=coeff.modulus, shift=0, extension=coeff.extension)
+        for name, value in zip(cls.__slots__, (cycle, coeff.modulus, 0, coeff.extension)):
+            object.__setattr__(spec, name, value)
         return spec
 
 
-@dataclass(frozen=True)
-class NvcSpec:
+class NvcSpec(NamedTuple):
     cycle: FinitePath
     shift: int = 0
 
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class InducedSpec:
+
+class InducedSpec(NamedTuple):
     base: BoundaryPath
     coeff: NSpec
     shift: int = 0
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
 ModuleSpec = Union[ChenSpec, ChenExtSpec, NvcSpec, InducedSpec]
@@ -229,10 +273,11 @@ class ModuleVector(LinearCombination):
         raise TypeError("module vectors are unhashable")
 
 
-@dataclass(frozen=True)
-class BasisEnumeration:
+class BasisEnumeration(NamedTuple):
     elements: tuple[BasisElement, ...]
     exact: bool  # the whole basis, so the module is finite-dimensional
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .algebra import (
     LeavittAlgebra,
@@ -55,6 +55,7 @@ from .linalg import (
     zeros,
 )
 from .groupoid import bisection_product, bisections_match_monomial, monomial_bisection
+from .records import same_class_eq, same_class_ne
 from .reps import (
     ChenBasis,
     ChenExtModule,
@@ -137,13 +138,14 @@ def generators(graph: Graph) -> list[Monomial]:
 # Restriction along the descending chain of cylinder idempotents
 
 
-@dataclass
-class Restriction:
+class Restriction(NamedTuple):
     dimension: int
     generator_matrix: list
     subspace: list
     steps: int
     degrees: list | None
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
 def _isotropy_monomial(module: Module, x: BoundaryPath) -> Monomial | None:
@@ -280,13 +282,37 @@ def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: 
 # Certificates
 
 
-@dataclass
 class Certificate:
-    claim: str
-    window: dict
-    checks: list = dataclass_field(default_factory=list)
-    passed: bool = True
-    counterexample: dict | None = None
+    """The checks of one claim, recorded as they run (so not a tuple)."""
+
+    __slots__ = ("claim", "window", "checks", "passed", "counterexample")
+
+    def __init__(
+        self,
+        claim: str,
+        window: dict,
+        checks: list | None = None,
+        passed: bool = True,
+        counterexample: dict | None = None,
+    ):
+        self.claim = claim
+        self.window = window
+        self.checks = [] if checks is None else checks
+        self.passed = passed
+        self.counterexample = counterexample
+
+    def _key(self) -> tuple:
+        return (self.claim, self.window, self.checks, self.passed, self.counterexample)
+
+    def __eq__(self, other):
+        if type(other) is not Certificate:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return "Certificate(" + ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key())) + ")"
 
     def record(self, name: str, ok: bool, detail: str = ""):
         self.checks.append({"name": name, "passed": ok, "detail": detail})
@@ -638,10 +664,11 @@ def verify_pi_consistency(graph, field: Field, max_len: int = 3) -> Certificate:
 # The graded isomorphism criterion
 
 
-@dataclass(frozen=True)
-class IsoDecision:
+class IsoDecision(NamedTuple):
     isomorphic: bool
     witness: dict
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
 def _as_induced(graph, field, spec: ModuleSpec) -> InducedSpec:
@@ -686,10 +713,11 @@ def graded_iso_check(graph, field: Field, specA: ModuleSpec, specB: ModuleSpec) 
 # Simplicity probe
 
 
-@dataclass
-class ProbeResult:
+class ProbeResult(NamedTuple):
     verdict: str  # "simple" | "graded-simple-not-simple" | "not-simple" | "inconclusive"
     witness: dict
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
 def _spin(field: Field, mats: list[list[dict]], seed: dict) -> int:
