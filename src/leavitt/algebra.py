@@ -83,9 +83,6 @@ class Monomial(NamedTuple):
     def degree(self) -> int:
         return len(self.mu) - len(self.nu)
 
-    def transpose(self) -> "Monomial":
-        return Monomial(self.nu, self.mu)
-
     def __str__(self) -> str:
         if self.nu.is_trivial:
             return str(self.mu)
@@ -185,10 +182,6 @@ class TwistVector:
 
     def inverse(self) -> "TwistVector":
         return TwistVector(self.field, tuple(self._inverses.items()))
-
-    def is_stable(self, path: FinitePath) -> bool:
-        """mu-stability: a_mu = 1."""
-        return self.field.is_one(self.of_path(path))
 
 
 class LeavittAlgebra:
@@ -315,19 +308,6 @@ class LeavittAlgebra:
         ):
             raise AlgebraError("elements live over different graphs or fields")
 
-    # -- twisting -------------------------------------------------------------
-
-    def sigma_twist(self, a: TwistVector, x: "AlgebraElement") -> "AlgebraElement":
-        """The automorphism scaling mu.nu* by a_mu * a_nu^(-1)."""
-        F = self.field
-        out = {}
-        for m, c in x.terms.items():
-            out[m] = F.mul(a.ratio(m.mu, m.nu), c)
-        return AlgebraElement(self, out)
-
-    def ghost_transpose(self, x: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self, {m.transpose(): c for m, c in x.terms.items()})
-
 
 class AlgebraElement(LinearCombination):
     """A finite K-linear combination of monomials (no zero coefficients stored)."""
@@ -355,18 +335,6 @@ class AlgebraElement(LinearCombination):
 
     def __hash__(self):
         raise TypeError("algebra elements are unhashable; compare with ==")
-
-    def homogeneous_component(self, k: int) -> "AlgebraElement":
-        return AlgebraElement(
-            self.algebra, {m: c for m, c in self.terms.items() if m.degree == k}
-        )
-
-    def degrees(self) -> list[int]:
-        return sorted({m.degree for m in self.terms})
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
 
 def all_monomials(graph: Graph, max_len: int) -> list[Monomial]:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leavitt.algebra import (
+    AlgebraElement,
     AlgebraError,
     LeavittAlgebra,
     Monomial,
@@ -41,6 +42,30 @@ GRAPHS = {
 @pytest.fixture(params=sorted(GRAPHS), ids=sorted(GRAPHS))
 def any_graph(request):
     return GRAPHS[request.param]
+
+
+def homogeneous_component(x: AlgebraElement, k: int) -> AlgebraElement:
+    """The terms of x of degree k."""
+    return AlgebraElement(x.algebra, {m: c for m, c in x.terms.items() if m.degree == k})
+
+
+def degrees(x: AlgebraElement) -> list[int]:
+    return sorted({m.degree for m in x.terms})
+
+
+def sigma_twist(a: TwistVector, x: AlgebraElement) -> AlgebraElement:
+    """The automorphism scaling mu.nu* by a_mu * a_nu^(-1)."""
+    return AlgebraElement(x.algebra, {m: x.field.mul(a.ratio(m.mu, m.nu), c) for m, c in x.terms.items()})
+
+
+def ghost_transpose(x: AlgebraElement) -> AlgebraElement:
+    """The anti-automorphism sending mu.nu* to nu.mu*."""
+    return AlgebraElement(x.algebra, {Monomial(m.nu, m.mu): c for m, c in x.terms.items()})
+
+
+def is_stable(a: TwistVector, path) -> bool:
+    """mu-stability: a_mu = 1."""
+    return a.field.is_one(a.of_path(path))
 
 
 class TestMonoMul:
@@ -127,8 +152,8 @@ class TestNormalize:
         for _ in range(25):
             x = random_element(A, rng)
             for k in range(-3, 4):
-                lhs = A.normalize(x.homogeneous_component(k))
-                rhs = A.normalize(x).homogeneous_component(k)
+                lhs = A.normalize(homogeneous_component(x, k))
+                rhs = homogeneous_component(A.normalize(x), k)
                 assert lhs.terms == rhs.terms
 
 
@@ -210,18 +235,18 @@ class TestRelationsAndProducts:
         for _ in range(40):
             x = random_element(A, rng)
             y = random_element(A, rng)
-            for j in x.degrees():
-                for k in y.degrees():
-                    prod = x.homogeneous_component(j) * y.homogeneous_component(k)
-                    assert prod.is_zero or prod.degrees() == [j + k]
+            for j in degrees(x):
+                for k in degrees(y):
+                    prod = homogeneous_component(x, j) * homogeneous_component(y, k)
+                    assert prod.is_zero or degrees(prod) == [j + k]
 
 
 class TestHomogeneous:
     def test_components(self):
         A = LeavittAlgebra(GRAPHS["r1"], QQ)
         x = A.edge("e") + A.ghost("e")
-        assert x.homogeneous_component(1) == A.edge("e")
-        assert A.vertex("v").homogeneous_component(0) == A.vertex("v")
+        assert homogeneous_component(x, 1) == A.edge("e")
+        assert homogeneous_component(A.vertex("v"), 0) == A.vertex("v")
 
     def test_sum_of_components(self):
         rng = random.Random(19)
@@ -229,8 +254,8 @@ class TestHomogeneous:
         for _ in range(20):
             x = random_element(A, rng, max_len=3, max_terms=3)
             acc = A.zero()
-            for k in x.degrees():
-                acc = acc + x.homogeneous_component(k)
+            for k in degrees(x):
+                acc = acc + homogeneous_component(x, k)
             assert acc.terms == x.terms
 
 
@@ -238,13 +263,13 @@ class TestTwist:
     def test_fixes_vertices(self):
         A = LeavittAlgebra(GRAPHS["rose2"], QQ)
         a = TwistVector.make(A.graph, QQ, {"e": 2, "g": 3})
-        assert A.sigma_twist(a, A.vertex("v")) == A.vertex("v")
+        assert sigma_twist(a, A.vertex("v")) == A.vertex("v")
 
     def test_multiplicative_on_paths(self):
         A = LeavittAlgebra(GRAPHS["toeplitz"], QQ)
         a = TwistVector.make(A.graph, QQ, {"e": 2, "f": 5})
         ef = A.path_element(A.graph.path(["e", "f"]))
-        assert A.sigma_twist(a, ef) == ef.scale(10)
+        assert sigma_twist(a, ef) == ef.scale(10)
 
     def test_inverse_twist(self):
         rng = random.Random(23)
@@ -252,7 +277,7 @@ class TestTwist:
         a = TwistVector.make(A.graph, QQ, {"e": 2, "g": -3})
         for _ in range(20):
             x = random_element(A, rng)
-            assert A.sigma_twist(a, A.sigma_twist(a.inverse(), x)) == x
+            assert sigma_twist(a, sigma_twist(a.inverse(), x)) == x
 
     def test_is_automorphism(self):
         rng = random.Random(29)
@@ -260,7 +285,7 @@ class TestTwist:
         a = TwistVector.make(A.graph, QQ, {"e": 2, "g": 7})
         for _ in range(20):
             x, y = random_element(A, rng), random_element(A, rng)
-            assert A.sigma_twist(a, x * y) == A.sigma_twist(a, x) * A.sigma_twist(a, y)
+            assert sigma_twist(a, x * y) == sigma_twist(a, x) * sigma_twist(a, y)
 
     def test_path_products(self):
         g = GRAPHS["r1"]
@@ -278,8 +303,8 @@ class TestTwist:
     def test_stability(self):
         g = GRAPHS["rose2"]
         a = TwistVector.make(g, QQ, {"e": 2, "g": QQ.coerce(1) / 2})
-        assert a.is_stable(g.path(["e", "g"]))
-        assert not a.is_stable(g.path(["e"]))
+        assert is_stable(a, g.path(["e", "g"]))
+        assert not is_stable(a, g.path(["e"]))
 
     def test_zero_twist_rejected(self):
         with pytest.raises(AlgebraError):
@@ -374,4 +399,4 @@ class TestGhostTranspose:
         A = LeavittAlgebra(GRAPHS["toeplitz"], QQ)
         for _ in range(20):
             x, y = random_element(A, rng), random_element(A, rng)
-            assert A.ghost_transpose(x * y) == A.ghost_transpose(y) * A.ghost_transpose(x)
+            assert ghost_transpose(x * y) == ghost_transpose(y) * ghost_transpose(x)

@@ -243,9 +243,7 @@ class TestGrading:
             A = M.algebra()
             basis = M.enumerate_basis(bound=3).elements
             for m in all_monomials(M.graph, 2):
-                elt = A.monomial_element(m)
-                if not elt.is_homogeneous:
-                    continue
+                elt = A.monomial_element(m)  # one term, so homogeneous of degree m.degree
                 for b in basis:
                     out = M.act(elt, M.vector({b: 1}))
                     for b2 in out.terms:

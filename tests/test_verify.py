@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,11 +7,11 @@ from hypothesis import strategies as st
 
 from fixture_graphs import FIXTURE_GRAPHS, tree_into_loop
 from leavitt import groupoid, verify
-from leavitt.algebra import LeavittAlgebra, TwistVector, all_monomials, monomial
+from leavitt.algebra import LeavittAlgebra, Monomial, TwistVector, all_monomials, monomial
 from leavitt.fields import QQ, PrimeField, parse_field, parse_poly
 from leavitt.classify import CycleSimple, SinkSimple, classify_simple
 from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, lasso, maximal_cycles, sink_path
-from leavitt.linalg import identity, linear_extend, mat_mul, rref, zeros
+from leavitt.linalg import add_scaled, identity, linear_extend, mat_mul, rref, zeros
 from leavitt.reps import (
     ChenExtSpec,
     ChenModule,
@@ -30,9 +31,12 @@ from leavitt.reps import (
 from strategies import small_graphs
 from leavitt.verify import (
     _equivariance_counterexample,
+    _generators_equivariant,
     OutOfWindowError,
     Window,
     check_module_iso,
+    generator_support,
+    generators,
     graded_iso_check,
     intertwiner_space,
     nvc_iso_maps,
@@ -375,34 +379,84 @@ class TestCertificateMemo:
         assert self._check(modA, modB, *boundary_iso_maps(modA, modB)).passed
         assert not self._check(modA, modB, *boundary_iso_maps(modA, modB, drop_nu_inverse=True)).passed
 
+    # The quotient twist-iso certificate on a binary tree of depth 3 whose
+    # root carries a loop l, with verify_twist_iso's defaults: bound 4 (the
+    # window is exact) and mono_len 3.
+    TREE_COEFF = QuotientCoeff(parse_poly("t^2+t+1", F2))
+
     @staticmethod
-    def _tree_into_loop_scan(monkeypatch):
-        """The actions of the quotient twist-iso certificate on a binary tree
-        of depth 3 whose root carries a loop l: Module.act_monomial calls (the
-        B side, on f(b)) and InducedModule.act_monomial_basis calls (the A
-        side, on b).  B is a scalar extension, so every InducedModule call
-        comes from the A side directly."""
-        g = Graph(*tree_into_loop(3))
+    def _count_actions(monkeypatch, run):
+        """run() and the number of actions it makes: Module.act_monomial
+        calls (the B side, on f(b)) and InducedModule.act_monomial_basis
+        calls (the A side, on b).  B is a scalar extension, so every
+        InducedModule call comes from the A side directly."""
         calls = []
         real = Module.act_monomial
         monkeypatch.setattr(Module, "act_monomial", lambda self, m, terms: calls.append(1) or real(self, m, terms))
         real_basis = InducedModule.act_monomial_basis
         monkeypatch.setattr(InducedModule, "act_monomial_basis", lambda self, m, b: calls.append(1) or real_basis(self, m, b))
-        cert = verify_twist_iso(g, F2, g.path(["l"]), QuotientCoeff(parse_poly("t^2+t+1", F2)))
-        assert cert.passed
-        return g, cert, len(calls)
+        result = run()
+        monkeypatch.undo()
+        return result, len(calls)
+
+    def _tree_into_loop_scan(self, monkeypatch):
+        """The equivariance scan of that certificate, called directly: passing
+        certificates on exact windows no longer reach it."""
+        g = Graph(*tree_into_loop(3))
+        l = g.path(["l"])
+        modA = build_module(g, F2, InducedSpec(cycle_tail(g, l), self.TREE_COEFF))
+        modB = build_module(g, F2, ChenExtSpec.over(l, self.TREE_COEFF))
+        phi = functools.cache(boundary_iso_maps(modA, modB)[0])
+        elems = modA.enumerate_basis(4).elements
+        bad, calls = self._count_actions(monkeypatch, lambda: _equivariance_counterexample(modA, modB, phi, elems, 3))
+        assert bad is None
+        return len(all_monomials(g, 3)) * len(elems), calls
 
     def test_pairs_both_sides_kill_are_skipped(self, monkeypatch):
-        g, cert, calls = self._tree_into_loop_scan(monkeypatch)
-        pairs = len(all_monomials(g, cert.window["mono_len"])) * cert.window["basis"]
+        pairs, calls = self._tree_into_loop_scan(monkeypatch)
         assert 0 < calls < pairs / 3, calls
 
     def test_ghost_parts_act_only_where_the_parent_left_elements_alive(self, monkeypatch):
         # Testing the ghost part of every nu on every element makes 6,752
         # calls here; testing nu'.e only where nu' left an element alive
         # makes 4,232.
-        _, _, calls = self._tree_into_loop_scan(monkeypatch)
+        _, calls = self._tree_into_loop_scan(monkeypatch)
         assert calls <= 4232, calls
+
+    def test_generator_check_acts_only_through_the_support(self, monkeypatch):
+        # Each of the 45 generators on each of the 30 elements, both sides,
+        # would make 2,700 calls.  Through the supports of b and of f(b), 2
+        # generators act on each leaf, 4 on each inner vertex and 5 on the
+        # loop, so the certificate makes 2 * 2 * (8 * 2 + 6 * 4 + 5) = 180;
+        # the scan above makes 4,232.
+        g = Graph(*tree_into_loop(3))
+        cert, calls = self._count_actions(monkeypatch, lambda: verify_twist_iso(g, F2, g.path(["l"]), self.TREE_COEFF))
+        assert cert.passed and cert.window["exact"]
+        assert 0 < calls <= 180, calls
+
+    def test_only_equivariance_catches_phi_doubled_and_psi_halved_on_one_element(self):
+        """phi times 2 on one basis element b0, and psi times 1/2 on the basis
+        element phi(b0) is a multiple of, are still mutually inverse; the
+        generator check and the certificate's equivariance check fail."""
+        g = Graph(*tree_into_loop(2))
+        l = g.path(["l"])
+        modA = build_module(g, QQ, InducedSpec(cycle_tail(g, l), ScalarAction(3)))
+        modB = build_module(g, QQ, ChenSpec(cycle_tail(g, l), TwistVector.make(g, QQ, {"l": 3})))
+        phi, psi = boundary_iso_maps(modA, modB)
+        elems = modA.enumerate_basis(0).elements
+        assert len(elems) == 7 and _generators_equivariant(modA, modB, phi, elems)
+        for b0 in elems:
+            (b1,) = phi(b0).terms
+
+            def phi_bad(b, b0=b0):
+                return phi(b).scale(2) if b == b0 else phi(b)
+
+            def psi_bad(b, b1=b1):
+                return psi(b).scale(QQ.inv(QQ.coerce(2))) if b == b1 else psi(b)
+
+            assert not _generators_equivariant(modA, modB, phi_bad, elems), b0
+            cert = check_module_iso("control", modA, modB, (phi_bad, psi_bad), 2, 2)
+            assert [c["name"] for c in cert.checks if not c["passed"]] == ["equivariance"], b0
 
 
 def _all_pairs_counterexample(modA, modB, f, elems, mono_len):
@@ -425,11 +479,13 @@ ORACLE_FIELDS = {"F2": (F2, "t^2+t+1"), "F3": (PrimeField(3), "t^2+1"), "Q": (QQ
 
 def _builder_scans(monkeypatch, g, F, modulus):
     """(modA, modB, phi, elems, mono_len) of every equivariance scan that the
-    certificate builders and the Laurent probe make on g over F, and of the
-    drop_nu_inverse maps."""
+    certificate builders, with the generator check off, and the Laurent probe
+    make on g over F, and of the drop_nu_inverse maps."""
     scans = []
     real = verify._equivariance_counterexample
     monkeypatch.setattr(verify, "_equivariance_counterexample", lambda *args: scans.append(args) or real(*args))
+    # With the generator check off, every certificate reaches the scan.
+    monkeypatch.setattr(verify, "_generators_equivariant", lambda *args: False)
     a = F.coerce(2) if not F.is_zero(F.coerce(2)) else F.one()
     f = parse_poly(modulus, F)
     for v in g.sinks:
@@ -485,7 +541,9 @@ def _wrong_maps(modA, modB, phi, elems, mono_len):
 
 class TestEquivarianceScanAgainstAllPairs:
     """The pruned equivariance scan returns what the all-pairs scan returns:
-    None, or the identical (monomial, element, lhs, rhs)."""
+    None, or the identical (monomial, element, lhs, rhs).  On an exact window
+    the generator check passes exactly when the all-pairs scan finds
+    nothing, and the certificate is the one the scan alone gives."""
 
     @pytest.mark.parametrize("field_name", sorted(ORACLE_FIELDS))
     @pytest.mark.parametrize("graph_name", sorted(FIXTURE_GRAPHS))
@@ -493,11 +551,129 @@ class TestEquivarianceScanAgainstAllPairs:
         g = Graph(*FIXTURE_GRAPHS[graph_name])
         F, modulus = ORACLE_FIELDS[field_name]
         for modA, modB, phi, elems, mono_len in _builder_scans(monkeypatch, g, F, modulus):
+            exact = modA.enumerate_basis(0).exact
             for f, must_fail in [(phi, False), *_wrong_maps(modA, modB, phi, elems, mono_len)]:
                 f = functools.cache(f)
                 expected = _all_pairs_counterexample(modA, modB, f, elems, mono_len)
                 assert _equivariance_counterexample(modA, modB, f, elems, mono_len) == expected
                 assert expected is not None or not must_fail
+                if exact:
+                    assert _generators_equivariant(modA, modB, f, elems) == (expected is None)
+                    maps = (f, boundary_iso_maps(modA, modB)[1])
+                    cert = check_module_iso("oracle", modA, modB, maps, 2, mono_len)
+                    with monkeypatch.context() as m:
+                        m.setattr(verify, "_generators_equivariant", lambda *args: False)
+                        assert check_module_iso("oracle", modA, modB, maps, 2, mono_len) == cert
+
+
+PROOF_FIELDS = [(QQ, "t^2-2"), (PrimeField(3), "t^2+1")]
+
+
+def _modules_of_every_kind(g):
+    """Modules on g over Q and F3, twisted by a different scalar on each edge
+    over Q (by 2 = -1 over F3): at each sink, the twisted boundary-path module
+    and the module induced from trivial coefficients; at the tail of each of
+    at most two elementary cycles, the twisted and the scalar-extended
+    boundary-path modules and the modules induced from a scalar, a quotient
+    field and Laurent coefficients."""
+    out = []
+    for F, modulus in PROOF_FIELDS:
+        f = parse_poly(modulus, F)
+        values = {e.name: F.coerce(i + 2 if F == QQ else 2) for i, e in enumerate(g.edges)}
+        twist = TwistVector.make(g, F, values)
+        for v in g.sinks:
+            x = sink_path(g, g.vertex_path(v))
+            out += [build_module(g, F, ChenSpec(x, twist)), build_module(g, F, InducedSpec(x, TrivialCoeff(0)))]
+        for c in elementary_cycles(g)[:2]:
+            x = cycle_tail(g, c)
+            specs = [ChenSpec(x, twist), ChenExtSpec(c, f)]
+            specs += [InducedSpec(x, coeff) for coeff in (ScalarAction(2), QuotientCoeff(f), LaurentCoeff(0))]
+            out += [build_module(g, F, spec) for spec in specs]
+    return out
+
+
+def _generator_word(g, m: Monomial) -> list[Monomial]:
+    """mu.nu* as the product e_1...e_k f_l*...f_1* of generators, the
+    leftmost factor first; the idempotent when mu and nu are vertices."""
+    if not (m.mu.edges or m.nu.edges):
+        return [m]
+    edges = [Monomial(g.path([e]), g.vertex_path(g.edge(e).rng)) for e in m.mu.edges]
+    return edges + [Monomial(g.vertex_path(g.edge(e).rng), g.path([e])) for e in reversed(m.nu.edges)]
+
+
+def _check_generator_proof(g, bound: int, pairs: int, seed: int):
+    """What the generator check's proof assumes, on every module of
+    ``_modules_of_every_kind``:
+    - each monomial acts on a basis element as the product of its generator
+      actions, for ``pairs`` (monomial, element) pairs drawn with ``seed``
+      from the monomials with both path lengths at most 2 and the window of
+      ``bound`` (all of them when there are fewer);
+    - the support of each window element's path lists exactly the
+      generators that act on it nonzero;
+    - on an exact window, the generator matrices satisfy the relations that
+      ``verify_relations`` checks in the algebra."""
+    rng = random.Random(seed)
+    monos, gens, support = all_monomials(g, 2), generators(g), generator_support(g)
+    for M in _modules_of_every_kind(g):
+        F = M.field
+        enum = M.enumerate_basis(bound)
+        n = len(enum.elements)
+        for k in rng.sample(range(len(monos) * n), min(pairs, len(monos) * n)):
+            m, b = monos[k // n], enum.elements[k % n]
+            vec = {b: F.one()}
+            for h in reversed(_generator_word(g, m)):
+                vec = M.act_monomial(h, vec)
+            assert M.act_monomial_basis(m, b) == vec, (M.spec, m, b)
+        for b in enum.elements:
+            assert set(support(b.path)) == {h for h in gens if M.act_monomial_basis(h, b)}, (M.spec, b)
+        if enum.exact:
+            _check_window_relations(g, Window(M, enum.elements))
+
+
+def _check_window_relations(g, window: Window):
+    """The four relation checks of ``verify_relations`` on the generator
+    matrices of a module's whole basis."""
+    F, spec, n = window.module.field, window.module.spec, window.dim
+
+    def prod(P, Q):
+        return [linear_extend(F, P.__getitem__, col) for col in Q]
+
+    mat = window.matrix_of
+    vertex = {v: mat(monomial(g.vertex_path(v), g.vertex_path(v))) for v in g.vertices}
+    edge = {e.name: mat(Monomial(g.path([e.name]), g.vertex_path(e.rng))) for e in g.edges}
+    ghost = {e.name: mat(Monomial(g.vertex_path(e.rng), g.path([e.name]))) for e in g.edges}
+    zero = [{} for _ in range(n)]
+    for v in g.vertices:
+        for w in g.vertices:
+            assert prod(vertex[v], vertex[w]) == (vertex[v] if v == w else zero), (spec, v, w)
+    for e in g.edges:
+        el, gh = edge[e.name], ghost[e.name]
+        assert prod(vertex[e.src], el) == el == prod(el, vertex[e.rng]), (spec, e)
+        assert prod(vertex[e.rng], gh) == gh == prod(gh, vertex[e.src]), (spec, e)
+        for f in g.edges:
+            assert prod(gh, edge[f.name]) == (vertex[e.rng] if e == f else zero), (spec, e, f)
+    for v in g.vertices:
+        if g.is_regular(v):
+            total = [{} for _ in range(n)]
+            for e in g.out_edges(v):
+                for acc, col in zip(total, prod(edge[e.name], ghost[e.name])):
+                    add_scaled(F, acc, F.one(), col)
+            assert total == vertex[v], (spec, v)
+
+
+class TestGeneratorProof:
+    """The generator check proves equivariance on an exact window because
+    each module acts by a monomial as by the product of its generators, and
+    because no generator acting nonzero is left out of the support."""
+
+    @pytest.mark.parametrize("graph_name", sorted(FIXTURE_GRAPHS))
+    def test_fixtures(self, graph_name):
+        _check_generator_proof(Graph(*FIXTURE_GRAPHS[graph_name]), 3, 10**6, 0)
+
+    @given(small_graphs(), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_small_graphs(self, g, seed):
+        _check_generator_proof(g, 2, 120, seed)
 
 
 class TestNvcIso:
