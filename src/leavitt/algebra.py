@@ -180,9 +180,6 @@ class TwistVector:
         inv_nu = self._product(self._path_inverses, self._inverses, nu.edges)
         return self.field.mul(self.of_path(mu), inv_nu)
 
-    def inverse(self) -> "TwistVector":
-        return TwistVector(self.field, tuple(self._inverses.items()))
-
 
 class LeavittAlgebra:
     """Element factory and arithmetic context for one (graph, field) pair."""

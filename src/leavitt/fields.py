@@ -360,13 +360,6 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
 
-    def evaluate(self, x):
-        F = self.field
-        out = F.zero()
-        for c in reversed(self.coeffs):
-            out = F.add(F.mul(out, x), c)
-        return out
-
     def __str__(self) -> str:
         return format_poly(self)
 

@@ -5,9 +5,11 @@ operation that must close a matrix over a window raises OutOfWindowError
 instead of truncating.  The certificate builders realize the structural
 isomorphisms between induced modules and the boundary-path families as
 executable mutual inverses, checked exactly on windows together with
-degree preservation and equivariance.  Equivariance on the generators is
-a proof when the window is the whole basis; otherwise, and to name a
-failure's counterexample, every short monomial is checked.
+degree preservation and equivariance.  Equivariance on the generators,
+over the window's closure under the steps of the short monomials (the
+window itself when it is the whole basis), is a proof for those
+monomials; only when a generator fails is every short monomial checked,
+to decide the check and name its counterexample.
 
 Induced at a non-rational base with trivial coefficients, or at a cycle
 tail with a scalar action or with K[t]/(f), the induced module is the
@@ -137,30 +139,48 @@ def generators(graph: Graph) -> list[Monomial]:
 
 
 def generator_support(graph: Graph):
-    """The function x -> the generators that can act nonzero on a basis
-    element whose boundary path is x: the idempotent at the source v of x,
-    the edges into v, and the ghost of x's first edge.
+    """The function b -> the generators that can act nonzero on the basis
+    element b.
 
-    It reads one dict, the generators keyed by their ghost part nu: the
-    vertex path v holds the idempotent v and the edges into v, and each
-    one-edge path e holds the ghost e*.  The support of x is what the
-    dict holds at x's initial paths of length 0 and 1.
+    A basis element with a boundary path x (boundary-path, scalar-extended
+    and induced modules): the idempotent at the source v of x, the edges
+    into v, and the ghost of x's first edge.  The generators are keyed by
+    their ghost part nu: the vertex path v holds the idempotent v and the
+    edges into v, and each one-edge path e holds the ghost e*; the support
+    of b is what x's initial paths of length 0 and 1 hold.  Proof that no
+    generator acting nonzero is left out: each of these modules starts
+    ``act_monomial_basis(mu.nu*, b)`` with ``strip_prefix(nu, b.path)``
+    and returns {} when it is None, so mu.nu* acts nonzero on b only when
+    nu is an initial path of x.  A generator's nu has length 0 or 1, so it
+    is one of those two keys.
 
-    Proof that no generator acting nonzero is left out: every module whose
-    basis elements carry a boundary path (boundary-path, scalar-extended
-    and induced) starts ``act_monomial_basis(mu.nu*, b)`` with
-    ``strip_prefix(nu, b.path)`` and returns {} when it is None, so mu.nu*
-    acts nonzero on b only when nu is an initial path of b.path.  A
-    generator's nu has length 0 or 1, so it is one of those two keys."""
+    A no-exit-cycle basis element mu.nu* (``NvcBasis``): the idempotent at
+    v = s(mu), the edges into v and the ghosts of the edges out of v, the
+    generators whose ghost part starts at v.  Proof: b = v.b in the
+    algebra, so g.b = (g.v).b, and g.v = 0 unless g is v, an edge e with
+    r(e) = v (e = e.r(e)) or a ghost e* with s(e) = v (e* = e*.s(e)).
+    Some of those ghosts may still act as zero.
+
+    Each path's support is kept for the life of the function: the terms of
+    f(b) in a scalar extension share b's path."""
     by_nu: dict[FinitePath, list[Monomial]] = {}
+    by_src: dict[str, list[Monomial]] = {}
     for g in generators(graph):
         by_nu.setdefault(g.nu, []).append(g)
+        by_src.setdefault(g.nu.src, []).append(g)
+    by_path: dict[BoundaryPath, list[Monomial]] = {}
 
-    def support(x: BoundaryPath) -> list[Monomial]:
-        gens = by_nu[initial_path(graph, x, 0)]
-        if isinstance(x, SinkPath) and not x.path.edges:
-            return gens
-        return gens + by_nu[initial_path(graph, x, 1)]
+    def support(b) -> list[Monomial]:
+        if isinstance(b, NvcBasis):
+            return by_src[b.mono.mu.src]
+        x = b.path
+        gens = by_path.get(x)
+        if gens is None:
+            gens = by_nu[initial_path(graph, x, 0)]
+            if not (isinstance(x, SinkPath) and not x.path.edges):
+                gens = gens + by_nu[initial_path(graph, x, 1)]
+            by_path[x] = gens
+        return gens
 
     return support
 
@@ -367,14 +387,15 @@ def check_module_iso(claim: str, modA: Module, modB: Module, maps, bound: int, m
     psi: B-basis -> A-vector, are mutually inverse and equivariant on the
     windows of ``bound`` and preserve degrees when A is graded.
 
-    Equivariance: on an exact window (A's whole basis) a pass of the
-    generator check (``_generators_equivariant``) is a proof for monomials
-    of every length.  Otherwise, or when a generator fails, the scan over
-    the monomials with both path lengths at most ``mono_len`` decides the
-    check and names its first counterexample, so the certificate is the
-    one the scan alone gives.  That scan tries every generator when
-    mono_len >= 1, so on an exact window mono_len only shapes the search
-    for a failure's counterexample.
+    Equivariance (``_equivariance_check``): a pass of the generator check
+    on the window's closure (``_generators_equivariant``) proves it for
+    every monomial with both path lengths at most ``mono_len``, and for
+    every monomial when the window is exact (A's whole basis, its own
+    closure).  When a generator fails, the scan over those monomials
+    decides the check and names its first counterexample, so the
+    certificate is the one the scan alone gives.  That scan tries every
+    generator when mono_len >= 1, so on an exact window mono_len only
+    shapes the search for a failure's counterexample.
 
     phi and psi are pure, so each is evaluated once per basis element; the
     memo lives for this call.  Both sides of each check are still computed
@@ -400,12 +421,7 @@ def check_module_iso(claim: str, modA: Module, modB: Module, maps, bound: int, m
             d = modB.grade(b)
             ok = ok and all(modA.grade(b2) == d for b2 in psi(b).terms)
         cert.record("degree-preservation", ok)
-    # An NvcModule's basis elements are monomials, with no boundary path to
-    # read a generator support from; its windows are never exact.
-    if enumA.exact and not isinstance(modB, NvcModule) and _generators_equivariant(modA, modB, phi, elemsA):
-        bad = None
-    else:
-        bad = _equivariance_counterexample(modA, modB, phi, elemsA, mono_len)
+    bad = _equivariance_check(modA, modB, phi, enumA, mono_len)
     cert.record(
         "equivariance",
         bad is None,
@@ -414,34 +430,85 @@ def check_module_iso(claim: str, modA: Module, modB: Module, maps, bound: int, m
     return cert
 
 
-def _generators_equivariant(modA: Module, modB: Module, f, elems) -> bool:
-    """Whether f(g.b) = g.f(b) for every generator g and every b in elems.
+def _equivariance_check(modA: Module, modB: Module, f, enum, mono_len: int):
+    """None when f: A -> B is equivariant on the window ``enum`` of A for
+    the monomials with both path lengths at most ``mono_len``, else the
+    scan's first counterexample.
+
+    The generator check runs first, on the window's closure of depth
+    mono_len, or on the window alone when it is exact (a whole basis is its
+    own closure); its pass is the scan's pass.  When it fails, the scan
+    (``_equivariance_counterexample``) decides and names the
+    counterexample."""
+    elems = enum.elements
+    if _generators_equivariant(modA, modB, f, elems, 0 if enum.exact else mono_len):
+        return None
+    return _equivariance_counterexample(modA, modB, f, elems, mono_len)
+
+
+def _generators_equivariant(modA: Module, modB: Module, f, elems, depth: int) -> bool:
+    """Whether f(g.d) = g.f(d) for every generator g and every d in the
+    closure D of depth ``depth`` of elems.
 
     A's action and then f make one side, f and then B's action the other.
-    Only the generators in the support (``generator_support``) of b or of a
-    term of f(b) are tried: any other g gives zero on both sides.
+    Only the generators in the support (``generator_support``) of d or of a
+    term of f(d) are tried: any other g gives zero on both sides.
 
-    Proof that True, when elems is A's whole basis (an exact window), means
-    f(eta.b) = eta.f(b) for every monomial eta = mu.nu*, whatever its
-    length.  eta is a product g_1...g_n of generators: e_1...e_k
-    f_l*...f_1*, or the idempotent v when mu = nu = v.  Each module acts by
-    eta as by g_n, then g_(n-1), ..., then g_1 (the module axioms; tier-1
-    tests check this for every module kind).  By induction on n, with
-    h = g_2...g_n: eta.b = g_1.w for w = h.b, a combination of elements of
-    elems because the window is whole; f(g_1.w) = g_1.f(w) by the check on
-    each element of w and linearity; and f(w) = h.f(b) by induction.  So
-    f(eta.b) = g_1.h.f(b) = eta.f(b).  False says only that a generator
-    fails on some b; the monomial scan then decides the check."""
+    D holds elems, then the elements up to ``depth`` ghost steps away, then
+    those up to depth - 1 edge steps further, found breadth-first in that
+    order; a step adds the terms of g.d for a ghost (an edge) g in d's
+    support.  With depth 0, D is elems.  D keeps the order it is found in,
+    and each of its elements is checked once, when it is found, so the
+    check stops at the first failure.
+
+    Proof that True means f(eta.b) = eta.f(b) for every b in elems and every
+    monomial eta = mu.nu* with |mu|, |nu| <= depth, and for every monomial
+    whatever its length when elems is A's whole basis (an exact window).
+    eta is a product g_1...g_n of generators: e_1...e_k f_l*...f_1*, or the
+    idempotent v when mu = nu = v.  Each module acts by eta as by g_n, then
+    g_(n-1), ..., then g_1 (the module axioms; tier-1 tests check this for
+    every module kind).  Each proper suffix h_i = g_(i+1)...g_n (i >= 1) is
+    at most l <= depth ghosts, or all l ghosts and then at most k - 1 <=
+    depth - 1 edges, so the terms of h_i.b are in D; on a whole basis they
+    are in elems = D for every eta.  Downwards from h_n = 1, where it is
+    trivial, f(h_i.b) = h_i.f(b) for each i: h_(i-1).b = g_i.w for
+    w = h_i.b, whose terms are in D; f(g_i.w) = g_i.f(w) by the check on
+    each term of w and linearity; and f(w) = h_i.f(b).  So
+    f(eta.b) = f(h_0.b) = eta.f(b).  False says only that a generator fails
+    on some d in D; the monomial scan then decides the check."""
     F = modA.field
     support = generator_support(modA.graph)
     image = lambda b: f(b).terms
     act_basis, act = modA.act_monomial_basis, modB.act_monomial
-    for b in elems:
-        fb = f(b).terms
-        paths = dict.fromkeys([b.path, *(b2.path for b2 in fb)])
-        for g in dict.fromkeys(h for p in paths for h in support(p)):
-            if linear_extend(F, image, act_basis(g, b)) != act(g, fb):
+    reached: dict = {}  # d in D -> (terms of its ghost steps, terms of its edge steps)
+
+    def checked(d) -> bool:
+        fd = f(d).terms
+        ghost_terms, edge_terms = {}, {}
+        for g in dict.fromkeys(h for t in (d, *fd) for h in support(t)):
+            gd = act_basis(g, d)
+            if linear_extend(F, image, gd) != act(g, fd):
                 return False
+            if g.nu.edges:
+                ghost_terms.update(gd)
+            elif g.mu.edges:
+                edge_terms.update(gd)
+        reached[d] = ghost_terms, edge_terms
+        return True
+
+    if not all(map(checked, elems)):
+        return False
+    for side, levels in ((0, depth), (1, depth - 1)):
+        frontier = list(elems if side == 0 else reached)
+        for _ in range(levels):
+            found = []
+            for d in frontier:
+                for t in reached[d][side]:
+                    if t not in reached:
+                        if not checked(t):
+                            return False
+                        found.append(t)
+            frontier = found
     return True
 
 
@@ -449,10 +516,9 @@ def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len:
     """First (eta, b, f(eta.b), eta.f(b)) with the two sides different, over the
     monomials eta with both path lengths at most ``mono_len``; None if none.
 
-    It decides equivariance on inexact windows (induced modules with
-    Laurent coefficients, the Laurent probe's surjection) and, on exact
-    ones, only after the generator check has failed, to name the
-    counterexample.
+    It runs only after the generator check on the window's closure has
+    failed (``_equivariance_check``), and then decides the check and names
+    its counterexample.
 
     eta = mu.nu* is mu times the ghost part r(nu).nu*, and A and B are
     modules, so a b that the ghost part kills on both sides (b in A, f(b)
@@ -863,15 +929,14 @@ def _laurent_probe(module: InducedModule, bound: int, mono_len: int) -> ProbeRes
     def project(b: CosetBasis) -> ModuleVector:
         return ModuleVector(F, {ChenBasis(b.path): F.one()})
 
-    elems = module.enumerate_basis(bound).elements
-    equivariant = _equivariance_counterexample(module, target, project, elems, mono_len) is None
+    enum = module.enumerate_basis(bound)
+    equivariant = _equivariance_check(module, target, project, enum, mono_len) is None
     k0 = module.canonical_lag(x)
     kernel_vec = ModuleVector(F, {CosetBasis(x, k0 + n): F.one(), CosetBasis(x, k0): F.neg(F.one())})
     kernel_ok = not kernel_vec.is_zero and not linear_extend(F, lambda b: project(b).terms, kernel_vec.terms)
     target_window = target.enumerate_basis(bound).elements
-    surjective = all(
-        any(tb in project(b).terms for b in elems) for tb in target_window
-    )
+    projected = {tb for b in enum.elements for tb in project(b).terms}
+    surjective = all(tb in projected for tb in target_window)
     if equivariant and kernel_ok and surjective:
         return ProbeResult(
             "graded-simple-not-simple",

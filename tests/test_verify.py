@@ -22,6 +22,7 @@ from leavitt.reps import (
     Module,
     ModuleSpecError,
     ModuleVector,
+    NvcModule,
     NvcSpec,
     QuotientCoeff,
     ScalarAction,
@@ -388,8 +389,9 @@ class TestCertificateMemo:
     def _count_actions(monkeypatch, run):
         """run() and the number of actions it makes: Module.act_monomial
         calls (the B side, on f(b)) and InducedModule.act_monomial_basis
-        calls (the A side, on b).  B is a scalar extension, so every
-        InducedModule call comes from the A side directly."""
+        calls (the A side, on b).  B is a scalar extension or a no-exit-cycle
+        monomial module, so every InducedModule call comes from the A side
+        directly."""
         calls = []
         real = Module.act_monomial
         monkeypatch.setattr(Module, "act_monomial", lambda self, m, terms: calls.append(1) or real(self, m, terms))
@@ -434,6 +436,16 @@ class TestCertificateMemo:
         assert cert.passed and cert.window["exact"]
         assert 0 < calls <= 180, calls
 
+    def test_closure_check_acts_only_through_the_support(self, monkeypatch):
+        # nvc-iso at the loop of the same graph with verify_nvc_iso's
+        # defaults: a window of 105 elements (bound 3, not exact) and
+        # mono_len 2.  The generator check on the window's closure makes 804
+        # calls; the scan alone makes 6,937.
+        g = Graph(*tree_into_loop(3))
+        cert, calls = self._count_actions(monkeypatch, lambda: verify_nvc_iso(g, F2, g.path(["l"])))
+        assert cert.passed and cert.window == {"basis": 105, "mono_len": 2, "exact": False}
+        assert 0 < calls <= 804, calls
+
     def test_only_equivariance_catches_phi_doubled_and_psi_halved_on_one_element(self):
         """phi times 2 on one basis element b0, and psi times 1/2 on the basis
         element phi(b0) is a multiple of, are still mutually inverse; the
@@ -444,7 +456,7 @@ class TestCertificateMemo:
         modB = build_module(g, QQ, ChenSpec(cycle_tail(g, l), TwistVector.make(g, QQ, {"l": 3})))
         phi, psi = boundary_iso_maps(modA, modB)
         elems = modA.enumerate_basis(0).elements
-        assert len(elems) == 7 and _generators_equivariant(modA, modB, phi, elems)
+        assert len(elems) == 7 and _generators_equivariant(modA, modB, phi, elems, 0)
         for b0 in elems:
             (b1,) = phi(b0).terms
 
@@ -454,7 +466,7 @@ class TestCertificateMemo:
             def psi_bad(b, b1=b1):
                 return psi(b).scale(QQ.inv(QQ.coerce(2))) if b == b1 else psi(b)
 
-            assert not _generators_equivariant(modA, modB, phi_bad, elems), b0
+            assert not _generators_equivariant(modA, modB, phi_bad, elems, 0), b0
             cert = check_module_iso("control", modA, modB, (phi_bad, psi_bad), 2, 2)
             assert [c["name"] for c in cert.checks if not c["passed"]] == ["equivariance"], b0
 
@@ -539,11 +551,37 @@ def _wrong_maps(modA, modB, phi, elems, mono_len):
     return out
 
 
+def _inverse_map(modA, modB):
+    """psi of the certificate whose phi an oracle entry checks; None for
+    the Laurent probe's surjection, which has no inverse."""
+    if isinstance(modB, NvcModule):
+        return nvc_iso_maps(modA, modB)[1]
+    if isinstance(modA.spec.coeff, LaurentCoeff):
+        return None
+    return boundary_iso_maps(modA, modB)[1]
+
+
+def test_builders_reach_the_scan_with_the_generator_check_off(monkeypatch):
+    # One entry per triv-iso certificate, plain and corrupted; per
+    # elementary cycle, one per twist-iso certificate (scalar and quotient
+    # field), one for the Laurent probe, one for nvc-iso when the cycle has
+    # no exit and one for the drop_nu_inverse maps.  A new way around the
+    # scan that the patch missed would shrink the corpus with every test
+    # still passing.
+    count = 0
+    for graph_name in sorted(FIXTURE_GRAPHS):
+        for F, modulus in ORACLE_FIELDS.values():
+            count += len(_builder_scans(monkeypatch, Graph(*FIXTURE_GRAPHS[graph_name]), F, modulus))
+    assert count == 282
+
+
 class TestEquivarianceScanAgainstAllPairs:
     """The pruned equivariance scan returns what the all-pairs scan returns:
-    None, or the identical (monomial, element, lhs, rhs).  On an exact window
-    the generator check passes exactly when the all-pairs scan finds
-    nothing, and the certificate is the one the scan alone gives."""
+    None, or the identical (monomial, element, lhs, rhs).  The generator
+    check passes on an exact window exactly when the all-pairs scan finds
+    nothing, and on an inexact one only when it finds nothing; so the
+    equivariance check returns what the all-pairs scan returns, and the
+    certificate is the one the scan alone gives."""
 
     @pytest.mark.parametrize("field_name", sorted(ORACLE_FIELDS))
     @pytest.mark.parametrize("graph_name", sorted(FIXTURE_GRAPHS))
@@ -551,19 +589,79 @@ class TestEquivarianceScanAgainstAllPairs:
         g = Graph(*FIXTURE_GRAPHS[graph_name])
         F, modulus = ORACLE_FIELDS[field_name]
         for modA, modB, phi, elems, mono_len in _builder_scans(monkeypatch, g, F, modulus):
-            exact = modA.enumerate_basis(0).exact
+            enum = modA.enumerate_basis(2)
+            assert enum.elements == elems
+            psi = _inverse_map(modA, modB)
             for f, must_fail in [(phi, False), *_wrong_maps(modA, modB, phi, elems, mono_len)]:
                 f = functools.cache(f)
                 expected = _all_pairs_counterexample(modA, modB, f, elems, mono_len)
                 assert _equivariance_counterexample(modA, modB, f, elems, mono_len) == expected
                 assert expected is not None or not must_fail
-                if exact:
-                    assert _generators_equivariant(modA, modB, f, elems) == (expected is None)
-                    maps = (f, boundary_iso_maps(modA, modB)[1])
-                    cert = check_module_iso("oracle", modA, modB, maps, 2, mono_len)
+                proved = _generators_equivariant(modA, modB, f, elems, 0 if enum.exact else mono_len)
+                if enum.exact:
+                    assert proved == (expected is None)
+                else:
+                    assert expected is None or not proved
+                assert verify._equivariance_check(modA, modB, f, enum, mono_len) == expected
+                if psi is not None:
+                    cert = check_module_iso("oracle", modA, modB, (f, psi), 2, mono_len)
                     with monkeypatch.context() as m:
                         m.setattr(verify, "_generators_equivariant", lambda *args: False)
-                        assert check_module_iso("oracle", modA, modB, maps, 2, mono_len) == cert
+                        assert check_module_iso("oracle", modA, modB, (f, psi), 2, mono_len) == cert
+
+
+def _closure_by_words(g, module, elems, mono_len: int) -> dict:
+    """The terms of h.b, for b in elems and h a proper suffix of the
+    generator word of a monomial with path lengths at most mono_len, and the
+    terms of one generator acting on each of them: the generator check's
+    closure and its one-step images, found from the words rather than
+    breadth-first."""
+    F = module.field
+    closure = dict.fromkeys(elems)
+    for m in all_monomials(g, mono_len):
+        word = _generator_word(g, m)
+        for b in elems:
+            vec = {b: F.one()}
+            for h in reversed(word[1:]):
+                vec = module.act_monomial(h, vec)
+                closure.update(vec)
+    steps = [t for d in closure for h in generators(g) for t in module.act_monomial_basis(h, d)]
+    return {**closure, **dict.fromkeys(steps)}
+
+
+def _no_exit_cycles(g) -> list:
+    out = []
+    for c in elementary_cycles(g):
+        try:
+            build_module(g, QQ, NvcSpec(c))
+        except ModuleSpecError:
+            continue  # the cycle has an exit
+        out.append(c)
+    return out
+
+
+NO_EXIT_FIXTURES = [name for name in sorted(FIXTURE_GRAPHS) if _no_exit_cycles(Graph(*FIXTURE_GRAPHS[name]))]
+
+
+@pytest.mark.parametrize("graph_name", NO_EXIT_FIXTURES)
+def test_closure_check_passes_only_when_the_all_pairs_scan_does(graph_name):
+    """nvc-iso's phi doubled on one element at a time, for every element of
+    the closure (bound 2, mono_len 2) and its one-step images: whenever the
+    generator check on the closure passes, the all-pairs scan finds
+    nothing.  A closure cut short (edge steps to mono_len - 2, ghost steps
+    to mono_len - 1, or the window alone) misses an element that a
+    monomial reaches, and fails this."""
+    g = Graph(*FIXTURE_GRAPHS[graph_name])
+    for c in _no_exit_cycles(g):
+        modB = build_module(g, QQ, NvcSpec(c))
+        modA = build_module(g, QQ, InducedSpec(modB.tail, LaurentCoeff(0)))
+        phi = nvc_iso_maps(modA, modB)[0]
+        elems = modA.enumerate_basis(2).elements
+        assert _generators_equivariant(modA, modB, phi, elems, 2)
+        for b0 in _closure_by_words(g, modA, elems, 2):
+            f = functools.cache(lambda b, b0=b0: phi(b).scale(2) if b == b0 else phi(b))
+            if _generators_equivariant(modA, modB, f, elems, 2):
+                assert _all_pairs_counterexample(modA, modB, f, elems, 2) is None, (c, b0)
 
 
 PROOF_FIELDS = [(QQ, "t^2-2"), (PrimeField(3), "t^2+1")]
@@ -575,7 +673,8 @@ def _modules_of_every_kind(g):
     and the module induced from trivial coefficients; at the tail of each of
     at most two elementary cycles, the twisted and the scalar-extended
     boundary-path modules and the modules induced from a scalar, a quotient
-    field and Laurent coefficients."""
+    field and Laurent coefficients, and the no-exit-cycle monomial module
+    when the cycle has no exit."""
     out = []
     for F, modulus in PROOF_FIELDS:
         f = parse_poly(modulus, F)
@@ -589,6 +688,10 @@ def _modules_of_every_kind(g):
             specs = [ChenSpec(x, twist), ChenExtSpec(c, f)]
             specs += [InducedSpec(x, coeff) for coeff in (ScalarAction(2), QuotientCoeff(f), LaurentCoeff(0))]
             out += [build_module(g, F, spec) for spec in specs]
+            try:
+                out.append(build_module(g, F, NvcSpec(c)))
+            except ModuleSpecError:
+                pass  # the cycle has an exit
     return out
 
 
@@ -608,8 +711,9 @@ def _check_generator_proof(g, bound: int, pairs: int, seed: int):
       actions, for ``pairs`` (monomial, element) pairs drawn with ``seed``
       from the monomials with both path lengths at most 2 and the window of
       ``bound`` (all of them when there are fewer);
-    - the support of each window element's path lists exactly the
-      generators that act on it nonzero;
+    - the support of each window element lists exactly the generators that
+      act on it nonzero; for a no-exit-cycle monomial module, at least
+      those (a larger support costs only time);
     - on an exact window, the generator matrices satisfy the relations that
       ``verify_relations`` checks in the algebra."""
     rng = random.Random(seed)
@@ -625,7 +729,11 @@ def _check_generator_proof(g, bound: int, pairs: int, seed: int):
                 vec = M.act_monomial(h, vec)
             assert M.act_monomial_basis(m, b) == vec, (M.spec, m, b)
         for b in enum.elements:
-            assert set(support(b.path)) == {h for h in gens if M.act_monomial_basis(h, b)}, (M.spec, b)
+            acting = {h for h in gens if M.act_monomial_basis(h, b)}
+            if isinstance(M, NvcModule):
+                assert set(support(b)) >= acting, (M.spec, b)
+            else:
+                assert set(support(b)) == acting, (M.spec, b)
         if enum.exact:
             _check_window_relations(g, Window(M, enum.elements))
 
@@ -662,9 +770,10 @@ def _check_window_relations(g, window: Window):
 
 
 class TestGeneratorProof:
-    """The generator check proves equivariance on an exact window because
-    each module acts by a monomial as by the product of its generators, and
-    because no generator acting nonzero is left out of the support."""
+    """The generator check proves equivariance, on an exact window and on
+    the closure of an inexact one, because each module acts by a monomial
+    as by the product of its generators, and because no generator acting
+    nonzero is left out of the support."""
 
     @pytest.mark.parametrize("graph_name", sorted(FIXTURE_GRAPHS))
     def test_fixtures(self, graph_name):
