@@ -39,9 +39,7 @@ from .groupoid import (
     bisection,
     bisection_product,
     compose,
-    groupoid_element,
     isotropy,
-    membership,
     orbit,
     pi_consistency,
 )

@@ -229,12 +229,6 @@ class LeavittAlgebra:
         nu = self.graph.path([name])
         return self.element({monomial(self.graph.vertex_path(e.rng), nu): self.field.one()})
 
-    def path_element(self, path: FinitePath) -> "AlgebraElement":
-        return self.element({monomial(path, self.graph.vertex_path(path.rng)): self.field.one()})
-
-    def monomial_element(self, m: Monomial, coef=None) -> "AlgebraElement":
-        return self.element({m: self.field.one() if coef is None else coef})
-
     def _vertex_mono(self, v: str) -> Monomial:
         p = self.graph.vertex_path(v)
         return Monomial(p, p)

@@ -29,9 +29,6 @@ from .graphs import (
     initial_remainder,
     is_maximal_cycle,
     sink_path,
-    strip_prefix,
-    tail_lags,
-    unroll,
 )
 from .records import same_class_eq, same_class_ne
 
@@ -51,12 +48,6 @@ class GroupoidElement(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.x}, {self.k}, {self.y})"
-
-
-def groupoid_element(x: BoundaryPath, k: int, y: BoundaryPath) -> GroupoidElement:
-    if not tail_lags(x, y).contains(k):
-        raise GroupoidError(f"{x} is not tail-equivalent to {y} with lag {k}")
-    return GroupoidElement(x, k, y)
 
 
 def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
@@ -110,25 +101,6 @@ def bisection(graph: Graph, mu: FinitePath, nu: FinitePath, excluded=()) -> Bise
 def monomial_bisection(graph: Graph, m: Monomial) -> Bisection:
     """The bisection the monomial mu.nu* maps to (its characteristic set)."""
     return bisection(graph, m.mu, m.nu)
-
-
-def _first_edge(x: BoundaryPath) -> str | None:
-    names = unroll(x, 1)
-    return names[0] if names else None
-
-
-def membership(graph: Graph, g: GroupoidElement, b: Bisection) -> bool:
-    """Whether g = (mu.p, |mu|-|nu|, nu.p) for some p not starting in the excluded set."""
-    if g.k != b.degree:
-        return False
-    p1 = strip_prefix(graph, b.mu, g.x)
-    if p1 is None:
-        return False
-    p2 = strip_prefix(graph, b.nu, g.y)
-    if p2 is None or p1 != p2:
-        return False
-    first = _first_edge(p1)
-    return first is None or first not in b.excluded
 
 
 def bisection_product(graph: Graph, b1: Bisection, b2: Bisection) -> list[Bisection]:

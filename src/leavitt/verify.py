@@ -5,11 +5,11 @@ operation that must close a matrix over a window raises OutOfWindowError
 instead of truncating.  The certificate builders realize the structural
 isomorphisms between induced modules and the boundary-path families as
 executable mutual inverses, checked exactly on windows together with
-degree preservation and equivariance.  Equivariance on the generators,
-over the window's closure under the steps of the short monomials (the
-window itself when it is the whole basis), is a proof for those
-monomials; only when a generator fails is every short monomial checked,
-to decide the check and name its counterexample.
+degree preservation and equivariance.  Equivariance is checked on the
+generators, over the window's closure under the steps of the short
+monomials (the window itself when it is the whole basis): a pass is a
+proof for those monomials, and a failure names a generator and a basis
+element where the map is not a module map.
 
 Induced at a non-rational base with trivial coefficients, or at a cycle
 tail with a scalar action or with K[t]/(f), the induced module is the
@@ -382,26 +382,29 @@ class Certificate:
         }
 
 
+def _check_window(bound: int, mono_len: int):
+    if bound < 0 or mono_len < 0:
+        raise ModuleSpecError("the window bound and monomial length must be nonnegative")
+
+
 def check_module_iso(claim: str, modA: Module, modB: Module, maps, bound: int, mono_len: int) -> Certificate:
     """The certificate that maps = (phi, psi), phi: A-basis -> B-vector and
     psi: B-basis -> A-vector, are mutually inverse and equivariant on the
     windows of ``bound`` and preserve degrees when A is graded.
 
-    Equivariance (``_equivariance_check``): a pass of the generator check
-    on the window's closure (``_generators_equivariant``) proves it for
-    every monomial with both path lengths at most ``mono_len``, and for
-    every monomial when the window is exact (A's whole basis, its own
-    closure).  When a generator fails, the scan over those monomials
-    decides the check and names its first counterexample, so the
-    certificate is the one the scan alone gives.  That scan tries every
-    generator when mono_len >= 1, so on an exact window mono_len only
-    shapes the search for a failure's counterexample.
+    Equivariance is the generator check (``_generators_equivariant``) on
+    A's window, to closure depth ``mono_len``; an exact window (A's whole
+    basis) is its own closure, and there ``mono_len`` is recorded but
+    unused.  A pass proves f(eta.b) = eta.f(b) for every b in the window
+    and every monomial eta with both path lengths at most ``mono_len``,
+    and for every monomial when the window is exact.  A failure names a
+    generator g and an element d of A's basis with f(g.d) != g.f(d), so
+    phi is not a module map.
 
     phi and psi are pure, so each is evaluated once per basis element; the
     memo lives for this call.  Both sides of each check are still computed
     independently."""
-    if bound < 0 or mono_len < 0:
-        raise ModuleSpecError("the window bound and monomial length must be nonnegative")
+    _check_window(bound, mono_len)
     enumA = modA.enumerate_basis(bound)
     elemsA, elemsB = enumA.elements, modB.enumerate_basis(bound).elements
     cert = Certificate(claim, {"basis": len(elemsA), "mono_len": mono_len, "exact": enumA.exact})
@@ -421,7 +424,7 @@ def check_module_iso(claim: str, modA: Module, modB: Module, maps, bound: int, m
             d = modB.grade(b)
             ok = ok and all(modA.grade(b2) == d for b2 in psi(b).terms)
         cert.record("degree-preservation", ok)
-    bad = _equivariance_check(modA, modB, phi, enumA, mono_len)
+    bad = _generators_equivariant(modA, modB, phi, elemsA, 0 if enumA.exact else mono_len)
     cert.record(
         "equivariance",
         bad is None,
@@ -430,25 +433,10 @@ def check_module_iso(claim: str, modA: Module, modB: Module, maps, bound: int, m
     return cert
 
 
-def _equivariance_check(modA: Module, modB: Module, f, enum, mono_len: int):
-    """None when f: A -> B is equivariant on the window ``enum`` of A for
-    the monomials with both path lengths at most ``mono_len``, else the
-    scan's first counterexample.
-
-    The generator check runs first, on the window's closure of depth
-    mono_len, or on the window alone when it is exact (a whole basis is its
-    own closure); its pass is the scan's pass.  When it fails, the scan
-    (``_equivariance_counterexample``) decides and names the
-    counterexample."""
-    elems = enum.elements
-    if _generators_equivariant(modA, modB, f, elems, 0 if enum.exact else mono_len):
-        return None
-    return _equivariance_counterexample(modA, modB, f, elems, mono_len)
-
-
-def _generators_equivariant(modA: Module, modB: Module, f, elems, depth: int) -> bool:
-    """Whether f(g.d) = g.f(d) for every generator g and every d in the
-    closure D of depth ``depth`` of elems.
+def _generators_equivariant(modA: Module, modB: Module, f, elems, depth: int):
+    """None when f(g.d) = g.f(d) for every generator g and every d in the
+    closure D of depth ``depth`` of elems, else the first failure
+    (g, d, f(g.d), g.f(d)).
 
     A's action and then f make one side, f and then B's action the other.
     Only the generators in the support (``generator_support``) of d or of a
@@ -461,7 +449,7 @@ def _generators_equivariant(modA: Module, modB: Module, f, elems, depth: int) ->
     and each of its elements is checked once, when it is found, so the
     check stops at the first failure.
 
-    Proof that True means f(eta.b) = eta.f(b) for every b in elems and every
+    Proof that None means f(eta.b) = eta.f(b) for every b in elems and every
     monomial eta = mu.nu* with |mu|, |nu| <= depth, and for every monomial
     whatever its length when elems is A's whole basis (an exact window).
     eta is a product g_1...g_n of generators: e_1...e_k f_l*...f_1*, or the
@@ -474,30 +462,33 @@ def _generators_equivariant(modA: Module, modB: Module, f, elems, depth: int) ->
     trivial, f(h_i.b) = h_i.f(b) for each i: h_(i-1).b = g_i.w for
     w = h_i.b, whose terms are in D; f(g_i.w) = g_i.f(w) by the check on
     each term of w and linearity; and f(w) = h_i.f(b).  So
-    f(eta.b) = f(h_0.b) = eta.f(b).  False says only that a generator fails
-    on some d in D; the monomial scan then decides the check."""
+    f(eta.b) = f(h_0.b) = eta.f(b).  A failure is a generator g and a
+    basis element d of A with f(g.d) != g.f(d), so f is not a module map."""
     F = modA.field
     support = generator_support(modA.graph)
     image = lambda b: f(b).terms
     act_basis, act = modA.act_monomial_basis, modB.act_monomial
     reached: dict = {}  # d in D -> (terms of its ghost steps, terms of its edge steps)
 
-    def checked(d) -> bool:
+    def failure(d):
         fd = f(d).terms
         ghost_terms, edge_terms = {}, {}
         for g in dict.fromkeys(h for t in (d, *fd) for h in support(t)):
             gd = act_basis(g, d)
-            if linear_extend(F, image, gd) != act(g, fd):
-                return False
+            lhs, rhs = linear_extend(F, image, gd), act(g, fd)
+            if lhs != rhs:
+                return g, d, ModuleVector(F, lhs), ModuleVector(F, rhs)
             if g.nu.edges:
                 ghost_terms.update(gd)
             elif g.mu.edges:
                 edge_terms.update(gd)
         reached[d] = ghost_terms, edge_terms
-        return True
+        return None
 
-    if not all(map(checked, elems)):
-        return False
+    for d in elems:
+        bad = failure(d)
+        if bad:
+            return bad
     for side, levels in ((0, depth), (1, depth - 1)):
         frontier = list(elems if side == 0 else reached)
         for _ in range(levels):
@@ -505,58 +496,11 @@ def _generators_equivariant(modA: Module, modB: Module, f, elems, depth: int) ->
             for d in frontier:
                 for t in reached[d][side]:
                     if t not in reached:
-                        if not checked(t):
-                            return False
+                        bad = failure(t)
+                        if bad:
+                            return bad
                         found.append(t)
             frontier = found
-    return True
-
-
-def _equivariance_counterexample(modA: Module, modB: Module, f, elems, mono_len: int):
-    """First (eta, b, f(eta.b), eta.f(b)) with the two sides different, over the
-    monomials eta with both path lengths at most ``mono_len``; None if none.
-
-    It runs only after the generator check on the window's closure has
-    failed (``_equivariance_check``), and then decides the check and names
-    its counterexample.
-
-    eta = mu.nu* is mu times the ghost part r(nu).nu*, and A and B are
-    modules, so a b that the ghost part kills on both sides (b in A, f(b)
-    in B) gives zero on both sides for every mu and is skipped.  For
-    nu = nu'.e the ghost part is e* times that of nu', so it kills what
-    nu' kills and is tested only on the elements nu' leaves alive.  The
-    pairs left keep their order, so the first counterexample is the one
-    the scan over all pairs finds.  Each monomial acts on the basis element
-    b by ``act_monomial_basis`` in A and on the vector f(b) by
-    ``act_monomial`` in B, and the sides are compared as plain dicts."""
-    F = modA.field
-    graph = modA.graph
-    images = [f(b).terms for b in elems]
-    image = lambda b: f(b).terms
-    live: dict = {}  # nu -> indices of the elements its ghost part does not kill
-
-    def alive(nu: FinitePath) -> list[int]:
-        indices = live.get(nu)
-        if indices is None:
-            if nu.edges:
-                parent = FinitePath(nu.edges[:-1], nu.src, graph.edge(nu.edges[-1]).src)
-                candidates = alive(parent)
-            else:
-                candidates = range(len(elems))
-            ghost = monomial(graph.vertex_path(nu.rng), nu)
-            indices = live[nu] = [
-                i
-                for i in candidates
-                if modA.act_monomial_basis(ghost, elems[i]) or modB.act_monomial(ghost, images[i])
-            ]
-        return indices
-
-    for m in all_monomials(graph, mono_len):
-        for i in alive(m.nu):
-            lhs = linear_extend(F, image, modA.act_monomial_basis(m, elems[i]))
-            rhs = modB.act_monomial(m, images[i])
-            if lhs != rhs:
-                return m, elems[i], ModuleVector(F, lhs), ModuleVector(F, rhs)
     return None
 
 
@@ -898,6 +842,7 @@ def simplicity_probe(graph, field: Field, spec: ModuleSpec, bound: int = 4, mono
     onto the untwisted boundary-path module with a nonzero in-window kernel
     vector.  Anything else is inconclusive.
     """
+    _check_window(bound, mono_len)
     module = build_module(graph, field, spec)
     if isinstance(spec, InducedSpec) and isinstance(spec.coeff, LaurentCoeff):
         return _laurent_probe(module, bound, mono_len)
@@ -930,7 +875,8 @@ def _laurent_probe(module: InducedModule, bound: int, mono_len: int) -> ProbeRes
         return ModuleVector(F, {ChenBasis(b.path): F.one()})
 
     enum = module.enumerate_basis(bound)
-    equivariant = _equivariance_check(module, target, project, enum, mono_len) is None
+    depth = 0 if enum.exact else mono_len
+    equivariant = _generators_equivariant(module, target, project, enum.elements, depth) is None
     k0 = module.canonical_lag(x)
     kernel_vec = ModuleVector(F, {CosetBasis(x, k0 + n): F.one(), CosetBasis(x, k0): F.neg(F.one())})
     kernel_ok = not kernel_vec.is_zero and not linear_extend(F, lambda b: project(b).terms, kernel_vec.terms)

@@ -1,11 +1,12 @@
-"""Hypothesis strategies and enumerations shared by the tests."""
+"""Hypothesis strategies, enumerations and element builders shared by the tests."""
 
 from typing import Iterator
 
 from hypothesis import strategies as st
 
+from leavitt.algebra import AlgebraElement, LeavittAlgebra, Monomial, monomial
 from leavitt.fields import Poly, PrimeField
-from leavitt.graphs import Graph
+from leavitt.graphs import FinitePath, Graph
 
 
 @st.composite
@@ -34,3 +35,13 @@ def enumerate_monic(field: PrimeField, degree: int) -> Iterator[Poly]:
             i += 1
         else:
             return
+
+
+def monomial_element(A: LeavittAlgebra, m: Monomial) -> AlgebraElement:
+    """The monomial m as an element of A."""
+    return A.element({m: A.field.one()})
+
+
+def path_element(A: LeavittAlgebra, path: FinitePath) -> AlgebraElement:
+    """The path as an element of A, the monomial path.r(path)*."""
+    return monomial_element(A, monomial(path, A.graph.vertex_path(path.rng)))

@@ -74,7 +74,7 @@ from leavitt.verify import (
     restrict,
     simplicity_probe,
 )
-from strategies import small_graphs
+from strategies import monomial_element, small_graphs
 
 # field name -> (field, an irreducible quadratic, a scalar other than 0 and 1 when there is one)
 FIELDS = {
@@ -409,7 +409,7 @@ def _assert_spin_matches(module: Module):
     window = Window.full(module)
     F = module.field
     monos, elts = generators(module.graph), generator_elements(module.algebra())
-    assert [module.algebra().monomial_element(m) for m in monos] == elts
+    assert [monomial_element(module.algebra(), m) for m in monos] == elts
     sparse = [window.matrix_of(m) for m in monos]
     dense = [dense_matrix_of(window, g) for g in elts]
     for s, d in zip(sparse, dense):

@@ -2,25 +2,45 @@ import pytest
 
 from leavitt.algebra import LeavittAlgebra, all_monomials, monomial
 from leavitt.fields import QQ
-from leavitt.graphs import LagSet, lasso, sink_path, tail_lags
+from leavitt.graphs import BoundaryPath, Graph, LagSet, lasso, sink_path, strip_prefix, tail_lags, unroll
 from leavitt.groupoid import (
     Bisection,
+    GroupoidElement,
     GroupoidError,
     bisection,
     bisection_product,
     bisections_match_monomial,
     compose,
     degree,
-    groupoid_element,
     inverse,
     isotropy,
     isotropy_generator,
-    membership,
     monomial_bisection,
     orbit,
     orbit_size,
     pi_consistency,
 )
+
+
+def groupoid_element(x: BoundaryPath, k: int, y: BoundaryPath) -> GroupoidElement:
+    """(x, k, y), refused unless x is tail-equivalent to y with lag k."""
+    if not tail_lags(x, y).contains(k):
+        raise GroupoidError(f"{x} is not tail-equivalent to {y} with lag {k}")
+    return GroupoidElement(x, k, y)
+
+
+def membership(graph: Graph, g: GroupoidElement, b: Bisection) -> bool:
+    """Whether g = (mu.p, |mu|-|nu|, nu.p) for some p not starting in the excluded set."""
+    if g.k != b.degree:
+        return False
+    p1 = strip_prefix(graph, b.mu, g.x)
+    if p1 is None:
+        return False
+    p2 = strip_prefix(graph, b.nu, g.y)
+    if p2 is None or p1 != p2:
+        return False
+    first = unroll(p1, 1)
+    return not first or first[0] not in b.excluded
 
 
 class TestGroupoidOps:

@@ -23,6 +23,7 @@ from leavitt.reps import (
     build_module,
     quotient_field,
 )
+from strategies import monomial_element
 
 F2 = PrimeField(2)
 
@@ -243,7 +244,7 @@ class TestGrading:
             A = M.algebra()
             basis = M.enumerate_basis(bound=3).elements
             for m in all_monomials(M.graph, 2):
-                elt = A.monomial_element(m)  # one term, so homogeneous of degree m.degree
+                elt = monomial_element(A, m)  # one term, so homogeneous of degree m.degree
                 for b in basis:
                     out = M.act(elt, M.vector({b: 1}))
                     for b2 in out.terms:

@@ -26,6 +26,7 @@ from leavitt.textform import (
     parse_twist,
     parse_vector,
 )
+from strategies import path_element
 
 F2 = PrimeField(2)
 
@@ -60,7 +61,7 @@ class TestElements:
 
     def test_double_edge(self, r1):
         A = LeavittAlgebra(r1, QQ)
-        assert parse_element(A, "2 e.e") == A.path_element(r1.path(["e", "e"])).scale(2)
+        assert parse_element(A, "2 e.e") == path_element(A, r1.path(["e", "e"])).scale(2)
 
     def test_ghost_monomial(self, a2):
         A = LeavittAlgebra(a2, QQ)

@@ -16,6 +16,7 @@ from leavitt.reps import (
     ChenExtSpec,
     ChenModule,
     ChenSpec,
+    CosetBasis,
     InducedModule,
     InducedSpec,
     LaurentCoeff,
@@ -29,9 +30,8 @@ from leavitt.reps import (
     TrivialCoeff,
     build_module,
 )
-from strategies import small_graphs
+from strategies import monomial_element, small_graphs
 from leavitt.verify import (
-    _equivariance_counterexample,
     _generators_equivariant,
     OutOfWindowError,
     Window,
@@ -278,6 +278,10 @@ class TestTrivIso:
         assert by_name["phi-after-psi-is-identity"]
         assert not by_name["equivariance"]
         assert not cert.passed
+        # The generator f on the sink's basis element v@-1: f(f.d) = f but
+        # f.f(d) = 9 f.  A detail that followed set order would differ
+        # between hash seeds.
+        assert cert.counterexample == {"check": "equivariance", "detail": "eta=f on v@-1: f != 9 f"}
 
     def test_phi_scales_by_path_twist(self, a2):
         a = TwistVector.make(a2, QQ, {"f": 3})
@@ -401,36 +405,11 @@ class TestCertificateMemo:
         monkeypatch.undo()
         return result, len(calls)
 
-    def _tree_into_loop_scan(self, monkeypatch):
-        """The equivariance scan of that certificate, called directly: passing
-        certificates on exact windows no longer reach it."""
-        g = Graph(*tree_into_loop(3))
-        l = g.path(["l"])
-        modA = build_module(g, F2, InducedSpec(cycle_tail(g, l), self.TREE_COEFF))
-        modB = build_module(g, F2, ChenExtSpec.over(l, self.TREE_COEFF))
-        phi = functools.cache(boundary_iso_maps(modA, modB)[0])
-        elems = modA.enumerate_basis(4).elements
-        bad, calls = self._count_actions(monkeypatch, lambda: _equivariance_counterexample(modA, modB, phi, elems, 3))
-        assert bad is None
-        return len(all_monomials(g, 3)) * len(elems), calls
-
-    def test_pairs_both_sides_kill_are_skipped(self, monkeypatch):
-        pairs, calls = self._tree_into_loop_scan(monkeypatch)
-        assert 0 < calls < pairs / 3, calls
-
-    def test_ghost_parts_act_only_where_the_parent_left_elements_alive(self, monkeypatch):
-        # Testing the ghost part of every nu on every element makes 6,752
-        # calls here; testing nu'.e only where nu' left an element alive
-        # makes 4,232.
-        _, calls = self._tree_into_loop_scan(monkeypatch)
-        assert calls <= 4232, calls
-
     def test_generator_check_acts_only_through_the_support(self, monkeypatch):
         # Each of the 45 generators on each of the 30 elements, both sides,
         # would make 2,700 calls.  Through the supports of b and of f(b), 2
         # generators act on each leaf, 4 on each inner vertex and 5 on the
-        # loop, so the certificate makes 2 * 2 * (8 * 2 + 6 * 4 + 5) = 180;
-        # the scan above makes 4,232.
+        # loop, so the certificate makes 2 * 2 * (8 * 2 + 6 * 4 + 5) = 180.
         g = Graph(*tree_into_loop(3))
         cert, calls = self._count_actions(monkeypatch, lambda: verify_twist_iso(g, F2, g.path(["l"]), self.TREE_COEFF))
         assert cert.passed and cert.window["exact"]
@@ -440,7 +419,7 @@ class TestCertificateMemo:
         # nvc-iso at the loop of the same graph with verify_nvc_iso's
         # defaults: a window of 105 elements (bound 3, not exact) and
         # mono_len 2.  The generator check on the window's closure makes 804
-        # calls; the scan alone makes 6,937.
+        # calls.
         g = Graph(*tree_into_loop(3))
         cert, calls = self._count_actions(monkeypatch, lambda: verify_nvc_iso(g, F2, g.path(["l"])))
         assert cert.passed and cert.window == {"basis": 105, "mono_len": 2, "exact": False}
@@ -456,7 +435,7 @@ class TestCertificateMemo:
         modB = build_module(g, QQ, ChenSpec(cycle_tail(g, l), TwistVector.make(g, QQ, {"l": 3})))
         phi, psi = boundary_iso_maps(modA, modB)
         elems = modA.enumerate_basis(0).elements
-        assert len(elems) == 7 and _generators_equivariant(modA, modB, phi, elems, 0)
+        assert len(elems) == 7 and _generators_equivariant(modA, modB, phi, elems, 0) is None
         for b0 in elems:
             (b1,) = phi(b0).terms
 
@@ -466,17 +445,19 @@ class TestCertificateMemo:
             def psi_bad(b, b1=b1):
                 return psi(b).scale(QQ.inv(QQ.coerce(2))) if b == b1 else psi(b)
 
-            assert not _generators_equivariant(modA, modB, phi_bad, elems, 0), b0
+            assert _generators_equivariant(modA, modB, phi_bad, elems, 0) is not None, b0
             cert = check_module_iso("control", modA, modB, (phi_bad, psi_bad), 2, 2)
             assert [c["name"] for c in cert.checks if not c["passed"]] == ["equivariance"], b0
 
 
 def _all_pairs_counterexample(modA, modB, f, elems, mono_len):
-    """The equivariance scan without pruning: every monomial on every element."""
+    """The oracle for the equivariance check: every monomial with both path
+    lengths at most mono_len on every element, as a one-term algebra element
+    acting on a one-term vector."""
     F = modA.field
     algebra = modA.algebra()
     for m in all_monomials(modA.graph, mono_len):
-        eta = algebra.monomial_element(m)
+        eta = monomial_element(algebra, m)
         for b in elems:
             image = modA.act(eta, ModuleVector(F, {b: F.one()}))
             lhs = ModuleVector(F, linear_extend(F, lambda b2: f(b2).terms, image.terms))
@@ -486,31 +467,44 @@ def _all_pairs_counterexample(modA, modB, f, elems, mono_len):
     return None
 
 
+def _assert_counterexample(modA, modB, f, bad):
+    """Re-check a failure (g, d, f(g.d), g.f(d)) that the equivariance check
+    names, through ``Module.act`` on the algebra element g: both sides are
+    as named, and they differ."""
+    g, d, lhs, rhs = bad
+    F = modA.field
+    eta = modA.algebra().element({g: F.one()})
+    image = modA.act(eta, ModuleVector(F, {d: F.one()}))
+    assert ModuleVector(F, linear_extend(F, lambda b: f(b).terms, image.terms)) == lhs
+    assert modB.act(eta, f(d)) == rhs
+    assert lhs != rhs
+
+
 ORACLE_FIELDS = {"F2": (F2, "t^2+t+1"), "F3": (PrimeField(3), "t^2+1"), "Q": (QQ, "t^2-2")}
+ORACLE_MONO_LEN = 2  # what the builders below are given
 
 
 def _builder_scans(monkeypatch, g, F, modulus):
-    """(modA, modB, phi, elems, mono_len) of every equivariance scan that the
-    certificate builders, with the generator check off, and the Laurent probe
-    make on g over F, and of the drop_nu_inverse maps."""
+    """(modA, modB, phi, elems) of every equivariance check that the
+    certificate builders and the Laurent probe make on g over F, and of the
+    drop_nu_inverse maps."""
     scans = []
-    real = verify._equivariance_counterexample
-    monkeypatch.setattr(verify, "_equivariance_counterexample", lambda *args: scans.append(args) or real(*args))
-    # With the generator check off, every certificate reaches the scan.
-    monkeypatch.setattr(verify, "_generators_equivariant", lambda *args: False)
+    real = verify._generators_equivariant
+    monkeypatch.setattr(verify, "_generators_equivariant", lambda *args: scans.append(args[:4]) or real(*args))
     a = F.coerce(2) if not F.is_zero(F.coerce(2)) else F.one()
     f = parse_poly(modulus, F)
+    n = ORACLE_MONO_LEN
     for v in g.sinks:
         twist = TwistVector.make(g, F, {e.name: a for e in g.in_edges(v)})
         for p in enumerate_paths_ending_at(g, v, bound=1).paths:
             for corrupt in (False, True):
-                verify_triv_iso(g, F, sink_path(g, p), twist=twist, bound=2, mono_len=2, corrupt=corrupt)
+                verify_triv_iso(g, F, sink_path(g, p), twist=twist, bound=2, mono_len=n, corrupt=corrupt)
     for c in elementary_cycles(g):
-        verify_twist_iso(g, F, c, ScalarAction(a), bound=2, mono_len=2)
-        verify_twist_iso(g, F, c, QuotientCoeff(f), bound=2, mono_len=2)
-        simplicity_probe(g, F, InducedSpec(cycle_tail(g, c), LaurentCoeff(0)), bound=2, mono_len=2)
+        verify_twist_iso(g, F, c, ScalarAction(a), bound=2, mono_len=n)
+        verify_twist_iso(g, F, c, QuotientCoeff(f), bound=2, mono_len=n)
+        simplicity_probe(g, F, InducedSpec(cycle_tail(g, c), LaurentCoeff(0)), bound=2, mono_len=n)
         try:
-            verify_nvc_iso(g, F, c, bound=2, mono_len=2)
+            verify_nvc_iso(g, F, c, bound=2, mono_len=n)
         except ModuleSpecError:
             pass  # the cycle has an exit
     monkeypatch.undo()
@@ -518,7 +512,7 @@ def _builder_scans(monkeypatch, g, F, modulus):
         modA = build_module(g, F, InducedSpec(cycle_tail(g, c), QuotientCoeff(f)))
         modB = build_module(g, F, ChenExtSpec(c, f))
         phi, _ = boundary_iso_maps(modA, modB, drop_nu_inverse=True)
-        scans.append((modA, modB, phi, modA.enumerate_basis(2).elements, 2))
+        scans.append((modA, modB, phi, modA.enumerate_basis(2).elements))
     return scans
 
 
@@ -541,7 +535,7 @@ def _wrong_maps(modA, modB, phi, elems, mono_len):
             out.append((changed(b0, phi(elems[k - 1])), False))
     graph, algebra = modA.graph, modA.algebra()
     for nu in dict.fromkeys(m.nu for m in all_monomials(graph, mono_len)):
-        ghost = algebra.monomial_element(monomial(graph.vertex_path(nu.rng), nu))
+        ghost = monomial_element(algebra, monomial(graph.vertex_path(nu.rng), nu))
         killed = [b for b in elems if modA.act(ghost, ModuleVector(F, {b: F.one()})).is_zero]
         alive = [b for b in elems if not modB.act(ghost, phi(b)).is_zero]
         if killed and alive:
@@ -561,12 +555,12 @@ def _inverse_map(modA, modB):
     return boundary_iso_maps(modA, modB)[1]
 
 
-def test_builders_reach_the_scan_with_the_generator_check_off(monkeypatch):
+def test_builders_reach_the_equivariance_check(monkeypatch):
     # One entry per triv-iso certificate, plain and corrupted; per
     # elementary cycle, one per twist-iso certificate (scalar and quotient
     # field), one for the Laurent probe, one for nvc-iso when the cycle has
     # no exit and one for the drop_nu_inverse maps.  A new way around the
-    # scan that the patch missed would shrink the corpus with every test
+    # check that the patch missed would shrink the corpus with every test
     # still passing.
     count = 0
     for graph_name in sorted(FIXTURE_GRAPHS):
@@ -576,38 +570,33 @@ def test_builders_reach_the_scan_with_the_generator_check_off(monkeypatch):
 
 
 class TestEquivarianceScanAgainstAllPairs:
-    """The pruned equivariance scan returns what the all-pairs scan returns:
-    None, or the identical (monomial, element, lhs, rhs).  The generator
-    check passes on an exact window exactly when the all-pairs scan finds
-    nothing, and on an inexact one only when it finds nothing; so the
-    equivariance check returns what the all-pairs scan returns, and the
-    certificate is the one the scan alone gives."""
+    """The equivariance check fails exactly when the all-pairs scan finds a
+    counterexample, on exact and inexact windows, for the builders' maps and
+    for maps made wrong on one element; every failure it names is re-checked
+    through ``Module.act``, and the certificate records its verdict."""
 
     @pytest.mark.parametrize("field_name", sorted(ORACLE_FIELDS))
     @pytest.mark.parametrize("graph_name", sorted(FIXTURE_GRAPHS))
     def test_builder_and_wrong_maps(self, monkeypatch, graph_name, field_name):
         g = Graph(*FIXTURE_GRAPHS[graph_name])
         F, modulus = ORACLE_FIELDS[field_name]
-        for modA, modB, phi, elems, mono_len in _builder_scans(monkeypatch, g, F, modulus):
+        n = ORACLE_MONO_LEN
+        for modA, modB, phi, elems in _builder_scans(monkeypatch, g, F, modulus):
             enum = modA.enumerate_basis(2)
             assert enum.elements == elems
             psi = _inverse_map(modA, modB)
-            for f, must_fail in [(phi, False), *_wrong_maps(modA, modB, phi, elems, mono_len)]:
+            for f, must_fail in [(phi, False), *_wrong_maps(modA, modB, phi, elems, n)]:
                 f = functools.cache(f)
-                expected = _all_pairs_counterexample(modA, modB, f, elems, mono_len)
-                assert _equivariance_counterexample(modA, modB, f, elems, mono_len) == expected
+                expected = _all_pairs_counterexample(modA, modB, f, elems, n)
                 assert expected is not None or not must_fail
-                proved = _generators_equivariant(modA, modB, f, elems, 0 if enum.exact else mono_len)
-                if enum.exact:
-                    assert proved == (expected is None)
-                else:
-                    assert expected is None or not proved
-                assert verify._equivariance_check(modA, modB, f, enum, mono_len) == expected
+                bad = _generators_equivariant(modA, modB, f, elems, 0 if enum.exact else n)
+                assert (bad is None) == (expected is None)
+                if bad is not None:
+                    _assert_counterexample(modA, modB, f, bad)
                 if psi is not None:
-                    cert = check_module_iso("oracle", modA, modB, (f, psi), 2, mono_len)
-                    with monkeypatch.context() as m:
-                        m.setattr(verify, "_generators_equivariant", lambda *args: False)
-                        assert check_module_iso("oracle", modA, modB, (f, psi), 2, mono_len) == cert
+                    cert = check_module_iso("oracle", modA, modB, (f, psi), 2, n)
+                    (check,) = [c for c in cert.checks if c["name"] == "equivariance"]
+                    assert check["passed"] == (bad is None)
 
 
 def _closure_by_words(g, module, elems, mono_len: int) -> dict:
@@ -657,11 +646,31 @@ def test_closure_check_passes_only_when_the_all_pairs_scan_does(graph_name):
         modA = build_module(g, QQ, InducedSpec(modB.tail, LaurentCoeff(0)))
         phi = nvc_iso_maps(modA, modB)[0]
         elems = modA.enumerate_basis(2).elements
-        assert _generators_equivariant(modA, modB, phi, elems, 2)
+        assert _generators_equivariant(modA, modB, phi, elems, 2) is None
         for b0 in _closure_by_words(g, modA, elems, 2):
             f = functools.cache(lambda b, b0=b0: phi(b).scale(2) if b == b0 else phi(b))
-            if _generators_equivariant(modA, modB, f, elems, 2):
+            if _generators_equivariant(modA, modB, f, elems, 2) is None:
                 assert _all_pairs_counterexample(modA, modB, f, elems, 2) is None, (c, b0)
+
+
+def test_closure_mutation_outside_the_window_names_its_counterexample(r1):
+    """nvc-iso's phi doubled on (e)^inf@-5, outside the window (bound 2) but
+    one ghost step from the closure (mono_len 2): no monomial of the window
+    claim sees it, yet f is not a module map, and the certificate names the
+    ghost e* on (e)^inf@-4, an element of the closure."""
+    modB = build_module(r1, QQ, NvcSpec(r1.path(["e"])))
+    modA = build_module(r1, QQ, InducedSpec(modB.tail, LaurentCoeff(0)))
+    phi, psi = nvc_iso_maps(modA, modB)
+    b0 = CosetBasis(modB.tail, -5)
+    elems = modA.enumerate_basis(2).elements
+    assert b0 not in elems
+    f = functools.cache(lambda b: phi(b).scale(2) if b == b0 else phi(b))
+    assert _all_pairs_counterexample(modA, modB, f, elems, 2) is None
+    _assert_counterexample(modA, modB, f, _generators_equivariant(modA, modB, f, elems, 2))
+    cert = check_module_iso("closure mutation", modA, modB, (f, psi), 2, 2)
+    assert [c["name"] for c in cert.checks if not c["passed"]] == ["equivariance"]
+    detail = "eta=v e^ on (e)^inf@-4: 2 v e.e.e.e.e^ != v e.e.e.e.e^"
+    assert cert.counterexample == {"check": "equivariance", "detail": detail}
 
 
 PROOF_FIELDS = [(QQ, "t^2-2"), (PrimeField(3), "t^2+1")]
@@ -946,6 +955,14 @@ class TestSimplicityProbe:
         res = simplicity_probe(r1, QQ, InducedSpec(x, LaurentCoeff(0)))
         assert res.verdict == "graded-simple-not-simple"
         assert "(e)^inf@1" in res.witness["kernel_vector"]
+
+    @pytest.mark.parametrize("bound,mono_len", [(-1, 2), (4, -1)])
+    def test_negative_sizes_rejected(self, r1, bound, mono_len):
+        # As in check_module_iso; the Laurent probe once read bound -1 as an
+        # empty window and mono_len -1 as a closure that checks nothing.
+        x = lasso(r1, r1.vertex_path("v"), ["e"])
+        with pytest.raises(ModuleSpecError, match="nonnegative"):
+            simplicity_probe(r1, QQ, InducedSpec(x, LaurentCoeff(0)), bound=bound, mono_len=mono_len)
 
     def test_infinite_chen_inconclusive(self, toeplitz):
         res = simplicity_probe(toeplitz, QQ, ChenSpec(sink_path(toeplitz, toeplitz.vertex_path("v"))))
