@@ -11,7 +11,9 @@ There is one exact elimination: ``echelon_step`` reduces one sparse row
 against a dict of pivot rows, and ``row_reduce`` brings a stream of sparse
 rows to the reduced row echelon form, which is unique, so subspace equality
 is a plain comparison.  ``nullspace``, the restriction and the submodule
-spin in ``leavitt.verify`` are built on them.
+spin in ``leavitt.verify`` are built on them; the spin stops
+``echelon_step`` at its tag columns, which carry each row's coordinates in
+the spin vectors.
 
 A dense matrix is a list of rows.  ``rref``, ``coordinates``, ``mat_vec``
 and ``mat_mul`` work on that form; no library code calls them.  They are
@@ -99,16 +101,20 @@ def linear_extend(field: Field, f, vec: dict) -> dict:
     return out
 
 
-def echelon_step(field: Field, pivots: dict[int, dict], row: dict) -> int | None:
+def echelon_step(field: Field, pivots: dict[int, dict], row: dict, stop: int | None = None) -> int | None:
     """One step of sparse Gaussian elimination.
 
     ``pivots`` maps each pivot index to its row: a sparse row whose least
     index is that pivot, with value one there.  ``row`` is reduced in place
     at its least index until that index is no pivot; a nonzero remainder is
     scaled to one there, added to ``pivots``, and its pivot index returned.
-    A row that reduces to zero returns None."""
+    A row that reduces to zero returns None.  With ``stop``, the indices
+    from ``stop`` on are never pivots: a row whose least index reaches
+    ``stop`` also returns None, and is left holding that remainder."""
     while row:
         lead = min(row)
+        if stop is not None and lead >= stop:
+            return None
         pivot = pivots.get(lead)
         if pivot is None:
             inv = field.inv(row[lead])

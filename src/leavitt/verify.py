@@ -11,6 +11,16 @@ monomials (the window itself when it is the whole basis): a pass is a
 proof for those monomials, and a failure names a generator and a basis
 element where the map is not a module map.
 
+A full window also keeps its generator actions indexed by the support
+(``Window.actions``): for each basis element, the nonzero columns of the
+generators that can act on it, without the vertex idempotents that are
+sums and products of edges and ghosts (``spin_generators``).  The one spin
+(``_spin``) multiplies each new vector through that index alone and
+records how each spin vector arose and the coordinates of each image that
+was already spanned.  The simplicity probe reads its dimension, and Hom is
+solved by spinning (``intertwiner_space``): the unknowns are the values of
+a map at the seeds, and the spin's relations are its equations.
+
 Induced at a non-rational base with trivial coefficients, or at a cycle
 tail with a scalar action or with K[t]/(f), the induced module is the
 (twisted or scalar-extended) boundary-path module under one map,
@@ -109,21 +119,46 @@ class Window:
     def dim(self) -> int:
         return len(self.elements)
 
+    def _column(self, mono: Monomial, b) -> dict:
+        """``module.act_monomial_basis`` of mono on b, keyed by window index."""
+        col = {}
+        for b2, c in self.module.act_monomial_basis(mono, b).items():
+            i = self.index.get(b2)
+            if i is None:
+                raise OutOfWindowError(f"action of {mono} leaves the window at {b2}")
+            col[i] = c
+        return col
+
     def matrix_of(self, mono: Monomial) -> list[dict]:
         """The matrix of the monomial ``mono`` as sparse columns: column j is
         ``module.act_monomial_basis`` on basis element j, as a {row:
         coefficient} dict."""
-        act = self.module.act_monomial_basis
-        cols = []
+        return [self._column(mono, b) for b in self.elements]
+
+    @functools.cached_property
+    def actions(self) -> list[dict[int, dict]]:
+        """The spin's generators on the window, indexed by the support: entry
+        j is {k: column j of the matrix of spin_generators(graph)[k]} over
+        the k whose column j is nonzero.
+
+        Only the generators in ``generator_support`` of basis element j are
+        tried, about 3 of the 3.V generators, and the rest act on it by zero
+        (the proof is in ``generator_support``).  Built once per window, on
+        first use."""
+        graph = self.module.graph
+        position = {g: k for k, g in enumerate(spin_generators(graph))}
+        support = generator_support(graph)
+        out = []
         for b in self.elements:
-            col = {}
-            for b2, c in act(mono, b).items():
-                i = self.index.get(b2)
-                if i is None:
-                    raise OutOfWindowError(f"action of {mono} leaves the window at {b2}")
-                col[i] = c
-            cols.append(col)
-        return cols
+            cols = {}
+            for g in support(b):
+                k = position.get(g)
+                if k is not None:
+                    col = self._column(g, b)
+                    if col:
+                        cols[k] = col
+            out.append(cols)
+        return out
 
     def degrees(self) -> list[int]:
         return [self.module.grade(b) for b in self.elements]
@@ -136,6 +171,23 @@ def generators(graph: Graph) -> list[Monomial]:
         path, rng = graph.path([e.name]), graph.vertex_path(e.rng)
         out += [Monomial(path, rng), Monomial(rng, path)]
     return out
+
+
+def spin_generators(graph: Graph) -> list[Monomial]:
+    """The generators that spins and Hom act with, in ``generators`` order:
+    the idempotent of each isolated vertex, then the edges and ghost edges.
+
+    Proof that a subspace closed under these is closed under every vertex
+    idempotent, and that a linear map commuting with these commutes with
+    every vertex idempotent: a vertex v with an out-edge is regular (the
+    graph is finite), so v = sum over s(e) = v of s_e s_e* (CK2); a sink w
+    with an in-edge e is s_e* s_e (CK1).  Both are products and sums of
+    edges and ghosts, and every module here is an L_K(E)-module, so v acts
+    by the same products and sums.  Only a vertex with no edge at all keeps
+    its idempotent.  Certificates and the equivariance check keep every
+    generator."""
+    isolated = {v for v in graph.vertices if not (graph.out_edges(v) or graph.in_edges(v))}
+    return [g for g in generators(graph) if g.mu.edges or g.nu.edges or g.mu.src in isolated]
 
 
 def generator_support(graph: Graph):
@@ -273,58 +325,191 @@ def restrict(module: Module, x: BoundaryPath, cap: int = RESTRICTION_CAP) -> Res
 
 
 # ---------------------------------------------------------------------------
-# Intertwiner spaces
+# The spin and intertwiner spaces
+
+
+class Spin(NamedTuple):
+    """The record of a spin (``_spin``) on a window of dimension n.
+
+    ``steps[t]`` says where the spin vector v_t came from: (k, g) when
+    v_t = g.v_k for the spin generator of index g (``Window.actions``), or
+    (None, j) when v_t is the seed e_j.  ``images[k]`` holds, for each
+    generator g acting nonzero on some term of v_k, either the index t of
+    the new vector v_t = g.v_k or the coordinates {t: c} with
+    g.v_k = sum of c.v_t over earlier spin vectors ({} when g.v_k = 0).
+    ``pivots`` is the echelon form of the spin vectors: each row holds a
+    vector at the window's indices below n and, at n + t, its coordinates
+    in the spin vectors v_t (the tag columns)."""
+
+    steps: list
+    images: list
+    pivots: dict
+
+    __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
+
+
+def _spin(window: Window, seeds) -> Spin:
+    """Spin each seed index not yet spanned, in the order given, under the
+    spin generators (Parker's spin, indexed by the support).
+
+    Each spin vector v_k is multiplied once through ``window.actions`` at
+    its terms alone, so only the generators that act nonzero on one of
+    them are applied.  An image is reduced against the echelon form with a
+    tag column n + t for its own index: it reduces either to a new pivot,
+    when v_t is a new spin vector, or into the tags, which then read its
+    coordinates in the earlier spin vectors (``echelon_step`` stops at the
+    first tag).  Each row's vector is the combination of spin vectors its
+    tags read, since that holds for each row added and is kept by every
+    reduction step.  When no spin vector is left unmultiplied, the spin
+    vectors are a basis of the subspace that holds the seeds and that every
+    spin generator, hence every generator (``spin_generators``), maps into
+    itself: the submodule the seeds generate."""
+    F = window.module.field
+    n, actions = window.dim, window.actions
+    one = F.one()
+    pivots: dict[int, dict] = {}
+    steps: list = []
+    images: list[dict] = []
+    vectors: list[dict] = []  # v_t, unreduced
+
+    def add(vec: dict, step):
+        t = len(steps)
+        row = dict(vec)
+        row[n + t] = one
+        if echelon_step(F, pivots, row, n) is None:
+            return {s - n: F.neg(c) for s, c in row.items() if s != n + t}
+        steps.append(step)
+        images.append({})
+        vectors.append(vec)
+        return t
+
+    for j in seeds:
+        made = add({j: one}, (None, j))
+        todo = [] if isinstance(made, dict) else [made]
+        while todo:
+            k = todo.pop()
+            acted: dict[int, dict] = {}
+            for i, c in vectors[k].items():
+                for g, col in actions[i].items():
+                    add_scaled(F, acted.setdefault(g, {}), c, col)
+            for g, image in acted.items():
+                made = add(image, (k, g))
+                images[k][g] = made
+                if not isinstance(made, dict):
+                    todo.append(made)
+    return Spin(steps, images, pivots)
 
 
 def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: int = 0) -> list[list[list]]:
     """Basis of Hom(A, B) as matrices (graded mode: maps of the given degree)
-    between finite-dimensional modules over one graph and one field.
+    between finite-dimensional modules over one graph and one field, by
+    spinning (Schneider, J. Symbolic Comput. 9, 1990).
 
-    The unknowns are the entries T[i][j] allowed by the degree.  Each
-    equation (T.g_A - g_B.T)[i][j] = 0, for a generator g, is built as a
-    sparse row from the sparse columns of g_A and the sparse rows of g_B,
-    and ``nullspace`` eliminates it as it arrives."""
+    A is spun (``_spin``) from its basis vectors, each taken as a seed when
+    not yet spanned, in index order.  The unknowns are the coordinates of
+    T(seed) in B, in graded mode only at the rows of degree deg(seed) +
+    ``degree``; so a cyclic A has dim B unknowns at most.  Each spin step
+    v_t = g.v_k defines T(v_t) = g_B.T(v_k), a B-vector of linear forms in
+    the unknowns.  The equations are g_B.T(v_k) = sum of c.T(v_t) for each
+    recorded image g.v_k = sum of c.v_t, and g_B.T(v_k) = 0 for each
+    generator g with g.v_k = 0 that acts nonzero on a term of T(v_k).
+    ``nullspace`` solves them, and each solution is taken back to A's basis
+    through the coordinates of each e_j in the spin vectors (the back-
+    substituted tag columns).
+
+    Proof that the solutions are exactly the module maps of that degree:
+    the spin vectors are linearly independent and span A (every basis
+    vector was a seed or spanned), so the values T(v_t) fix one linear map
+    T, homogeneous of the degree when every T(v_t) is, as the graded
+    unknowns make it.  T is a module map iff T(g.v_k) = g_B.T(v_k) for
+    every spin generator g and spin vector v_k, because the spin
+    generators generate the action (``spin_generators``) and the v_k span
+    A.  For each pair, either g.v_k is the spin vector v_t, where the
+    identity holds by the definition of T(v_t), or it is a recorded image,
+    where it is the equation, or g.v_k = 0 with g acting by zero on every
+    term of v_k, where it is the equation g_B.T(v_k) = 0, trivial unless g
+    acts nonzero on a term of T(v_k).
+
+    The basis is in reverse reduced echelon form over the entries T[i][j]
+    in row-major order: each map is one at its last nonzero entry and zero
+    at the last nonzero entries of the others, and the maps come in the
+    order of those entries.  It depends only on the space of maps, and it
+    is the basis that a nullspace over the unknowns T[i][j] gives."""
     if modA.field != modB.field:
         raise ModuleSpecError("modules live over different fields")
     if (modA.graph.vertices, modA.graph.edges) != (modB.graph.vertices, modB.graph.edges):
         raise ModuleSpecError("modules live over different graphs")
     F = modA.field
-    winA, winB = Window.full(modA), Window.full(modB)
+    winA = Window.full(modA)
+    winB = winA if modB is modA else Window.full(modB)
     nA, nB = winA.dim, winB.dim
-    if graded:
-        degsA, degsB = winA.degrees(), winB.degrees()
-        allowed = [
-            (i, j) for i in range(nB) for j in range(nA) if degsB[i] == degsA[j] + degree
-        ]
-    else:
-        allowed = [(i, j) for i in range(nB) for j in range(nA)]
-    if not allowed:
-        return []
-    col_of = {pair: idx for idx, pair in enumerate(allowed)}
-    gens = generators(modA.graph)
-    matsA = [winA.matrix_of(g) for g in gens]
-    matsB = [winB.matrix_of(g) for g in gens]
-    minus_one = F.neg(F.one())
+    degsA, degsB = (winA.degrees(), winB.degrees()) if graded else (None, None)
+    spin = _spin(winA, range(nA))
+    one = F.one()
+    actionsB = winB.actions
+    empty: dict = {}
+
+    def act_forms(g: int, forms: dict) -> dict:
+        """g_B on a B-vector of linear forms, kept as {unknown: B-vector}."""
+        out = {}
+        for u, vec in forms.items():
+            image = linear_extend(F, lambda i: actionsB[i].get(g, empty), vec)
+            if image:
+                out[u] = image
+        return out
+
+    values: list[dict] = []  # T(v_t) as {unknown: B-vector}
+    unknowns = 0
+    for k, g in spin.steps:
+        if k is None:
+            rows = range(nB) if not graded else [i for i in range(nB) if degsB[i] == degsA[g] + degree]
+            values.append({unknowns + s: {i: one} for s, i in enumerate(rows)})
+            unknowns += len(rows)
+        else:
+            values.append(act_forms(g, values[k]))
 
     def equations():
-        for colsA, colsB in zip(matsA, matsB):
-            rowsB = [{} for _ in range(nB)]  # the sparse rows of g_B
-            for k, col in enumerate(colsB):
-                for i, c in col.items():
-                    rowsB[i][k] = c
-            for i in range(nB):
-                for j in range(nA):
-                    # T[i,k] * gA[k,j] - gB[i,k] * T[k,j], summed over k
-                    row = {col_of[i, k]: a for k, a in colsA[j].items() if (i, k) in col_of}
-                    add_scaled(F, row, minus_one, {col_of[k, j]: b for k, b in rowsB[i].items() if (k, j) in col_of})
-                    if row:
-                        yield row
+        for k, forms in enumerate(values):
+            imagesA = spin.images[k]
+            acting = {g: None for vec in forms.values() for i in vec for g in actionsB[i]}
+            for g in dict.fromkeys([*imagesA, *acting]):
+                made = imagesA.get(g, empty)
+                if not isinstance(made, dict):
+                    continue  # g.v_k is a spin vector: T(g.v_k) is defined as g_B.T(v_k)
+                eq = act_forms(g, forms)
+                for t, c in made.items():
+                    minus_c = F.neg(c)
+                    for u, vec in values[t].items():
+                        add_scaled(F, eq.setdefault(u, {}), minus_c, vec)
+                rows: dict[int, dict] = {}
+                for u, vec in eq.items():
+                    for i, c in vec.items():
+                        rows.setdefault(i, {})[u] = c
+                yield from rows.values()
 
+    solutions = nullspace(F, equations(), unknowns)
+    if not solutions:
+        return []
+    # Back-substituted, the echelon row at j is e_j there, so its tag
+    # columns read e_j in the spin vectors.
+    echelon = row_reduce(F, spin.pivots.values())
+    in_spin = [{t - nA: c for t, c in echelon[j].items() if t >= nA} for j in range(nA)]
+    last = nA * nB - 1  # T[i][j] is keyed last - (i.nA + j), so the least key is the last entry
+    maps = []
+    for y in solutions:
+        at = [linear_extend(F, forms.__getitem__, {u: y[u] for u in forms if not F.is_zero(y[u])}) for forms in values]
+        row = {}
+        for j in range(nA):
+            for i, c in linear_extend(F, at.__getitem__, in_spin[j]).items():
+                row[last - (i * nA + j)] = c
+        maps.append(row)
+    reduced = row_reduce(F, maps)
     out = []
-    for vec in nullspace(F, equations(), len(allowed)):
+    for key in sorted(reduced, reverse=True):
         T = [[F.zero()] * nA for _ in range(nB)]
-        for idx, (i, j) in enumerate(allowed):
-            T[i][j] = vec[idx]
+        for k, c in reduced[key].items():
+            i, j = divmod(last - k, nA)
+            T[i][j] = c
         out.append(T)
     return out
 
@@ -811,33 +996,14 @@ class ProbeResult(NamedTuple):
     __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
-def _spin(field: Field, mats: list[list[dict]], seed: dict) -> int:
-    """Dimension of the submodule that the sparse vector ``seed`` generates
-    under the sparse matrices ``mats`` (Parker's spin).
-
-    Each vector added to the echelon basis is multiplied by every matrix
-    once, and each image is reduced against the basis by ``echelon_step``;
-    when no added vector is left unmultiplied, the basis spans a subspace
-    that contains the seed and that every matrix maps into itself."""
-    pivots: dict[int, dict] = {}
-    lead = echelon_step(field, pivots, dict(seed))
-    todo = [] if lead is None else [lead]
-    while todo:
-        w = pivots[todo.pop()]
-        for m in mats:
-            lead = echelon_step(field, pivots, linear_extend(field, m.__getitem__, w))
-            if lead is not None:
-                todo.append(lead)
-    return len(pivots)
-
-
 def simplicity_probe(graph, field: Field, spec: ModuleSpec, bound: int = 4, mono_len: int = 2) -> ProbeResult:
     """Simplicity evidence.
 
     Finite-dimensional modules: checks that every basis-coordinate seed
-    generates the whole module.  Each seed is spun under the sparse
-    generator matrices, so each generator acts once on each new basis
-    vector.  Induced modules with Laurent coefficients: certifies
+    generates the whole module.  Each seed is spun alone (``_spin``), on
+    one support-indexed window shared by every seed, so only the
+    generators that act nonzero on a term of a new spin vector act on it.
+    Induced modules with Laurent coefficients: certifies
     graded-simple-but-not-simple by exhibiting an equivariant surjection
     onto the untwisted boundary-path module with a nonzero in-window kernel
     vector.  Anything else is inconclusive.
@@ -850,9 +1016,8 @@ def simplicity_probe(graph, field: Field, spec: ModuleSpec, bound: int = 4, mono
     if not enum.exact:
         return ProbeResult("inconclusive", {"reason": "infinite-dimensional without a certified witness"})
     window = Window(module, enum.elements)
-    mats = [window.matrix_of(g) for g in generators(graph)]
     for seed in range(window.dim):
-        span = _spin(field, mats, {seed: field.one()})
+        span = len(_spin(window, [seed]).steps)
         if span != window.dim:
             return ProbeResult(
                 "not-simple",

@@ -1,22 +1,28 @@
-"""The sparse spin, the sparse Hom equations, the sparse restriction and the
+"""The support-indexed spin, Hom by spinning, the sparse restriction and the
 pruned dimension oracle against the code they replaced.
 
 The oracles below are the dense window matrices (``Module.act`` of the
 generators as algebra elements on each basis element, written into a list
 of rows), the dense cyclic span (apply every generator to the whole echelon
-basis, then ``rref``, until the rank stops growing), the dense equation
-builder for T.g_A = g_B.T solved by ``rref``, and the dense restriction
-(the column space of each cylinder idempotent by ``rref``, the isotropy
-generator's coordinates by ``coordinates``, and f(M) by matrix powers).
-They run on random small finite-dimensional modules: sink modules, twisted
-boundary-path modules at cycles, scalar extensions, and induced modules
-with scalar-action and quotient coefficients, plus a direct sum, which is
-not simple and maps onto its summands.  The cycle count of
-``classify.dimension_oracle`` is checked against the walk from every vertex
-over every path up to |V| + |c| + 1 edges, on random small graphs.  Johnson's
-``elementary_cycles`` and the witness search ``graphs._entwined_pair`` are
-checked against the elementary Lyndon-word walk from every vertex that
-listed the cycles before them, and the witness read off its full list.
+basis, then ``rref``, until the rank stops growing), two Hom solvers with
+one unknown per entry T[i][j] of a map (the dense equation builder for
+T.g_A = g_B.T solved by ``rref``, and the sparse equation rows that
+``verify.intertwiner_space`` eliminated before it solved by spinning), and
+the dense restriction (the column space of each cylinder idempotent by
+``rref``, the isotropy generator's coordinates by ``coordinates``, and f(M)
+by matrix powers).  Each spin's record (its steps, its images and the
+coordinates in its tag columns) is checked against the spin vectors that
+the window's matrices rebuild from its steps.  They run on random small
+finite-dimensional modules: sink modules, twisted boundary-path modules at
+cycles, scalar extensions, and induced modules with scalar-action and
+quotient coefficients, plus a direct sum, which is not simple and maps onto
+its summands; Hom also on the fixture graphs and at dimension 30.  The
+cycle count of ``classify.dimension_oracle`` is checked against the walk
+from every vertex over every path up to |V| + |c| + 1 edges, on random small
+graphs.  Johnson's ``elementary_cycles`` and the witness search
+``graphs._entwined_pair`` are checked against the elementary Lyndon-word
+walk from every vertex that listed the cycles before them, and the witness
+read off its full list.
 """
 
 import random
@@ -24,6 +30,8 @@ from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
+
+from fixture_graphs import FIXTURE_GRAPHS, tree_into_loop
 
 from leavitt import verify
 from leavitt.algebra import TwistVector, monomial
@@ -48,7 +56,7 @@ from leavitt.graphs import (
     tail_lags,
 )
 from leavitt.groupoid import orbit, orbit_size
-from leavitt.linalg import coordinates, identity, mat_mul, mat_vec, rref
+from leavitt.linalg import add_scaled, coordinates, identity, linear_extend, mat_mul, mat_vec, nullspace, rref
 from leavitt.reps import (
     BasisEnumeration,
     ChenBasis,
@@ -170,6 +178,51 @@ def dense_intertwiner_space(modA, modB, graded=False, degree=0) -> list[list[lis
     return out
 
 
+def equation_intertwiner_space(modA, modB, graded=False, degree=0) -> list[list[list]]:
+    """Hom(A, B) with one unknown per entry T[i][j] allowed by the degree.
+    Each equation (T.g_A - g_B.T)[i][j] = 0, for a generator g, is built as
+    a sparse row from the sparse columns of g_A and the sparse rows of g_B,
+    and ``nullspace`` eliminates it as it arrives: the library's Hom before
+    it solved by spinning, with dim A . dim B unknowns."""
+    F = modA.field
+    winA, winB = Window.full(modA), Window.full(modB)
+    nA, nB = winA.dim, winB.dim
+    if graded:
+        degsA, degsB = winA.degrees(), winB.degrees()
+        allowed = [(i, j) for i in range(nB) for j in range(nA) if degsB[i] == degsA[j] + degree]
+    else:
+        allowed = [(i, j) for i in range(nB) for j in range(nA)]
+    if not allowed:
+        return []
+    col_of = {pair: idx for idx, pair in enumerate(allowed)}
+    gens = generators(modA.graph)
+    matsA = [winA.matrix_of(g) for g in gens]
+    matsB = [winB.matrix_of(g) for g in gens]
+    minus_one = F.neg(F.one())
+
+    def equations():
+        for colsA, colsB in zip(matsA, matsB):
+            rowsB = [{} for _ in range(nB)]  # the sparse rows of g_B
+            for k, col in enumerate(colsB):
+                for i, c in col.items():
+                    rowsB[i][k] = c
+            for i in range(nB):
+                for j in range(nA):
+                    # T[i,k] * gA[k,j] - gB[i,k] * T[k,j], summed over k
+                    row = {col_of[i, k]: a for k, a in colsA[j].items() if (i, k) in col_of}
+                    add_scaled(F, row, minus_one, {col_of[k, j]: b for k, b in rowsB[i].items() if (k, j) in col_of})
+                    if row:
+                        yield row
+
+    out = []
+    for vec in nullspace(F, equations(), len(allowed)):
+        T = [[F.zero()] * nA for _ in range(nB)]
+        for idx, (i, j) in enumerate(allowed):
+            T[i][j] = vec[idx]
+        out.append(T)
+    return out
+
+
 def dense(F, cols: list[dict], nrows: int) -> list[list]:
     """The dense matrix (a list of rows) whose columns are the sparse ``cols``."""
     out = [[F.zero()] * len(cols) for _ in range(nrows)]
@@ -261,6 +314,12 @@ class Summand:
 
     def __str__(self) -> str:
         return f"{self.index}:{self.b}"
+
+    @property
+    def path(self):
+        """The summand element's boundary path, which ``generator_support``
+        reads: M (+) N acts on each summand as that summand does."""
+        return self.b.path
 
     def sort_key(self):
         return (self.index, self.b.sort_key())
@@ -405,6 +464,33 @@ def _samples(field_name: str, count: int):
     return found
 
 
+def _assert_spin_record(window: Window, spin: verify.Spin):
+    """The spin's record against the spin vectors that the window's matrices
+    rebuild from its steps: every image of a spin vector under a spin
+    generator is the recorded new vector, the recorded combination of
+    earlier ones, or zero where none is recorded; and each echelon row's
+    vector is the combination of spin vectors that its tag columns read."""
+    F, n = window.module.field, window.dim
+    mats = [window.matrix_of(g) for g in verify.spin_generators(window.module.graph)]
+    vectors = []
+    for k, g in spin.steps:
+        vectors.append({g: F.one()} if k is None else linear_extend(F, mats[g].__getitem__, vectors[k]))
+    for k, v in enumerate(vectors):
+        for g, mat in enumerate(mats):
+            image = linear_extend(F, mat.__getitem__, v)
+            made = spin.images[k].get(g)
+            if made is None:
+                assert image == {}, (k, g)
+            elif isinstance(made, int):
+                assert spin.steps[made] == (k, g) and vectors[made] == image
+            else:
+                assert max(made, default=-1) < len(vectors) and image == linear_extend(F, vectors.__getitem__, made)
+    assert len(spin.pivots) == len(vectors)
+    for row in spin.pivots.values():
+        tags = {i - n: c for i, c in row.items() if i >= n}
+        assert {i: c for i, c in row.items() if i < n} == linear_extend(F, vectors.__getitem__, tags)
+
+
 def _assert_spin_matches(module: Module):
     window = Window.full(module)
     F = module.field
@@ -414,9 +500,22 @@ def _assert_spin_matches(module: Module):
     dense = [dense_matrix_of(window, g) for g in elts]
     for s, d in zip(sparse, dense):
         assert [{i: c for i, c in enumerate(col) if not F.is_zero(c)} for col in zip(*d)] == s
-    dims = [verify._spin(F, sparse, {seed: F.one()}) for seed in range(window.dim)]
+    spins = [verify._spin(window, [seed]) for seed in range(window.dim)]
+    for spin in spins + [verify._spin(window, range(window.dim))]:
+        _assert_spin_record(window, spin)
+    dims = [len(spin.steps) for spin in spins]
     assert dims == [dense_cyclic_span(F, dense, window.dim, seed) for seed in range(window.dim)]
     return dims
+
+
+def _assert_hom_matches(A, B, graded=False, degree=0, dense=True):
+    """Hom by spinning equals the sparse equation oracle, and the dense one
+    unless ``dense`` is False."""
+    got = intertwiner_space(A, B, graded=graded, degree=degree)
+    assert got == equation_intertwiner_space(A, B, graded=graded, degree=degree)
+    if dense:
+        assert got == dense_intertwiner_space(A, B, graded=graded, degree=degree)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +538,86 @@ def test_hom_matches_dense_equations(field_name):
     for g, F, mods in _samples(field_name, 3):
         pairs = [(A, B) for A in mods for B in mods]
         for A, B in rng.sample(pairs, min(len(pairs), 4)):
-            assert intertwiner_space(A, B) == dense_intertwiner_space(A, B)
+            _assert_hom_matches(A, B)
         graded = [M for M in mods if M.gradable]
         for A in graded:
             B = rng.choice(graded)
             for degree in (-1, 0, 1):
-                got = intertwiner_space(A, B, graded=True, degree=degree)
-                assert got == dense_intertwiner_space(A, B, graded=True, degree=degree)
+                _assert_hom_matches(A, B, graded=True, degree=degree)
+
+
+@pytest.mark.parametrize("graph_name", sorted(FIXTURE_GRAPHS))
+def test_hom_matches_both_oracles_on_the_fixtures(graph_name):
+    """Every pair of the twisted, scalar-extended and induced modules of
+    ``_specs`` on a fixture graph, which includes each no-exit cycle; the
+    graded pairs (twisted and shifted sink modules, induced trivial
+    coefficients) also at degrees -1, 0 and 1."""
+    g = Graph(*FIXTURE_GRAPHS[graph_name])
+    for F, modulus, a in FIELDS.values():
+        mods = _modules(g, F, modulus, a)
+        for A in mods:
+            for B in mods:
+                _assert_hom_matches(A, B)
+                if A.gradable and B.gradable:
+                    for degree in (-1, 0, 1):
+                        _assert_hom_matches(A, B, graded=True, degree=degree)
+
+
+def test_hom_matches_both_oracles_on_a_tree_into_a_loop():
+    """On the binary tree of depth 3 into a loop l: End of the scalar
+    extension by t^2+1 over F3 (dimension 30) against the equation oracle
+    (the dense one takes about 6 s there), and Hom between it and the
+    modules induced at l from the scalar 2 and from K[t]/(t^2+1), and End
+    of the first (dimension 15), against both."""
+    F = PrimeField(3)
+    f = parse_poly("t^2+1", F)
+    g = Graph(*tree_into_loop(3))
+    x = cycle_tail(g, g.path(["l"]))
+    ext = build_module(g, F, ChenExtSpec(g.path(["l"]), f))
+    scalar = build_module(g, F, InducedSpec(x, ScalarAction(2)))
+    quotient = build_module(g, F, InducedSpec(x, QuotientCoeff(f)))
+    assert [len(Window.full(M).elements) for M in (ext, scalar, quotient)] == [30, 15, 30]
+    assert len(_assert_hom_matches(ext, ext, dense=False)) == 2
+    assert len(_assert_hom_matches(ext, quotient, dense=False)) == 2
+    assert len(_assert_hom_matches(scalar, scalar)) == 1
+    assert _assert_hom_matches(scalar, ext, dense=False) == []
+
+
+def test_hom_of_a_simple_module_has_dim_b_unknowns(monkeypatch):
+    """Hom by spinning hands ``nullspace`` one seed's coordinates in B for
+    each seed of A: dim B unknowns when A is simple, where dim A . dim B
+    were solved for before; M (+) N spins from 2 seeds."""
+    sizes = []
+    solve = verify.nullspace
+    monkeypatch.setattr(verify, "nullspace", lambda F, rows, n: sizes.append(n) or solve(F, rows, n))
+
+    def spin_all(M):
+        window = Window.full(M)
+        return verify._spin(window, range(window.dim))
+
+    simple_pairs = 0
+    for g, F, mods in _samples("F3", 3):
+        simple = [M for M in mods if simplicity_probe(g, F, M.spec).verdict == "simple"]
+        for A in mods:
+            seeds = [j for k, j in spin_all(A).steps if k is None]
+            assert len(seeds) == 1 or A not in simple
+            for B in mods:
+                sizes.clear()
+                intertwiner_space(A, B)
+                assert sizes == [len(seeds) * len(Window.full(B).elements)]
+                simple_pairs += A in simple
+        M, N = simple[0], simple[-1]
+        S = DirectSum(M, N)
+        assert [j for k, j in spin_all(S).steps if k is None] == [0, len(Window.full(M).elements)]
+        sizes.clear()
+        intertwiner_space(S, N)
+        assert sizes == [2 * len(Window.full(N).elements)]
+    assert simple_pairs > 0
+    F3 = FIELDS["F3"][0]
+    g = Graph(*tree_into_loop(3))
+    M = build_module(g, F3, ChenExtSpec(g.path(["l"]), parse_poly("t^2+1", F3)))
+    sizes.clear()
+    assert len(intertwiner_space(M, M)) == 2 and sizes == [30]
 
 
 def _base_points(M: Module) -> list:
@@ -517,8 +689,7 @@ def test_direct_sum_is_not_simple_and_maps_onto_a_summand(monkeypatch, field_nam
             "submodule_dimension": dims[seed],
             "module_dimension": len(dims),
         }
-        homs = intertwiner_space(S, M)
-        assert homs == dense_intertwiner_space(S, M)
+        homs = _assert_hom_matches(S, M)
         assert len(homs) >= len(intertwiner_space(M, M)) > 0
 
 

@@ -84,6 +84,9 @@ from leavitt.verify import (
     IsoDecision,
     ProbeResult,
     Restriction,
+    Spin,
+    Window,
+    _spin,
     graded_iso_check,
     restrict,
     simplicity_probe,
@@ -217,7 +220,7 @@ RECORD_TYPES = (
     ChenSpec, ChenExtSpec, NvcSpec, InducedSpec, BasisEnumeration,
     SinkFamily, LaurentFamily, IrrationalFamilyFlag, GradedClassification,
     SinkSimple, CycleSimple, InfiniteDimFlagged, SimpleClassification,
-    Restriction, Certificate, IsoDecision, ProbeResult,
+    Restriction, Spin, Certificate, IsoDecision, ProbeResult,
 )
 MUTABLE = (Certificate,)
 
@@ -272,6 +275,7 @@ def records() -> dict[type, list]:
         InfiniteDimFlagged: [f for c in simple for f in c.flagged],
         SimpleClassification: simple,
         Restriction: [restrict(r1_ext, cycle_tail(r1, r1.path(["e"])))],
+        Spin: [_spin(Window.full(r1_ext), [0]), _spin(Window.full(r1_ext), [])],
         Certificate: [verify_triv_iso(a2, F3, sink_path(a2, a2.vertex_path("v")))],
         IsoDecision: [graded_iso_check(toeplitz, F3, a, b) for a in induced for b in induced],
         ProbeResult: [simplicity_probe(r1, F3, ChenExtSpec(r1.path(["e"]), f3))],

@@ -43,6 +43,7 @@ from leavitt.verify import (
     nvc_iso_maps,
     restrict,
     simplicity_probe,
+    spin_generators,
     boundary_iso_maps,
     verify_nvc_iso,
     verify_pi_consistency,
@@ -128,7 +129,7 @@ def test_windows_act_on_basis_elements(monkeypatch, toeplitz):
 def test_window_operations_enumerate_the_orbit_once_per_window(monkeypatch, lasso_graph):
     """Finiteness is read off the basis enumeration, so a full window lists
     its orbit once: one canonical_lassos call for Window.full, one for the
-    simplicity probe, and one per module for Hom."""
+    simplicity probe, and one for End, whose two sides share a window."""
     calls = []
     lassos = groupoid.canonical_lassos
 
@@ -144,7 +145,7 @@ def test_window_operations_enumerate_the_orbit_once_per_window(monkeypatch, lass
         calls.clear()
         run()
         counts.append(len(calls))
-    assert counts == [1, 1, 2]
+    assert counts == [1, 1, 1]
 
 
 def test_probe_of_an_infinite_module_enumerates_no_window(monkeypatch, toeplitz):
@@ -724,7 +725,8 @@ def _check_generator_proof(g, bound: int, pairs: int, seed: int):
       act on it nonzero; for a no-exit-cycle monomial module, at least
       those (a larger support costs only time);
     - on an exact window, the generator matrices satisfy the relations that
-      ``verify_relations`` checks in the algebra."""
+      ``verify_relations`` checks in the algebra, and ``Window.actions``
+      holds exactly the nonzero columns of the spin generators' matrices."""
     rng = random.Random(seed)
     monos, gens, support = all_monomials(g, 2), generators(g), generator_support(g)
     for M in _modules_of_every_kind(g):
@@ -744,7 +746,10 @@ def _check_generator_proof(g, bound: int, pairs: int, seed: int):
             else:
                 assert set(support(b)) == acting, (M.spec, b)
         if enum.exact:
-            _check_window_relations(g, Window(M, enum.elements))
+            window = Window(M, enum.elements)
+            _check_window_relations(g, window)
+            mats = [window.matrix_of(h) for h in spin_generators(g)]
+            assert window.actions == [{k: m[j] for k, m in enumerate(mats) if m[j]} for j in range(n)], M.spec
 
 
 def _check_window_relations(g, window: Window):
@@ -792,6 +797,63 @@ class TestGeneratorProof:
     @settings(max_examples=30, deadline=None)
     def test_small_graphs(self, g, seed):
         _check_generator_proof(g, 2, 120, seed)
+
+
+def _spins_and_ends(g) -> list:
+    """Per finite module of ``_modules_of_every_kind``: the spin dimension
+    of every seed, the seeds of the spin of the whole basis, End, and Hom
+    to the previous module when both are finite."""
+    out, previous = [], None
+    for M in _modules_of_every_kind(g):
+        if not M.enumerate_basis(0).exact:
+            continue
+        window = Window.full(M)
+        dims = [len(verify._spin(window, [seed]).steps) for seed in range(window.dim)]
+        seeds = [j for k, j in verify._spin(window, range(window.dim)).steps if k is None]
+        homs = [intertwiner_space(M, M)]
+        if previous is not None and previous.field == M.field:
+            homs += [intertwiner_space(previous, M), intertwiner_space(M, previous)]
+        out.append((M.spec, dims, seeds, homs))
+        previous = M
+    return out
+
+
+def _assert_spin_generators_suffice(monkeypatch, g):
+    kept = spin_generators(g)
+    assert [h for h in generators(g) if h not in kept] == [
+        monomial(g.vertex_path(v), g.vertex_path(v)) for v in g.vertices if g.out_edges(v) or g.in_edges(v)
+    ]
+    got = _spins_and_ends(g)
+    monkeypatch.setattr(verify, "spin_generators", generators)
+    assert _spins_and_ends(g) == got
+    monkeypatch.undo()
+
+
+class TestSpinGenerators:
+    """Spins and Hom act without the idempotents of vertices that have an
+    edge (``spin_generators``): with every generator, each seed spins to the
+    same dimension, the spin of the whole basis takes the same seeds, and
+    End and Hom have the same bases."""
+
+    @pytest.mark.parametrize("graph_name", sorted(FIXTURE_GRAPHS))
+    def test_fixtures(self, monkeypatch, graph_name):
+        _assert_spin_generators_suffice(monkeypatch, Graph(*FIXTURE_GRAPHS[graph_name]))
+
+    @given(small_graphs())
+    @settings(max_examples=30, deadline=None)
+    def test_small_graphs(self, g):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_spin_generators_suffice(monkeypatch, g)
+
+    def test_isolated_vertices_keep_their_idempotents(self):
+        """Over two isolated vertices u and w, the modules at u and at w
+        differ only in which idempotent acts as one, so without those
+        idempotents Hom between them would not be 0."""
+        g = Graph(["u", "w"], [])
+        Mu, Mw = (build_module(g, QQ, ChenSpec(sink_path(g, g.vertex_path(v)))) for v in "uw")
+        assert spin_generators(g) == generators(g)
+        assert intertwiner_space(Mu, Mw) == [] == intertwiner_space(Mw, Mu)
+        assert intertwiner_space(Mu, Mu) == [[[QQ.one()]]]
 
 
 class TestNvcIso:
