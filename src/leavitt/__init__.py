@@ -38,7 +38,6 @@ from .groupoid import (
     GroupoidElement,
     bisection,
     bisection_product,
-    compose,
     isotropy,
     orbit,
     pi_consistency,

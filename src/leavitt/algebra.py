@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fields import Field
-from .graphs import FinitePath, Graph, concat, initial_remainder
+from .graphs import FinitePath, Graph, concat, initial_remainder, per_graph
 from .linalg import add_scaled, add_term
 from .records import frozen
 
@@ -190,13 +190,6 @@ class LeavittAlgebra:
         self.special_edge = {
             v: graph.out_edges(v)[0].name for v in graph.vertices if graph.is_regular(v)
         }
-        self._monomials: dict[int, list[Monomial]] = {}
-
-    def monomials(self, max_len: int) -> list[Monomial]:
-        """``all_monomials(graph, max_len)``, built once per length; do not mutate."""
-        if max_len not in self._monomials:
-            self._monomials[max_len] = all_monomials(self.graph, max_len)
-        return self._monomials[max_len]
 
     # -- element construction ----------------------------------------------
 
@@ -328,7 +321,8 @@ class AlgebraElement(LinearCombination):
         raise TypeError("algebra elements are unhashable; compare with ==")
 
 
-def all_monomials(graph: Graph, max_len: int) -> list[Monomial]:
+@per_graph
+def all_monomials(graph: Graph, max_len: int) -> tuple[Monomial, ...]:
     """Every mu.nu* with |mu|, |nu| <= max_len, canonically ordered."""
     paths: list[FinitePath] = [graph.vertex_path(v) for v in graph.vertices]
     frontier = list(paths)
@@ -348,12 +342,12 @@ def all_monomials(graph: Graph, max_len: int) -> list[Monomial]:
         for mu in group:
             for nu in group:
                 out.append(Monomial(mu, nu))
-    return out
+    return tuple(out)
 
 
 def random_element(algebra: LeavittAlgebra, rng, max_len: int = 2, max_terms: int = 2) -> AlgebraElement:
     """A small random element for property tests (seeded rng)."""
-    monos = algebra.monomials(max_len)
+    monos = all_monomials(algebra.graph, max_len)
     terms: dict[Monomial, object] = {}
     F = algebra.field
     for _ in range(rng.randint(1, max_terms)):

@@ -12,7 +12,6 @@ irreducible polynomial other than t.
 
 from __future__ import annotations
 
-import weakref
 from typing import Iterable, NamedTuple
 
 from .fields import Field, Poly, PrimeField, RationalField, enumerate_monic_irreducibles
@@ -27,6 +26,7 @@ from .graphs import (
     lasso,
     maximal_cycles,
     maximal_sinks,
+    per_graph,
     simple_closed_paths,
 )
 from .groupoid import orbit_size
@@ -288,10 +288,7 @@ def classify_simple(
     )
 
 
-# graph -> {cycle edges: number of lassos}; graphs are immutable
-_LASSO_COUNTS: weakref.WeakKeyDictionary[Graph, dict] = weakref.WeakKeyDictionary()
-
-
+@per_graph
 def _lasso_count(graph: Graph, star: tuple[str, ...]) -> int:
     """The number of distinct canonical lassos prefix.(rotation of star)^inf.
 
@@ -299,10 +296,6 @@ def _lasso_count(graph: Graph, star: tuple[str, ...]) -> int:
     started and extended only at vertices that reach the cycle (found by a
     reverse search); each path ending on the cycle continues around it.
     """
-    counts = _LASSO_COUNTS.setdefault(graph, {})
-    known = counts.get(star)
-    if known is not None:
-        return known
     n = len(star)
     entries: dict[str, list[int]] = {}
     for i, e in enumerate(star):
@@ -325,7 +318,6 @@ def _lasso_count(graph: Graph, star: tuple[str, ...]) -> int:
             for e in graph.out_edges(p.rng):
                 if e.rng in reach:
                     paths.append(FinitePath(p.edges + (e.name,), p.src, e.rng))
-    counts[star] = len(seen)
     return len(seen)
 
 
@@ -360,8 +352,8 @@ def dimension_oracle(graph: Graph, entry) -> int:
     times deg(modulus), never calling ``orbit_size`` or the groupoid.  So
     neither half shares a formula with ``classify_simple``'s dimensions.
     The cycle walk is pruned to the vertices that reach the cycle, and the
-    count is memoised per graph and cycle, since every modulus at one cycle
-    shares it.
+    count is kept on the graph per cycle (``per_graph``), since every
+    modulus at one cycle shares it.
     """
     if isinstance(entry, SinkSimple):
         return _walk_count(graph, entry.vertex)

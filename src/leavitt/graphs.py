@@ -4,14 +4,15 @@ A graph is a finite set of named vertices and named edges with source and
 range maps.  On top of it live finite paths, closed paths up to rotation,
 boundary paths (finite paths into sinks, and eventually periodic infinite
 paths stored as canonical lassos) and the lag sets of the tail-equivalence
-relation.  Everything is an immutable value.
+relation.  Everything is an immutable value, so a table derived from a
+graph alone is built once and kept on the graph (``per_graph``).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import reprlib
-import weakref
 from typing import Iterable, NamedTuple, Union
 
 from .records import frozen, same_class_eq, same_class_ne
@@ -63,10 +64,14 @@ class Edge:
 class Graph:
     """A finite directed graph with named vertices and edges.
 
-    Immutable after construction; the memo caches pure results.  Vertex
-    and edge names share one namespace of word characters so that the
-    textual path grammar (dot-separated edge names, bare vertex names) is
-    unambiguous.
+    Immutable after construction.  ``_derived`` keeps the results of the
+    ``per_graph`` functions, so they die with the graph.  ``strip_prefix``
+    and ``prepend`` keep theirs in dicts read inline (``_stripped``,
+    ``_prepended``): certify calls them about 14,000 times per 10 rounds,
+    and a wrapper call and a key tuple each would cost more than the memo
+    saves.  Vertex and edge names share one namespace of word characters
+    so that the textual path grammar (dot-separated edge names, bare vertex
+    names) is unambiguous.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
@@ -87,10 +92,9 @@ class Graph:
             into[e.rng].append(e)
         self._out = {v: tuple(x) for v, x in out.items()}
         self._in = {v: tuple(x) for v, x in into.items()}
-        # The memo: strip_prefix and prepend results keyed by (mu, x).  Both are
-        # pure functions of this graph, and module actions repeat them.
-        self._stripped: dict = {}
-        self._prepended: dict = {}
+        self._stripped: dict = {}  # (mu, x) -> strip_prefix(self, mu, x)
+        self._prepended: dict = {}  # (mu, x) -> prepend(self, mu, x)
+        self._derived: dict = {}  # (builder, *args) -> a per_graph result
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -169,6 +173,21 @@ class Graph:
             "vertices": list(self._vertices),
             "edges": [{"name": e.name, "src": e.src, "rng": e.rng} for e in self._edges],
         }
+
+
+def per_graph(build):
+    """``build(graph, *args)``, computed once per graph object and argument
+    tuple and kept in the graph's ``_derived`` dict.  For pure functions of
+    the graph alone; the result is shared, so it must be immutable."""
+    @functools.wraps(build)
+    def derived(graph: Graph, *args):
+        key = (build, *args)
+        value = graph._derived.get(key, _MISSING)
+        if value is _MISSING:
+            value = graph._derived[key] = build(graph, *args)
+        return value
+
+    return derived
 
 
 def _quote(value) -> str:
@@ -824,9 +843,7 @@ def _components(graph: Graph, vertices: Iterable[str]) -> list[set[str]]:
     return result
 
 
-_CYCLE_STRUCTURES: weakref.WeakKeyDictionary[Graph, tuple] = weakref.WeakKeyDictionary()
-
-
+@per_graph
 def _cycle_structure(
     graph: Graph,
 ) -> tuple[tuple[frozenset[str], ...], tuple[int, ...], frozenset[str]]:
@@ -835,12 +852,9 @@ def _cycle_structure(
     A component with n vertices and m internal edges carries no cycle iff
     m = 0 and exactly one iff m = n (strong connectivity forces m >= n once
     n >= 2).  A vertex is below a cycle when some cycle reaches it; the
-    vertices of a cycle are below it.  A graph is immutable, so this is
-    computed once per graph: callers ask per vertex, per sink and per orbit.
+    vertices of a cycle are below it.  Callers ask per vertex, per sink and
+    per orbit.
     """
-    known = _CYCLE_STRUCTURES.get(graph)
-    if known is not None:
-        return known
     comps = strongly_connected_components(graph)
     counts = []
     for comp in comps:
@@ -853,8 +867,7 @@ def _cycle_structure(
             if e.rng not in below:
                 below.add(e.rng)
                 stack.append(e.rng)
-    known = _CYCLE_STRUCTURES[graph] = (comps, tuple(counts), frozenset(below))
-    return known
+    return comps, tuple(counts), frozenset(below)
 
 
 def closed_path_set_is_finite(graph: Graph) -> bool:
@@ -921,6 +934,7 @@ def maximal_sinks(graph: Graph) -> tuple[tuple[str, int], ...]:
     return tuple((v, count_paths_ending_at(graph, v)) for v in graph.sinks if v not in below)
 
 
+@per_graph
 def maximal_cycles(graph: Graph) -> tuple[FinitePath, ...]:
     """Cycles with no path from any other cycle or simple closed path into them.
 

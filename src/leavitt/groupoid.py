@@ -50,21 +50,6 @@ class GroupoidElement(NamedTuple):
         return f"({self.x}, {self.k}, {self.y})"
 
 
-def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
-    """(x, k, y)(y, l, z) = (x, k+l, z)."""
-    if g.y != h.x:
-        raise GroupoidError(f"not composable: {g} then {h}")
-    return GroupoidElement(g.x, g.k + h.k, h.y)
-
-
-def inverse(g: GroupoidElement) -> GroupoidElement:
-    return GroupoidElement(g.y, -g.k, g.x)
-
-
-def degree(g: GroupoidElement) -> int:
-    return g.k
-
-
 # ---------------------------------------------------------------------------
 # Bisections
 

@@ -54,9 +54,11 @@ from .graphs import (
     SinkPath,
     cycle_tail,
     initial_path,
+    per_graph,
     prepend,
     strip_prefix,
     tail_lags,
+    unroll,
 )
 from .linalg import (
     add_scaled,
@@ -164,16 +166,18 @@ class Window:
         return [self.module.grade(b) for b in self.elements]
 
 
-def generators(graph: Graph) -> list[Monomial]:
+@per_graph
+def generators(graph: Graph) -> tuple[Monomial, ...]:
     """Vertex idempotents, edges, and ghost edges, as monomials in canonical order."""
     out = [Monomial(p, p) for p in map(graph.vertex_path, graph.vertices)]
     for e in graph.edges:
         path, rng = graph.path([e.name]), graph.vertex_path(e.rng)
         out += [Monomial(path, rng), Monomial(rng, path)]
-    return out
+    return tuple(out)
 
 
-def spin_generators(graph: Graph) -> list[Monomial]:
+@per_graph
+def spin_generators(graph: Graph) -> tuple[Monomial, ...]:
     """The generators that spins and Hom act with, in ``generators`` order:
     the idempotent of each isolated vertex, then the edges and ghost edges.
 
@@ -187,52 +191,47 @@ def spin_generators(graph: Graph) -> list[Monomial]:
     its idempotent.  Certificates and the equivariance check keep every
     generator."""
     isolated = {v for v in graph.vertices if not (graph.out_edges(v) or graph.in_edges(v))}
-    return [g for g in generators(graph) if g.mu.edges or g.nu.edges or g.mu.src in isolated]
+    return tuple(g for g in generators(graph) if g.mu.edges or g.nu.edges or g.mu.src in isolated)
 
 
+@per_graph
 def generator_support(graph: Graph):
     """The function b -> the generators that can act nonzero on the basis
     element b.
 
     A basis element with a boundary path x (boundary-path, scalar-extended
     and induced modules): the idempotent at the source v of x, the edges
-    into v, and the ghost of x's first edge.  The generators are keyed by
-    their ghost part nu: the vertex path v holds the idempotent v and the
-    edges into v, and each one-edge path e holds the ghost e*; the support
-    of b is what x's initial paths of length 0 and 1 hold.  Proof that no
-    generator acting nonzero is left out: each of these modules starts
+    into v, and the ghost of x's first edge e, read from a table keyed by
+    (v, e), or (v, None) when x is the sink v.  Proof that no generator
+    acting nonzero is left out: each of these modules starts
     ``act_monomial_basis(mu.nu*, b)`` with ``strip_prefix(nu, b.path)``
     and returns {} when it is None, so mu.nu* acts nonzero on b only when
     nu is an initial path of x.  A generator's nu has length 0 or 1, so it
-    is one of those two keys.
+    is v, the ghost part of the idempotent v and of the edges into v, or
+    e, that of the ghost e* alone.
 
     A no-exit-cycle basis element mu.nu* (``NvcBasis``): the idempotent at
     v = s(mu), the edges into v and the ghosts of the edges out of v, the
     generators whose ghost part starts at v.  Proof: b = v.b in the
     algebra, so g.b = (g.v).b, and g.v = 0 unless g is v, an edge e with
     r(e) = v (e = e.r(e)) or a ghost e* with s(e) = v (e* = e*.s(e)).
-    Some of those ghosts may still act as zero.
-
-    Each path's support is kept for the life of the function: the terms of
-    f(b) in a scalar extension share b's path."""
-    by_nu: dict[FinitePath, list[Monomial]] = {}
-    by_src: dict[str, list[Monomial]] = {}
+    Some of those ghosts may still act as zero."""
+    by_src: dict[str, tuple[Monomial, ...]] = {}
     for g in generators(graph):
-        by_nu.setdefault(g.nu, []).append(g)
-        by_src.setdefault(g.nu.src, []).append(g)
-    by_path: dict[BoundaryPath, list[Monomial]] = {}
+        by_src[g.nu.src] = by_src.get(g.nu.src, ()) + (g,)
+    table = {}
+    for v, gens in by_src.items():
+        at_v = table[v, None] = tuple(g for g in gens if not g.nu.edges)
+        for g in gens:
+            if g.nu.edges:  # the ghost of an edge out of v
+                table[v, g.nu.edges[0]] = at_v + (g,)
 
-    def support(b) -> list[Monomial]:
+    def support(b) -> tuple[Monomial, ...]:
         if isinstance(b, NvcBasis):
             return by_src[b.mono.mu.src]
         x = b.path
-        gens = by_path.get(x)
-        if gens is None:
-            gens = by_nu[initial_path(graph, x, 0)]
-            if not (isinstance(x, SinkPath) and not x.path.edges):
-                gens = gens + by_nu[initial_path(graph, x, 1)]
-            by_path[x] = gens
-        return gens
+        first = unroll(x, 1)
+        return table[x.source, first[0] if first else None]
 
     return support
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import weakref
 
 import pytest
 
@@ -250,15 +251,19 @@ class TestDimensionOracleWork:
         assert data["all_match"] and [e["oracle"] for e in data["entries"]] == [1, 2]
 
     def test_memo_lets_the_graph_go(self, toeplitz):
-        gc.collect()
-        before = len(classify._LASSO_COUNTS)
+        """The lasso count is built once per graph and cycle, for both
+        moduli at the loop, and is kept on the graph, so it goes with it."""
         graph = Graph(toeplitz.vertices, toeplitz.edges)
-        for e in classify_simple(graph, F2, 2).entries:
+        entries = classify_simple(graph, F2, 2).entries
+        assert [e.cycle.edges for e in entries] == [("e",), ("e",)]
+        for e in entries:
             dimension_oracle(graph, e)
-        assert len(classify._LASSO_COUNTS) == before + 1
-        del graph, e
+        build = classify._lasso_count.__wrapped__
+        assert [key for key in graph._derived if key[0] is build] == [(build, ("e",))]
+        ref = weakref.ref(graph)
+        del graph, entries, e
         gc.collect()
-        assert len(classify._LASSO_COUNTS) == before
+        assert ref() is None
 
 
 class TestPairwiseNonIsomorphism:

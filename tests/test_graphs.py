@@ -32,6 +32,7 @@ from leavitt.graphs import (
     lasso,
     maximal_cycles,
     maximal_sinks,
+    per_graph,
     prepend,
     primitive_root,
     simple_closed_paths,
@@ -724,6 +725,21 @@ class TestPathMemo:
         for g in (g1, g2):
             _check_path_memo(g)
         assert prepend(g1, mu, x) is y1 and prepend(g2, mu, x) is y2
+
+
+def test_per_graph_builds_once_per_graph_and_argument_tuple():
+    calls = []
+
+    @per_graph
+    def built(graph, *args):
+        calls.append((graph, args))
+        return len(calls)
+
+    data = (["v", "w"], [("e", "v", "w")])
+    g, h = Graph(*data), Graph(*data)
+    assert g is not h and g.to_json_dict() == h.to_json_dict()
+    assert [built(g), built(g, 1), built(g), built(g, 1), built(h), built(g, 2), built(h)] == [1, 2, 1, 2, 3, 4, 3]
+    assert calls == [(g, ()), (g, (1,)), (h, ()), (g, (2,))]
 
 
 class TestJson:

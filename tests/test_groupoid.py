@@ -10,9 +10,6 @@ from leavitt.groupoid import (
     bisection,
     bisection_product,
     bisections_match_monomial,
-    compose,
-    degree,
-    inverse,
     isotropy,
     isotropy_generator,
     monomial_bisection,
@@ -27,6 +24,21 @@ def groupoid_element(x: BoundaryPath, k: int, y: BoundaryPath) -> GroupoidElemen
     if not tail_lags(x, y).contains(k):
         raise GroupoidError(f"{x} is not tail-equivalent to {y} with lag {k}")
     return GroupoidElement(x, k, y)
+
+
+def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
+    """(x, k, y)(y, l, z) = (x, k+l, z)."""
+    if g.y != h.x:
+        raise GroupoidError(f"not composable: {g} then {h}")
+    return GroupoidElement(g.x, g.k + h.k, h.y)
+
+
+def inverse(g: GroupoidElement) -> GroupoidElement:
+    return GroupoidElement(g.y, -g.k, g.x)
+
+
+def degree(g: GroupoidElement) -> int:
+    return g.k
 
 
 def membership(graph: Graph, g: GroupoidElement, b: Bisection) -> bool:
