@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .fields import Field
 from .graphs import FinitePath, Graph, concat, initial_remainder, per_graph
 from .linalg import add_scaled, add_term
-from .records import frozen
+from .records import Frozen
 
 
 class AlgebraError(ValueError):
@@ -98,7 +98,7 @@ def monomial(mu: FinitePath, nu: FinitePath) -> Monomial:
     return Monomial(mu, nu)
 
 
-class TwistVector:
+class TwistVector(Frozen):
     """An invertible scalar per edge; paths get the product of their edges.
 
     a_mu and a_nu^(-1) are memoized per edge tuple, so ``ratio`` on paths
@@ -106,7 +106,8 @@ class TwistVector:
     compared, hashed and printed.
     """
 
-    __slots__ = ("field", "entries", "_values", "_inverses", "_path_values", "_path_inverses")
+    _compared = ("field", "entries")
+    __slots__ = _compared + ("_values", "_inverses", "_path_values", "_path_inverses")
 
     def __init__(self, field: Field, entries: tuple[tuple[str, object], ...]):
         # entries: sorted by edge name, all edges present.  Each distinct
@@ -120,22 +121,6 @@ class TwistVector:
         _setattr(self, "_inverses", {n: inverse[c] for n, c in values.items()})
         _setattr(self, "_path_values", {})
         _setattr(self, "_path_inverses", {})
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if type(other) is not TwistVector:
-            return NotImplemented
-        return (self.field, self.entries) == (other.field, other.entries)
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
-
-    def __repr__(self) -> str:
-        return f"TwistVector(field={self.field!r}, entries={self.entries!r})"
-
-    def __reduce__(self):
-        return TwistVector, (self.field, self.entries)
 
     @classmethod
     def make(cls, graph: Graph, field: Field, values: dict | None = None) -> "TwistVector":

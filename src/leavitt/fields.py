@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain, compress, product
 from typing import Iterable
 
-from .records import frozen
+from .records import Frozen
 
 
 class FieldError(ValueError):
@@ -245,33 +245,17 @@ class PrimeField(Field):
 _setattr = object.__setattr__  # how a frozen Poly sets its own fields
 
 
-class Poly:
+class Poly(Frozen):
     """Polynomial in t with coefficients in ``field`` (ascending tuple, trimmed).
 
     A slots class, not a tuple: a tuple's ``len``, iteration, ``<`` and
     ``3 * p`` (repetition) would be wrong for a polynomial."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = _compared = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: tuple):
         _setattr(self, "field", field)
         _setattr(self, "coeffs", coeffs)
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if type(other) is not Poly:
-            return NotImplemented
-        return (self.field, self.coeffs) == (other.field, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Poly(field={self.field!r}, coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return Poly, (self.field, self.coeffs)
 
     @classmethod
     def make(cls, field: Field, coeffs: Iterable) -> "Poly":

@@ -15,7 +15,7 @@ import re
 import reprlib
 from typing import Iterable, NamedTuple, Union
 
-from .records import frozen, same_class_eq, same_class_ne
+from .records import Frozen, same_class_eq, same_class_ne
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _QUOTE_LIMIT = 40  # characters of a bad value's repr that an error message quotes
@@ -32,8 +32,8 @@ class GraphError(ValueError):
 # descriptor.  Paths, lassos and the values built on them are hashed and
 # built on every module action, so they are NamedTuples: building, hashing
 # and comparing them runs as C tuple code, nested keys included.
-class Edge:
-    __slots__ = ("name", "src", "rng")
+class Edge(Frozen):
+    __slots__ = _compared = ("name", "src", "rng")
 
     def __init__(self, name: str, src: str, rng: str):
         _setattr = object.__setattr__
@@ -41,24 +41,8 @@ class Edge:
         _setattr(self, "src", src)
         _setattr(self, "rng", rng)
 
-    __setattr__ = __delattr__ = frozen
-
     def __iter__(self):  # an edge unpacks as the (name, src, rng) triple that Graph takes
         return iter((self.name, self.src, self.rng))
-
-    def __eq__(self, other):
-        if type(other) is not Edge:
-            return NotImplemented
-        return (self.name, self.src, self.rng) == (other.name, other.src, other.rng)
-
-    def __hash__(self):
-        return hash((self.name, self.src, self.rng))
-
-    def __repr__(self) -> str:
-        return f"Edge(name={self.name!r}, src={self.src!r}, rng={self.rng!r})"
-
-    def __reduce__(self):
-        return Edge, (self.name, self.src, self.rng)
 
 
 class Graph:

@@ -11,9 +11,10 @@ dimension.  Such a record sets::
 
 A record that does arithmetic (``Poly``), is read in hot loops (``Edge``),
 or keeps data beside its compared fields (``QuotientCoeff``,
-``ChenExtSpec``, ``TwistVector``) is a ``__slots__`` class whose
-``__init__`` sets its fields with ``object.__setattr__`` and whose
-``__setattr__`` and ``__delattr__`` are ``frozen``.
+``ChenExtSpec``, ``TwistVector``) is a ``__slots__`` subclass of
+``Frozen``, the one home of the rule for such records: it names its
+compared fields in ``_compared``, and its own ``__init__`` sets them, and
+any memo beside them, with ``object.__setattr__``.
 
 Neither kind comes from the standard library's record decorator, which
 writes ``__init__``, ``__eq__``, ``__hash__``, ``__repr__`` and
@@ -21,6 +22,8 @@ writes ``__init__``, ``__eq__``, ``__hash__``, ``__repr__`` and
 a millisecond a class at import, and the decorator's module loads
 ``inspect`` and ``ast``.  So ``lpa`` starts without them.
 """
+
+from operator import attrgetter
 
 
 def same_class_eq(self, other) -> bool:
@@ -32,6 +35,37 @@ def same_class_ne(self, other) -> bool:
     return not same_class_eq(self, other)
 
 
-def frozen(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of an immutable slots record."""
-    raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+class Frozen:
+    """An immutable slots record.  ``_compared`` names its fields in the
+    order its constructor takes them; equality (within one class only),
+    the hash (that of the tuple of those fields), the repr, copy and pickle
+    all read them, and nothing else the record keeps."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # attrgetter builds the tuple in C, as fast as a hand-written one; for
+        # a single name it returns the bare value
+        get = attrgetter(*cls._compared)
+        cls._astuple = staticmethod(get if len(cls._compared) > 1 else lambda self: (get(self),))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        astuple = self._astuple
+        return astuple(self) == astuple(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._compared, self._astuple(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)

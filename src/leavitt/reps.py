@@ -45,7 +45,7 @@ from .graphs import (
 )
 from .groupoid import orbit
 from .linalg import add_term, linear_extend
-from .records import frozen, same_class_eq, same_class_ne
+from .records import Frozen, same_class_eq, same_class_ne
 
 
 class ModuleSpecError(ValueError):
@@ -76,33 +76,18 @@ class ScalarAction(NamedTuple):
     __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
-class QuotientCoeff:
+class QuotientCoeff(Frozen):
     """K[t,1/t]/(f) with the generator acting by the class of t; not graded.
 
     ``extension`` is K[t]/(f), built (and f tested) when the spec is made;
     it is not compared, hashed or printed, so the spec is a slots class."""
 
-    __slots__ = ("modulus", "extension")
+    _compared = ("modulus",)
+    __slots__ = _compared + ("extension",)
 
     def __init__(self, modulus: Poly):
         object.__setattr__(self, "modulus", modulus)
         _attach_extension(self)
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if type(other) is not QuotientCoeff:
-            return NotImplemented
-        return self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((self.modulus,))
-
-    def __repr__(self) -> str:
-        return f"QuotientCoeff(modulus={self.modulus!r})"
-
-    def __reduce__(self):
-        return QuotientCoeff, (self.modulus,)
 
 
 class LaurentCoeff(NamedTuple):
@@ -151,36 +136,18 @@ class ChenSpec(NamedTuple):
     __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
 
-class ChenExtSpec:
+class ChenExtSpec(Frozen):
     """``extension`` is as in QuotientCoeff: built with the spec, and not
     compared, hashed or printed."""
 
-    __slots__ = ("cycle", "modulus", "shift", "extension")
+    _compared = ("cycle", "modulus", "shift")
+    __slots__ = _compared + ("extension",)
 
     def __init__(self, cycle: FinitePath, modulus: Poly, shift: int = 0):
         object.__setattr__(self, "cycle", cycle)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "shift", shift)
         _attach_extension(self)
-
-    __setattr__ = __delattr__ = frozen
-
-    def _key(self) -> tuple:
-        return (self.cycle, self.modulus, self.shift)
-
-    def __eq__(self, other):
-        if type(other) is not ChenExtSpec:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"ChenExtSpec(cycle={self.cycle!r}, modulus={self.modulus!r}, shift={self.shift!r})"
-
-    def __reduce__(self):
-        return ChenExtSpec, self._key()
 
     @classmethod
     def over(cls, cycle: FinitePath, coeff: QuotientCoeff) -> "ChenExtSpec":

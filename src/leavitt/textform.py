@@ -10,7 +10,8 @@ Grammar summary (documented in the README):
   ``2 e.f v^ + 1/3 u`` or ``f^*``;
 * module vectors: ``[coef] BASIS`` terms, where a basis literal is a
   boundary path (``#j`` tensor index), a monomial (no-exit-cycle
-  modules), or ``bpath@lag[#j]`` for induced modules;
+  modules), or ``bpath@lag[#j]`` for induced modules, where ``Ka(a)``
+  and ``quot(f)`` coefficients take only the canonical lag;
 * module specs: ``chen:BPATH``, ``chenext:CYCLE:POLY``, ``nvc:CYCLE``,
   ``ind:BPATH:NSPEC`` with NSPEC one of ``K``, ``K(n)``, ``Ka(a)``,
   ``quot(f)``, ``laurent(m)``.
@@ -241,6 +242,10 @@ def _parse_basis_token(module: Module, token: str, rest: list[str]):
         y, lag = parse_boundary_path(graph, ptext), _parse_int(ltext, "lag")
         if not tail_lags(y, module.spec.base).contains(lag):
             raise ParseError(f"{y} is not tail-equivalent to {module.spec.base} with lag {lag}")
+        # without a grading the isotropy powers live in the coefficient, so
+        # each coset has one literal: the one the module prints
+        if not module.gradable and lag != (k := module.canonical_lag(y)):
+            raise ParseError(f"{y}@{lag}: scalar-action and quotient coefficients take only the canonical lag {k}")
         return CosetBasis(y, lag, power)
     return ChenBasis(parse_boundary_path(graph, token), power)
 

@@ -280,6 +280,7 @@ class TestClosedStdout:
 
 
 HUGE = "9" * 5000
+LONG_E = ".".join(["e"] * 15_000)  # e^15000 in L(r1): on (e)^inf@0 it takes the generator to its 15000th power
 
 
 class TestInputErrors:
@@ -301,8 +302,8 @@ class TestInputErrors:
             ("toeplitz", ["act", "--module", "chen:v", "--twist", "e=0", "--elt", "f", "--vec", "v"]),
             ("cycle2", ["act", "--module", "ind:(a.b)^inf:Ka(2)", "--elt", "v1", "--vec", "(a.b)^inf@1"]),
             # coefficients too long to print over Q
-            ("r1", ["act", "--module", "ind:(e)^inf:Ka(2)", "--elt", "e", "--vec", "(e)^inf@200000"]),
-            ("r1", ["act", "--module", "ind:(e)^inf:quot(t-3)", "--elt", "e", "--vec", "(e)^inf@20000"]),
+            ("r1", ["act", "--module", "ind:(e)^inf:Ka(2)", "--elt", LONG_E, "--vec", "(e)^inf@0"]),
+            ("r1", ["act", "--module", "ind:(e)^inf:quot(t-3)", "--elt", LONG_E, "--vec", "(e)^inf@0"]),
             # an nvc cycle that is not closed, and a basis literal off the cycle's base vertex
             ("loop_feeds_loop", ["act", "--module", "nvc:t", "--elt", "e", "--vec", "t"]),
             ("a2", ["act", "--module", "nvc:f", "--elt", "f", "--vec", "u"]),
@@ -339,6 +340,9 @@ class TestInputErrors:
             # moduli past the cost bound on Rabin's test
             ("r1", ["act", "--field", "F2[t]/(t^1000+t+1)", "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf"]),
             ("r1", ["verify", "twist-iso", "--cycle", "e", "--modulus", "t^3000+t+1", "--field", "F2"]),
+            # a lag other than the canonical one, where the coefficient absorbs the isotropy
+            ("r1", ["act", "--module", "ind:(e)^inf:Ka(2)", "--elt", "v", "--vec", "(e)^inf@1 - 2 (e)^inf@0"]),
+            ("r1", ["act", "--module", "ind:(e)^inf:quot(t-3)", "--elt", "v", "--vec", "(e)^inf@-1"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):
@@ -380,10 +384,10 @@ class TestInputErrors:
         assert len(errors) == 1 and len(errors[0]) < 1000
 
     def test_large_lag_over_a_prime_field_exits_0(self, r1, graph_file, capsys):
-        argv = ["act", "--module", "ind:(e)^inf:Ka(2)", "--field", "F3", "--elt", "e",
-                "--vec", "(e)^inf@100000000", graph_file(r1)]
+        argv = ["act", "--module", "ind:(e)^inf:Ka(2)", "--field", "F3", "--elt", LONG_E + ".e",
+                "--vec", "(e)^inf@0", graph_file(r1)]
         code, out, err = run(capsys, argv)
-        assert (code, out, err) == (0, "2 (e)^inf@0\n", "")
+        assert (code, out, err) == (0, "2 (e)^inf@0\n", "")  # 2^15001 = 2 in F3
 
     @pytest.mark.parametrize(
         "argv,out",

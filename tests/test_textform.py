@@ -2,15 +2,19 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
 
+from fixture_graphs import FIXTURE_GRAPHS
 from leavitt.algebra import LeavittAlgebra, random_element
 from leavitt.fields import QQ, ExtensionField, PrimeField, parse_field, parse_poly
-from leavitt.graphs import Graph, lasso, sink_path
+from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, lasso, sink_path, tail_lags
 from leavitt.reps import (
     ChenExtSpec,
     ChenSpec,
+    InducedModule,
     InducedSpec,
     LaurentCoeff,
+    ModuleSpecError,
     NvcSpec,
     QuotientCoeff,
     ScalarAction,
@@ -26,7 +30,7 @@ from leavitt.textform import (
     parse_twist,
     parse_vector,
 )
-from strategies import path_element
+from strategies import path_element, small_graphs
 
 F2 = PrimeField(2)
 
@@ -155,12 +159,79 @@ class TestVectors:
         v = parse_vector(M, "(e)^inf@1 - (e)^inf@0")
         assert str(v) == "-1 (e)^inf@0 + (e)^inf@1"
 
+    @pytest.mark.parametrize("coeff", ["Ka(2)", "quot(t-3)"])
+    def test_induced_vector_takes_only_the_canonical_lag(self, r1, coeff):
+        M = build_module(r1, QQ, parse_module_spec(r1, QQ, f"ind:(e)^inf:{coeff}"))
+        # (e)^inf@1 is 2 (e)^inf@0 (resp. 3 (e)^inf@0) in M, not a second basis element
+        with pytest.raises(ParseError, match="canonical lag 0$"):
+            parse_vector(M, "(e)^inf@1 - 2 (e)^inf@0")
+        assert str(parse_vector(M, "(e)^inf@0")) == "(e)^inf@0"
+
     def test_vector_roundtrip(self, lasso_graph):
         x = lasso(lasso_graph, lasso_graph.vertex_path("v"), ["e"])
         M = build_module(lasso_graph, QQ, InducedSpec(x, ScalarAction(QQ.coerce(2))))
         for text in ("(e)^inf@0", "f.(e)^inf@1", "1/2 (e)^inf@0 + -2 f.(e)^inf@1"):
             v = parse_vector(M, text)
             assert parse_vector(M, str(v)) == v
+
+
+F3 = PrimeField(3)
+
+
+def _modules(graph: Graph) -> list:
+    """A module of each kind over F3 at the sinks and the first cycles of ``graph``."""
+    f = parse_poly("t^2+1", F3)
+    specs = []
+    for v in graph.sinks:
+        for p in enumerate_paths_ending_at(graph, v, bound=1).paths:
+            x = sink_path(graph, p)
+            specs += [ChenSpec(x), InducedSpec(x, TrivialCoeff(1))]
+    for c in elementary_cycles(graph)[:3]:
+        x = cycle_tail(graph, c)
+        specs += [ChenSpec(x), ChenExtSpec(c, f), NvcSpec(c), InducedSpec(x, LaurentCoeff(1)),
+                  InducedSpec(x, ScalarAction(2)), InducedSpec(x, QuotientCoeff(f))]
+    out = []
+    for spec in specs:
+        try:
+            out.append(build_module(graph, F3, spec))
+        except ModuleSpecError:  # a no-exit-cycle module at a cycle with an exit
+            pass
+    return out
+
+
+def check_parser_against_action(graph: Graph) -> None:
+    """Each basis literal prints and parses back to itself, and every other
+    literal y@k of an induced module is either rejected or parses to a
+    vector that the unit fixes: one that names the element it stands for."""
+    for M in _modules(graph):
+        basis = M.enumerate_basis(2).elements
+        for b in basis:
+            v = M.vector({b: 1})
+            assert parse_vector(M, str(v)) == v, (M.spec, str(v))
+        if not isinstance(M, InducedModule):
+            continue
+        one = M.algebra().one()
+        for y in dict.fromkeys(b.path for b in basis):
+            lags = tail_lags(y, M.spec.base)
+            for k in range(-3, 4):
+                if not lags.contains(k):
+                    continue
+                try:
+                    v = parse_vector(M, f"{y}@{k}")
+                except ParseError:
+                    continue
+                assert M.act(one, v) == v, (M.spec, f"{y}@{k}", str(M.act(one, v)))
+
+
+class TestParserAgainstAction:
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRAPHS))
+    def test_fixture_modules(self, name):
+        check_parser_against_action(Graph(*FIXTURE_GRAPHS[name]))
+
+    @given(graph=small_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_small_graphs(self, graph):
+        check_parser_against_action(graph)
 
 
 class TestSpecs:
