@@ -7,16 +7,24 @@ Grammar summary (documented in the README):
 * algebra element: terms joined by `` + `` / `` - ``; a term is
   ``[coef] [mu] [nu^]`` where the ghost part carries a trailing ``^``
   (``^*`` and a ``*`` separator are accepted on input), e.g.
-  ``2 e.f v^ + 1/3 u`` or ``f^*``;
+  ``2 e.f v^ + 1/3 u`` or ``f^*``; a parenthesised coefficient such as
+  ``(t + 1)`` may contain spaces;
 * module vectors: ``[coef] BASIS`` terms, where a basis literal is a
-  boundary path (``#j`` tensor index), a monomial (no-exit-cycle
-  modules), or ``bpath@lag[#j]`` for induced modules, where ``Ka(a)``
-  and ``quot(f)`` coefficients take only the canonical lag;
+  boundary path (``#j`` tensor index), a monomial ``[mu] [nu^]`` read as
+  in elements (no-exit-cycle modules), or ``bpath@lag[#j]`` for induced
+  modules, where ``Ka(a)`` and ``quot(f)`` coefficients take only the
+  canonical lag;
+* twists: ``edge=value`` entries joined by commas, each edge named at
+  most once;
 * module specs: ``chen:BPATH``, ``chenext:CYCLE:POLY``, ``nvc:CYCLE``,
   ``ind:BPATH:NSPEC`` with NSPEC one of ``K``, ``K(n)``, ``Ka(a)``,
-  ``quot(f)``, ``laurent(m)``.
+  ``quot(f)``, ``laurent(m)``; an integer past the interpreter's digit
+  limit is an error quoting its first 20 digits.
 
-Printing always emits the canonical form; print-then-parse is exact.
+One scanner, ``_terms``, reads the characters of element and vector
+literals; ``_monomial`` reads the ``[mu] [nu^]`` of an element term and of
+a no-exit-cycle basis literal.  Printing always emits the canonical form;
+print-then-parse is exact.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import re
 
 from .algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector, monomial
 from .fields import Field, FieldError, parse_poly
-from .graphs import BoundaryPath, FinitePath, Graph, GraphError, lasso, sink_path, tail_lags
+from .graphs import BoundaryPath, FinitePath, Graph, GraphError, _quote, lasso, sink_path, tail_lags
 from .linalg import add_term
 from .reps import (
     ChenBasis,
@@ -55,7 +63,9 @@ def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {text!r}") from None
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):  # past the interpreter's string-to-integer digit limit
+            raise ParseError(f"{what} {text.strip()[:20]}... is too long") from None
+        raise ParseError(f"{what} must be an integer, got {_quote(text)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -102,134 +112,100 @@ def parse_boundary_path(graph: Graph, text: str) -> BoundaryPath:
 
 
 # ---------------------------------------------------------------------------
-# Term splitting helpers
+# Terms of element and vector literals
+
+# A term break ' + ' / ' - ', a ghost mark '^*', a token break (whitespace or
+# a '*' separator), a parenthesis, or a run of other characters.
+_PIECE_RE = re.compile(r"(?P<sep>(?<= )[+-](?= ))|(?P<ghost>\^\*)|(?P<gap>[\s*])|(?P<open>\()|(?P<close>\))|[^()\s*^]+|\^")
 
 
-def _split_terms(text: str) -> list[tuple[int, str]]:
-    """Split on top-level ' + ' / ' - ', returning (sign, term) pairs."""
+def _terms(graph: Graph, field: Field, text: str) -> list[tuple[object, list[str], str]]:
+    """(signed coefficient, tokens, raw text) per term of an element or vector
+    literal.  Outside parentheses ' + ' and ' - ' end a term, whitespace and a
+    '*' separator end a token, and '^*' reads as '^'; inside them every
+    character belongs to its token.  A leading token that is a scalar and no
+    vertex or edge name is the term's coefficient, read once."""
     s = text.strip()
-    if not s:
-        raise ParseError("empty expression")
-    terms = []
-    depth = 0
-    sign = 1
-    buf = ""
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and i > 0 and s[i - 1] == " " and i + 1 < len(s) and s[i + 1] == " ":
-            terms.append((sign, buf.strip()))
-            sign = 1 if ch == "+" else -1
-            buf = ""
-            i += 2
+    split, tokens, token, sign, depth, start = [], [], "", 1, 0, 0
+    for m in _PIECE_RE.finditer(s):
+        kind = m.lastgroup
+        depth += (kind == "open") - (kind == "close")
+        if depth or kind not in ("sep", "ghost", "gap"):
+            token += m.group()
             continue
-        buf += ch
-        i += 1
-    terms.append((sign, buf.strip()))
-    if any(not t for _, t in terms):
-        raise ParseError(f"empty term in {text!r}")
-    return terms
-
-
-def _normalize_ghosts(term: str) -> str:
-    """'^*' -> '^'; a '*' separator between paths becomes a space."""
+        if kind == "ghost":
+            token += "^"
+            continue
+        if token:
+            tokens.append(token)
+            token = ""
+        if kind == "sep":
+            split.append((sign, tokens, s[start : m.start()]))
+            tokens, sign, start = [], 1 if m.group() == "+" else -1, m.end()
+    split.append((sign, tokens + [token] if token else tokens, s[start:]))
     out = []
-    depth = 0
-    i = 0
-    while i < len(term):
-        ch = term[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "^" and depth == 0 and i + 1 < len(term) and term[i + 1] == "*":
-            out.append("^")
-            i += 2
-            continue
-        if ch == "*" and depth == 0:
-            out.append(" ")
-            i += 1
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    for sign, tokens, raw in split:
+        if not tokens:
+            raise ParseError(f"empty term in {_quote(text)}")
+        coef, lead = field.one(), tokens[0]
+        if not (graph.is_vertex(lead) or graph.is_edge(lead)):
+            try:
+                coef, tokens = field.parse(lead), tokens[1:]
+            except FieldError:  # no scalar: the term has no coefficient
+                pass
+        out.append((coef if sign > 0 else field.neg(coef), tokens, raw.strip()))
+    return out
 
 
-def _is_scalar_token(graph: Graph, field: Field, token: str) -> bool:
-    if graph.is_vertex(token) or graph.is_edge(token):
-        return False
-    try:
-        field.parse(token)
-        return True
-    except FieldError:
-        return False
+def _monomial(graph: Graph, tokens: list[str], raw: str) -> Monomial:
+    """The monomial ``[mu] [nu^]`` that a term's path tokens name."""
+    mu = nu = None
+    for tok in tokens:
+        if tok.endswith("^"):
+            if nu is not None:
+                raise ParseError(f"two ghost parts in term {_quote(raw)}")
+            nu = parse_finite_path(graph, tok[:-1])
+        else:
+            if mu is not None:
+                raise ParseError(f"two path parts in term {_quote(raw)}")
+            mu = parse_finite_path(graph, tok)
+    if mu is None and nu is None:
+        raise ParseError(f"term {_quote(raw)} has no path")
+    if mu is None:
+        mu = graph.vertex_path(nu.rng)
+    if nu is None:
+        nu = graph.vertex_path(mu.rng)
+    if mu.rng != nu.rng:
+        raise ParseError(f"ranges differ in term {_quote(raw)}: {mu.rng} vs {nu.rng}")
+    return monomial(mu, nu)
 
 
 # ---------------------------------------------------------------------------
-# Algebra elements
+# Algebra elements and module vectors
 
 
 def parse_element(algebra: LeavittAlgebra, text: str) -> AlgebraElement:
     graph, field = algebra.graph, algebra.field
     terms: dict[Monomial, object] = {}
-    for sign, raw in _split_terms(text):
-        body = _normalize_ghosts(raw)
-        tokens = body.split()
-        if not tokens:
-            raise ParseError(f"empty term in {text!r}")
-        coef = field.one()
-        if _is_scalar_token(graph, field, tokens[0]):
-            coef = field.parse(tokens[0])
-            tokens = tokens[1:]
-        mu = nu = None
-        for tok in tokens:
-            if tok.endswith("^"):
-                if nu is not None:
-                    raise ParseError(f"two ghost parts in term {raw!r}")
-                nu = parse_finite_path(graph, tok[:-1])
-            else:
-                if mu is not None:
-                    raise ParseError(f"two path parts in term {raw!r}")
-                mu = parse_finite_path(graph, tok)
-        if mu is None and nu is None:
-            raise ParseError(f"term {raw!r} has no path")
-        if mu is None:
-            mu = graph.vertex_path(nu.rng)
-        if nu is None:
-            nu = graph.vertex_path(mu.rng)
-        if mu.rng != nu.rng:
-            raise ParseError(f"ranges differ in term {raw!r}: {mu.rng} vs {nu.rng}")
-        if sign < 0:
-            coef = field.neg(coef)
-        add_term(field, terms, monomial(mu, nu), coef)
+    for coef, tokens, raw in _terms(graph, field, text):
+        add_term(field, terms, _monomial(graph, tokens, raw), coef)
     return algebra.element(terms)
 
 
-# ---------------------------------------------------------------------------
-# Module vectors
-
-
-def _parse_basis_token(module: Module, token: str, rest: list[str]):
+def _parse_basis(module: Module, tokens: list[str], raw: str):
     graph = module.graph
     if isinstance(module, NvcModule):
-        mu = parse_finite_path(graph, token)
-        nu = graph.vertex_path(mu.rng)
-        if rest:
-            ghost = rest.pop(0)
-            if not ghost.endswith("^"):
-                raise ParseError(f"expected a ghost path, got {ghost!r}")
-            nu = parse_finite_path(graph, ghost[:-1])
-        if nu.src != module.base_vertex:
-            raise ParseError(f"{nu}^ does not start at the cycle's base vertex {module.base_vertex}")
-        m = monomial(mu, nu)
+        m = _monomial(graph, tokens, raw)
+        if m.nu.src != module.base_vertex:
+            raise ParseError(f"{m.nu}^ does not start at the cycle's base vertex {module.base_vertex}")
         if not module.algebra().is_normal(m):
             raise ParseError(f"{m} is not in normal form, so it is not a basis monomial")
         return NvcBasis(m)
-    power = 0
+    if not tokens:
+        raise ParseError(f"term {_quote(raw)} has no basis element")
+    if len(tokens) > 1:
+        raise ParseError(f"unexpected tokens in term {_quote(raw)}")
+    token, power = tokens[0], 0
     if "#" in token:
         token, ptext = token.rsplit("#", 1)
         power = _parse_int(ptext, "tensor index")
@@ -251,24 +227,9 @@ def _parse_basis_token(module: Module, token: str, rest: list[str]):
 
 
 def parse_vector(module: Module, text: str) -> ModuleVector:
-    field = module.field
     out: dict = {}
-    for sign, raw in _split_terms(text):
-        body = _normalize_ghosts(raw)
-        tokens = body.split()
-        coef = field.one()
-        if tokens and _is_scalar_token(module.graph, field, tokens[0].split("@")[0].split("#")[0]):
-            coef = field.parse(tokens[0])
-            tokens = tokens[1:]
-        if not tokens:
-            raise ParseError(f"term {raw!r} has no basis element")
-        rest = tokens[1:]
-        b = _parse_basis_token(module, tokens[0], rest)
-        if rest:
-            raise ParseError(f"unexpected tokens in term {raw!r}")
-        if sign < 0:
-            coef = field.neg(coef)
-        add_term(field, out, b, coef)
+    for coef, tokens, raw in _terms(module.graph, module.field, text):
+        add_term(module.field, out, _parse_basis(module, tokens, raw), coef)
     return module.vector(out)
 
 
@@ -284,8 +245,10 @@ def parse_twist(graph: Graph, field: Field, text: str) -> TwistVector:
             continue
         if "=" not in part:
             raise ParseError(f"twist entries look like 'edge=value', got {part!r}")
-        name, value = part.split("=", 1)
-        values[name.strip()] = field.parse(value.strip())
+        name, value = (x.strip() for x in part.split("=", 1))
+        if name in values:
+            raise ParseError(f"twist names edge {_quote(name)} twice")
+        values[name] = field.parse(value)
     return TwistVector.make(graph, field, values)
 
 
@@ -298,7 +261,7 @@ def parse_nspec(field: Field, text: str):
         raise ParseError(f"bad coefficient spec {text!r}")
     head, arg = m.group("head"), m.group("arg")
     if head == "K":
-        return TrivialCoeff(_parse_int(arg, "shift") if arg else 0)
+        return TrivialCoeff(0 if arg is None else _parse_int(arg, "shift"))
     if arg is None:
         raise ParseError(f"coefficient spec {text!r} needs an argument")
     if head == "Ka":

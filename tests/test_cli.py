@@ -343,6 +343,13 @@ class TestInputErrors:
             # a lag other than the canonical one, where the coefficient absorbs the isotropy
             ("r1", ["act", "--module", "ind:(e)^inf:Ka(2)", "--elt", "v", "--vec", "(e)^inf@1 - 2 (e)^inf@0"]),
             ("r1", ["act", "--module", "ind:(e)^inf:quot(t-3)", "--elt", "v", "--vec", "(e)^inf@-1"]),
+            # a lag, a Laurent shift and a tensor index past the digit limit, quoted to their first digits
+            ("r1", ["act", "--module", "ind:(e)^inf:laurent(0)", "--elt", "e", "--vec", f"(e)^inf@{HUGE}"]),
+            ("r1", ["act", "--module", f"ind:(e)^inf:laurent({HUGE})", "--elt", "e", "--vec", "(e)^inf@0"]),
+            ("r1", ["act", "--module", "chenext:e:t^2+1", "--field", "F3", "--elt", "e", "--vec", f"(e)^inf#{HUGE}"]),
+            # an edge twisted twice, and a trivial coefficient with an empty shift
+            ("r1", ["act", "--module", "chen:(e)^inf", "--twist", "e=2,e=3", "--elt", "e", "--vec", "(e)^inf"]),
+            ("toeplitz", ["act", "--module", "ind:v:K()", "--elt", "v", "--vec", "v@0"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):
@@ -351,6 +358,7 @@ class TestInputErrors:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200
 
     @pytest.mark.parametrize("command", [["validate"], ["classify", "--graded"]], ids=["validate", "classify"])
     @pytest.mark.parametrize("name", [*MALFORMED_GRAPH_FILES, "directory"])

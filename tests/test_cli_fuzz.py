@@ -28,7 +28,7 @@ from leavitt.graphs import Graph, elementary_cycles
 
 FIELDS = ["Q", "F2", "F3", "Q[t]/(t^2-2)", "F2[t]/(t^2+t+1)"]
 BASE_SCALARS = ["2", "-1", "1/3"]
-EXT_SCALARS = ["(t)", "(t+1)", "2"]
+EXT_SCALARS = ["(t)", "(t+1)", "2", "(t + 1)"]
 MODULI = ["t^2+t+1", "t^2+1", "t-2", "t^2-2"]
 # The flags each verify suite reads; the parser rejects every other one.
 READS = {

@@ -2,11 +2,12 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fixture_graphs import FIXTURE_GRAPHS
 from leavitt.algebra import LeavittAlgebra, random_element
-from leavitt.fields import QQ, ExtensionField, PrimeField, parse_field, parse_poly
+from leavitt.fields import QQ, ExtensionField, FieldError, PrimeField, RationalField, parse_field, parse_poly
 from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, lasso, sink_path, tail_lags
 from leavitt.reps import (
     ChenExtSpec,
@@ -23,6 +24,7 @@ from leavitt.reps import (
 )
 from leavitt.textform import (
     ParseError,
+    _terms,
     parse_boundary_path,
     parse_element,
     parse_module_spec,
@@ -92,6 +94,12 @@ class TestElements:
         x = parse_element(A, "(t+1) e")
         assert x == A.edge("e").scale(K.parse("(t+1)"))
 
+    def test_extension_coefficient_with_spaces(self, r1):
+        K = ExtensionField(F2, parse_poly("t^2+t+1", F2))
+        A = LeavittAlgebra(r1, K)
+        assert parse_element(A, "(t + 1) e") == parse_element(A, "(t+1) e")
+        assert parse_element(A, "e - ( t ) e^") == A.edge("e") - A.ghost("e").scale(K.parse("(t)"))
+
     def test_unknown_name(self, a2):
         A = LeavittAlgebra(a2, QQ)
         with pytest.raises(ParseError):
@@ -152,6 +160,18 @@ class TestVectors:
         # e.e e^ = e in L(r1): not a normal monomial, so not a basis literal
         with pytest.raises(ParseError, match=r"e\.e e\^ is not in normal form"):
             parse_vector(M, "e.e e^ + 3 v")
+
+    @pytest.mark.parametrize("text", ["e^", "e^ v", "v e^", "v e^*", "v*e^"])
+    def test_nvc_vector_reads_a_monomial_as_elements_do(self, r1, text):
+        M = build_module(r1, QQ, NvcSpec(r1.path(["e"])))
+        assert str(parse_vector(M, text)) == "v e^"
+
+    def test_extension_coefficient_with_spaces(self, r1):
+        K = parse_field("F2[t]/(t^2+t+1)")
+        M = build_module(r1, K, parse_module_spec(r1, K, "chen:(e)^inf"))
+        v = parse_vector(M, "(t + 1) (e)^inf")
+        assert v == parse_vector(M, "(t+1) (e)^inf")
+        assert str(v) == "(t+1) (e)^inf"
 
     def test_induced_vector(self, r1):
         x = lasso(r1, r1.vertex_path("v"), ["e"])
@@ -268,3 +288,118 @@ class TestSpecs:
     def test_bad_spec(self, a2):
         with pytest.raises(ParseError):
             parse_module_spec(a2, QQ, "wat:v")
+
+
+def _split_terms(text: str) -> list[tuple[int, str]]:
+    """Oracle: the term splitter that ``_terms`` replaced, unchanged."""
+    s = text.strip()
+    if not s:
+        raise ParseError("empty expression")
+    terms = []
+    depth = 0
+    sign = 1
+    buf = ""
+    i = 0
+    while i < len(s):
+        ch = s[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if depth == 0 and ch in "+-" and i > 0 and s[i - 1] == " " and i + 1 < len(s) and s[i + 1] == " ":
+            terms.append((sign, buf.strip()))
+            sign = 1 if ch == "+" else -1
+            buf = ""
+            i += 2
+            continue
+        buf += ch
+        i += 1
+    terms.append((sign, buf.strip()))
+    if any(not t for _, t in terms):
+        raise ParseError(f"empty term in {text!r}")
+    return terms
+
+
+def _normalize_ghosts(term: str) -> str:
+    """Oracle: the ghost-mark rewriter that ``_terms`` replaced, unchanged."""
+    out = []
+    depth = 0
+    i = 0
+    while i < len(term):
+        ch = term[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "^" and depth == 0 and i + 1 < len(term) and term[i + 1] == "*":
+            out.append("^")
+            i += 2
+            continue
+        if ch == "*" and depth == 0:
+            out.append(" ")
+            i += 1
+            continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def _oracle_terms(text: str) -> list[tuple[int, list[str]]]:
+    """(sign, tokens) per term from the three scanners ``_terms`` replaced:
+    the term splitter, the ghost rewriter and a whitespace split."""
+    out = []
+    for sign, raw in _split_terms(text):
+        tokens = _normalize_ghosts(raw).split()
+        if not tokens:
+            raise ParseError(f"empty term in {text!r}")
+        out.append((sign, tokens))
+    return out
+
+
+def _space_inside_parentheses(text: str) -> bool:
+    depth = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if depth and ch.isspace():
+            return True
+    return False
+
+
+class _NoScalars(RationalField):
+    """A field in which no token is a scalar, so ``_terms`` returns the
+    scanner's signs and tokens alone."""
+
+    def parse(self, text: str):
+        raise FieldError(f"no scalars, got {text!r}")
+
+
+class TestScanner:
+    """The one scanner ``_terms`` against the three scanners it replaced. They
+    differ only on whitespace inside parentheses, which now stays in its token."""
+
+    @given(text=st.text(alphabet="ev^*()+- 12@#.\t", max_size=24))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_replaced_scanners(self, text):
+        assume(not _space_inside_parentheses(text))
+        r1 = Graph(["v"], [("e", "v", "v")])
+        try:
+            expected = _oracle_terms(text)
+        except ParseError:
+            with pytest.raises(ParseError):
+                _terms(r1, _NoScalars(), text)
+            return
+        assert [(int(coef), tokens) for coef, tokens, _ in _terms(r1, _NoScalars(), text)] == expected
+
+    @pytest.mark.parametrize(
+        "field_text,text,expected",
+        [
+            ("F2[t]/(t^2+t+1)", "(t + 1) e", [("(t+1)", ["e"], "(t + 1) e")]),
+            ("F2[t]/(t^2+t+1)", "e - ( t )*e^", [("1", ["e"], "e"), ("(t)", ["e^"], "( t )*e^")]),
+            ("Q", "2 e.e^* - 1/3 e*e^", [("2", ["e.e^"], "2 e.e^*"), ("-1/3", ["e", "e^"], "1/3 e*e^")]),
+            ("Q", "e + (1 - 2) e", [("1", ["e"], "e"), ("1", ["(1 - 2)", "e"], "(1 - 2) e")]),
+        ],
+    )
+    def test_parenthesised_token_keeps_its_spaces(self, field_text, text, expected):
+        r1 = Graph(["v"], [("e", "v", "v")])
+        field = parse_field(field_text)
+        assert _terms(r1, field, text) == [(field.parse(c), tokens, raw) for c, tokens, raw in expected]
