@@ -15,10 +15,10 @@ from typing import NamedTuple
 from .fields import Field
 from .graphs import FinitePath, Graph, concat, initial_remainder, per_graph
 from .linalg import add_scaled, add_term
-from .records import Frozen
+from .records import Frozen, InputError
 
 
-class AlgebraError(ValueError):
+class AlgebraError(InputError):
     """Invalid algebra element construction or mixed-context operation."""
 
 

@@ -30,11 +30,11 @@ from .graphs import (
     simple_closed_paths,
 )
 from .groupoid import orbit_size
-from .records import same_class_eq, same_class_ne
+from .records import InputError, same_class_eq, same_class_ne
 from .reps import ChenExtSpec, ChenSpec, quotient_field
 
 
-class ClassificationError(ValueError):
+class ClassificationError(InputError):
     pass
 
 

@@ -8,6 +8,12 @@ Exit codes: 0 success, 1 verification failure, 2 input error (usage
 errors included), reported as one ``error:`` line on stderr, and 141 when
 the reader of stdout closes it early (128 + SIGPIPE, as a shell reports a
 process that SIGPIPE ended), with no message.
+
+Each command imports the modules it runs inside its ``_cmd_*`` function,
+after the inputs that are cheap to check (the graph file, ``--field``,
+``--at``, ``--cycle``) have been read, so an ``lpa`` process compiles only
+what its command needs; ``validate`` needs ``graphs`` alone.  Every input
+error derives from ``records.InputError``, which ``main`` catches.
 """
 
 from __future__ import annotations
@@ -18,38 +24,10 @@ import json
 import os
 import sys
 
-from .algebra import AlgebraError
-from .classify import ClassificationError, classify_graded, classify_simple, dimension_oracle
-from .fields import FieldError, parse_field, parse_poly
 from .graphs import Graph, GraphError, validate
-from .groupoid import GroupoidError
-from .reps import InducedSpec, ModuleSpecError, NotGradableError, QuotientCoeff, ScalarAction, build_module
-from .textform import (
-    ParseError,
-    parse_boundary_path,
-    parse_element,
-    parse_finite_path,
-    parse_module_spec,
-    parse_nspec,
-    parse_twist,
-    parse_vector,
-)
-from .verify import (
-    RESTRICTION_CAP,
-    OutOfWindowError,
-    verify_nvc_iso,
-    verify_pi_consistency,
-    verify_relations,
-    verify_res_ind,
-    verify_triv_iso,
-    verify_twist_iso,
-)
+from .records import InputError
 
 SUITES = ("relations", "pi-consistency", "triv-iso", "twist-iso", "nvc-iso", "res-ind")
-
-
-class InputError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--scalar", help="scalar action value")
     group.add_argument("--modulus", help="monic irreducible polynomial")
     s["res-ind"].add_argument("--coeff", required=True, help="coefficient spec, e.g. K, Ka(2), quot(t-2)")
-    s["res-ind"].add_argument("--cap", type=_count, default=RESTRICTION_CAP)
+    s["res-ind"].add_argument("--cap", type=_count, default=None)  # None: verify.RESTRICTION_CAP
 
     p = common(sub.add_parser("dims", help="finite-dimensional simple modules with dimensions"), _cmd_dims)
     p.add_argument("--poly-deg", type=_count, default=3, metavar="N")
@@ -239,6 +217,8 @@ def _read_graph(path: str) -> Graph:
 
 
 def _load(args) -> tuple[Graph, object]:
+    from .fields import parse_field
+
     return _read_graph(args.graph), parse_field(args.field)
 
 
@@ -262,6 +242,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_classify(args) -> int:
     graph, field = _load(args)
+    from .classify import classify_graded, classify_simple
+
     if args.graded:
         result = classify_graded(graph, args.cycles_up_to).to_json_dict()
     else:
@@ -272,6 +254,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_act(args) -> int:
     graph, field = _load(args)
+    from .reps import build_module
+    from .textform import parse_element, parse_module_spec, parse_twist, parse_vector
+
     twist = parse_twist(graph, field, args.twist) if args.twist else None
     spec = parse_module_spec(graph, field, args.module, twist, args.shift)
     module = build_module(graph, field, spec)
@@ -290,28 +275,34 @@ def _cmd_act(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph, field = _load(args)
+    from .textform import parse_boundary_path, parse_finite_path, parse_nspec, parse_twist
+
     suite = args.suite
+    # The paths first: a bad --at or --cycle fails before the suites load.
+    x = parse_boundary_path(graph, args.at) if suite in ("triv-iso", "res-ind") else None
+    cycle = parse_finite_path(graph, args.cycle) if suite in ("twist-iso", "nvc-iso") else None
+    from . import verify
+    from .fields import parse_poly
+    from .reps import InducedSpec, QuotientCoeff, ScalarAction
+
     if suite == "relations":
-        cert = verify_relations(graph, field, seed=args.seed, triples=args.triples)
+        cert = verify.verify_relations(graph, field, seed=args.seed, triples=args.triples)
     elif suite == "pi-consistency":
-        cert = verify_pi_consistency(graph, field, max_len=args.window)
+        cert = verify.verify_pi_consistency(graph, field, max_len=args.window)
     elif suite == "triv-iso":
-        x = parse_boundary_path(graph, args.at)
         twist = parse_twist(graph, field, args.twist) if args.twist else None
-        cert = verify_triv_iso(graph, field, x, twist, bound=args.window, mono_len=args.mono_len)
+        cert = verify.verify_triv_iso(graph, field, x, twist, bound=args.window, mono_len=args.mono_len)
     elif suite == "twist-iso":
-        cycle = parse_finite_path(graph, args.cycle)
         if args.scalar is not None:
             coeff = ScalarAction(field.parse(args.scalar))
         else:
             coeff = QuotientCoeff(parse_poly(args.modulus, field))
-        cert = verify_twist_iso(graph, field, cycle, coeff, bound=args.window, mono_len=args.mono_len)
+        cert = verify.verify_twist_iso(graph, field, cycle, coeff, bound=args.window, mono_len=args.mono_len)
     elif suite == "nvc-iso":
-        cert = verify_nvc_iso(graph, field, parse_finite_path(graph, args.cycle), bound=args.window, mono_len=args.mono_len)
+        cert = verify.verify_nvc_iso(graph, field, cycle, bound=args.window, mono_len=args.mono_len)
     else:  # res-ind
-        x = parse_boundary_path(graph, args.at)
-        coeff = parse_nspec(field, args.coeff)
-        cert = verify_res_ind(graph, field, InducedSpec(x, coeff), cap=args.cap)
+        cap = verify.RESTRICTION_CAP if args.cap is None else args.cap
+        cert = verify.verify_res_ind(graph, field, InducedSpec(x, parse_nspec(field, args.coeff)), cap=cap)
     result = cert.to_json_dict()
     _emit(result, args.json, _render_certificate)
     return 0 if cert.passed else 1
@@ -319,6 +310,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dims(args) -> int:
     graph, field = _load(args)
+    from .classify import classify_simple, dimension_oracle
+
     res = classify_simple(graph, field, args.poly_deg, _rational_samples(args))
     entries = []
     all_match = True
@@ -349,10 +342,7 @@ def main(argv=None) -> int:
         # does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (
-        InputError, ParseError, GraphError, FieldError, ModuleSpecError, NotGradableError,
-        OutOfWindowError, ClassificationError, AlgebraError, GroupoidError,
-    ) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

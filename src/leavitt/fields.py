@@ -22,10 +22,10 @@ from fractions import Fraction
 from itertools import chain, compress, product
 from typing import Iterable
 
-from .records import Frozen
+from .records import Frozen, InputError, quote
 
 
-class FieldError(ValueError):
+class FieldError(InputError):
     """Invalid field construction or operation."""
 
 
@@ -152,11 +152,11 @@ class RationalField(Field):
         """``[-]n`` or ``[-]n/m`` only: ``Fraction`` would also take an exponent
         such as ``1e10000000`` and build its integer before any check."""
         if not _RATIONAL_RE.fullmatch(text):
-            raise FieldError(f"bad rational {text!r}")
+            raise FieldError(f"bad rational {quote(text)}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError(f"bad rational {text!r}") from exc
+            raise FieldError(f"bad rational {quote(text)}") from exc
 
 
 QQ = RationalField()
@@ -236,7 +236,7 @@ class PrimeField(Field):
         try:
             return int(text) % self.p
         except ValueError as exc:
-            raise FieldError(f"bad {self.name} scalar {text!r}") from exc
+            raise FieldError(f"bad {self.name} scalar {quote(text)}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +723,7 @@ def _poly_terms(text: str, field: Field) -> dict[int, object]:
             body = body[1:]
         m = _TERM_RE.match(body)
         if not m or (not m.group("coef") and not m.group("t")):
-            raise FieldError(f"bad polynomial term {term!r} in {text!r}")
+            raise FieldError(f"bad polynomial term {quote(term)} in {quote(text)}")
         if m.group("t"):
             exp = _literal_int(m.group("exp") or "1")
             coef_text = m.group("coef") or "1"
@@ -751,7 +751,7 @@ def parse_field(spec: str) -> Field:
     """Parse field spec strings: ``Q``, ``F2``, ``F2[t]/(t^2+t+1)``."""
     m = _FIELD_RE.match(spec.replace(" ", ""))
     if not m:
-        raise FieldError(f"bad field spec {spec!r}")
+        raise FieldError(f"bad field spec {quote(spec)}")
     base: Field = QQ if m.group("base") == "Q" else PrimeField(_literal_int(m.group("p")))
     if m.group("mod") is None:
         return base

@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import functools
 import re
-import reprlib
 from typing import Iterable, NamedTuple, Union
 
-from .records import Frozen, same_class_eq, same_class_ne
+from .records import Frozen, InputError, quote, same_class_eq, same_class_ne
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_QUOTE_LIMIT = 40  # characters of a bad value's repr that an error message quotes
 _ERROR_LIMIT = 5  # errors that one GraphError lists
 _MISSING = object()  # a memo's miss, where None is a result
 
 
-class GraphError(ValueError):
+class GraphError(InputError):
     """Malformed graph data or an invalid path construction."""
 
 
@@ -98,7 +96,7 @@ class Graph:
         try:
             return self._by_name[name]
         except KeyError:
-            raise GraphError(f"unknown edge {name!r}") from None
+            raise GraphError(f"unknown edge {quote(name)}") from None
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         return self._out[v]
@@ -174,15 +172,6 @@ def per_graph(build):
     return derived
 
 
-def _quote(value) -> str:
-    """repr(value), cut to its first _QUOTE_LIMIT characters."""
-    try:
-        text = repr(value)
-    except RecursionError:  # nested deeper than the stack allows; reprlib stops at a few levels
-        text = reprlib.repr(value)
-    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
-
-
 def _validate_data(vertices: list, edges: list[Edge]) -> list[str]:
     errors = []
     if not vertices:
@@ -190,23 +179,23 @@ def _validate_data(vertices: list, edges: list[Edge]) -> list[str]:
     seen: set[str] = set()
     for v in vertices:
         if not isinstance(v, str) or not _NAME_RE.match(v):
-            errors.append(f"bad vertex name {_quote(v)}")
+            errors.append(f"bad vertex name {quote(v)}")
         elif v in seen:
-            errors.append(f"duplicate name {_quote(v)}")
+            errors.append(f"duplicate name {quote(v)}")
         else:
             seen.add(v)
     vset = set(seen)
     for e in edges:
         if not isinstance(e.name, str) or not _NAME_RE.match(e.name):
-            errors.append(f"bad edge name {_quote(e.name)}")
+            errors.append(f"bad edge name {quote(e.name)}")
         elif e.name in seen:
-            errors.append(f"duplicate name {_quote(e.name)}")
+            errors.append(f"duplicate name {quote(e.name)}")
         else:
             seen.add(e.name)
         if not (isinstance(e.src, str) and e.src in vset):
-            errors.append(f"dangling endpoint: edge {_quote(e.name)} has undeclared source {_quote(e.src)}")
+            errors.append(f"dangling endpoint: edge {quote(e.name)} has undeclared source {quote(e.src)}")
         if not (isinstance(e.rng, str) and e.rng in vset):
-            errors.append(f"dangling endpoint: edge {_quote(e.name)} has undeclared range {_quote(e.rng)}")
+            errors.append(f"dangling endpoint: edge {quote(e.name)} has undeclared range {quote(e.rng)}")
     return errors
 
 

@@ -30,10 +30,10 @@ from .graphs import (
     is_maximal_cycle,
     sink_path,
 )
-from .records import same_class_eq, same_class_ne
+from .records import InputError, same_class_eq, same_class_ne
 
 
-class GroupoidError(ValueError):
+class GroupoidError(InputError):
     """Invalid groupoid element or non-composable pair."""
 
 

@@ -1,4 +1,5 @@
-"""Equality and immutability shared by the package's record types.
+"""Equality and immutability shared by the package's record types, and the
+input-error base class and value quoting that its error messages share.
 
 A record that only holds values is a ``typing.NamedTuple``: it is built
 and hashed by C tuple code, and its hash is that of the plain tuple of its
@@ -21,9 +22,30 @@ writes ``__init__``, ``__eq__``, ``__hash__``, ``__repr__`` and
 ``__setattr__`` out as source and execs it for every class: that cost about
 a millisecond a class at import, and the decorator's module loads
 ``inspect`` and ``ast``.  So ``lpa`` starts without them.
+
+Every error that bad input to ``lpa`` can raise derives from
+``InputError``, so the command line reports all of them with one handler
+without importing the modules that define them.
 """
 
+import reprlib
 from operator import attrgetter
+
+_QUOTE_LIMIT = 40  # characters of a bad value's repr that an error message quotes
+
+
+class InputError(ValueError):
+    """Input that the package cannot accept: ``lpa`` reports it as one
+    ``error:`` line and exit status 2."""
+
+
+def quote(value) -> str:
+    """repr(value), cut to its first _QUOTE_LIMIT characters."""
+    try:
+        text = repr(value)
+    except RecursionError:  # nested deeper than the stack allows; reprlib stops at a few levels
+        text = reprlib.repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
 
 
 def same_class_eq(self, other) -> bool:

@@ -45,14 +45,14 @@ from .graphs import (
 )
 from .groupoid import orbit
 from .linalg import add_term, linear_extend
-from .records import Frozen, same_class_eq, same_class_ne
+from .records import Frozen, InputError, same_class_eq, same_class_ne
 
 
-class ModuleSpecError(ValueError):
+class ModuleSpecError(InputError):
     """A module specification violates its preconditions."""
 
 
-class NotGradableError(ValueError):
+class NotGradableError(InputError):
     """Raised when grading data is requested from a non-graded module."""
 
 

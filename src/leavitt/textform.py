@@ -25,37 +25,28 @@ One scanner, ``_terms``, reads the characters of element and vector
 literals; ``_monomial`` reads the ``[mu] [nu^]`` of an element term and of
 a no-exit-cycle basis literal.  Printing always emits the canonical form;
 print-then-parse is exact.
+
+The path parsers need only ``graphs``.  The other parsers import
+``algebra``, ``fields``, ``linalg`` and ``reps`` inside their bodies, so
+an ``lpa`` command that fails on a path, or reads nothing else, does not
+load them.
 """
 
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
-from .algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector, monomial
-from .fields import Field, FieldError, parse_poly
-from .graphs import BoundaryPath, FinitePath, Graph, GraphError, _quote, lasso, sink_path, tail_lags
-from .linalg import add_term
-from .reps import (
-    ChenBasis,
-    ChenExtSpec,
-    ChenSpec,
-    CosetBasis,
-    InducedModule,
-    InducedSpec,
-    LaurentCoeff,
-    Module,
-    ModuleSpec,
-    ModuleVector,
-    NvcBasis,
-    NvcModule,
-    NvcSpec,
-    QuotientCoeff,
-    ScalarAction,
-    TrivialCoeff,
-)
+from .graphs import BoundaryPath, FinitePath, Graph, GraphError, lasso, sink_path, tail_lags
+from .records import InputError, quote
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector
+    from .fields import Field
+    from .reps import Module, ModuleSpec, ModuleVector
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed textual input."""
 
 
@@ -65,7 +56,7 @@ def _parse_int(text: str, what: str) -> int:
     except ValueError:
         if re.fullmatch(r"\s*[+-]?\d+\s*", text):  # past the interpreter's string-to-integer digit limit
             raise ParseError(f"{what} {text.strip()[:20]}... is too long") from None
-        raise ParseError(f"{what} must be an integer, got {_quote(text)}") from None
+        raise ParseError(f"{what} must be an integer, got {quote(text)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +98,7 @@ def parse_boundary_path(graph: Graph, text: str) -> BoundaryPath:
         return sink_path(graph, p)
     except GraphError as exc:
         raise ParseError(
-            f"{text!r} is not a boundary path: {exc}; infinite paths use '(c)^inf'"
+            f"{quote(text)} is not a boundary path: {exc}; infinite paths use '(c)^inf'"
         ) from exc
 
 
@@ -125,6 +116,8 @@ def _terms(graph: Graph, field: Field, text: str) -> list[tuple[object, list[str
     '*' separator end a token, and '^*' reads as '^'; inside them every
     character belongs to its token.  A leading token that is a scalar and no
     vertex or edge name is the term's coefficient, read once."""
+    from .fields import FieldError
+
     s = text.strip()
     split, tokens, token, sign, depth, start = [], [], "", 1, 0, 0
     for m in _PIECE_RE.finditer(s):
@@ -146,7 +139,7 @@ def _terms(graph: Graph, field: Field, text: str) -> list[tuple[object, list[str
     out = []
     for sign, tokens, raw in split:
         if not tokens:
-            raise ParseError(f"empty term in {_quote(text)}")
+            raise ParseError(f"empty term in {quote(text)}")
         coef, lead = field.one(), tokens[0]
         if not (graph.is_vertex(lead) or graph.is_edge(lead)):
             try:
@@ -159,24 +152,26 @@ def _terms(graph: Graph, field: Field, text: str) -> list[tuple[object, list[str
 
 def _monomial(graph: Graph, tokens: list[str], raw: str) -> Monomial:
     """The monomial ``[mu] [nu^]`` that a term's path tokens name."""
+    from .algebra import monomial
+
     mu = nu = None
     for tok in tokens:
         if tok.endswith("^"):
             if nu is not None:
-                raise ParseError(f"two ghost parts in term {_quote(raw)}")
+                raise ParseError(f"two ghost parts in term {quote(raw)}")
             nu = parse_finite_path(graph, tok[:-1])
         else:
             if mu is not None:
-                raise ParseError(f"two path parts in term {_quote(raw)}")
+                raise ParseError(f"two path parts in term {quote(raw)}")
             mu = parse_finite_path(graph, tok)
     if mu is None and nu is None:
-        raise ParseError(f"term {_quote(raw)} has no path")
+        raise ParseError(f"term {quote(raw)} has no path")
     if mu is None:
         mu = graph.vertex_path(nu.rng)
     if nu is None:
         nu = graph.vertex_path(mu.rng)
     if mu.rng != nu.rng:
-        raise ParseError(f"ranges differ in term {_quote(raw)}: {mu.rng} vs {nu.rng}")
+        raise ParseError(f"ranges differ in term {quote(raw)}: {mu.rng} vs {nu.rng}")
     return monomial(mu, nu)
 
 
@@ -185,6 +180,8 @@ def _monomial(graph: Graph, tokens: list[str], raw: str) -> Monomial:
 
 
 def parse_element(algebra: LeavittAlgebra, text: str) -> AlgebraElement:
+    from .linalg import add_term
+
     graph, field = algebra.graph, algebra.field
     terms: dict[Monomial, object] = {}
     for coef, tokens, raw in _terms(graph, field, text):
@@ -193,6 +190,8 @@ def parse_element(algebra: LeavittAlgebra, text: str) -> AlgebraElement:
 
 
 def _parse_basis(module: Module, tokens: list[str], raw: str):
+    from .reps import ChenBasis, CosetBasis, InducedModule, NvcBasis, NvcModule
+
     graph = module.graph
     if isinstance(module, NvcModule):
         m = _monomial(graph, tokens, raw)
@@ -202,9 +201,9 @@ def _parse_basis(module: Module, tokens: list[str], raw: str):
             raise ParseError(f"{m} is not in normal form, so it is not a basis monomial")
         return NvcBasis(m)
     if not tokens:
-        raise ParseError(f"term {_quote(raw)} has no basis element")
+        raise ParseError(f"term {quote(raw)} has no basis element")
     if len(tokens) > 1:
-        raise ParseError(f"unexpected tokens in term {_quote(raw)}")
+        raise ParseError(f"unexpected tokens in term {quote(raw)}")
     token, power = tokens[0], 0
     if "#" in token:
         token, ptext = token.rsplit("#", 1)
@@ -213,7 +212,7 @@ def _parse_basis(module: Module, tokens: list[str], raw: str):
         raise ParseError(f"tensor index {power} is outside 0..{module.tensor_degree - 1}")
     if isinstance(module, InducedModule):
         if "@" not in token:
-            raise ParseError(f"induced-module basis literals look like 'path@lag', got {token!r}")
+            raise ParseError(f"induced-module basis literals look like 'path@lag', got {quote(token)}")
         ptext, ltext = token.rsplit("@", 1)
         y, lag = parse_boundary_path(graph, ptext), _parse_int(ltext, "lag")
         if not tail_lags(y, module.spec.base).contains(lag):
@@ -227,6 +226,8 @@ def _parse_basis(module: Module, tokens: list[str], raw: str):
 
 
 def parse_vector(module: Module, text: str) -> ModuleVector:
+    from .linalg import add_term
+
     out: dict = {}
     for coef, tokens, raw in _terms(module.graph, module.field, text):
         add_term(module.field, out, _parse_basis(module, tokens, raw), coef)
@@ -238,16 +239,18 @@ def parse_vector(module: Module, text: str) -> ModuleVector:
 
 
 def parse_twist(graph: Graph, field: Field, text: str) -> TwistVector:
+    from .algebra import TwistVector
+
     values = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            raise ParseError(f"twist entries look like 'edge=value', got {part!r}")
+            raise ParseError(f"twist entries look like 'edge=value', got {quote(part)}")
         name, value = (x.strip() for x in part.split("=", 1))
         if name in values:
-            raise ParseError(f"twist names edge {_quote(name)} twice")
+            raise ParseError(f"twist names edge {quote(name)} twice")
         values[name] = field.parse(value)
     return TwistVector.make(graph, field, values)
 
@@ -256,14 +259,17 @@ _NSPEC_RE = re.compile(r"^(?P<head>K|Ka|quot|laurent)(?:\((?P<arg>.*)\))?$")
 
 
 def parse_nspec(field: Field, text: str):
+    from .fields import parse_poly
+    from .reps import LaurentCoeff, QuotientCoeff, ScalarAction, TrivialCoeff
+
     m = _NSPEC_RE.match(text.strip())
     if not m:
-        raise ParseError(f"bad coefficient spec {text!r}")
+        raise ParseError(f"bad coefficient spec {quote(text)}")
     head, arg = m.group("head"), m.group("arg")
     if head == "K":
         return TrivialCoeff(0 if arg is None else _parse_int(arg, "shift"))
     if arg is None:
-        raise ParseError(f"coefficient spec {text!r} needs an argument")
+        raise ParseError(f"coefficient spec {quote(text)} needs an argument")
     if head == "Ka":
         return ScalarAction(field.parse(arg))
     if head == "quot":
@@ -272,10 +278,13 @@ def parse_nspec(field: Field, text: str):
 
 
 def parse_module_spec(graph: Graph, field: Field, text: str, twist: TwistVector | None = None, shift: int = 0) -> ModuleSpec:
+    from .fields import parse_poly
+    from .reps import ChenExtSpec, ChenSpec, InducedSpec, NvcSpec
+
     parts = text.strip().split(":")
     kind = parts[0]
     if twist is not None and kind != "chen":
-        raise ParseError(f"a twist applies to chen modules only, not to {kind!r}")
+        raise ParseError(f"a twist applies to chen modules only, not to {quote(kind)}")
     if kind == "chen":
         if len(parts) != 2:
             raise ParseError("chen specs look like 'chen:BPATH'")
@@ -293,4 +302,4 @@ def parse_module_spec(graph: Graph, field: Field, text: str, twist: TwistVector 
         if len(parts) != 3:
             raise ParseError("induced specs look like 'ind:BPATH:NSPEC'")
         return InducedSpec(parse_boundary_path(graph, parts[1]), parse_nspec(field, parts[2]), shift)
-    raise ParseError(f"unknown module kind {kind!r} (chen, chenext, nvc, ind)")
+    raise ParseError(f"unknown module kind {quote(kind)} (chen, chenext, nvc, ind)")

@@ -71,7 +71,7 @@ from .linalg import (
     zeros,
 )
 from .groupoid import bisection_product, bisections_match_monomial, monomial_bisection
-from .records import same_class_eq, same_class_ne
+from .records import InputError, same_class_eq, same_class_ne
 from .reps import (
     ChenBasis,
     ChenExtModule,
@@ -98,7 +98,7 @@ from .reps import (
 RESTRICTION_CAP = 6  # idempotents the restriction chain may need before it stabilizes
 
 
-class OutOfWindowError(Exception):
+class OutOfWindowError(InputError):
     """An action left the enumerated window; the window is not closed."""
 
 

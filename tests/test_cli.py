@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fixture_graphs import MALFORMED_GRAPH_FILES
-from leavitt import cli
+from leavitt import cli, verify
 from leavitt.cli import SUITES, main
 from leavitt.graphs import Graph
 from leavitt.verify import Certificate
@@ -167,7 +167,7 @@ class TestVerify:
             cert.record("equivariance", False, "forced")
             return cert
 
-        monkeypatch.setattr(cli, "verify_triv_iso", failing)
+        monkeypatch.setattr(verify, "verify_triv_iso", failing)  # the CLI looks it up on its home module
         code, out, _ = run(capsys, ["verify", "triv-iso", "--at", "v", "--json", graph_file(a2)])
         assert code == 1
         assert json.loads(out)["counterexample"] == {"check": "equivariance", "detail": "forced"}
@@ -350,6 +350,10 @@ class TestInputErrors:
             # an edge twisted twice, and a trivial coefficient with an empty shift
             ("r1", ["act", "--module", "chen:(e)^inf", "--twist", "e=2,e=3", "--elt", "e", "--vec", "(e)^inf"]),
             ("toeplitz", ["act", "--module", "ind:v:K()", "--elt", "v", "--vec", "v@0"]),
+            # a bad edge name and bad scalars of 5,000 characters, quoted to their first characters
+            ("r1", ["act", "--module", "chen:(e)^inf", "--elt", f"{HUGE} e", "--vec", "(e)^inf"]),
+            *(("r1", ["act", "--field", f, "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf", "--twist", f"e={HUGE}"])
+              for f in ("F2", "Q", "F2[t]/(t^2+t+1)")),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):
