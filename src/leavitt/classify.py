@@ -12,6 +12,7 @@ irreducible polynomial other than t.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, NamedTuple
 
 from .fields import Field, Poly, PrimeField, RationalField, enumerate_monic_irreducibles
@@ -23,15 +24,12 @@ from .graphs import (
     closed_path_set_is_finite,
     cycle_tail,
     elementary_cycles,
-    lasso,
     maximal_cycles,
     maximal_sinks,
     per_graph,
     simple_closed_paths,
 )
-from .groupoid import orbit_size
 from .records import InputError, same_class_eq, same_class_ne
-from .reps import ChenExtSpec, ChenSpec, quotient_field
 
 
 class ClassificationError(InputError):
@@ -143,6 +141,8 @@ class SinkSimple(NamedTuple):
     __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def module_spec(self, graph: Graph) -> ChenSpec:
+        from .reps import ChenSpec
+
         return ChenSpec(sink_path(graph, graph.vertex_path(self.vertex)))
 
     def to_json_dict(self) -> dict:
@@ -158,6 +158,8 @@ class CycleSimple(NamedTuple):
     __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
     def module_spec(self) -> ChenExtSpec:
+        from .reps import ChenExtSpec
+
         return ChenExtSpec(self.cycle, self.modulus)
 
     def to_json_dict(self) -> dict:
@@ -213,6 +215,8 @@ def moduli_for_field(
     """The sampled or enumerated f-axis with the extra moduli, each modulus
     once (over GF(p) the extras not enumerated follow in the order given);
     second value: complete up to the bound."""
+    from .reps import quotient_field
+
     if isinstance(field, PrimeField):
         out = enumerate_monic_irreducibles(field.p, poly_degree_bound)
         for f in extra_moduli:
@@ -242,6 +246,8 @@ def classify_simple(
     extra_moduli: Iterable[Poly] = (),
 ) -> SimpleClassification:
     """Finite-dimensional spectral simples, plus flags for the infinite families."""
+    from .groupoid import orbit_size
+
     entries: list = []
     flagged: list[InfiniteDimFlagged] = []
     finite = dict(maximal_sinks(graph))
@@ -290,35 +296,54 @@ def classify_simple(
 
 @per_graph
 def _lasso_count(graph: Graph, star: tuple[str, ...]) -> int:
-    """The number of distinct canonical lassos prefix.(rotation of star)^inf.
+    """The number of distinct canonical lassos prefix.(rotation of star)^inf,
+    for a cycle ``star``.
 
-    A depth-first walk over finite paths up to |V| + |star| + 1 edges,
+    A brute-force walk over every finite path up to |V| + |star| + 1 edges,
     started and extended only at vertices that reach the cycle (found by a
-    reverse search); each path ending on the cycle continues around it.
+    reverse search).  Each path is a node of the walk's trie, and a path
+    that ends on the cycle, at the source of star[i], names the lasso
+    path.(star from i)^inf: by its parent's name when its last edge is
+    star[i - 1], the cycle edge that enters its end, and by its own node
+    otherwise.  The count is the number of distinct names.  A step costs
+    O(1): it builds no path and canonicalises none.
+
+    The name is ``lasso``'s canonical form.  ``lasso`` absorbs a trailing
+    star[i - 1] into the rotation, taking (path, i) to (parent, i - 1),
+    until the path does not end so.  By induction on length, a path's name
+    is the node where that absorption stops, and two paths give the same
+    lasso exactly when they stop at the same node: the lasso is that node's
+    path with the entry at its end, one per vertex since a cycle repeats no
+    vertex.  For the same reason a cycle edge is star[i - 1] for the entry
+    i at its range, so testing membership in the cycle is enough.  The
+    parent, on the cycle, has a name by then, and the walk visits it before
+    its children.
     """
-    n = len(star)
-    entries: dict[str, list[int]] = {}
-    for i, e in enumerate(star):
-        entries.setdefault(graph.edge(e).src, []).append(i)
-    reach = set(entries)
+    on_cycle = {graph.edge(e).src for e in star}
+    reach = set(on_cycle)
     stack = list(reach)
     while stack:
         for e in graph.in_edges(stack.pop()):
             if e.src not in reach:
                 reach.add(e.src)
                 stack.append(e.src)
-    horizon = len(graph.vertices) + n + 1
-    seen = set()
-    paths = [graph.vertex_path(v) for v in graph.vertices if v in reach]
+    cycle_edges = set(star)
+    horizon = len(graph.vertices) + len(star) + 1
+    fresh = itertools.count()
+    names = set()
+    # (length, range, the lasso's name, or None off the cycle)
+    paths = [(0, v, next(fresh) if v in on_cycle else None) for v in graph.vertices if v in reach]
     while paths:
-        p = paths.pop()
-        for i in entries.get(p.rng, ()):
-            seen.add(lasso(graph, p, star[i:] + star[:i]))
-        if len(p) < horizon:
-            for e in graph.out_edges(p.rng):
-                if e.rng in reach:
-                    paths.append(FinitePath(p.edges + (e.name,), p.src, e.rng))
-    return len(seen)
+        k, v, name = paths.pop()
+        if name is not None:
+            names.add(name)
+        if k < horizon:
+            for e in graph.out_edges(v):
+                if e.name in cycle_edges:
+                    paths.append((k + 1, e.rng, name))
+                elif e.rng in reach:
+                    paths.append((k + 1, e.rng, next(fresh) if e.rng in on_cycle else None))
+    return len(names)
 
 
 def _walk_count(graph: Graph, v: str) -> int:
@@ -347,9 +372,10 @@ def dimension_oracle(graph: Graph, entry) -> int:
     (``_walk_count``), not by the dynamic programming of
     ``graphs.count_paths_ending_at`` that ``classify_simple`` uses.
     Cycle entries: the number of boundary paths tail-equivalent to the
-    cycle's tail, found by brute-force path enumeration with ``lasso``
-    canonicalisation and dedup (exact because the predecessors are finite),
-    times deg(modulus), never calling ``orbit_size`` or the groupoid.  So
+    cycle's tail, found by brute-force path enumeration with each lasso
+    named by its canonical form and deduplicated (exact because the
+    predecessors are finite), times deg(modulus), never calling
+    ``orbit_size``, ``canonical_lassos`` or the groupoid.  So
     neither half shares a formula with ``classify_simple``'s dimensions.
     The cycle walk is pruned to the vertices that reach the cycle, and the
     count is kept on the graph per cycle (``per_graph``), since every

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Union
 
 from .records import Frozen, InputError, quote, same_class_eq, same_class_ne
@@ -664,31 +665,75 @@ def _lyndon_closed_walks(
     length p grows by an out-edge of its range named at least word[n - p]; p
     stays on a tie and becomes n + 1 otherwise.  A closed word with p = n is
     a Lyndon word.
+
+    Two cuts skip steps whose result would be thrown away, and neither
+    loses a closing word:
+    - each vertex keeps its inner out-edges as a list of names, sorted, and
+      a list of ranges.  The edges named at least the floor word[n - p] are
+      the names from ``bisect_left(names, floor)`` on, so the bisection
+      starts the step where the skipping of every lower name ended.  A
+      vertex with a single inner edge compares it with the floor instead,
+      and the walk follows it with no step on the stack: on a long sparse
+      component most steps are of this kind.
+    - a step to length ``bound`` can only close the word, since nothing
+      grows past the bound.  It closes when the edge enters ``start`` and p
+      becomes n + 1, that is, when its name is above the floor (on a tie p
+      stays <= n).  So the last step reads only the edges from the range
+      into ``start``, grouped by source from ``in_edges(start)``, in
+      O(in-degree) per start.  Every edge between two vertices of the
+      component is inner, so none is missed.
     """
     found = []
     for comp in comps:
-        inner = {v: [e for e in graph.out_edges(v) if e.rng in comp] for v in comp}
+        names: dict[str, list[str]] = {}
+        rngs: dict[str, list[str]] = {}
+        for v in comp:
+            inner = [e for e in graph.out_edges(v) if e.rng in comp]
+            names[v] = [e.name for e in inner]
+            rngs[v] = [e.rng for e in inner]
         for start in comp:
-            word: list[Edge] = []
-            stack = [(iter(inner[start]), 0)]  # an explicit stack: cycles may be long
+            into: dict[str, list[str]] = {}  # source -> names of its edges into start
+            for e in graph.in_edges(start):
+                into.setdefault(e.src, []).append(e.name)
+            if bound == 1:
+                found.extend(FinitePath((name,), start, start) for name in into.get(start, ()))
+                continue
+            word: list[str] = []
+            # pending steps (n, name, rng, p): word[:n] grows by the edge name to rng,
+            # its longest Lyndon prefix then of length p; explicit, as cycles may be long
+            stack = []
+            for name, r in zip(names[start], rngs[start]):
+                if r == start:
+                    found.append(FinitePath((name,), start, start))
+                stack.append((0, name, r, 1))
             while stack:
-                edges, p = stack[-1]
-                e = next(edges, None)
-                if e is None:
-                    stack.pop()
-                    if word:
-                        word.pop()
-                    continue
-                n = len(word)
-                floor = word[n - p].name if n else e.name
-                if e.name < floor:
-                    continue
-                p = p if n and e.name == floor else n + 1
-                if e.rng == start and p == n + 1:
-                    found.append(FinitePath(tuple(x.name for x in word) + (e.name,), start, start))
-                if n + 1 < bound:
-                    word.append(e)
-                    stack.append((iter(inner[e.rng]), p))
+                n, name, v, p = stack.pop()
+                del word[n:]
+                while True:  # along a run of single edges, with no stack step
+                    word.append(name)
+                    n += 1
+                    floor = word[n - p]
+                    if n + 1 == bound:
+                        for name in into.get(v, ()):
+                            if name > floor:
+                                found.append(FinitePath((*word, name), start, start))
+                        break
+                    vnames, vrngs = names[v], rngs[v]
+                    if len(vnames) == 1:
+                        name, v = vnames[0], vrngs[0]
+                        if name < floor:
+                            break
+                        p = p if name == floor else n + 1
+                        if v == start and p > n:
+                            found.append(FinitePath((*word, name), start, start))
+                        continue
+                    for i in range(bisect_left(vnames, floor), len(vnames)):
+                        name, r = vnames[i], vrngs[i]
+                        q = p if name == floor else n + 1
+                        if r == start and q > n:
+                            found.append(FinitePath((*word, name), start, start))
+                        stack.append((n, name, r, q))
+                    break
     return tuple(sorted(found, key=FinitePath.sort_key))
 
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import time
 import weakref
 
 import pytest
@@ -232,16 +233,28 @@ class TestDimensionOracleWork:
         list every path of K5 up to 8 edges (2.4 million) and of K6 up to
         9 edges (73 million)."""
         calls = []
-        real_lasso = classify.lasso
-        monkeypatch.setattr(classify, "lasso", lambda *a: calls.append(a) or real_lasso(*a))
+        out_edges = Graph.out_edges
+        monkeypatch.setattr(Graph, "out_edges", lambda self, v: calls.append(v) or out_edges(self, v))
         for n in (5, 6):
             graph = _complete_with_loops_beside_a_loop(n)
-            calls.clear()
             res = classify_simple(graph, F2, 2)
+            calls.clear()
             dims = [dimension_oracle(graph, e) for e in res.entries]
             assert dims == [e.dimension for e in res.entries] == [1, 2]
-            # at most one lasso per path l^k, k <= |V| + 2, for the first modulus only
-            assert len(calls) <= len(graph.vertices) + 3
+            # one step from each path l^k, k < |V| + 2, for the first modulus only
+            assert set(calls) == {"w"} and len(calls) <= len(graph.vertices) + 2
+
+    def test_a_300_cycle_is_counted_in_linear_work(self):
+        """Each step of the walk is O(1), so about 2n^2 = 180,000 steps;
+        copying and canonicalising each path made the count about n^3 (2.7 s
+        at n = 100, so minutes here)."""
+        n = 300
+        edges = [(f"f{i:04d}", f"c{i:04d}", f"c{(i + 1) % n:04d}") for i in range(n)]
+        graph = Graph([f"c{i:04d}" for i in range(n)] + ["w"], edges + [("x", "c0000", "w")])
+        (entry,) = classify_simple(graph, F2, 1).entries
+        start = time.perf_counter()
+        assert dimension_oracle(graph, entry) == entry.dimension == n
+        assert time.perf_counter() - start < 2.0
 
     def test_lpa_dims_on_k5_beside_a_loop(self, tmp_path, capsys):
         path = tmp_path / "g.json"

@@ -19,17 +19,24 @@ quotient coefficients, plus a direct sum, which is not simple and maps onto
 its summands; Hom also on the fixture graphs and at dimension 30.  The
 cycle count of ``classify.dimension_oracle`` is checked against the walk
 from every vertex over every path up to |V| + |c| + 1 edges, on random small
-graphs.  Johnson's ``elementary_cycles`` and the witness search
-``graphs._entwined_pair`` are checked against the elementary Lyndon-word
-walk from every vertex that listed the cycles before them, and the witness
-read off its full list.
+graphs and on graph families whose tail classes are long: binary trees
+into a loop, chains of loops, long cycles with an exit, and a cycle with
+trees hanging off it.  Johnson's ``elementary_cycles`` and the witness
+search ``graphs._entwined_pair`` are checked against the elementary
+Lyndon-word walk from every vertex that listed the cycles before them, and
+the witness read off its full list.  ``simple_closed_paths`` is checked
+against the Lyndon walk it replaced, which reads every out-edge of every
+step and skips those below the floor, on complete, random and small
+digraphs and on a long cycle with a chord.
 """
 
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fixture_graphs import FIXTURE_GRAPHS, tree_into_loop
 
@@ -52,7 +59,9 @@ from leavitt.graphs import (
     enumerate_paths_ending_at,
     initial_path,
     lasso,
+    simple_closed_paths,
     sink_path,
+    strongly_connected_components,
     tail_lags,
 )
 from leavitt.groupoid import orbit, orbit_size
@@ -364,6 +373,42 @@ def all_vertex_lasso_count(graph: Graph, entry: CycleSimple) -> int:
             for e in graph.out_edges(p.rng):
                 stack.append(FinitePath(p.edges + (e.name,), p.src, e.rng))
     return len(seen)
+
+
+def reference_closed_walks(
+    graph: Graph, comps: Iterable[frozenset[str]], bound: int
+) -> tuple[FinitePath, ...]:
+    """The restricted Fredricksen-Kessler-Maiorana walk as it read every
+    out-edge: each primitive closed walk of length <= bound inside the
+    components ``comps`` once, as its least rotation.  A word of length n
+    with longest Lyndon prefix of length p grows by an inner out-edge of its
+    range named at least word[n - p], read in name order with the lower
+    names skipped one by one, and every step is taken, closing or not."""
+    found = []
+    for comp in comps:
+        inner = {v: [e for e in graph.out_edges(v) if e.rng in comp] for v in comp}
+        for start in comp:
+            word: list[Edge] = []
+            stack = [(iter(inner[start]), 0)]
+            while stack:
+                edges, p = stack[-1]
+                e = next(edges, None)
+                if e is None:
+                    stack.pop()
+                    if word:
+                        word.pop()
+                    continue
+                n = len(word)
+                floor = word[n - p].name if n else e.name
+                if e.name < floor:
+                    continue
+                p = p if n and e.name == floor else n + 1
+                if e.rng == start and p == n + 1:
+                    found.append(FinitePath(tuple(x.name for x in word) + (e.name,), start, start))
+                if n + 1 < bound:
+                    word.append(e)
+                    stack.append((iter(inner[e.rng]), p))
+    return tuple(sorted(found, key=FinitePath.sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -765,3 +810,90 @@ def test_witness_matches_the_lyndon_walk_on_random_digraphs(seed):
     names = rng.sample(range(100), rng.randint(len(vertices) + 1, 2 * len(vertices)))
     edges = [(f"e{k:02d}", *rng.sample(vertices, 2)) for k in names]
     _assert_cycles_match_the_lyndon_walk(Graph(vertices, edges))
+
+
+# ---------------------------------------------------------------------------
+# The Lyndon walk on edge names, and the lasso count by trie names
+
+
+def _assert_walks_match_the_reference(g: Graph, bounds):
+    comps = strongly_connected_components(g)
+    for b in bounds:
+        assert simple_closed_paths(g, b).paths == reference_closed_walks(g, comps, b), b
+
+
+@pytest.mark.parametrize("loops", [False, True])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_closed_paths_match_the_reference_walk_on_complete_digraphs(n, loops):
+    # edge i -> j is named after j first, so name order is not vertex order
+    edges = [(f"e{j}{i}", f"v{i}", f"v{j}") for i in range(n) for j in range(n) if loops or i != j]
+    g = Graph([f"v{i}" for i in range(n)], edges)
+    _assert_walks_match_the_reference(g, range(1, (4 if n == 7 else 6) + 1))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_closed_paths_match_the_reference_walk_on_random_digraphs(seed):
+    """Three to eight vertices, each ordered pair (loops included) an edge
+    with probability 0.3, as perfbench's classify draws them: many vertices
+    have a single inner edge, which the walk follows without bisecting."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    edges = [(f"e{a}_{b}", f"v{a}", f"v{b}") for a in range(n) for b in range(n) if rng.random() < 0.3]
+    _assert_walks_match_the_reference(Graph([f"v{i}" for i in range(n)], edges), range(1, 7))
+
+
+@given(g=small_graphs(), b=st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_closed_paths_match_the_reference_walk_on_small_graphs(g, b):
+    _assert_walks_match_the_reference(g, [b])
+
+
+def test_closed_paths_match_the_reference_walk_on_a_cycle_with_a_chord():
+    """Every bound up to past the cycle: the walks run along single edges,
+    and each bound cuts them at a different step."""
+    n = 30
+    edges = [(f"f{i:02d}", f"c{i:02d}", f"c{(i + 1) % n:02d}") for i in range(n)]
+    g = Graph([f"c{i:02d}" for i in range(n)], edges + [("g", "c10", "c00")])
+    _assert_walks_match_the_reference(g, range(1, n + 3))
+
+
+def _lasso_chain(n: int) -> Graph:
+    """v0 -> v1 -> ... -> v(n-1), each vertex with a loop."""
+    edges = [(f"l{i}", f"v{i}", f"v{i}") for i in range(n)]
+    edges += [(f"c{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
+def _cycle_with_exit(n: int) -> Graph:
+    edges = [(f"f{i:02d}", f"c{i:02d}", f"c{(i + 1) % n:02d}") for i in range(n)]
+    return Graph([f"c{i:02d}" for i in range(n)] + ["w"], edges + [("x", "c00", "w")])
+
+
+def _cycle_with_trees(n: int, depth: int) -> Graph:
+    """A maximal cycle of n vertices with a binary tree of the given depth
+    into each vertex, each tree edge from a child to its parent."""
+    edges = [(f"f{i}", f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+    frontier = [f"c{i}" for i in range(n)]
+    for _ in range(depth):
+        frontier = [f"{parent}_{bit}" for parent in frontier for bit in "01"]
+        edges += [(f"t{child}", child, child[:-2]) for child in frontier]
+    return Graph({v for e in edges for v in e[1:]}, edges)
+
+
+def _assert_oracle_matches_the_all_vertex_walk(g: Graph):
+    entries = [e for e in classify_simple(g, PrimeField(2), 1).entries if isinstance(e, CycleSimple)]
+    assert entries
+    for e in entries:
+        want = all_vertex_lasso_count(g, e) * e.modulus.degree
+        assert dimension_oracle(g, e) == want == e.dimension
+
+
+@pytest.mark.parametrize(
+    "g",
+    [pytest.param(Graph(*tree_into_loop(d)), id=f"tree_into_loop({d})") for d in (1, 2, 3)]
+    + [pytest.param(_lasso_chain(n), id=f"lasso_chain({n})") for n in (2, 3, 4)]
+    + [pytest.param(_cycle_with_exit(n), id=f"cycle_with_exit({n})") for n in (1, 2, 3, 5, 10, 20, 30)]
+    + [pytest.param(_cycle_with_trees(5, 2), id="cycle_with_trees(5, 2)")],
+)
+def test_dimension_oracle_matches_the_all_vertex_walk_on_long_tail_classes(g):
+    _assert_oracle_matches_the_all_vertex_walk(g)

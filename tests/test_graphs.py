@@ -361,6 +361,18 @@ class TestSimpleClosedPaths:
         assert flag.present and flag.witness == ("a", "b")
         assert set(calls) == {"x"} and len(calls) <= 50
 
+    def test_long_cycle_with_a_chord_walks_in_linear_time(self):
+        """The last step reads the edges into the start, grouped from its
+        in-edges; a table built over the whole component for each start
+        would cost 5,000^2 steps here."""
+        n = 5000
+        edges = [(f"f{i:04d}", f"c{i:04d}", f"c{(i + 1) % n:04d}") for i in range(n)]
+        g = Graph([f"c{i:04d}" for i in range(n)], edges + [("g", "c0003", "c0000")])
+        start = time.perf_counter()
+        res = simple_closed_paths(g, 6)
+        assert time.perf_counter() - start < 2.0
+        assert [str(c) for c in res.paths] == ["f0000.f0001.f0002.g"] and not res.complete
+
 
 class TestMaximality:
     def test_a2_sinks(self, a2):

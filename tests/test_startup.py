@@ -74,6 +74,13 @@ def test_graded_classification_loads_neither_verify_nor_textform(a2_file):
     assert not loaded & {"leavitt.verify", "leavitt.textform"}
 
 
+def test_graded_classification_loads_no_module_or_groupoid_code(a2_file):
+    # classify imports orbit_size and the module specs where they are used
+    code, loaded = _lpa("classify", "--graded", a2_file, "--json")
+    assert code == 0
+    assert not loaded & {"leavitt.reps", "leavitt.groupoid", "leavitt.algebra", "leavitt.linalg"}
+
+
 def test_a_bad_base_path_fails_before_verify_loads(a2_file):
     code, loaded = _lpa("verify", "triv-iso", "--at", "nowhere", a2_file)
     assert code == 2 and "leavitt.textform" in loaded
