@@ -157,7 +157,7 @@ class CycleSimple(NamedTuple):
 
     __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
 
-    def module_spec(self) -> ChenExtSpec:
+    def module_spec(self, graph: Graph) -> ChenExtSpec:
         from .reps import ChenExtSpec
 
         return ChenExtSpec(self.cycle, self.modulus)
@@ -207,32 +207,19 @@ class SimpleClassification(NamedTuple):
 
 
 def moduli_for_field(
-    field: Field,
-    poly_degree_bound: int,
-    rational_values: Iterable[int] = (1, 2, -1),
-    extra_moduli: Iterable[Poly] = (),
+    field: Field, poly_degree_bound: int, rational_values: Iterable[int] = (1, 2, -1)
 ) -> tuple[list[Poly], bool]:
-    """The sampled or enumerated f-axis with the extra moduli, each modulus
-    once (over GF(p) the extras not enumerated follow in the order given);
+    """The enumerated (GF(p)) or sampled (Q) f-axis, each modulus once;
     second value: complete up to the bound."""
-    from .reps import quotient_field
-
     if isinstance(field, PrimeField):
-        out = enumerate_monic_irreducibles(field.p, poly_degree_bound)
-        for f in extra_moduli:
-            f = quotient_field(field, f).modulus
-            if f not in out:
-                out.append(f)
-        return out, True
+        return enumerate_monic_irreducibles(field.p, poly_degree_bound), True
     if isinstance(field, RationalField):
-        out = []
+        out = set()
         for a in rational_values:
             if a == 0:
                 raise ClassificationError("t - 0 is the excluded modulus t")
-            out.append(Poly.make(field, [-a, 1]))
-        for f in extra_moduli:
-            out.append(quotient_field(field, f).modulus)
-        return sorted(set(out), key=Poly.sort_key), False
+            out.add(Poly.make(field, [-a, 1]))
+        return sorted(out, key=Poly.sort_key), False
     raise ClassificationError(
         f"classification enumerates moduli over Q or a prime field, not {field.name}"
     )
@@ -243,7 +230,6 @@ def classify_simple(
     field: Field,
     poly_degree_bound: int = 3,
     rational_values: Iterable[int] = (1, 2, -1),
-    extra_moduli: Iterable[Poly] = (),
 ) -> SimpleClassification:
     """Finite-dimensional spectral simples, plus flags for the infinite families."""
     from .groupoid import orbit_size
@@ -259,9 +245,7 @@ def classify_simple(
                 InfiniteDimFlagged("sink", v, "a cycle reaches this sink, so its class is infinite")
             )
     max_cycles = maximal_cycles(graph)
-    moduli, moduli_complete = moduli_for_field(
-        field, poly_degree_bound, rational_values, extra_moduli
-    )
+    moduli, moduli_complete = moduli_for_field(field, poly_degree_bound, rational_values)
     sizes = [orbit_size(graph, cycle_tail(graph, c)) for c in max_cycles]
     cycle_entries = []
     for f in moduli:

@@ -37,15 +37,20 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _count(text: str) -> int:
-    """The argparse type of the size flags: a non-negative integer."""
+def _at_least(low: int, text: str) -> int:
+    """The argparse type of the integer flags that have a least value, bound
+    to it with ``functools.partial``: an integer of at least ``low``."""
     try:
         n = int(text)
     except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        n = low - 1
+    if n < low:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
     return n
+
+
+_count = functools.partial(_at_least, 0)  # the size flags
+_length = functools.partial(_at_least, 1)  # the longest closed path: a closed path has an edge
 
 
 @functools.cache
@@ -72,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--graded", action="store_true")
     group.add_argument("--simple", action="store_true")
-    # Each mode ignores the other's flags: rejecting them here would need
-    # subcommands, which would change the `classify --graded|--simple` syntax.
-    p.add_argument("--cycles-up-to", type=int, default=6, metavar="N", help="with --graded: longest closed path enumerated")
+    # Each mode ignores the other's flags, once parsed: rejecting them here would
+    # need subcommands, which would change the `classify --graded|--simple` syntax.
+    p.add_argument("--cycles-up-to", type=_length, default=6, metavar="N", help="with --graded: longest closed path enumerated")
     p.add_argument("--poly-deg", type=_count, default=3, metavar="N", help="with --simple: highest modulus degree")
     p.add_argument(
         "--rational-samples",

@@ -2,10 +2,12 @@
 vector arithmetic.
 
 A sparse vector is a ``{key: value}`` dict of nonzero raw field values,
-keyed by column indices or module basis elements.  ``add_term``,
-``add_scaled`` and ``linear_extend`` are the only code that adds such
-dicts; algebra elements, module actions, certificates and the elimination
-here all use them.  A sparse matrix is a list of such columns.
+keyed by column indices or module basis elements, and a sparse matrix is
+a list of such columns: the one form of library results (``nullspace``'s
+basis, the Hom maps and the isotropy generator in ``leavitt.verify``).
+``add_term``, ``add_scaled`` and ``linear_extend`` are the only code that
+adds such dicts; algebra elements, module actions, certificates and the
+elimination here all use them.
 
 There is one exact elimination: ``echelon_step`` reduces one sparse row
 against a dict of pivot rows, and ``row_reduce`` brings a stream of sparse
@@ -15,10 +17,10 @@ spin in ``leavitt.verify`` are built on them; the spin stops
 ``echelon_step`` at its tag columns, which carry each row's coordinates in
 the spin vectors.
 
-A dense matrix is a list of rows.  ``rref``, ``coordinates``, ``mat_vec``
-and ``mat_mul`` work on that form; no library code calls them.  They are
-the dense reference that tests compare against, and names that the
-benchmark's tracer wraps.
+A dense matrix is a list of rows.  Only ``rref``, ``coordinates``,
+``mat_vec`` and ``mat_mul`` work on that form, and no library code calls
+them: they are the dense reference that tests compare against, and names
+that the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -28,21 +30,9 @@ from collections.abc import Iterable
 from .fields import Field
 
 
-def zeros(field: Field, rows: int, cols: int) -> list[list]:
-    z = field.zero()
-    return [[z] * cols for _ in range(rows)]
-
-
-def identity(field: Field, n: int) -> list[list]:
-    out = zeros(field, n, n)
-    for i in range(n):
-        out[i][i] = field.one()
-    return out
-
-
 def mat_mul(field: Field, a: list[list], b: list[list]) -> list[list]:
     n, m = len(a), len(b[0]) if b else 0
-    out = zeros(field, n, m)
+    out = [[field.zero()] * m for _ in range(n)]
     for i in range(n):
         for k, aik in enumerate(a[i]):
             if field.is_zero(aik):
@@ -168,24 +158,19 @@ def row_reduce(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
     return pivots
 
 
-def nullspace(field: Field, rows: Iterable[dict], ncols: int) -> list[list]:
-    """Basis of {v : row . v = 0 for every sparse row}, as dense vectors of
-    length ``ncols``, one per free column of ``row_reduce``'s form, so the
+def nullspace(field: Field, rows: Iterable[dict], ncols: int) -> list[dict]:
+    """Basis of {v : row . v = 0 for every sparse row}: for each free column
+    f < ``ncols`` of ``row_reduce``'s form, in order, the sparse vector one
+    at f and minus each pivot row's entry at f at that row's pivot.  So the
     basis depends only on the span of the rows."""
     pivots = row_reduce(field, rows)
-    order = sorted(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for pc in order:
-            c = pivots[pc].get(fc)
-            if c is not None:
+    basis = {fc: {fc: field.one()} for fc in range(ncols) if fc not in pivots}
+    for pc in sorted(pivots):
+        for fc, c in pivots[pc].items():
+            v = basis.get(fc)
+            if v is not None:
                 v[pc] = field.neg(c)
-        basis.append(v)
-    return basis
+    return list(basis.values())
 
 
 def coordinates(field: Field, basis_rows: list[list], v: list) -> list | None:

@@ -64,11 +64,9 @@ from .linalg import (
     add_scaled,
     add_term,
     echelon_step,
-    identity,
     linear_extend,
     nullspace,
     row_reduce,
-    zeros,
 )
 from .groupoid import bisection_product, bisections_match_monomial, monomial_bisection
 from .records import InputError, same_class_eq, same_class_ne
@@ -241,9 +239,12 @@ def generator_support(graph: Graph):
 
 
 class Restriction(NamedTuple):
+    """Res_x M: its dimension, the isotropy generator as sparse columns in
+    its reduced echelon basis (column j is the image of basis vector j, as
+    {i: c}), the idempotents needed, and the basis degrees when graded."""
+
     dimension: int
-    generator_matrix: list
-    subspace: list
+    generator_matrix: list[dict]
     steps: int
     degrees: list | None
 
@@ -296,31 +297,25 @@ def restrict(module: Module, x: BoundaryPath, cap: int = RESTRICTION_CAP) -> Res
     dim = len(basis)
     gen_mono = _isotropy_monomial(module, x)
     if gen_mono is None or dim == 0:
-        gen = identity(F, dim)
+        gen = [{j: F.one()} for j in range(dim)]
     else:
         gcols = window.matrix_of(gen_mono)
-        gen = zeros(F, dim, dim)
-        for j, w in enumerate(basis):
+        gen = []
+        for w in basis:
             # The basis is reduced, so an image inside its span has its
-            # coordinates at the pivots; whatever is left after taking them
-            # off lies outside.
+            # coordinates at the pivots, and is that combination of the basis.
             image = linear_extend(F, gcols.__getitem__, w)
-            residual = dict(image)
-            for i, p in enumerate(order):
-                c = image.get(p)
-                if c is not None:
-                    gen[i][j] = c
-                    add_scaled(F, residual, F.neg(c), basis[i])
-            if residual:
+            col = {i: image[p] for i, p in enumerate(order) if p in image}
+            if linear_extend(F, basis.__getitem__, col) != image:
                 raise OutOfWindowError("isotropy generator does not preserve the restriction")
+            gen.append(col)
     degrees = None
     if module.gradable:
         degrees = []
         for w in basis:
             degs = {module.grade(window.elements[i]) for i in w}
             degrees.append(degs.pop() if len(degs) == 1 else None)
-    rows = [[w.get(i, F.zero()) for i in range(window.dim)] for w in basis]
-    return Restriction(dim, gen, rows, reported_steps, degrees)
+    return Restriction(dim, gen, reported_steps, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +394,8 @@ def _spin(window: Window, seeds) -> Spin:
     return Spin(steps, images, pivots)
 
 
-def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: int = 0) -> list[list[list]]:
-    """Basis of Hom(A, B) as matrices (graded mode: maps of the given degree)
+def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: int = 0) -> list[list[dict]]:
+    """Basis of Hom(A, B) (graded mode: maps of the given degree)
     between finite-dimensional modules over one graph and one field, by
     spinning (Schneider, J. Symbolic Comput. 9, 1990).
 
@@ -433,7 +428,8 @@ def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: 
     in row-major order: each map is one at its last nonzero entry and zero
     at the last nonzero entries of the others, and the maps come in the
     order of those entries.  It depends only on the space of maps, and it
-    is the basis that a nullspace over the unknowns T[i][j] gives."""
+    is the basis that a nullspace over the unknowns T[i][j] gives.  Each map
+    T is returned as dim A sparse columns: ``T[j]`` is T(e_j) as {i: c}."""
     if modA.field != modB.field:
         raise ModuleSpecError("modules live over different fields")
     if (modA.graph.vertices, modA.graph.edges) != (modB.graph.vertices, modB.graph.edges):
@@ -496,7 +492,7 @@ def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: 
     last = nA * nB - 1  # T[i][j] is keyed last - (i.nA + j), so the least key is the last entry
     maps = []
     for y in solutions:
-        at = [linear_extend(F, forms.__getitem__, {u: y[u] for u in forms if not F.is_zero(y[u])}) for forms in values]
+        at = [linear_extend(F, forms.get, y) for forms in values]
         row = {}
         for j in range(nA):
             for i, c in linear_extend(F, at.__getitem__, in_spin[j]).items():
@@ -505,10 +501,10 @@ def intertwiner_space(modA: Module, modB: Module, graded: bool = False, degree: 
     reduced = row_reduce(F, maps)
     out = []
     for key in sorted(reduced, reverse=True):
-        T = [[F.zero()] * nA for _ in range(nB)]
+        T: list[dict] = [{} for _ in range(nA)]
         for k, c in reduced[key].items():
             i, j = divmod(last - k, nA)
-            T[i][j] = c
+            T[j][i] = c
         out.append(T)
     return out
 
@@ -796,11 +792,10 @@ def verify_nvc_iso(graph, field: Field, cycle: FinitePath, bound: int = 3, mono_
     return check_module_iso(claim, modA, modB, nvc_iso_maps(modA, modB), bound, mono_len)
 
 
-def _annihilates(field: Field, f: Poly, mat: list[list]) -> bool:
-    """Whether f(mat) = 0, by Horner's rule on the sparse columns of mat:
-    column j of f(mat) is (...(f_d M + f_(d-1)) M + ... + f_0) e_j."""
-    n = len(mat)
-    cols = [{i: row[j] for i, row in enumerate(mat) if not field.is_zero(row[j])} for j in range(n)]
+def _annihilates(field: Field, f: Poly, cols: list[dict]) -> bool:
+    """Whether f(M) = 0, by Horner's rule on the sparse columns of M:
+    column j of f(M) is (...(f_d M + f_(d-1)) M + ... + f_0) e_j."""
+    n = len(cols)
     value: list[dict] = [{} for _ in range(n)]
     for c in reversed(f.coeffs):
         value = [linear_extend(field, cols.__getitem__, col) for col in value]
@@ -825,7 +820,7 @@ def verify_res_ind(graph, field: Field, spec: InducedSpec, cap: int = RESTRICTIO
     cert.record("dimension", res.dimension == expected_dim, f"dim {res.dimension} vs {expected_dim}")
     cert.record("stabilization-steps", res.steps <= cap, f"{res.steps} steps")
     if isinstance(coeff, TrivialCoeff):
-        cert.record("generator-is-identity", res.generator_matrix == identity(field, res.dimension))
+        cert.record("generator-is-identity", res.generator_matrix == [{j: field.one()} for j in range(res.dimension)])
         want = -coeff.shift - spec.shift
         cert.record(
             "degrees-match-shift",
@@ -834,12 +829,13 @@ def verify_res_ind(graph, field: Field, spec: InducedSpec, cap: int = RESTRICTIO
         )
     elif isinstance(coeff, ScalarAction):
         a = field.coerce(coeff.value)
+        zero, gen = field.zero(), res.generator_matrix
         rows = ", ".join(
-            "[" + ", ".join(map(field.format, row)) + "]" for row in res.generator_matrix
+            "[" + ", ".join(field.format(col.get(i, zero)) for col in gen) + "]" for i in range(len(gen))
         )
         cert.record(
             "generator-is-scalar",
-            res.generator_matrix == [[a]],
+            gen == [{0: a}],
             f"matrix [{rows}] vs [[{field.format(a)}]]",
         )
     else:

@@ -1,11 +1,16 @@
-"""Hypothesis strategies, enumerations and element builders shared by the tests."""
+"""Hypothesis strategies, enumerations, element builders and the dense
+matrix form shared by the tests.
+
+The library's matrices are sparse columns (``linalg``); the tests' dense
+oracles work on lists of rows, and compare with the library through
+``dense``."""
 
 from typing import Iterator
 
 from hypothesis import strategies as st
 
 from leavitt.algebra import AlgebraElement, LeavittAlgebra, Monomial, monomial
-from leavitt.fields import Poly, PrimeField
+from leavitt.fields import Field, Poly, PrimeField
 from leavitt.graphs import FinitePath, Graph
 
 
@@ -45,3 +50,13 @@ def monomial_element(A: LeavittAlgebra, m: Monomial) -> AlgebraElement:
 def path_element(A: LeavittAlgebra, path: FinitePath) -> AlgebraElement:
     """The path as an element of A, the monomial path.r(path)*."""
     return monomial_element(A, monomial(path, A.graph.vertex_path(path.rng)))
+
+
+def dense(F: Field, cols: list[dict], nrows: int) -> list[list]:
+    """The dense matrix (a list of rows) whose columns are the sparse ``cols``."""
+    return [[col.get(i, F.zero()) for col in cols] for i in range(nrows)]
+
+
+def identity(F: Field, n: int) -> list[list]:
+    """The dense n x n identity matrix."""
+    return [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]

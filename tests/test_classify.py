@@ -18,7 +18,7 @@ from leavitt.classify import (
 from leavitt.cli import main
 from leavitt.fields import QQ, PrimeField, parse_poly
 from leavitt.graphs import Graph
-from leavitt.reps import ModuleSpecError, build_module
+from leavitt.reps import build_module
 from leavitt.verify import intertwiner_space
 
 F2 = PrimeField(2)
@@ -117,10 +117,9 @@ class TestClassifySimple:
         assert not res.complete
 
     def test_q_moduli_listed_once(self, toeplitz):
-        extra = [parse_poly("t-2", QQ), parse_poly("t^2-2", QQ), parse_poly("t^2-2", QQ)]
-        res = classify_simple(toeplitz, QQ, 3, rational_values=(2, 1, 2, -1), extra_moduli=extra)
+        res = classify_simple(toeplitz, QQ, 3, rational_values=(2, 1, 2, -1, -1))
         cycles = [e for e in res.entries if isinstance(e, CycleSimple)]
-        assert [str(e.modulus) for e in cycles] == ["t-2", "t-1", "t+1", "t^2-2"]
+        assert [str(e.modulus) for e in cycles] == ["t-2", "t-1", "t+1"]
 
     @pytest.mark.parametrize(
         "argv,key,moduli",
@@ -135,30 +134,6 @@ class TestClassifySimple:
         assert main(argv + ["--field", "Q", "--json", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)
         assert [e["modulus"] for e in data[key]] == moduli
-
-    def test_q_extra_moduli(self, toeplitz):
-        extra = [parse_poly("t^2-2", QQ)]
-        res = classify_simple(toeplitz, QQ, 3, extra_moduli=extra)
-        dims = sorted(
-            e.dimension for e in res.entries if isinstance(e, CycleSimple)
-        )
-        assert dims == [1, 1, 1, 2]
-
-    @pytest.mark.parametrize(
-        "extra,moduli",
-        [
-            (["t^2+t+1"], ["t+1", "t^2+t+1"]),
-            (["t+1", "t^3+t+1", "t^2+t+1", "t^3+t+1"], ["t+1", "t^3+t+1", "t^2+t+1"]),
-        ],
-    )
-    def test_prime_field_extra_moduli(self, r1, extra, moduli):
-        res = classify_simple(r1, F2, 1, extra_moduli=[parse_poly(f, F2) for f in extra])
-        assert [str(e.modulus) for e in res.entries] == moduli
-        assert res.complete
-
-    def test_prime_field_reducible_extra_modulus(self, r1):
-        with pytest.raises(ModuleSpecError):
-            classify_simple(r1, F2, 1, extra_moduli=[parse_poly("t^2+1", F2)])
 
     def test_monotone_in_poly_bound(self, toeplitz):
         small = classify_simple(toeplitz, F2, 2).entries
@@ -213,8 +188,7 @@ class TestDimensionOracle:
         for graph, field in ((a2, QQ), (toeplitz, F2), (lasso_graph, QQ)):
             res = classify_simple(graph, field, 2)
             for e in res.entries:
-                spec = e.module_spec(graph) if isinstance(e, SinkSimple) else e.module_spec()
-                M = build_module(graph, field, spec)
+                M = build_module(graph, field, e.module_spec(graph))
                 enum = M.enumerate_basis()
                 assert enum.exact
                 assert dimension_oracle(graph, e) == len(enum.elements)
@@ -286,8 +260,7 @@ class TestPairwiseNonIsomorphism:
         res = classify_simple(graph, F2, 2)
         mods = []
         for e in res.entries:
-            spec = e.module_spec(graph) if isinstance(e, SinkSimple) else e.module_spec()
-            mods.append(build_module(graph, F2, spec))
+            mods.append(build_module(graph, F2, e.module_spec(graph)))
         for i, Mi in enumerate(mods):
             for j, Mj in enumerate(mods):
                 dim = len(intertwiner_space(Mi, Mj))

@@ -364,6 +364,14 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 200
 
+    @pytest.mark.parametrize("mode", ["--graded", "--simple"])
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_a_cycle_bound_below_one_names_the_flag(self, r1, graph_file, capsys, mode, bound):
+        # the parser checks the flag in either mode, as it checks --poly-deg
+        code, out, err = run(capsys, ["classify", mode, "--cycles-up-to", bound, graph_file(r1)])
+        assert (code, out) == (2, "")
+        assert err == f"error: argument --cycles-up-to: expected an integer of at least 1, got '{bound}'\n"
+
     @pytest.mark.parametrize("command", [["validate"], ["classify", "--graded"]], ids=["validate", "classify"])
     @pytest.mark.parametrize("name", [*MALFORMED_GRAPH_FILES, "directory"])
     def test_malformed_graph_file_exits_2(self, tmp_path, capsys, name, command):

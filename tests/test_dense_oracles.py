@@ -28,6 +28,11 @@ the witness read off its full list.  ``simple_closed_paths`` is checked
 against the Lyndon walk it replaced, which reads every out-edge of every
 step and skips those below the floor, on complete, random and small
 digraphs and on a long cycle with a chord.
+
+The library returns Hom maps and the isotropy generator as sparse columns
+and ``nullspace``'s basis as sparse vectors; the oracles' dense matrices
+are compared with them through ``strategies.dense``, and the sparse form's
+contract, that no stored value is zero, is checked on its own.
 """
 
 import random
@@ -65,7 +70,7 @@ from leavitt.graphs import (
     tail_lags,
 )
 from leavitt.groupoid import orbit, orbit_size
-from leavitt.linalg import add_scaled, coordinates, identity, linear_extend, mat_mul, mat_vec, nullspace, rref
+from leavitt.linalg import add_scaled, coordinates, linear_extend, mat_mul, mat_vec, nullspace, rref
 from leavitt.reps import (
     BasisEnumeration,
     ChenBasis,
@@ -91,7 +96,7 @@ from leavitt.verify import (
     restrict,
     simplicity_probe,
 )
-from strategies import monomial_element, small_graphs
+from strategies import dense, identity, monomial_element, small_graphs
 
 # field name -> (field, an irreducible quadratic, a scalar other than 0 and 1 when there is one)
 FIELDS = {
@@ -226,18 +231,10 @@ def equation_intertwiner_space(modA, modB, graded=False, degree=0) -> list[list[
     out = []
     for vec in nullspace(F, equations(), len(allowed)):
         T = [[F.zero()] * nA for _ in range(nB)]
-        for idx, (i, j) in enumerate(allowed):
-            T[i][j] = vec[idx]
+        for idx, c in vec.items():
+            i, j = allowed[idx]
+            T[i][j] = c
         out.append(T)
-    return out
-
-
-def dense(F, cols: list[dict], nrows: int) -> list[list]:
-    """The dense matrix (a list of rows) whose columns are the sparse ``cols``."""
-    out = [[F.zero()] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            out[i][j] = c
     return out
 
 
@@ -248,7 +245,8 @@ def column_space(F, mat: list[list]) -> list[list]:
 
 def dense_restrict(module: Module, x, cap: int = verify.RESTRICTION_CAP) -> Restriction:
     """``verify.restrict`` on dense matrices: each idempotent's column space
-    by ``rref``, and the generator's coordinates by one ``rref`` per row."""
+    by ``rref``, and the generator's coordinates by one ``rref`` per row.
+    The generator comes as a dense matrix, not as sparse columns."""
     window = Window.full(module)
     F = module.field
     if isinstance(x, SinkPath):
@@ -295,7 +293,7 @@ def dense_restrict(module: Module, x, cap: int = verify.RESTRICTION_CAP) -> Rest
         for w in rows:
             degs = {module.grade(window.elements[i]) for i, c in enumerate(w) if not F.is_zero(c)}
             degrees.append(degs.pop() if len(degs) == 1 else None)
-    return Restriction(dim, gen, rows, reported_steps, degrees)
+    return Restriction(dim, gen, reported_steps, degrees)
 
 
 def poly_of_matrix(F, f, mat: list[list]) -> list[list]:
@@ -553,13 +551,15 @@ def _assert_spin_matches(module: Module):
     return dims
 
 
-def _assert_hom_matches(A, B, graded=False, degree=0, dense=True):
-    """Hom by spinning equals the sparse equation oracle, and the dense one
-    unless ``dense`` is False."""
+def _assert_hom_matches(A, B, graded=False, degree=0, both=True):
+    """Hom by spinning, its sparse columns made dense, equals the sparse
+    equation oracle, and the dense one unless ``both`` is False."""
     got = intertwiner_space(A, B, graded=graded, degree=degree)
-    assert got == equation_intertwiner_space(A, B, graded=graded, degree=degree)
-    if dense:
-        assert got == dense_intertwiner_space(A, B, graded=graded, degree=degree)
+    nB = len(Window.full(B).elements)
+    maps = [dense(A.field, T, nB) for T in got]
+    assert maps == equation_intertwiner_space(A, B, graded=graded, degree=degree)
+    if both:
+        assert maps == dense_intertwiner_space(A, B, graded=graded, degree=degree)
     return got
 
 
@@ -622,10 +622,10 @@ def test_hom_matches_both_oracles_on_a_tree_into_a_loop():
     scalar = build_module(g, F, InducedSpec(x, ScalarAction(2)))
     quotient = build_module(g, F, InducedSpec(x, QuotientCoeff(f)))
     assert [len(Window.full(M).elements) for M in (ext, scalar, quotient)] == [30, 15, 30]
-    assert len(_assert_hom_matches(ext, ext, dense=False)) == 2
-    assert len(_assert_hom_matches(ext, quotient, dense=False)) == 2
+    assert len(_assert_hom_matches(ext, ext, both=False)) == 2
+    assert len(_assert_hom_matches(ext, quotient, both=False)) == 2
     assert len(_assert_hom_matches(scalar, scalar)) == 1
-    assert _assert_hom_matches(scalar, ext, dense=False) == []
+    assert _assert_hom_matches(scalar, ext, both=False) == []
 
 
 def test_hom_of_a_simple_module_has_dim_b_unknowns(monkeypatch):
@@ -675,13 +675,15 @@ def _base_points(M: Module) -> list:
     return list(orbit(g, x).elements) + off[:1]
 
 
-def _outcome(restriction, M, x):
-    """The restriction's fields, or the message of the error it raised."""
+def _outcome(M, x, restriction=restrict):
+    """The restriction's fields, with its generator as a dense matrix, or the
+    message of the error it raised."""
     try:
         r = restriction(M, x)
     except OutOfWindowError as exc:
         return str(exc)
-    return (r.dimension, r.generator_matrix, r.subspace, r.steps, r.degrees)
+    gen = r.generator_matrix if restriction is dense_restrict else dense(M.field, r.generator_matrix, r.dimension)
+    return (r.dimension, gen, r.steps, r.degrees)
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
@@ -690,8 +692,8 @@ def test_restrict_matches_dense_restriction(field_name):
     for g, F, mods in _samples(field_name, 3):
         for M in mods:
             for x in _base_points(M):
-                got = _outcome(restrict, M, x)
-                assert got == _outcome(dense_restrict, M, x)
+                got = _outcome(M, x)
+                assert got == _outcome(M, x, dense_restrict)
                 restricted += not isinstance(got, str) and got[0] > 0
     assert restricted > 0
 
@@ -712,9 +714,61 @@ def test_horner_matches_dense_powers(field_name):
                 modulus = parse_poly(FIELDS[field_name][1], F)
                 for f in (modulus, parse_poly("t-1", F), modulus * parse_poly("t", F)):
                     zero = [[F.zero()] * len(gen) for _ in gen]
-                    assert verify._annihilates(F, f, gen) == (poly_of_matrix(F, f, gen) == zero)
+                    value = poly_of_matrix(F, f, dense(F, gen, len(gen)))
+                    assert verify._annihilates(F, f, gen) == (value == zero)
                     checked += bool(gen)
     assert checked > 0
+
+
+def _assert_stores_no_zero(F, vectors, what):
+    for v in vectors:
+        assert not any(F.is_zero(c) for c in v.values()), (what, v)
+
+
+def _assert_sparse_contract(monkeypatch, g: Graph, solve=nullspace):
+    """Over F2, F3 and Q, for every pair of the modules of ``_specs`` on g:
+    each ``nullspace`` vector that Hom solves for (by ``solve``), each Hom
+    column, and each column of the isotropy generator at every base point
+    of ``_base_points`` store no zero."""
+
+    def checked(F, rows, n):
+        basis = solve(F, rows, n)
+        _assert_stores_no_zero(F, basis, "nullspace vector")
+        return basis
+
+    monkeypatch.setattr(verify, "nullspace", checked)
+    for F, modulus, a in FIELDS.values():
+        mods = _modules(g, F, modulus, a)
+        for A in mods:
+            for B in mods:
+                for T in intertwiner_space(A, B):
+                    _assert_stores_no_zero(F, T, "Hom column")
+            for x in _base_points(A):
+                try:
+                    res = restrict(A, x)
+                except OutOfWindowError:
+                    continue
+                _assert_stores_no_zero(F, res.generator_matrix, "generator column")
+
+
+@pytest.mark.parametrize("graph_name", sorted(FIXTURE_GRAPHS))
+def test_sparse_results_store_no_zero_on_the_fixtures(monkeypatch, graph_name):
+    _assert_sparse_contract(monkeypatch, Graph(*FIXTURE_GRAPHS[graph_name]))
+
+
+@given(g=small_graphs())
+@settings(max_examples=40, deadline=None)
+def test_sparse_results_store_no_zero_on_small_graphs(g):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_sparse_contract(monkeypatch, g)
+
+
+def test_a_nullspace_that_stores_a_zero_fails_the_contract(monkeypatch):
+    def planted(F, rows, n):
+        return [{**v, n: F.zero()} for v in nullspace(F, rows, n)]
+
+    with pytest.raises(AssertionError, match="nullspace vector"):
+        _assert_sparse_contract(monkeypatch, Graph(*FIXTURE_GRAPHS["r1"]), planted)
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))

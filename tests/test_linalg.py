@@ -7,7 +7,8 @@ and ``mat_vec``, with integer keys and with module basis elements as keys.
 form is checked against the dense ``rref``, and ``nullspace`` against a
 textbook dense Gauss-Jordan elimination.  Each side reads its answer off
 the reduced row echelon form, which is unique, so the answers must be
-equal entry for entry, not only in number.
+equal entry for entry, not only in number.  ``nullspace`` returns sparse
+vectors, which store no zero, and is compared through their dense form.
 """
 
 import random
@@ -18,6 +19,7 @@ from leavitt.fields import QQ, ExtensionField, PrimeField, parse_poly
 from leavitt.graphs import Graph, lasso
 from leavitt.linalg import add_scaled, echelon_step, linear_extend, mat_vec, nullspace, row_reduce, rref
 from leavitt.reps import ChenSpec, build_module
+from strategies import dense
 
 F2, F3 = PrimeField(2), PrimeField(3)
 FIELDS = {
@@ -73,11 +75,6 @@ def _to_dense(F, row, ncols):
     return out
 
 
-def _dense_columns(F, cols, nrows):
-    """The dense matrix (a list of rows) whose columns are the sparse ``cols``."""
-    return [[col.get(i, F.zero()) for col in cols] for i in range(nrows)]
-
-
 def _dense_nullspace(F, rows, ncols):
     """Gauss-Jordan on a list of dense rows, then one basis vector per free column."""
     mat = [list(r) for r in rows]
@@ -111,12 +108,13 @@ def _dense_nullspace(F, rows, ncols):
 def _check(F, rows, ncols):
     expected = _dense_nullspace(F, [_to_dense(F, r, ncols) for r in rows], ncols)
     got = nullspace(F, (dict(r) for r in rows), ncols)
-    assert got == expected
-    for v in got:  # and every basis vector solves every row
+    assert [_to_dense(F, v, ncols) for v in got] == expected
+    for v in got:  # no stored zero, and every basis vector solves every row
+        assert not any(F.is_zero(x) for x in v.values())
         for r in rows:
             acc = F.zero()
             for i, x in r.items():
-                acc = F.add(acc, F.mul(x, v[i]))
+                acc = F.add(acc, F.mul(x, v.get(i, F.zero())))
             assert F.is_zero(acc)
 
 
@@ -147,7 +145,7 @@ def test_row_reduce_matches_dense_rref(name):
 def test_edge_shapes(name):
     F = FIELDS[name]
     one = F.one()
-    identity_basis = [[one if i == j else F.zero() for i in range(4)] for j in range(4)]
+    identity_basis = [{j: one} for j in range(4)]
     assert nullspace(F, [], 4) == identity_basis  # no rows at all
     assert nullspace(F, [{}, {}, {}], 4) == identity_basis  # rank 0
     assert nullspace(F, [{i: one} for i in range(4)], 4) == []  # full rank
@@ -194,7 +192,7 @@ def test_linear_extend_matches_dense_product(name):
         n = rng.randint(1, 6)
         cols = _random_rows(F, rng, n, n)
         vec = _random_rows(F, rng, 1, n)[0]
-        want = mat_vec(F, _dense_columns(F, cols, n), _to_dense(F, vec, n))
+        want = mat_vec(F, dense(F, cols, n), _to_dense(F, vec, n))
         got = linear_extend(F, cols.__getitem__, vec)
         assert _to_dense(F, got, n) == want
         assert all(not F.is_zero(x) for x in got.values())

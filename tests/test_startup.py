@@ -81,6 +81,14 @@ def test_graded_classification_loads_no_module_or_groupoid_code(a2_file):
     assert not loaded & {"leavitt.reps", "leavitt.groupoid", "leavitt.algebra", "leavitt.linalg"}
 
 
+@pytest.mark.parametrize("argv", [["classify", "--simple"], ["dims"]], ids=["classify", "dims"])
+def test_simple_classification_loads_no_module_code(a2_file, argv):
+    # the moduli are enumerated or sampled, and no quotient field is built
+    code, loaded = _lpa(*argv, a2_file, "--json")
+    assert code == 0 and "leavitt.classify" in loaded
+    assert not loaded & {"leavitt.reps", "leavitt.verify", "leavitt.textform"}
+
+
 def test_a_bad_base_path_fails_before_verify_loads(a2_file):
     code, loaded = _lpa("verify", "triv-iso", "--at", "nowhere", a2_file)
     assert code == 2 and "leavitt.textform" in loaded

@@ -9,9 +9,9 @@ from fixture_graphs import FIXTURE_GRAPHS, tree_into_loop
 from leavitt import groupoid, verify
 from leavitt.algebra import LeavittAlgebra, Monomial, TwistVector, all_monomials, monomial
 from leavitt.fields import QQ, PrimeField, parse_field, parse_poly
-from leavitt.classify import CycleSimple, SinkSimple, classify_simple
+from leavitt.classify import CycleSimple, classify_simple
 from leavitt.graphs import Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, lasso, maximal_cycles, sink_path
-from leavitt.linalg import add_scaled, identity, linear_extend, mat_mul, rref, zeros
+from leavitt.linalg import add_scaled, linear_extend, mat_mul, rref
 from leavitt.reps import (
     ChenExtSpec,
     ChenModule,
@@ -30,7 +30,7 @@ from leavitt.reps import (
     TrivialCoeff,
     build_module,
 )
-from strategies import monomial_element, small_graphs
+from strategies import dense, monomial_element, small_graphs
 from leavitt.verify import (
     _generators_equivariant,
     OutOfWindowError,
@@ -56,15 +56,13 @@ F2 = PrimeField(2)
 EXTENSION_FIELDS = ["Q[t]/(t^2-2)", "F2[t]/(t^2+t+1)"]
 
 
-def companion_matrix(f) -> list[list]:
+def companion_columns(f) -> list[dict]:
+    """The companion matrix of f as sparse columns: e_j -> e_(j+1) below
+    the last, which holds -f_0, ..., -f_(d-1)."""
     F = f.field
     d = f.degree
-    out = [[F.zero()] * d for _ in range(d)]
-    for i in range(1, d):
-        out[i][i - 1] = F.one()
-    for i in range(d):
-        out[i][d - 1] = F.neg(f.coeff(i))
-    return out
+    last = {i: F.neg(f.coeff(i)) for i in range(d) if not F.is_zero(f.coeff(i))}
+    return [{j + 1: F.one()} for j in range(d - 1)] + [last]
 
 
 class TestRestrict:
@@ -72,9 +70,7 @@ class TestRestrict:
         M = build_module(a2, QQ, ChenSpec(sink_path(a2, a2.vertex_path("v"))))
         res = restrict(M, sink_path(a2, a2.vertex_path("v")))
         assert res.dimension == 1
-        assert res.generator_matrix == identity(QQ, 1)
-        # spanned by the length-0 basis path
-        assert res.subspace == [[QQ.one(), QQ.zero()]]
+        assert res.generator_matrix == [{0: QQ.one()}]
 
     def test_r1_twisted_chen(self, r1):
         a = TwistVector.make(r1, QQ, {"e": 7})
@@ -82,7 +78,7 @@ class TestRestrict:
         M = build_module(r1, QQ, ChenSpec(x, a))
         res = restrict(M, x)
         assert res.dimension == 1
-        assert res.generator_matrix == [[QQ.coerce(7)]]
+        assert res.generator_matrix == [{0: QQ.coerce(7)}]
 
     def test_toeplitz_ext_companion(self, toeplitz):
         f = parse_poly("t^2+t+1", F2)
@@ -90,7 +86,7 @@ class TestRestrict:
         x = lasso(toeplitz, toeplitz.vertex_path("u"), ["e"])
         res = restrict(M, x)
         assert res.dimension == 2
-        assert res.generator_matrix == companion_matrix(f)
+        assert res.generator_matrix == companion_columns(f)
 
     def test_restrict_at_other_class_is_zero(self, a2):
         M = build_module(a2, QQ, ChenSpec(sink_path(a2, a2.vertex_path("v"))))
@@ -853,7 +849,7 @@ class TestSpinGenerators:
         Mu, Mw = (build_module(g, QQ, ChenSpec(sink_path(g, g.vertex_path(v)))) for v in "uw")
         assert spin_generators(g) == generators(g)
         assert intertwiner_space(Mu, Mw) == [] == intertwiner_space(Mw, Mu)
-        assert intertwiner_space(Mu, Mu) == [[[QQ.one()]]]
+        assert intertwiner_space(Mu, Mu) == [[{0: QQ.one()}]]
 
 
 class TestNvcIso:
@@ -910,11 +906,13 @@ class TestResInd:
         assert cert.passed
 
 
-def _kernel_dimension(F, f, G: list[list]) -> int:
-    """dim ker f(G): f(G) by Horner's rule, R <- R.G + c.I over the
-    coefficients c of f from the top, and its rank by ``rref``."""
-    n = len(G)
-    R = zeros(F, n, n)
+def _kernel_dimension(F, f, cols: list[dict]) -> int:
+    """dim ker f(G) for G given by its sparse columns: f(G) by Horner's
+    rule on the dense G, R <- R.G + c.I over the coefficients c of f from
+    the top, and its rank by ``rref``."""
+    n = len(cols)
+    G = dense(F, cols, n)
+    R = [[F.zero()] * n for _ in range(n)]
     for c in reversed(f.coeffs):
         R = mat_mul(F, R, G)
         for i in range(n):
@@ -932,7 +930,7 @@ def test_induction_restriction_adjunction(gname, field):
     InducedModule fails it (on r1 over F3, at t^2+t+2)."""
     g = Graph(*FIXTURE_GRAPHS[gname])
     res = classify_simple(g, field, 2)
-    entries = [build_module(g, field, e.module_spec(g) if isinstance(e, SinkSimple) else e.module_spec()) for e in res.entries]
+    entries = [build_module(g, field, e.module_spec(g)) for e in res.entries]
     moduli = dict.fromkeys(e.modulus for e in res.entries if isinstance(e, CycleSimple))
     for c in maximal_cycles(g):
         x = cycle_tail(g, c)
