@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--scalar", help="scalar action value")
     group.add_argument("--modulus", help="monic irreducible polynomial")
     s["res-ind"].add_argument("--coeff", required=True, help="coefficient spec, e.g. K, Ka(2), quot(t-2)")
-    s["res-ind"].add_argument("--cap", type=_count, default=None)  # None: verify.RESTRICTION_CAP
 
     p = common(sub.add_parser("dims", help="finite-dimensional simple modules with dimensions"), _cmd_dims)
     p.add_argument("--poly-deg", type=_count, default=3, metavar="N")
@@ -306,8 +305,7 @@ def _cmd_verify(args) -> int:
     elif suite == "nvc-iso":
         cert = verify.verify_nvc_iso(graph, field, cycle, bound=args.window, mono_len=args.mono_len)
     else:  # res-ind
-        cap = verify.RESTRICTION_CAP if args.cap is None else args.cap
-        cert = verify.verify_res_ind(graph, field, InducedSpec(x, parse_nspec(field, args.coeff)), cap=cap)
+        cert = verify.verify_res_ind(graph, field, InducedSpec(x, parse_nspec(field, args.coeff)))
     result = cert.to_json_dict()
     _emit(result, args.json, _render_certificate)
     return 0 if cert.passed else 1

@@ -157,13 +157,6 @@ def isotropy(x: BoundaryPath) -> IsotropyDescriptor:
     return IsotropyDescriptor("infinite-cyclic", generator_lag=x.period, cycle=x.cycle)
 
 
-def isotropy_generator(x: BoundaryPath) -> GroupoidElement:
-    iso = isotropy(x)
-    if iso.is_trivial:
-        return GroupoidElement(x, 0, x)
-    return GroupoidElement(x, iso.generator_lag, x)
-
-
 class OrbitEnumeration(NamedTuple):
     elements: tuple[BoundaryPath, ...]
     exact: bool

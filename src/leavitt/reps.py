@@ -286,6 +286,12 @@ class Module:
     def grade(self, b: BasisElement) -> int:
         raise NotImplementedError
 
+    def basis_at(self, y: BoundaryPath) -> tuple[BasisElement, ...]:
+        """The basis elements whose path is y, in ``sort_key`` order: the
+        span that ``verify.restrict`` reads Res_y from.  Only modules with
+        a boundary-path basis have one."""
+        raise ModuleSpecError("the restriction is read only from a boundary-path basis")
+
     def act_monomial(self, mono: Monomial, terms: dict) -> dict:
         """The terms of mono acting on the vector with ``terms``: the linear
         extension (``linalg.linear_extend``) of ``act_monomial_basis``."""
@@ -347,6 +353,11 @@ class ChenModule(Module):
             return {ChenBasis(target): self.field.one()}
         value = self.expand(self.twist.ratio(mono.mu, mono.nu), b.power)
         return {ChenBasis(target, j): c for j, c in value.items()}
+
+    def basis_at(self, y: BoundaryPath) -> tuple[ChenBasis, ...]:
+        if tail_lags(y, self.base).is_empty:
+            return ()
+        return tuple(ChenBasis(y, j) for j in range(self.tensor_degree))
 
     def grade(self, b: ChenBasis) -> int:
         if self.rational:
@@ -505,6 +516,16 @@ class InducedModule(Module):
                 elems.append(CosetBasis(y, k, j))
         elems.sort(key=lambda b: b.sort_key())
         return BasisEnumeration(tuple(elems), res.exact)
+
+    def basis_at(self, y: BoundaryPath) -> tuple[CosetBasis, ...]:
+        if isinstance(self.spec.coeff, LaurentCoeff):
+            raise ModuleSpecError(
+                "the restriction of a Laurent coefficient is a whole coset of lags, not finite-dimensional"
+            )
+        if tail_lags(y, self.spec.base).is_empty:
+            return ()
+        k = self.canonical_lag(y)
+        return tuple(CosetBasis(y, k, j) for j in range(self.tensor_degree))
 
     # -- action ------------------------------------------------------------
 

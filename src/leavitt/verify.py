@@ -93,9 +93,6 @@ from .reps import (
     build_module,
 )
 
-RESTRICTION_CAP = 6  # idempotents the restriction chain may need before it stabilizes
-
-
 class OutOfWindowError(InputError):
     """An action left the enumerated window; the window is not closed."""
 
@@ -235,17 +232,16 @@ def generator_support(graph: Graph):
 
 
 # ---------------------------------------------------------------------------
-# Restriction along the descending chain of cylinder idempotents
+# Restriction, read off the diagonal of the cylinder idempotents
 
 
 class Restriction(NamedTuple):
-    """Res_x M: its dimension, the isotropy generator as sparse columns in
-    its reduced echelon basis (column j is the image of basis vector j, as
-    {i: c}), the idempotents needed, and the basis degrees when graded."""
+    """Res_x M: its dimension, the isotropy generator as sparse columns on
+    the basis elements at x in ``sort_key`` order (column j is the image of
+    basis element j, as {i: c}), and their degrees when graded."""
 
     dimension: int
     generator_matrix: list[dict]
-    steps: int
     degrees: list | None
 
     __eq__, __ne__, __hash__ = same_class_eq, same_class_ne, tuple.__hash__
@@ -258,64 +254,31 @@ def _isotropy_monomial(module: Module, x: BoundaryPath) -> Monomial | None:
     return monomial(initial_path(module.graph, x, len(x.prefix) + x.period), x.prefix)
 
 
-def restrict(module: Module, x: BoundaryPath, cap: int = RESTRICTION_CAP) -> Restriction:
-    """Intersection of the idempotent images over initial subpaths of x.
+def restrict(module: Module, x: BoundaryPath) -> Restriction:
+    """Res_x M, the intersection of the images of the cylinder idempotents
+    mu.mu* over the initial paths mu of x: the span of the basis elements
+    whose path is x (``Module.basis_at``), with the isotropy generator
+    acting on it.
 
-    Requires a finite-dimensional module.  The chain is descending and,
-    because cylinder idempotents act by prefix matching, it is provably
-    constant beyond a horizon set by the longest basis prefix; ``steps``
-    reports how many idempotents were needed before the image stopped
-    moving, and exceeding ``cap`` is an explicit error.
+    Proof: every module with a boundary-path basis starts
+    ``act_monomial_basis(mu.nu*, b)`` with ``strip_prefix(nu, b.path)``,
+    returns {} when it is None, and then applies ``prepend(mu, .)``.  For
+    mu.mu*, prepending mu to what stripping mu left gives b.path back, the
+    twist ratio a_mu a_mu^(-1) is 1, and the degree is 0, so the lag does
+    not move.  So mu.mu* fixes b when mu is an initial path of b.path and
+    sends b to 0 otherwise: each idempotent is diagonal on the basis, and
+    the intersection is spanned by the b of which every initial path of x
+    is an initial path, those whose path is x.  The orbit is never
+    enumerated, so infinite-dimensional modules restrict too.
     """
-    window = Window.full(module)
-    F = module.field
-    if isinstance(x, SinkPath):
-        horizon = len(x.path)
-    else:
-        reach = max(
-            (
-                len(b.path.prefix)
-                for b in window.elements
-                if isinstance(b, (ChenBasis, CosetBasis)) and isinstance(b.path, Lasso)
-            ),
-            default=0,
-        )
-        horizon = len(x.prefix) + reach + 2 * x.period + 1
-    images = []
-    for m in range(horizon + 1):
-        mu = initial_path(module.graph, x, m)
-        images.append(row_reduce(F, window.matrix_of(monomial(mu, mu))))
-    final = images[-1]
-    first_stable = next(m for m in range(len(images)) if images[m] == final)
-    reported_steps = first_stable + 1
-    if reported_steps > cap:
-        raise OutOfWindowError(
-            f"idempotent chain did not stabilize within {cap} steps ({reported_steps} needed)"
-        )
-    order = sorted(final)
-    basis = [final[p] for p in order]
-    dim = len(basis)
+    window = Window(module, module.basis_at(x))
     gen_mono = _isotropy_monomial(module, x)
-    if gen_mono is None or dim == 0:
-        gen = [{j: F.one()} for j in range(dim)]
+    if gen_mono is None:
+        gen = [{j: module.field.one()} for j in range(window.dim)]
     else:
-        gcols = window.matrix_of(gen_mono)
-        gen = []
-        for w in basis:
-            # The basis is reduced, so an image inside its span has its
-            # coordinates at the pivots, and is that combination of the basis.
-            image = linear_extend(F, gcols.__getitem__, w)
-            col = {i: image[p] for i, p in enumerate(order) if p in image}
-            if linear_extend(F, basis.__getitem__, col) != image:
-                raise OutOfWindowError("isotropy generator does not preserve the restriction")
-            gen.append(col)
-    degrees = None
-    if module.gradable:
-        degrees = []
-        for w in basis:
-            degs = {module.grade(window.elements[i]) for i in w}
-            degrees.append(degs.pop() if len(degs) == 1 else None)
-    return Restriction(dim, gen, reported_steps, degrees)
+        gen = window.matrix_of(gen_mono)
+    degrees = window.degrees() if module.gradable else None
+    return Restriction(window.dim, gen, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -804,21 +767,15 @@ def _annihilates(field: Field, f: Poly, cols: list[dict]) -> bool:
     return not any(value)
 
 
-def verify_res_ind(graph, field: Field, spec: InducedSpec, cap: int = RESTRICTION_CAP) -> Certificate:
+def verify_res_ind(graph, field: Field, spec: InducedSpec) -> Certificate:
     """Certificate: restricting the induced module at its base point recovers
     the coefficient module (dimension and isotropy action)."""
     module = build_module(graph, field, spec)
     coeff = spec.coeff
-    if isinstance(coeff, LaurentCoeff):
-        raise ModuleSpecError("restriction comparison is for finite-dimensional coefficients")
-    res = restrict(module, spec.base, cap)
-    cert = Certificate(
-        claim=f"restriction at {spec.base} recovers the coefficient module",
-        window={"cap": cap, "steps": res.steps},
-    )
+    res = restrict(module, spec.base)
+    cert = Certificate(claim=f"restriction at {spec.base} recovers the coefficient module", window={})
     expected_dim = 1 if isinstance(coeff, (TrivialCoeff, ScalarAction)) else coeff.modulus.degree
     cert.record("dimension", res.dimension == expected_dim, f"dim {res.dimension} vs {expected_dim}")
-    cert.record("stabilization-steps", res.steps <= cap, f"{res.steps} steps")
     if isinstance(coeff, TrivialCoeff):
         cert.record("generator-is-identity", res.generator_matrix == [{j: field.one()} for j in range(res.dimension)])
         want = -coeff.shift - spec.shift
@@ -840,7 +797,6 @@ def verify_res_ind(graph, field: Field, spec: InducedSpec, cap: int = RESTRICTIO
         )
     else:
         f = coeff.modulus
-        cert.record("dimension-equals-degree", res.dimension == f.degree)
         if res.dimension == f.degree:
             cert.record(
                 "generator-satisfies-modulus",

@@ -1,5 +1,5 @@
-"""Hypothesis strategies, enumerations, element builders and the dense
-matrix form shared by the tests.
+"""Hypothesis strategies, enumerations, sample module specs, element
+builders and the dense matrix form shared by the tests.
 
 The library's matrices are sparse columns (``linalg``); the tests' dense
 oracles work on lists of rows, and compare with the library through
@@ -9,9 +9,17 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from leavitt.algebra import AlgebraElement, LeavittAlgebra, Monomial, monomial
-from leavitt.fields import Field, Poly, PrimeField
-from leavitt.graphs import FinitePath, Graph
+from leavitt.algebra import AlgebraElement, LeavittAlgebra, Monomial, TwistVector, monomial
+from leavitt.fields import QQ, Field, Poly, PrimeField, parse_poly
+from leavitt.graphs import FinitePath, Graph, cycle_tail, elementary_cycles, enumerate_paths_ending_at, sink_path
+from leavitt.reps import ChenExtSpec, ChenSpec, InducedSpec, QuotientCoeff, ScalarAction, TrivialCoeff
+
+# field name -> (field, an irreducible quadratic, a scalar other than 0 and 1 when there is one)
+FIELDS = {
+    "F2": (PrimeField(2), "t^2+t+1", 1),
+    "F3": (PrimeField(3), "t^2+1", 2),
+    "Q": (QQ, "t^2-2", 2),
+}
 
 
 @st.composite
@@ -40,6 +48,26 @@ def enumerate_monic(field: PrimeField, degree: int) -> Iterator[Poly]:
             i += 1
         else:
             return
+
+
+def module_specs(g: Graph, F, modulus: str, a):
+    """Sink modules (graded, some twisted and shifted), and at each cycle a
+    twisted boundary-path module, a scalar extension, and induced modules
+    with scalar-action and quotient coefficients."""
+    f = parse_poly(modulus, F)
+    for v in g.sinks:
+        twist = TwistVector.make(g, F, {e.name: a for e in g.in_edges(v)})
+        for p in enumerate_paths_ending_at(g, v, bound=1).paths:
+            x = sink_path(g, p)
+            yield ChenSpec(x)
+            yield ChenSpec(x, twist, 1)
+            yield InducedSpec(x, TrivialCoeff(1))
+    for c in elementary_cycles(g):
+        x = cycle_tail(g, c)
+        yield ChenSpec(x, TwistVector.make(g, F, {x.cycle[0]: a}))
+        yield ChenExtSpec(c, f)
+        yield InducedSpec(x, ScalarAction(a))
+        yield InducedSpec(x, QuotientCoeff(f))
 
 
 def monomial_element(A: LeavittAlgebra, m: Monomial) -> AlgebraElement:

@@ -185,7 +185,7 @@ SUITE_FLAGS = {
     "triv-iso": ("toeplitz", {"--at": "v", "--twist": "e=3", "--window": "2", "--mono-len": "1"}),
     "twist-iso": ("toeplitz", {"--cycle": "e", "--scalar": "2", "--window": "2", "--mono-len": "1"}),
     "nvc-iso": ("r1", {"--cycle": "e", "--window": "2", "--mono-len": "1"}),
-    "res-ind": ("toeplitz", {"--at": "(e)^inf", "--coeff": "Ka(2)", "--cap": "3"}),
+    "res-ind": ("toeplitz", {"--at": "(e)^inf", "--coeff": "Ka(2)"}),
 }
 
 
@@ -245,12 +245,12 @@ class TestDeterminism:
 
         monkeypatch.setattr(cli._Parser, "__init__", counted)
         cli.build_parser.cache_clear()
-        argv = ["verify", "res-ind", "--at", "v", "--coeff", "K", "--json", graph_file(a2)]
-        code, out, _ = run(capsys, argv[:2] + ["--cap", "3"] + argv[2:])
-        assert code == 0 and json.loads(out)["window"]["cap"] == 3
+        argv = ["verify", "triv-iso", "--at", "v", "--json", graph_file(a2)]
+        code, out, _ = run(capsys, argv[:2] + ["--mono-len", "1"] + argv[2:])
+        assert code == 0 and json.loads(out)["window"]["mono_len"] == 1
         parsers = len(built)
         code, out, _ = run(capsys, argv)
-        assert code == 0 and json.loads(out)["window"]["cap"] == 6
+        assert code == 0 and json.loads(out)["window"]["mono_len"] == 3
         assert parsers > 0 and len(built) == parsers
 
     def test_classify_json_deterministic(self, toeplitz, graph_file, capsys):
@@ -354,6 +354,8 @@ class TestInputErrors:
             ("r1", ["act", "--module", "chen:(e)^inf", "--elt", f"{HUGE} e", "--vec", "(e)^inf"]),
             *(("r1", ["act", "--field", f, "--module", "chen:(e)^inf", "--elt", "e", "--vec", "(e)^inf", "--twist", f"e={HUGE}"])
               for f in ("F2", "Q", "F2[t]/(t^2+t+1)")),
+            # a flag that no suite reads
+            ("toeplitz", ["verify", "res-ind", "--at", "v", "--coeff", "K", "--cap", "3"]),
         ],
     )
     def test_exits_2_with_one_line(self, request, graph_file, capsys, graph, argv):

@@ -37,7 +37,7 @@ READS = {
     "triv-iso": {"--at", "--twist", "--window", "--mono-len"},
     "twist-iso": {"--cycle", "--scalar", "--modulus", "--window", "--mono-len"},
     "nvc-iso": {"--cycle", "--window", "--mono-len"},
-    "res-ind": {"--at", "--coeff", "--cap"},
+    "res-ind": {"--at", "--coeff"},
 }
 MALFORMED = ["", "zz", "x", "0", "t", "t^2", "1/0 e", "e^^", "(e)^inf@x", "v#x", "chen:", "ind:v", "ind:v:Ka(",
              "K(x)", "laurent(x)", "(", "e..f", "@", "#", "f=", "e"]
@@ -156,11 +156,11 @@ def cli_cases(draw):
             _, literal = module()
             at = literal.split("@")[0].split("#")[0]
             coeff = pick(["Ka(2)", "Ka((t))", "quot(t^2+1)"] if ")^inf" in at else ["K", "K(1)"])
-            argv += ["--at", at, "--coeff", coeff] + maybe("--cap", ["1", "6"])
+            argv += ["--at", at, "--coeff", coeff]
         if not valid:  # flags the suite misses, or does not read
             argv = argv[: draw(st.sampled_from([4, len(argv)]))]
             argv += maybe("--at", points) + maybe("--cycle", w["cycles"]) + maybe("--coeff", ["K", "Ka(2)"])
-            argv += maybe("--window", ["2"]) + maybe("--cap", ["1"])
+            argv += maybe("--window", ["2"])
     if command != "validate":
         argv += ["--field", field]
     return name, argv + (["--json"] if draw(st.booleans()) else [])

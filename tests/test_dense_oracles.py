@@ -1,5 +1,5 @@
-"""The support-indexed spin, Hom by spinning, the sparse restriction and the
-pruned dimension oracle against the code they replaced.
+"""The support-indexed spin, Hom by spinning, the restriction read off the
+diagonal and the pruned dimension oracle against the code they replaced.
 
 The oracles below are the dense window matrices (``Module.act`` of the
 generators as algebra elements on each basis element, written into a list
@@ -8,15 +8,16 @@ basis, then ``rref``, until the rank stops growing), two Hom solvers with
 one unknown per entry T[i][j] of a map (the dense equation builder for
 T.g_A = g_B.T solved by ``rref``, and the sparse equation rows that
 ``verify.intertwiner_space`` eliminated before it solved by spinning), and
-the dense restriction (the column space of each cylinder idempotent by
-``rref``, the isotropy generator's coordinates by ``coordinates``, and f(M)
-by matrix powers).  Each spin's record (its steps, its images and the
-coordinates in its tag columns) is checked against the spin vectors that
-the window's matrices rebuild from its steps.  They run on random small
-finite-dimensional modules: sink modules, twisted boundary-path modules at
-cycles, scalar extensions, and induced modules with scalar-action and
-quotient coefficients, plus a direct sum, which is not simple and maps onto
-its summands; Hom also on the fixture graphs and at dimension 30.  The
+the dense restriction along the chain of cylinder idempotents (the column
+space of the last one by ``rref``, the isotropy generator's coordinates by
+``coordinates``, and f(M) by matrix powers).  Each spin's record (its
+steps, its images and the coordinates in its tag columns) is checked
+against the spin vectors that the window's matrices rebuild from its
+steps.  They run on random small finite-dimensional modules: sink
+modules, twisted boundary-path modules at cycles, scalar extensions, and
+induced modules with scalar-action and quotient coefficients, plus a
+direct sum, which is not simple and maps onto its summands; Hom and the
+restriction also on the fixture graphs, and Hom at dimension 30.  The
 cycle count of ``classify.dimension_oracle`` is checked against the walk
 from every vertex over every path up to |V| + |c| + 1 edges, on random small
 graphs and on graph families whose tail classes are long: binary trees
@@ -46,9 +47,9 @@ from hypothesis import strategies as st
 from fixture_graphs import FIXTURE_GRAPHS, tree_into_loop
 
 from leavitt import verify
-from leavitt.algebra import TwistVector, monomial
+from leavitt.algebra import monomial
 from leavitt.classify import CycleSimple, classify_simple, dimension_oracle
-from leavitt.fields import QQ, PrimeField, parse_poly
+from leavitt.fields import PrimeField, parse_poly
 from leavitt.graphs import (
     ClosedPath,
     Edge,
@@ -61,7 +62,6 @@ from leavitt.graphs import (
     closed_path_set_is_finite,
     cycle_tail,
     elementary_cycles,
-    enumerate_paths_ending_at,
     initial_path,
     lasso,
     simple_closed_paths,
@@ -75,7 +75,6 @@ from leavitt.reps import (
     BasisEnumeration,
     ChenBasis,
     ChenExtSpec,
-    ChenSpec,
     CosetBasis,
     InducedSpec,
     LaurentCoeff,
@@ -84,7 +83,6 @@ from leavitt.reps import (
     NvcSpec,
     QuotientCoeff,
     ScalarAction,
-    TrivialCoeff,
     build_module,
 )
 from leavitt.verify import (
@@ -96,14 +94,8 @@ from leavitt.verify import (
     restrict,
     simplicity_probe,
 )
-from strategies import dense, identity, monomial_element, small_graphs
+from strategies import FIELDS, dense, identity, module_specs, monomial_element, small_graphs
 
-# field name -> (field, an irreducible quadratic, a scalar other than 0 and 1 when there is one)
-FIELDS = {
-    "F2": (PrimeField(2), "t^2+t+1", 1),
-    "F3": (PrimeField(3), "t^2+1", 2),
-    "Q": (QQ, "t^2-2", 2),
-}
 MAX_DIM = 5
 
 
@@ -243,10 +235,14 @@ def column_space(F, mat: list[list]) -> list[list]:
     return rref(F, [list(col) for col in zip(*mat)])[0] if mat and mat[0] else []
 
 
-def dense_restrict(module: Module, x, cap: int = verify.RESTRICTION_CAP) -> Restriction:
-    """``verify.restrict`` on dense matrices: each idempotent's column space
-    by ``rref``, and the generator's coordinates by one ``rref`` per row.
-    The generator comes as a dense matrix, not as sparse columns."""
+def dense_restrict(module: Module, x) -> Restriction:
+    """Res_x M by its definition, on dense matrices of the whole module: the
+    images of the cylinder idempotents mu.mu* over the initial paths mu of
+    x form a descending chain, constant past a horizon set by the longest
+    basis prefix, so their intersection is the column space of mu.mu* at
+    the horizon, by ``rref``; the generator's coordinates by one ``rref``
+    per row.  The generator comes as a dense matrix, not as sparse
+    columns."""
     window = Window.full(module)
     F = module.field
     if isinstance(x, SinkPath):
@@ -261,18 +257,8 @@ def dense_restrict(module: Module, x, cap: int = verify.RESTRICTION_CAP) -> Rest
             default=0,
         )
         horizon = len(x.prefix) + reach + 2 * x.period + 1
-    images = []
-    for m in range(horizon + 1):
-        mu = initial_path(module.graph, x, m)
-        images.append(column_space(F, dense(F, window.matrix_of(monomial(mu, mu)), window.dim)))
-    final = images[-1]
-    first_stable = next(m for m in range(len(images)) if images[m] == final)
-    reported_steps = first_stable + 1
-    if reported_steps > cap:
-        raise OutOfWindowError(
-            f"idempotent chain did not stabilize within {cap} steps ({reported_steps} needed)"
-        )
-    rows = final or []
+    mu = initial_path(module.graph, x, horizon)
+    rows = column_space(F, dense(F, window.matrix_of(monomial(mu, mu)), window.dim))
     dim = len(rows)
     gen_mono = verify._isotropy_monomial(module, x)
     if gen_mono is None or dim == 0:
@@ -293,7 +279,7 @@ def dense_restrict(module: Module, x, cap: int = verify.RESTRICTION_CAP) -> Rest
         for w in rows:
             degs = {module.grade(window.elements[i]) for i, c in enumerate(w) if not F.is_zero(c)}
             degrees.append(degs.pop() if len(degs) == 1 else None)
-    return Restriction(dim, gen, reported_steps, degrees)
+    return Restriction(dim, gen, degrees)
 
 
 def poly_of_matrix(F, f, mat: list[list]) -> list[list]:
@@ -461,29 +447,9 @@ def _random_graph(rng: random.Random) -> Graph:
     return Graph(vertices, edges)
 
 
-def _specs(g: Graph, F, modulus: str, a):
-    """Sink modules (graded, some twisted and shifted), and at each cycle a
-    twisted boundary-path module, a scalar extension, and induced modules
-    with scalar-action and quotient coefficients."""
-    f = parse_poly(modulus, F)
-    for v in g.sinks:
-        twist = TwistVector.make(g, F, {e.name: a for e in g.in_edges(v)})
-        for p in enumerate_paths_ending_at(g, v, bound=1).paths:
-            x = sink_path(g, p)
-            yield ChenSpec(x)
-            yield ChenSpec(x, twist, 1)
-            yield InducedSpec(x, TrivialCoeff(1))
-    for c in elementary_cycles(g):
-        x = cycle_tail(g, c)
-        yield ChenSpec(x, TwistVector.make(g, F, {x.cycle[0]: a}))
-        yield ChenExtSpec(c, f)
-        yield InducedSpec(x, ScalarAction(a))
-        yield InducedSpec(x, QuotientCoeff(f))
-
-
 def _modules(g: Graph, F, modulus: str, a) -> list[Module]:
     out = []
-    for spec in _specs(g, F, modulus, a):
+    for spec in module_specs(g, F, modulus, a):
         M = build_module(g, F, spec)
         enum = M.enumerate_basis(0)
         if enum.exact and 0 < len(enum.elements) <= MAX_DIM:
@@ -594,7 +560,7 @@ def test_hom_matches_dense_equations(field_name):
 @pytest.mark.parametrize("graph_name", sorted(FIXTURE_GRAPHS))
 def test_hom_matches_both_oracles_on_the_fixtures(graph_name):
     """Every pair of the twisted, scalar-extended and induced modules of
-    ``_specs`` on a fixture graph, which includes each no-exit cycle; the
+    ``module_specs`` on a fixture graph, which includes each no-exit cycle; the
     graded pairs (twisted and shifted sink modules, induced trivial
     coefficients) also at degrees -1, 0 and 1."""
     g = Graph(*FIXTURE_GRAPHS[graph_name])
@@ -677,24 +643,29 @@ def _base_points(M: Module) -> list:
 
 def _outcome(M, x, restriction=restrict):
     """The restriction's fields, with its generator as a dense matrix, or the
-    message of the error it raised."""
+    type of the error it raised."""
     try:
         r = restriction(M, x)
     except OutOfWindowError as exc:
-        return str(exc)
+        return type(exc)
     gen = r.generator_matrix if restriction is dense_restrict else dense(M.field, r.generator_matrix, r.dimension)
-    return (r.dimension, gen, r.steps, r.degrees)
+    return (r.dimension, gen, r.degrees)
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
 def test_restrict_matches_dense_restriction(field_name):
+    """The diagonal read against the chain, at every point of each module's
+    orbit and one point off it, on the fixture graphs and random ones."""
+    F, modulus, a = FIELDS[field_name]
+    fixtures = [Graph(*FIXTURE_GRAPHS[name]) for name in sorted(FIXTURE_GRAPHS)]
+    samples = _samples(field_name, 3) + [(g, F, _modules(g, F, modulus, a)) for g in fixtures]
     restricted = 0
-    for g, F, mods in _samples(field_name, 3):
+    for g, F, mods in samples:
         for M in mods:
             for x in _base_points(M):
                 got = _outcome(M, x)
                 assert got == _outcome(M, x, dense_restrict)
-                restricted += not isinstance(got, str) and got[0] > 0
+                restricted += isinstance(got, tuple) and got[0] > 0
     assert restricted > 0
 
 
@@ -726,7 +697,7 @@ def _assert_stores_no_zero(F, vectors, what):
 
 
 def _assert_sparse_contract(monkeypatch, g: Graph, solve=nullspace):
-    """Over F2, F3 and Q, for every pair of the modules of ``_specs`` on g:
+    """Over F2, F3 and Q, for every pair of the modules of ``module_specs`` on g:
     each ``nullspace`` vector that Hom solves for (by ``solve``), each Hom
     column, and each column of the isotropy generator at every base point
     of ``_base_points`` store no zero."""
@@ -824,7 +795,7 @@ def test_exact_enumeration_matches_orbit_size(g):
     infinite += [NvcSpec(c) for c in cycles if not ClosedPath.analyze(g, c).has_exit]
     for spec in infinite:
         assert not build_module(g, F2, spec).enumerate_basis(0).exact
-    for spec in _specs(g, F2, "t^2+t+1", 1):
+    for spec in module_specs(g, F2, "t^2+t+1", 1):
         M = build_module(g, F2, spec)
         enum = M.enumerate_basis(0)
         size = orbit_size(g, cycle_tail(g, spec.cycle) if isinstance(spec, ChenExtSpec) else spec.base)

@@ -11,7 +11,6 @@ from leavitt.groupoid import (
     bisection_product,
     bisections_match_monomial,
     isotropy,
-    isotropy_generator,
     monomial_bisection,
     orbit,
     orbit_size,
@@ -228,5 +227,3 @@ class TestIsotropyAndOrbit:
                 assert lags == LagSet.single(0)
             else:
                 assert lags == LagSet.coset(0, iso.generator_lag)
-            g = isotropy_generator(x)
-            assert lags.contains(g.k)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fixture_graphs import tree_into_loop
-from leavitt.algebra import LeavittAlgebra, TwistVector, all_monomials, monomial, random_element
+from leavitt.algebra import TwistVector, all_monomials, monomial, random_element
 from leavitt.fields import QQ, ExtensionField, PrimeField, parse_poly
 from leavitt.graphs import Graph, lasso, sink_path, tail_lags, unroll
 from leavitt.reps import (

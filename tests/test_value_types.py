@@ -60,7 +60,6 @@ from leavitt.groupoid import (
     OrbitEnumeration,
     bisection,
     isotropy,
-    isotropy_generator,
     monomial_bisection,
     orbit,
 )
@@ -251,7 +250,7 @@ def records() -> dict[type, list]:
         ClosedPathEnumeration: [simple_closed_paths(g, 2) for g in (toeplitz, a2)],
         Poly: [f3, fq, Poly.zero(F3), Poly.zero(QQ), Poly.t(QQ)],
         TwistVector: [twist, TwistVector.make(toeplitz, QQ, {"e": QQ.inv(QQ.coerce(2))}), TwistVector.make(toeplitz, F3, {})],
-        GroupoidElement: [isotropy_generator(x), isotropy_generator(s), GroupoidElement(x, 0, x)],
+        GroupoidElement: [GroupoidElement(x, x.period, x), GroupoidElement(s, 0, s), GroupoidElement(x, 0, x)],
         IsotropyDescriptor: [isotropy(x), isotropy(s)],
         OrbitEnumeration: [orbit(toeplitz, x, 2), orbit(a2, sink_path(a2, a2.vertex_path("v")))],
         TrivialCoeff: [TrivialCoeff(), TrivialCoeff(1)],
